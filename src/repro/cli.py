@@ -383,13 +383,6 @@ def _add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         help="shared compiled-artifact store capacity (default: 512)",
     )
     parser.add_argument(
-        "--session-entries",
-        type=int,
-        default=64,
-        metavar="N",
-        help="per-session compiled-program cache capacity (default: 64)",
-    )
-    parser.add_argument(
         "--backend",
         choices=("omega", "smtlib", "z3", "crosscheck"),
         default=None,
@@ -1250,7 +1243,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         no_cache=args.no_cache,
         compiled_entries=args.compiled_entries,
-        session_entries=args.session_entries,
         default_timeout=args.timeout,
         max_timeout=args.max_timeout,
         max_inflight_per_client=args.max_inflight,

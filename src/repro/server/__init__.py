@@ -9,9 +9,8 @@ keeps one process alive and shares everything that is expensive to build:
     structured error codes) spoken over TCP or a unix socket.
 ``pool``
     The warm core — :class:`~repro.server.pool.WarmVerifierPool` holds
-    thread-local long-lived :class:`~repro.verifier.session.Verifier`
-    sessions, a shared compiled-artifact store keyed by source fingerprint,
-    and the content-addressed verdict cache; the asyncio-side
+    the worker threads, a shared compiled-artifact store keyed by source
+    fingerprint, and the content-addressed verdict cache; the asyncio-side
     :class:`~repro.server.pool.JobDispatcher` coalesces concurrent
     identical requests onto one in-flight leader.
 ``daemon``

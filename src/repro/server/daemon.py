@@ -73,7 +73,6 @@ class ServerConfig:
     cache_memory_entries: int = 4096
     no_cache: bool = False
     compiled_entries: int = 512
-    session_entries: int = 64
     default_timeout: Optional[float] = None
     max_timeout: Optional[float] = None
     max_frame_bytes: int = protocol.MAX_FRAME_BYTES
@@ -121,7 +120,6 @@ class VerificationServer:
             workers=self.config.workers,
             cache=self.config.build_cache(),
             compiled_entries=self.config.compiled_entries,
-            session_entries=self.config.session_entries,
             default_timeout=self.config.default_timeout,
             backend=self.config.backend,
             smt_solver=self.config.smt_solver,
@@ -235,23 +233,19 @@ class VerificationServer:
         peername = writer.get_extra_info("peername")
         ctx = _ClientContext(str(peername))
         self._connections += 1
-        METRICS.inc("server.connections")
         self._log_event("connect", peer=ctx.peer, connections=self._connections)
         try:
             while True:
                 try:
                     line = await reader.readuntil(b"\n")
-                except asyncio.IncompleteReadError as error:
+                except asyncio.IncompleteReadError:
                     # Client went away mid-frame (or cleanly with no partial
                     # data); either way this connection is over — silently.
-                    if error.partial:
-                        METRICS.inc("server.disconnects_midframe")
                     break
                 except asyncio.LimitOverrunError:
                     # The stream cannot be re-synchronised past an oversized
                     # frame; answer once, then hang up this connection.
                     self.pool.stats.inc("rejected")
-                    METRICS.inc("server.frames_too_large")
                     self._log_event(
                         "request_rejected",
                         peer=ctx.peer,
@@ -294,13 +288,11 @@ class VerificationServer:
                 writer.write(protocol.encode_frame(frame))
                 await writer.drain()
             except (ConnectionResetError, BrokenPipeError, OSError):
-                METRICS.inc("server.responses_dropped")
+                pass
 
     async def _serve_frame(self, ctx: _ClientContext, writer: asyncio.StreamWriter, line: bytes) -> None:
         """Decode, dispatch and answer one frame; never lets an error escape."""
         self.pool.stats.inc("requests")
-        METRICS.inc("server.requests")
-        METRICS.set("server.inflight", self.dispatcher.inflight)
         request_id: Any = None
         try:
             payload = protocol.decode_frame(line, self.config.max_frame_bytes)
@@ -335,7 +327,6 @@ class VerificationServer:
                 )
             except Exception as error:  # the queue must never wedge
                 self.pool.stats.inc("errors")
-                METRICS.inc("server.internal_errors")
                 error_code = protocol.ERROR_INTERNAL
                 response = protocol.error_response(
                     request_id, protocol.ERROR_INTERNAL, f"{type(error).__name__}: {error}"
@@ -459,7 +450,6 @@ class VerificationServer:
             )
         if ctx.inflight >= self.config.max_inflight_per_client:
             # Counted as `rejected` by the ProtocolError handler upstream.
-            METRICS.inc("server.rate_limited")
             raise protocol.ProtocolError(
                 protocol.ERROR_RATE_LIMITED,
                 f"client budget exceeded: {ctx.inflight} checks already in flight "
@@ -501,7 +491,6 @@ class VerificationServer:
                 trace=trace_requested or None,
             )
         ctx.inflight += 1
-        METRICS.set("server.queue_depth", self.dispatcher.inflight)
         started = time.perf_counter()
         try:
             outcome = await self.dispatcher.run(

@@ -1,4 +1,4 @@
-"""The daemon's warm state: compiled artifacts, sessions, verdict cache, dedup.
+"""The daemon's warm state: compiled artifacts, verdict cache, dedup.
 
 This module is why the server exists at all.  A cold ``repro-eqcheck check``
 pays parse + def-use + ADDG extraction for both programs, an empty Presburger
@@ -10,10 +10,12 @@ amortises all of it across the daemon's lifetime:
   SHA-256 of the raw source text, so a program seen by *any* request is
   parsed and extracted exactly once no matter which worker thread checks it;
 * :class:`WarmVerifierPool` — a small ``ThreadPoolExecutor`` whose threads
-  each own one long-lived (bounded) :class:`~repro.verifier.session.Verifier`
-  session; all threads share the interpreter-wide Presburger operation cache
-  (:mod:`repro.presburger.opcache`), the compiled store and the
-  content-addressed verdict cache (:class:`~repro.service.cache.ResultCache`);
+  check the store's compiled programs through a throwaway
+  :class:`~repro.verifier.session.Verifier`; all threads share the
+  interpreter-wide Presburger operation cache
+  (:mod:`repro.presburger.opcache`), the compiled store — the server's one
+  compile cache — and the content-addressed verdict cache
+  (:class:`~repro.service.cache.ResultCache`);
 * :class:`JobDispatcher` — the asyncio front that coalesces concurrent
   identical requests: the first request for a ``(job fingerprint, effective
   timeout)`` key becomes the *leader* and actually executes; every duplicate
@@ -46,7 +48,7 @@ from ..service.cache import ResultCache
 from ..service.executor import execute_job
 from ..service.fingerprint import job_fingerprint
 from ..service.job import JobResult, JobStatus, VerificationJob
-from ..telemetry import METRICS, TRACER, request_scope
+from ..telemetry import TRACER, request_scope
 from ..verifier import CompiledProgram, Verifier
 from ..lang import parse_program
 
@@ -57,10 +59,10 @@ __all__ = ["ServerStats", "CompiledStore", "WarmVerifierPool", "JobDispatcher"]
 class ServerStats:
     """Authoritative lifetime counters of one daemon.
 
-    Kept as plain integers (always on, unlike the opt-in
-    :data:`repro.telemetry.METRICS` registry, which the pool mirrors into
-    when enabled) so the ``stats`` RPC and the soak benchmark can always
-    observe the server, telemetry flags or not.
+    Kept as plain integers, always on, so the ``stats`` RPC and the soak
+    benchmark can observe the server whatever the telemetry flags.  They are
+    the server's only counters: the opt-in
+    :data:`repro.telemetry.METRICS` registry carries no ``server.*`` rows.
 
     Counters are mutated from two places at once — the asyncio event loop
     (``requests``/``rejected``/``dedup_hits``/``errors``) and the pool's
@@ -75,8 +77,6 @@ class ServerStats:
     checks_executed: int = 0
     dedup_hits: int = 0
     cache_hits: int = 0
-    compile_hits: int = 0
-    compile_misses: int = 0
     errors: int = 0
     timeouts: int = 0
     rejected: int = 0
@@ -104,8 +104,6 @@ class ServerStats:
                 "dedup_hits": self.dedup_hits,
                 "cache_hits": self.cache_hits,
                 "cache_hit_rate": self.cache_hit_rate,
-                "compile_hits": self.compile_hits,
-                "compile_misses": self.compile_misses,
                 "errors": self.errors,
                 "timeouts": self.timeouts,
                 "rejected": self.rejected,
@@ -179,7 +177,7 @@ class CompiledStore:
 
 
 class WarmVerifierPool:
-    """Worker threads with long-lived sessions over shared warm state.
+    """Worker threads over shared warm state.
 
     Parameters
     ----------
@@ -192,15 +190,12 @@ class WarmVerifierPool:
         after) every executed check; ``None`` disables verdict caching.
     compiled_entries:
         Bound of the shared :class:`CompiledStore`.
-    session_entries:
-        Per-thread bound of each session's compile cache (belt on top of the
-        shared store, for `Program`-identity keys).
     default_timeout:
         Wall-clock budget applied to jobs that carry none of their own.
     persist_dir:
         Directory of the persistent Presburger op-cache
         (:mod:`repro.presburger.persist`).  All worker threads share the
-        process-wide opcache, so one attach here warms every session — and
+        process-wide opcache, so one attach here warms every thread — and
         a daemon restart starts warm from disk instead of re-deriving the
         relation algebra cold.
     """
@@ -210,7 +205,6 @@ class WarmVerifierPool:
         workers: int = 1,
         cache: Optional[ResultCache] = None,
         compiled_entries: int = 512,
-        session_entries: int = 64,
         default_timeout: Optional[float] = None,
         backend: Optional[str] = None,
         smt_solver: Optional[str] = None,
@@ -219,14 +213,11 @@ class WarmVerifierPool:
         self.workers = max(1, int(workers))
         self.cache = cache
         self.compiled = CompiledStore(compiled_entries)
-        self.session_entries = session_entries
         self.default_timeout = default_timeout
         self.backend = backend
         self.smt_solver = smt_solver
         self.persist_dir = persist_dir
         if persist_dir:
-            from ..presburger import opcache
-
             opcache.attach_persistent(persist_dir)
         self.stats = ServerStats()
         self.solver_queries: Dict[str, int] = {}
@@ -234,19 +225,9 @@ class WarmVerifierPool:
         self._threads = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="eqcheck-server"
         )
-        self._local = threading.local()
-        self._generation = 0
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
-    def _session(self) -> Verifier:
-        """This worker thread's long-lived session (rebuilt after a reset)."""
-        entry = getattr(self._local, "entry", None)
-        if entry is None or entry[0] != self._generation:
-            entry = (self._generation, Verifier(max_cache_entries=self.session_entries))
-            self._local.entry = entry
-        return entry[1]
-
     def prepare_job(self, job: VerificationJob) -> VerificationJob:
         """Apply the server's decision-backend default to *job*.
 
@@ -286,9 +267,9 @@ class WarmVerifierPool:
     ) -> JobResult:
         """Execute one job warm, synchronously, in the calling thread.
 
-        Cache front first; a miss runs the check through this thread's
-        session over the shared compiled store, with the job's effective
-        budget enforced by the signal-free timeout path.  Designed to be
+        Cache front first; a miss checks the shared compiled store's
+        programs, with the job's effective budget enforced by the
+        signal-free timeout path.  Designed to be
         called from the pool's worker threads (via :meth:`submit`) but safe
         from any thread, including the main one.
 
@@ -311,7 +292,6 @@ class WarmVerifierPool:
         cached = self.cache.get(fingerprint) if self.cache is not None else None
         if cached is not None:
             self.stats.inc("cache_hits")
-            METRICS.inc("server.cache_hits")
             return JobResult(
                 name=job.name,
                 status=JobStatus.OK,
@@ -325,11 +305,10 @@ class WarmVerifierPool:
             )
 
         def warm_run():
-            session = self._session()
             with request_scope(request_id):
                 original = self.compiled.get_or_compile(job.original_source)
                 transformed = self.compiled.get_or_compile(job.transformed_source)
-                return session.check(original, transformed, options=job.options)
+                return Verifier().check(original, transformed, options=job.options)
 
         mark = TRACER.mark() if collect_spans and TRACER.enabled else None
         outcome = execute_job(
@@ -345,13 +324,10 @@ class WarmVerifierPool:
                 ]
             }
         self.stats.inc("checks_executed")
-        METRICS.inc("server.checks_executed")
         if outcome.status == JobStatus.TIMEOUT:
             self.stats.inc("timeouts")
-            METRICS.inc("server.timeouts")
         elif outcome.status == JobStatus.ERROR:
             self.stats.inc("errors")
-            METRICS.inc("server.check_errors")
         elif self.cache is not None and outcome.result is not None:
             try:
                 self.cache.put(fingerprint, outcome.result)
@@ -378,15 +354,13 @@ class WarmVerifierPool:
 
     # ------------------------------------------------------------------ #
     def reset(self) -> None:
-        """Drop every piece of warm state (verdict cache, artifacts, sessions).
+        """Drop the verdict cache and the compiled artifacts.
 
-        Existing worker threads lazily rebuild their sessions on the next
-        job (generation check), so no thread coordination is needed; a check
-        running concurrently with the reset keeps its old session for that
-        one job, which is safe — sessions only cache frontend artifacts.
+        A check running concurrently with the reset keeps the artifacts it
+        already fetched for that one job, which is safe: the store only
+        caches frontend results.
         """
         with self._lock:
-            self._generation += 1
             self.compiled.clear()
             if self.cache is not None:
                 self.cache.clear()
@@ -395,19 +369,20 @@ class WarmVerifierPool:
     def snapshot(self) -> Dict[str, Any]:
         """The warm-state half of the ``stats`` RPC payload.
 
-        Counters plus pool/session/compiled-store occupancy, verdict-cache
+        Counters plus pool/compiled-store occupancy, verdict-cache
         hit rates, the process-wide Presburger opcache (memory + disk tier)
         and the accumulated per-kind solver-backend query counts.  The
         daemon layers its own serving-side fields on top — see
         :meth:`repro.server.daemon.VerificationServer.snapshot`.
         """
-        self.stats.compile_hits = self.compiled.hits
-        self.stats.compile_misses = self.compiled.misses
         payload = self.stats.as_dict()
-        payload["compiled_store"] = self.compiled.stats()
+        compiled = self.compiled.stats()
+        payload["compiled_store"] = compiled
+        # Top-level aliases of the store's counters, kept for existing readers.
+        payload["compile_hits"] = compiled["hits"]
+        payload["compile_misses"] = compiled["misses"]
         payload["verdict_cache"] = self.cache.stats.as_dict() if self.cache is not None else None
         payload["workers"] = self.workers
-        payload["session_entries"] = self.session_entries
         payload["opcache"] = opcache.stats().as_dict()
         store = opcache.persistent_store()
         payload["persist"] = {
@@ -457,7 +432,6 @@ class JobDispatcher:
         leader = self._inflight.get(key)
         if leader is not None:
             self.pool.stats.inc("dedup_hits")
-            METRICS.inc("server.dedup_hits")
             # shield(): a follower whose client vanished must not cancel the
             # leader out from under every other waiter.
             outcome = await asyncio.shield(leader)

@@ -43,7 +43,7 @@ __all__ = [
 #: Prometheus text by :func:`repro.telemetry.prom.render_server_snapshot`
 #: and pretty-printed by :func:`format_server_snapshot` — bump this when any
 #: of the three would disagree about a field.
-SERVER_SNAPSHOT_VERSION = 1
+SERVER_SNAPSHOT_VERSION = 2
 
 
 def percentile(values: Sequence[float], fraction: float) -> float:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import hashlib
 import time
-from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..addg import ADDG, build_addg
@@ -137,12 +136,6 @@ class Verifier:
     observers:
         :class:`CheckObserver` values notified by every check of this
         session (per-call observers can be added on top).
-    max_cache_entries:
-        Bound on the compile cache (LRU eviction); ``None`` (the default)
-        keeps every compiled program for the session's lifetime.  Long-lived
-        sessions — the verification server keeps one per worker thread for
-        the life of the daemon — must pass a bound or the cache grows with
-        every distinct program ever seen.
 
     A session is cheap; its value is the compile cache: every distinct
     program is parsed, def-use-checked and ADDG-extracted once, no matter
@@ -153,15 +146,12 @@ class Verifier:
         self,
         options: Optional[CheckOptions] = None,
         observers: Sequence[CheckObserver] = (),
-        max_cache_entries: Optional[int] = None,
     ):
         self.options = options if options is not None else CheckOptions()
         self._observers: List[CheckObserver] = list(observers)
-        self._cache: "OrderedDict[Tuple[str, object], CompiledProgram]" = OrderedDict()
-        self.max_cache_entries = max_cache_entries
+        self._cache: Dict[Tuple[str, object], CompiledProgram] = {}
         self.compile_hits = 0
         self.compile_misses = 0
-        self.compile_evictions = 0
 
     # ------------------------------------------------------------------ #
     def add_observer(self, observer: CheckObserver) -> None:
@@ -193,17 +183,12 @@ class Verifier:
         cached = self._cache.get(key)
         if cached is not None:
             self.compile_hits += 1
-            self._cache.move_to_end(key)
             return cached
         self.compile_misses += 1
         started = time.perf_counter()
         program = parse_program(source) if isinstance(source, str) else source
         compiled = CompiledProgram(program, frontend_seconds=time.perf_counter() - started)
         self._cache[key] = compiled
-        if self.max_cache_entries is not None:
-            while len(self._cache) > max(1, self.max_cache_entries):
-                self._cache.popitem(last=False)
-                self.compile_evictions += 1
         return compiled
 
     # ------------------------------------------------------------------ #

@@ -278,7 +278,7 @@ class TestFmCombine:
     UPPERS = [(-1, 1, 0, 7), (-3, 0, 2, 11), (-2, 2, 2, 5)]
 
     def test_python_matches_legacy_semantics(self):
-        real, dark, all_exact = kernel._fm_combine_py(
+        real, dark, all_exact = kernel.fm_combine(
             self.LOWERS, self.UPPERS, 0, False
         )
         assert len(real) == len(self.LOWERS) * len(self.UPPERS)
@@ -292,28 +292,14 @@ class TestFmCombine:
         assert all_exact is False
 
     def test_unit_bounds_skip_dark_shadow(self):
-        real, dark, all_exact = kernel._fm_combine_py(
+        real, dark, all_exact = kernel.fm_combine(
             [(1, 0, 0)], [(-1, 0, 9)], 0, True
         )
         assert real == [(0, 0, 9)]
         assert dark == []
         assert all_exact is True
 
-    @pytest.mark.skipif(not kernel.numpy_available(), reason="numpy not installed")
-    def test_numpy_matches_python(self):
-        lowers = [(i % 5 + 1, i, -i, i * 3 + 1) for i in range(6)]
-        uppers = [(-(j % 4 + 1), 2 * j, j, j + 7) for j in range(6)]
-        for unit in (False, True):
-            np_out = kernel._fm_combine_np(lowers, uppers, 0, unit)
-            py_out = kernel._fm_combine_py(lowers, uppers, 0, unit)
-            assert np_out == py_out
-
-    @pytest.mark.skipif(not kernel.numpy_available(), reason="numpy not installed")
-    def test_dispatch_uses_numpy_only_for_large_batches(self):
-        small = kernel.fm_combine([(1, 0)], [(-1, 5)], 0, True)
-        assert small == ([(0, 5)], [], True)
-
-    def test_big_coefficients_fall_back_to_python(self):
+    def test_big_coefficients_stay_exact(self):
         huge = 1 << 40
         lowers = [(huge, 0, 1)] * 4
         uppers = [(-huge, 1, 2)] * 4
@@ -323,7 +309,7 @@ class TestFmCombine:
         )
         assert real[0] == expected
         assert real[0][0] == 0
-        # exactness of the bignum path: no int64 wraparound anywhere
+        # Python ints: no fixed-width wraparound anywhere
         assert all(row[1] == huge for row in real)
 
     def test_substitute_drop_matches_manual(self):

@@ -151,7 +151,6 @@ class TestPingAndStats:
         assert snapshot["latency"]["request_seconds"]["count"] >= 1
         assert snapshot["latency"]["check_seconds"]["count"] == 1
         assert snapshot["opcache"]["misses"] >= 0
-        assert snapshot["session_entries"] >= 0
         assert snapshot["persist"]["attached"] is False
         assert snapshot["request_log"]["events_written"] > 0
         assert snapshot["slow"]["threshold_seconds"] == 0.0
@@ -201,6 +200,23 @@ class TestPingAndStats:
         ]
         assert buckets
         assert any(int(line.rsplit(" ", 1)[1]) > 0 for line in buckets)
+
+    def test_prometheus_rendering_is_valid_with_metrics_enabled(self):
+        # With the opt-in registry on, its rows render next to the snapshot;
+        # the two must never expose the same family twice.
+        lint = _load_lint()
+        telemetry.reset()
+        telemetry.enable(tracing=False, metrics=True)
+        try:
+            with ServerThread(ServerConfig(port=0)) as handle:
+                with ServerClient(handle.address) as client:
+                    client.check_job(make_job())
+                    client.check_job(make_job(name="repeat"))
+                    text = client.stats(format="prometheus")["text"]
+        finally:
+            telemetry.disable()
+            telemetry.reset()
+        assert lint.validate(text) == []
 
     def test_unknown_stats_format_rejected(self, observed_server):
         handle, _ = observed_server

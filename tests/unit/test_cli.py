@@ -1,6 +1,8 @@
 """Unit tests for the command-line driver."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -136,3 +138,15 @@ class TestTelemetryFlags:
         monkeypatch.chdir(tmp_path)
         assert main(["check", "--quiet", fig1_files["a"], fig1_files["b"]]) == 0
         assert list(tmp_path.glob("*.json")) == []
+
+
+class TestImportWeight:
+    def test_cli_import_leaves_numpy_unloaded(self):
+        # A one-shot check pays for every module `repro.cli` pulls in, so a
+        # heavy eager import must not creep back onto that path.
+        code = (
+            "import sys, repro.cli; "
+            "sys.exit(1 if 'numpy' in sys.modules else 0)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ))
+        assert proc.returncode == 0

@@ -240,7 +240,6 @@ def _snapshot_service_server(jobs):
         "dedup_hits": snap["dedup_hits"],
         "errors": snap["errors"],
         "rejected": snap["rejected"],
-        "session_entries": snap["session_entries"],
         "slow_captured": snap["slow"]["captured"],
         "log_events": dict(sorted(kinds.items())),
     }
