@@ -7,21 +7,18 @@ checker performs most often — composition, equality, subtraction with
 divisibility constraints, feasibility — at the formula sizes that actually
 occur, backing that claim for this reimplementation.
 
-Three ablations double as CI smoke gates::
+Two ablations double as CI smoke gates::
 
     PYTHONPATH=src python benchmarks/bench_presburger.py --smoke
 
 * the operation cache of :mod:`repro.presburger.opcache` (interned
   conjuncts + memoized relation algebra) against the uncached baseline —
   the cached run must be at least 1.5x faster;
-* the flat-matrix kernel of :mod:`repro.presburger.kernel` against the
-  original object-at-a-time code (``--kernel-ablation``) — flat must be at
-  least 1.5x faster on the uncached composition + feasibility workload;
 * the persistent cache (``--warm-start``) — a second process sharing the
   same ``--persist-dir`` must finish the workload at least 2x faster than
   the first, cold one.
 
-``--smoke`` runs all three and exits non-zero when any ratio regresses.
+``--smoke`` runs both and exits non-zero when either ratio regresses.
 """
 
 import os
@@ -32,7 +29,7 @@ import time
 
 import pytest
 
-from repro.presburger import kernel, opcache, parse_map, parse_set, transitive_closure
+from repro.presburger import opcache, parse_map, parse_set, transitive_closure
 
 from conftest import run_once
 
@@ -171,74 +168,6 @@ def bench_cache_ablation_speedup():
 
 
 # --------------------------------------------------------------------------- #
-# Kernel ablation: flat-matrix kernel vs the original object-at-a-time code
-# --------------------------------------------------------------------------- #
-# Both modes produce bit-identical results (tests/unit/presburger/test_kernel.py
-# gates that); this ablation measures what the flat layout buys.  The cache is
-# disabled inside each timed leg so raw compute is compared, not memoization.
-KERNEL_SPEEDUP_THRESHOLD = 1.5
-
-_FEASIBILITY_SOURCES = (
-    "{ [i] : exists a : 3a <= i and i <= 3a + 1 and 0 <= i < 12 }",
-    "{ [i] : exists a : i = 2a and exists b : i = 3b and 0 <= i < 18 }",
-    "{ [i] : exists a : i = 2a and 0 <= i < 64 }",
-    "{ [i] : 0 <= i < 48 ; [i] : 50 <= i < 90 }",
-)
-
-_feasibility_sets = None
-
-
-def _run_feasibility_sweep(rounds: int):
-    """Set-algebra sweep over pre-parsed strided/dark-shadow sets.
-
-    Parsing happens once (it costs the same in both kernel modes and would
-    only dilute the ablation); the timed region is pure normalize /
-    elimination / feasibility work.
-    """
-    global _feasibility_sets
-    if _feasibility_sets is None:
-        _feasibility_sets = [parse_set(source) for source in _FEASIBILITY_SOURCES]
-    for _ in range(rounds):
-        for a in _feasibility_sets:
-            for b in _feasibility_sets:
-                a.intersect(b).is_empty()
-                a.subtract(b).is_empty()
-
-
-def _run_kernel_workload(iterations: int) -> None:
-    """Composition chains plus FM-heavy set algebra, uncached."""
-    with opcache.disabled():
-        _run_repeated_composition(iterations)
-        _run_feasibility_sweep(iterations)
-
-
-def time_kernel_ablation(iterations: int = 20):
-    """Wall-clock the workload in object mode, then flat mode.
-
-    Returns ``(object_seconds, flat_seconds)``.  One untimed warmup round
-    per mode absorbs parser/intern-pool cold-start effects.
-    """
-    timings = {}
-    for mode in ("object", "flat"):
-        with kernel.use(mode):
-            _run_kernel_workload(2)
-            started = time.perf_counter()
-            _run_kernel_workload(iterations)
-            timings[mode] = time.perf_counter() - started
-    return timings["object"], timings["flat"]
-
-
-def bench_kernel_ablation_speedup():
-    """Non-timing assertion: the flat kernel must keep its >= 1.5x win."""
-    object_seconds, flat_seconds = time_kernel_ablation()
-    speedup = object_seconds / flat_seconds if flat_seconds else float("inf")
-    assert speedup >= KERNEL_SPEEDUP_THRESHOLD, (
-        f"flat-kernel speedup degraded to {speedup:.2f}x "
-        f"(object {object_seconds:.3f} s vs flat {flat_seconds:.3f} s)"
-    )
-
-
-# --------------------------------------------------------------------------- #
 # Warm start: a second process reusing the persistent operation cache
 # --------------------------------------------------------------------------- #
 WARM_START_THRESHOLD = 2.0
@@ -328,20 +257,6 @@ def _smoke_cache() -> int:
     return 0
 
 
-def _smoke_kernel() -> int:
-    object_seconds, flat_seconds = time_kernel_ablation()
-    speedup = object_seconds / flat_seconds if flat_seconds else float("inf")
-    print("[kernel ablation]")
-    print(f"object   : {object_seconds:.3f} s")
-    print(f"flat     : {flat_seconds:.3f} s")
-    print(f"speedup  : {speedup:.2f}x  (threshold {KERNEL_SPEEDUP_THRESHOLD}x)")
-    if speedup < KERNEL_SPEEDUP_THRESHOLD:
-        print("FAIL: flat-kernel speedup below threshold", file=sys.stderr)
-        return 1
-    print("OK")
-    return 0
-
-
 def _smoke_warm_start() -> int:
     cold_seconds, warm_seconds = time_warm_start()
     speedup = cold_seconds / warm_seconds if warm_seconds else float("inf")
@@ -359,7 +274,7 @@ def _smoke_warm_start() -> int:
 def _smoke() -> int:
     """CI gate: run every ablation and fail loudly on any perf regression."""
     failures = 0
-    for gate in (_smoke_cache, _smoke_kernel, _smoke_warm_start):
+    for gate in (_smoke_cache, _smoke_warm_start):
         failures += gate()
         print()
     return 1 if failures else 0
@@ -371,13 +286,11 @@ if __name__ == "__main__":
         sys.exit(_warm_child(argv[argv.index("--warm-child") + 1]))
     if "--warm-start" in argv:
         sys.exit(_smoke_warm_start())
-    if "--kernel-ablation" in argv:
-        sys.exit(_smoke_kernel())
     if "--smoke" in argv:
         sys.exit(_smoke())
     print(__doc__)
     print(
         "run under pytest for the full benchmark suite, or pass "
-        "--smoke / --kernel-ablation / --warm-start"
+        "--smoke / --warm-start"
     )
     sys.exit(2)

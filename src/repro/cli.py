@@ -81,7 +81,7 @@ from typing import List, Optional, Sequence, TextIO
 
 from .addg import addg_to_dot
 from .checker import default_registry
-from .lang import parse_program
+from .lang import LangError, parse_program
 from .verifier import CheckObserver, CheckOptions, Verifier
 
 __all__ = ["main", "build_arg_parser", "build_cli_parser", "checker_options_from_args"]
@@ -710,6 +710,23 @@ def _read_pair(args: argparse.Namespace):
     return original_source, transformed_source
 
 
+def _parse_pair(args: argparse.Namespace, sources):
+    """Parse the two sources read by :func:`_read_pair`.
+
+    Returns the two programs, or ``None`` after printing the frontend error
+    with the file it came from (the caller exits 2: malformed input is a
+    usage error, not a "not proven" verdict).
+    """
+    programs = []
+    for path, source in zip((args.original, args.transformed), sources):
+        try:
+            programs.append(parse_program(source))
+        except LangError as error:
+            print(f"error: {path}: {error}", file=sys.stderr)
+            return None
+    return programs
+
+
 def _print_json(payload) -> None:
     import json
 
@@ -771,8 +788,10 @@ def _run_check(args: argparse.Namespace) -> int:
     if getattr(args, "server", None):
         return _check_on_server(args, original_source, transformed_source)
 
-    original = parse_program(original_source)
-    transformed = parse_program(transformed_source)
+    programs = _parse_pair(args, sources)
+    if programs is None:
+        return 2
+    original, transformed = programs
 
     verifier = Verifier(options=checker_options_from_args(args))
     if args.dump_addg:
@@ -795,6 +814,9 @@ def _run_check(args: argparse.Namespace) -> int:
     except JobTimeoutError:
         print(f"error: check exceeded the {args.timeout:g} s budget", file=sys.stderr)
         return 2
+    except LangError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
     if args.json:
         _print_json(result.to_dict())
@@ -809,17 +831,22 @@ def _run_diagnose(args: argparse.Namespace) -> int:
     sources = _read_pair(args)
     if sources is None:
         return 2
-    original_source, transformed_source = sources
+    programs = _parse_pair(args, sources)
+    if programs is None:
+        return 2
 
     verifier = Verifier(options=checker_options_from_args(args))
     observer = None if args.quiet or args.json else _ProgressObserver(sys.stderr)
-    report = verifier.diagnose(
-        original_source,
-        transformed_source,
-        observer=observer,
-        replay_trials=args.trials,
-        replay_seed=args.seed,
-    )
+    try:
+        report = verifier.diagnose(
+            *programs,
+            observer=observer,
+            replay_trials=args.trials,
+            replay_seed=args.seed,
+        )
+    except LangError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     if args.json:
         _print_json(report.to_dict())
     else:

@@ -404,13 +404,20 @@ def _evaluate_constant(expr: Expr) -> Optional[int]:
 
 
 def parse_program(source: str) -> Program:
-    """Parse a mini-C function definition into a :class:`~repro.lang.ast.Program`."""
+    """Parse a mini-C function definition into a :class:`~repro.lang.ast.Program`.
+
+    The parser is recursive descent, so nesting deep enough to exhaust the
+    interpreter's recursion limit is reported as a :class:`ParseSyntaxError`.
+    """
     from ..telemetry import TRACER
 
-    if not TRACER.enabled:
-        return _ProgramParser(source).parse()
-    with TRACER.span("frontend.parse_program", "frontend", chars=len(source)):
-        with TRACER.span("frontend.lex", "frontend"):
-            parser = _ProgramParser(source)
-        with TRACER.span("frontend.parse", "frontend"):
-            return parser.parse()
+    try:
+        if not TRACER.enabled:
+            return _ProgramParser(source).parse()
+        with TRACER.span("frontend.parse_program", "frontend", chars=len(source)):
+            with TRACER.span("frontend.lex", "frontend"):
+                parser = _ProgramParser(source)
+            with TRACER.span("frontend.parse", "frontend"):
+                return parser.parse()
+    except RecursionError:
+        raise ParseSyntaxError("expression nesting too deep") from None

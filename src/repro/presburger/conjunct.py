@@ -22,7 +22,6 @@ they can be tested in isolation.
 
 from __future__ import annotations
 
-from math import gcd
 from typing import Iterable, List, Sequence, Tuple
 
 Vector = Tuple[int, ...]
@@ -302,10 +301,3 @@ class Conjunct:
         pieces = [render(v, "=") for v in self.eqs] + [render(v, ">=") for v in self.ineqs]
         return " and ".join(pieces) if pieces else "true"
 
-
-def vector_gcd(values: Iterable[int]) -> int:
-    """The gcd of the absolute values of *values* (0 when all are zero)."""
-    result = 0
-    for value in values:
-        result = gcd(result, abs(value))
-    return result

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set as PySet, Tuple
 
-from .conjunct import Conjunct, Vector, vector_gcd
+from .conjunct import Conjunct, Vector
 from .errors import UnsupportedOperationError
 from . import kernel as _kernel
 from . import opcache as _opcache
@@ -62,26 +62,6 @@ def negate_inequality(vec: Sequence[int]) -> Vector:
     return tuple(negated)
 
 
-def _apply_substitution(vec: Vector, eq: Vector, col: int) -> Vector:
-    """Substitute the variable in column *col* using equality *eq*.
-
-    *eq* must have coefficient ``+1`` or ``-1`` in column *col*; the equality
-    ``eq . (x, 1) == 0`` is solved for that variable and the solution is
-    substituted into *vec*.  The returned vector has a zero coefficient in
-    column *col*.
-    """
-    b = vec[col]
-    if b == 0:
-        return vec
-    a = eq[col]
-    if abs(a) != 1:
-        raise ValueError("substitution requires a unit coefficient")
-    # From eq: a*x + rest = 0  =>  x = -a * rest  (since a in {1, -1}).
-    return tuple(
-        0 if j == col else vec[j] + b * (-a) * eq[j] for j in range(len(vec))
-    )
-
-
 # --------------------------------------------------------------------------- #
 # Normalisation
 # --------------------------------------------------------------------------- #
@@ -92,102 +72,11 @@ def normalize(conjunct: Conjunct) -> Optional[Conjunct]:
     conjunct is trivially empty).  The result is logically equivalent to the
     input over the integers.
 
-    Under the default flat-matrix kernel (see :mod:`repro.presburger.kernel`)
-    the batched implementation runs instead of the per-row loops below; both
-    produce bit-identical results and fully interned rows.
+    Implemented by :func:`repro.presburger.kernel.normalize_conjunct`:
+    results carry fully interned rows and the ``_normed`` flag, so
+    normalising a normal form is a no-op.
     """
-    if _kernel.FLAT:
-        return _kernel.normalize_conjunct(conjunct)
-    eqs: List[Vector] = []
-    ineqs: List[Vector] = []
-    intern_vector = _opcache.intern_vector
-
-    for vec in conjunct.eqs:
-        g = vector_gcd(vec[:-1])
-        if g == 0:
-            if vec[-1] != 0:
-                return None
-            continue
-        if g == 1:
-            # Fast path: already gcd-reduced, only the sign may need fixing.
-            reduced = vec
-        else:
-            if vec[-1] % g != 0:
-                return None
-            reduced = tuple(x // g for x in vec)
-        # canonical sign: first non-zero coefficient positive
-        for x in reduced[:-1]:
-            if x != 0:
-                if x < 0:
-                    reduced = tuple(-y for y in reduced)
-                break
-        eqs.append(intern_vector(reduced))
-
-    for vec in conjunct.ineqs:
-        g = vector_gcd(vec[:-1])
-        if g == 0:
-            if vec[-1] < 0:
-                return None
-            continue
-        if g == 1:
-            reduced = vec  # fast path: gcd reduction and tightening are no-ops
-        else:
-            reduced = tuple(x // g for x in vec[:-1]) + (vec[-1] // g,)  # floor-tighten constant
-        ineqs.append(intern_vector(reduced))
-
-    # Deduplicate equalities.
-    eqs = list(dict.fromkeys(eqs))
-
-    # For inequalities with identical variable coefficients keep the tightest,
-    # detect contradictions and implied equalities from opposite pairs.
-    tightest: Dict[Tuple[int, ...], int] = {}
-    for vec in ineqs:
-        key = vec[:-1]
-        constant = vec[-1]
-        if key in tightest:
-            tightest[key] = min(tightest[key], constant)
-        else:
-            tightest[key] = constant
-
-    final_ineqs: List[Vector] = []
-    promoted_eqs: List[Vector] = []
-    consumed = set()
-    for key, constant in tightest.items():
-        if key in consumed:
-            continue
-        neg_key = tuple(-x for x in key)
-        if neg_key in tightest and neg_key != key:
-            other = tightest[neg_key]
-            if constant + other < 0:
-                return None
-            if constant + other == 0:
-                promoted_eqs.append(key + (constant,))
-                consumed.add(key)
-                consumed.add(neg_key)
-                continue
-        # key + (constant,) is a fresh tuple even when nothing was tightened;
-        # re-intern it so every vector stored in the result stays canonical.
-        final_ineqs.append(intern_vector(key + (constant,)))
-
-    for vec in promoted_eqs:
-        g = vector_gcd(vec[:-1])
-        if g == 0:
-            if vec[-1] != 0:
-                return None
-            continue
-        if vec[-1] % g != 0:
-            return None
-        reduced = tuple(x // g for x in vec)
-        for x in reduced[:-1]:
-            if x != 0:
-                if x < 0:
-                    reduced = tuple(-y for y in reduced)
-                break
-        reduced = intern_vector(reduced)
-        if reduced not in eqs:
-            eqs.append(reduced)
-
-    return Conjunct(conjunct.n_vars, conjunct.n_div, eqs, final_ineqs)
+    return _kernel.normalize_conjunct(conjunct)
 
 
 def _intern_rows(conjunct: Conjunct) -> Conjunct:
@@ -208,23 +97,28 @@ def _intern_rows(conjunct: Conjunct) -> Conjunct:
     )
 
 
-def _build(n_vars: int, n_div: int, eqs, ineqs) -> Conjunct:
-    """Construct a conjunct, skipping per-row validation under the flat kernel.
-
-    All call sites pass tuples of Python ints produced by the substitution /
-    combination helpers, so the object path's ``_check`` is redundant there;
-    the object path keeps it for an honest ablation baseline.
-    """
-    if _kernel.FLAT:
-        return Conjunct._make(n_vars, n_div, tuple(eqs), tuple(ineqs))
-    return Conjunct(n_vars, n_div, eqs, ineqs)
-
-
 def _dropped_dims(conjunct: Conjunct, col: int) -> Tuple[int, int]:
     """The (n_vars, n_div) of *conjunct* after dropping column *col*."""
     if col < conjunct.n_vars:
         return conjunct.n_vars - 1, conjunct.n_div
     return conjunct.n_vars, conjunct.n_div - 1
+
+
+def _substitute_eq(conjunct: Conjunct, index: int, col: int) -> Conjunct:
+    """Substitute equality *index* away for column *col* and drop the column.
+
+    The equality must have a unit coefficient in *col*; it is solved for
+    that column and the solution is substituted into every other row.
+    """
+    eq = conjunct.eqs[index]
+    remaining = [vec for j, vec in enumerate(conjunct.eqs) if j != index]
+    n_vars, n_div = _dropped_dims(conjunct, col)
+    return Conjunct._make(
+        n_vars,
+        n_div,
+        tuple(_kernel.substitute_drop(remaining, eq, col)),
+        tuple(_kernel.substitute_drop(conjunct.ineqs, eq, col)),
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -253,26 +147,7 @@ def eliminate_col(conjunct: Conjunct, col: int) -> List[Conjunct]:
     # 1. A unit-coefficient equality allows exact substitution.
     for index, eq in enumerate(conjunct.eqs):
         if abs(eq[col]) == 1:
-            if _kernel.FLAT:
-                remaining = [vec for j, vec in enumerate(conjunct.eqs) if j != index]
-                n_vars, n_div = _dropped_dims(conjunct, col)
-                reduced = Conjunct._make(
-                    n_vars,
-                    n_div,
-                    tuple(_kernel.substitute_drop(remaining, eq, col)),
-                    tuple(_kernel.substitute_drop(conjunct.ineqs, eq, col)),
-                )
-            else:
-                new_eqs = [
-                    _apply_substitution(vec, eq, col)
-                    for j, vec in enumerate(conjunct.eqs)
-                    if j != index
-                ]
-                new_ineqs = [_apply_substitution(vec, eq, col) for vec in conjunct.ineqs]
-                reduced = Conjunct(
-                    conjunct.n_vars, conjunct.n_div, new_eqs, new_ineqs
-                ).drop_col(col)
-            renorm = normalize(reduced)
+            renorm = normalize(_substitute_eq(conjunct, index, col))
             return [renorm] if renorm is not None else []
 
     # 2. An equality with a non-unit coefficient: Pugh's coefficient reduction.
@@ -304,17 +179,13 @@ def _eliminate_inequality_col(conjunct: Conjunct, col: int) -> List[Conjunct]:
     def _shadow_conjunct(shadow: List[Vector]) -> Conjunct:
         # Every row (eqs, others, resultants) has a zero coefficient in the
         # eliminated column, so dropping it is a pure row-shrink.
-        if _kernel.FLAT:
-            n_vars, n_div = _dropped_dims(conjunct, col)
-            return Conjunct._make(
-                n_vars,
-                n_div,
-                tuple(_kernel.drop_rows(conjunct.eqs, col)),
-                tuple(_kernel.drop_rows(others + shadow, col)),
-            )
-        return Conjunct(
-            conjunct.n_vars, conjunct.n_div, conjunct.eqs, others + shadow
-        ).drop_col(col)
+        n_vars, n_div = _dropped_dims(conjunct, col)
+        return Conjunct._make(
+            n_vars,
+            n_div,
+            tuple(_kernel.drop_rows(conjunct.eqs, col)),
+            tuple(_kernel.drop_rows(others + shadow, col)),
+        )
 
     if not lowers or not uppers:
         # Unbounded in at least one direction: an integer value always exists.
@@ -326,29 +197,9 @@ def _eliminate_inequality_col(conjunct: Conjunct, col: int) -> List[Conjunct]:
     # shadow is exact and the dark-shadow bookkeeping can be skipped.
     unit_bounds = all(v[col] == 1 for v in lowers) or all(v[col] == -1 for v in uppers)
 
-    if _kernel.FLAT:
-        real_shadow, dark_shadow, all_exact = _kernel.fm_combine(
-            lowers, uppers, col, unit_bounds
-        )
-    else:
-        real_shadow = []
-        dark_shadow = []
-        all_exact = True
-        for lower in lowers:
-            b = lower[col]
-            for upper in uppers:
-                a = -upper[col]
-                resultant = [b * upper[j] + a * lower[j] for j in range(len(lower))]
-                assert resultant[col] == 0
-                real_shadow.append(tuple(resultant))
-                if unit_bounds:
-                    continue  # slack is provably zero for this pair
-                slack = (a - 1) * (b - 1)
-                if slack:
-                    all_exact = False
-                dark = list(resultant)
-                dark[-1] -= slack
-                dark_shadow.append(tuple(dark))
+    real_shadow, dark_shadow, all_exact = _kernel.fm_combine(
+        lowers, uppers, col, unit_bounds
+    )
 
     if all_exact:
         renorm = normalize(_shadow_conjunct(real_shadow))
@@ -510,35 +361,9 @@ def simplify(conjunct: Conjunct) -> Optional[Conjunct]:
                 current = current.drop_col(col)
                 changed = True
                 break
-            unit = None
-            for i, eq in enumerate(current.eqs):
-                if abs(eq[col]) == 1:
-                    unit = (i, eq)
-                    break
-            if unit is not None:
-                index, eq = unit
-                if _kernel.FLAT:
-                    remaining = [vec for j, vec in enumerate(current.eqs) if j != index]
-                    n_vars, n_div = _dropped_dims(current, col)
-                    reduced = Conjunct._make(
-                        n_vars,
-                        n_div,
-                        tuple(_kernel.substitute_drop(remaining, eq, col)),
-                        tuple(_kernel.substitute_drop(current.ineqs, eq, col)),
-                    )
-                else:
-                    new_eqs = [
-                        _apply_substitution(vec, eq, col)
-                        for j, vec in enumerate(current.eqs)
-                        if j != index
-                    ]
-                    new_ineqs = [
-                        _apply_substitution(vec, eq, col) for vec in current.ineqs
-                    ]
-                    reduced = Conjunct(
-                        current.n_vars, current.n_div, new_eqs, new_ineqs
-                    ).drop_col(col)
-                renorm = normalize(reduced)
+            index = next((i for i, eq in enumerate(current.eqs) if abs(eq[col]) == 1), None)
+            if index is not None:
+                renorm = normalize(_substitute_eq(current, index, col))
                 if renorm is None:
                     return None
                 current = renorm
@@ -569,7 +394,9 @@ def simplify(conjunct: Conjunct) -> Optional[Conjunct]:
                 vec if vec[col] == 0 else _scaled_substitution(vec, def_eq, col)
                 for vec in current.ineqs
             ]
-            candidate = normalize(_build(current.n_vars, current.n_div, new_eqs, new_ineqs))
+            candidate = normalize(
+                Conjunct._make(current.n_vars, current.n_div, tuple(new_eqs), tuple(new_ineqs))
+            )
             if candidate is None:
                 return None
             current = candidate

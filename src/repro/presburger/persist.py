@@ -86,8 +86,8 @@ def store_fingerprint() -> str:
 
     Covers the serialisation format, the Python major/minor version (pickle
     stability) and the kernel revision (normal-form stability).  Deliberately
-    *excludes* the active kernel mode and every tuning knob: those change
-    execution strategy, never results.
+    *excludes* every tuning knob: those change execution strategy, never
+    results.
     """
     return (
         f"format-v{CACHE_FORMAT_VERSION};"

@@ -61,7 +61,7 @@ def _cached_feasible_many(conjuncts: Sequence[Conjunct]) -> List[bool]:
     which shares the metrics increment and the normalisation sweep across
     the whole union.
     """
-    if not _kernel.FLAT or len(conjuncts) < 2:
+    if len(conjuncts) < 2:
         return [_cached_feasible(conjunct) for conjunct in conjuncts]
     cache = _opcache.cache()
     if not cache.enabled:

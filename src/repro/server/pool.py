@@ -26,9 +26,9 @@ amortises all of it across the daemon's lifetime:
   timeout must never be fanned out to a duplicate running under a different
   budget.
 
-Timeouts inside the pool go through the signal-free path of
-:func:`repro.service.executor.call_with_timeout` — the worker threads are
-never the main thread, so ``SIGALRM`` is not available there by construction.
+Timeouts inside the pool go through
+:func:`repro.service.executor.call_with_timeout`, whose signal-free watchdog
+works on the pool's worker threads as on any other thread.
 """
 
 from __future__ import annotations

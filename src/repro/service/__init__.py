@@ -16,8 +16,8 @@ Module tour
   over normalised sources, the cache key;
 * :mod:`~repro.service.cache` — the on-disk verdict cache with an LRU front;
 * :mod:`~repro.service.executor` — :class:`BatchExecutor`: in-batch
-  deduplication, process pool, per-job timeouts (``SIGALRM`` on the main
-  thread, a signal-free watchdog elsewhere — see :func:`call_with_timeout`);
+  deduplication, process pool, per-job timeouts (a signal-free watchdog on
+  any thread — see :func:`call_with_timeout`);
 * :mod:`~repro.service.corpus` — turns the repo's workloads (kernels,
   generated pairs, mutated buggy pairs) into labelled job lists;
 * :mod:`~repro.service.report` — JSONL report writing/reading and the batch

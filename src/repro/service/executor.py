@@ -8,15 +8,12 @@ pickling, easiest to debug) or on a ``ProcessPoolExecutor`` otherwise.
 
 Timeouts are enforced *inside* the executing process (the checker is pure
 Python, so there is no portable way to interrupt it from the outside without
-killing the worker).  The general mechanism is the signal-free watchdog
-shipped with the verification server: a timer thread that raises
-:class:`JobTimeoutError` into the executing thread at the next bytecode
-boundary, so any number of threads can carry independent budgets.  The main
-thread of a POSIX process keeps the classic ``SIGALRM`` fast path — same
-semantics, delivered by the interpreter's signal machinery instead of a
-watchdog thread (see :func:`call_with_timeout` for the dispatch).  A job
-that exceeds its budget yields a ``timeout`` result instead of poisoning
-the pool.  Any exception a job raises is captured into an ``error`` result
+killing the worker).  The one mechanism is a signal-free watchdog: a timer
+thread that raises :class:`JobTimeoutError` into the executing thread at the
+next bytecode boundary, so any thread — the main thread, a server worker
+thread — can carry its own independent budget (see
+:func:`call_with_timeout`).  A job that exceeds its budget yields a
+``timeout`` result instead of poisoning the pool.  Any exception a job raises is captured into an ``error`` result
 with its traceback — one bad program never aborts the batch.  Two alarms
 deliberately pierce that capture as ``BaseException``: the timeout itself,
 and :class:`~repro.solvers.BackendDisagreement` from a cross-checked run,
@@ -32,7 +29,6 @@ per-job share of that activity travels back inside the job's
 from __future__ import annotations
 
 import ctypes
-import signal
 import threading
 import time
 import traceback
@@ -55,55 +51,34 @@ class JobTimeoutError(BaseException):
     pass
 
 
-# Alias from the SIGALRM-only era, when the timeout type was private to
-# this module; kept for callers that imported the old spelling.
-_JobTimeout = JobTimeoutError
+def call_with_timeout(fn: Callable[[], Any], timeout: Optional[float]):
+    """Call ``fn()``, raising :class:`JobTimeoutError` past *timeout* seconds.
 
-
-def _alarm_handler(signum, frame):
-    raise JobTimeoutError()
-
-
-def _call_with_alarm(fn: Callable[[], Any], timeout: float):
-    """The main-thread POSIX path: an ``ITIMER_REAL`` alarm interrupts *fn*."""
-    previous = signal.signal(signal.SIGALRM, _alarm_handler)
-    signal.setitimer(signal.ITIMER_REAL, timeout)
-    # The result is captured into a list so that an alarm delivered in the
-    # narrow window after fn() returns (but before the timer is cleared)
-    # does not discard a verdict that was actually computed in time.
-    outcome = []
-    try:
-        try:
-            outcome.append(fn())
-        except JobTimeoutError:
-            pass
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-    if outcome:
-        return outcome[0]
-    raise JobTimeoutError()
-
-
-def _call_with_watchdog(fn: Callable[[], Any], timeout: float):
-    """The signal-free path: a watchdog thread raises into the caller.
-
-    ``SIGALRM`` is main-thread-only (and POSIX-only), so worker threads — the
-    verification server's execution path — use a :class:`threading.Timer`
-    that delivers :class:`JobTimeoutError` into the executing thread with
-    ``PyThreadState_SetAsyncExc``.  Like the alarm, the exception surfaces at
-    the next bytecode boundary, which is exactly the granularity the pure-
-    Python checker needs; unlike the alarm, any number of threads can carry
-    independent budgets concurrently.
+    A :class:`threading.Timer` delivers :class:`JobTimeoutError` into the
+    calling thread with ``PyThreadState_SetAsyncExc``.  The exception
+    surfaces at the next bytecode boundary, which is exactly the granularity
+    the pure-Python checker needs, and any number of threads can carry
+    independent budgets concurrently.  ``None`` or a non-positive *timeout*
+    runs *fn* without a budget.
     """
+    if timeout is None or timeout <= 0:
+        return fn()
     target = threading.get_ident()
-    fired = threading.Event()
+    # The lock makes "deliver" and "finish" mutually exclusive: the timer
+    # either delivers before the cleanup below (which then clears a still
+    # pending delivery) or sees the call finished and does nothing.
+    lock = threading.Lock()
+    fired = []
+    finished = []
 
     def interrupt() -> None:
-        fired.set()
-        ctypes.pythonapi.PyThreadState_SetAsyncExc(
-            ctypes.c_ulong(target), ctypes.py_object(JobTimeoutError)
-        )
+        with lock:
+            if finished:
+                return
+            fired.append(True)
+            ctypes.pythonapi.PyThreadState_SetAsyncExc(
+                ctypes.c_ulong(target), ctypes.py_object(JobTimeoutError)
+            )
 
     timer = threading.Timer(timeout, interrupt)
     timer.daemon = True
@@ -117,33 +92,20 @@ def _call_with_watchdog(fn: Callable[[], Any], timeout: float):
                 pass
         finally:
             timer.cancel()
-            if fired.is_set():
-                # The async exception may still be pending delivery (the timer
-                # fired after fn() returned); clearing it stops it surfacing
-                # at some arbitrary later bytecode of this thread.
-                ctypes.pythonapi.PyThreadState_SetAsyncExc(ctypes.c_ulong(target), None)
+            with lock:
+                finished.append(True)
+                if fired:
+                    # The async exception may still be pending delivery (the
+                    # timer fired after fn() returned); clearing it stops it
+                    # surfacing at some arbitrary later bytecode of this thread.
+                    ctypes.pythonapi.PyThreadState_SetAsyncExc(ctypes.c_ulong(target), None)
     except JobTimeoutError:
-        # Delivered in the cleanup window above; the computed result (if any)
-        # still wins, exactly like the alarm path's list capture.
+        # Delivered in the cleanup window above: the computed result (if
+        # any) still wins, so a verdict finished in time is never discarded.
         pass
     if outcome:
         return outcome[0]
     raise JobTimeoutError()
-
-
-def call_with_timeout(fn: Callable[[], Any], timeout: Optional[float]):
-    """Call ``fn()``, raising :class:`JobTimeoutError` past *timeout* seconds.
-
-    Dispatches to ``SIGALRM`` on the main thread of a POSIX process and to
-    the signal-free watchdog everywhere else, so callers get an enforced
-    budget regardless of which thread (or platform) they run on.  ``None``
-    or a non-positive *timeout* runs *fn* without a budget.
-    """
-    if timeout is None or timeout <= 0:
-        return fn()
-    if hasattr(signal, "SIGALRM") and threading.current_thread() is threading.main_thread():
-        return _call_with_alarm(fn, timeout)
-    return _call_with_watchdog(fn, timeout)
 
 
 def _run_with_timeout(job: VerificationJob, timeout: Optional[float]):

@@ -207,3 +207,11 @@ class TestErrors:
     def test_non_constant_array_size_rejected(self):
         with pytest.raises(ParseSyntaxError):
             parse_program("f(int A[], int C[]) { int k, t[k]; for(k=0;k<4;k++) s: C[k] = A[k]; }")
+
+    def test_deep_nesting_is_a_syntax_error(self):
+        """400 nested parentheses exhaust the recursive-descent parser; that
+        must surface as a ParseSyntaxError, never a RecursionError."""
+        expr = "(" * 400 + "A[k]" + ")" * 400
+        source = SIMPLE.replace("C[k] = A[k];", f"C[k] = {expr};")
+        with pytest.raises(ParseSyntaxError, match="nesting too deep"):
+            parse_program(source)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.presburger.conjunct import Conjunct, vector_gcd
+from repro.presburger.conjunct import Conjunct
 
 
 class TestBasics:
@@ -91,8 +91,3 @@ class TestPretty:
         text = conjunct.pretty(["x", "k"])
         assert "x" in text and "k" in text and "= 0" in text
 
-
-def test_vector_gcd():
-    assert vector_gcd([4, 6, -8]) == 2
-    assert vector_gcd([0, 0]) == 0
-    assert vector_gcd([5]) == 5

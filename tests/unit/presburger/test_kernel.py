@@ -1,25 +1,23 @@
-"""Differential tests for the flat-matrix constraint kernel.
+"""Tests for the flat-matrix constraint kernel against a point oracle.
 
-The kernel (:mod:`repro.presburger.kernel`) is an execution strategy, not a
-semantics: every operation must produce results bit-for-bit identical to
-the original object-at-a-time code.  These tests sweep the FM /stride/
-dark-shadow corpus from the solver differential suite under both modes and
-assert exact equality — of normal forms, elimination results, simplified
-sets, set-algebra verdicts and feasibility.
+The kernel (:mod:`repro.presburger.kernel`) and the algorithms built on it
+(:mod:`repro.presburger.omega`) must preserve integer point sets exactly.
+These tests sweep the FM / stride / dark-shadow corpus of the solver
+differential suite and compare every result with the brute-force oracle of
+:mod:`tests.unit.presburger.enum_oracle`, which shares no code with the
+kernel: normal forms, simplification, elimination (against the projection of
+the input's points), feasibility and the set-algebra operations.  The oracle
+abstains only by raising, so an abstention fails the test instead of
+passing it vacuously.
 
-They also gate the two interning invariants this PR fixed:
+They also gate the two interning invariants of the kernel:
 
 * every vector of every normalized conjunct is the pooled instance
-  (``intern_vector(v) is v``) — the leak in ``normalize()``'s
-  tightest-inequality rebuild and opposite-pair promotion silently broke
-  hash-consing for any set that passed through those branches;
+  (``intern_vector(v) is v``), so structurally equal conjuncts share rows
+  and equality tests stay identity-fast;
 * ``normalize`` is idempotent object-identically on kernel output (the
-  ``_normed`` fast path), which is only sound given the interning fix.
+  ``_normed`` fast path), which is only sound given interning.
 """
-
-import os
-import subprocess
-import sys
 
 import pytest
 
@@ -27,6 +25,7 @@ from repro.presburger import opcache, parse_set
 from repro.presburger import kernel, omega
 from repro.presburger.conjunct import Conjunct
 
+from tests.unit.presburger import enum_oracle as oracle
 from tests.unit.solvers.test_differential import CORPUS
 
 
@@ -44,207 +43,211 @@ def corpus_conjuncts():
     seen.append(Conjunct(1, 1, ineqs=[(1, -3, 0), (-1, 3, 1), (1, 0, 0), (-1, 0, 11)]))
     seen.append(Conjunct(1, 0, ineqs=[(2, 7), (-2, -7)]))  # promotes then refutes
     seen.append(Conjunct(1, 0, ineqs=[(3, 6), (-3, -6)]))  # promotes to an equality
+    # 0 public dims, 2 existentials: 2e1 = 3e2 and 0 <= e1 <= 8.  Needs the
+    # oracle's repeated bounding (e2 is bounded only through e1).
+    seen.append(Conjunct(0, 2, eqs=[(2, -3, 0)], ineqs=[(1, 0, 0), (-1, 0, 8)]))
     return seen
 
 
-class TestModeSelection:
-    def test_default_mode_is_flat(self):
-        env = os.environ.get("REPRO_KERNEL", "").strip().lower()
-        expected = env if env in ("flat", "object") else "flat"
-        assert kernel._env_mode() == expected
+def optional_points(conjunct):
+    return frozenset() if conjunct is None else oracle.points(conjunct)
 
-    def test_configure_and_use(self):
-        assert kernel.active_mode() in ("flat", "object")
-        before = kernel.active_mode()
-        with kernel.use("object"):
-            assert kernel.active_mode() == "object"
-            assert kernel.FLAT is False
-            with kernel.use("flat"):
-                assert kernel.active_mode() == "flat"
-            assert kernel.active_mode() == "object"
-        assert kernel.active_mode() == before
 
-    def test_configure_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            kernel.configure("vectorised")
+def test_fingerprint_names_the_kernel_version():
+    assert kernel.fingerprint() == f"kernel-v{kernel.KERNEL_VERSION}"
 
-    def test_env_selection(self):
-        code = (
-            "from repro.presburger import kernel; "
-            "import sys; sys.exit(0 if kernel.active_mode() == 'object' else 1)"
+
+class TestOracleSelfCheck:
+    """The oracle against hand-written predicates, so it cannot pass vacuously."""
+
+    CASES = [
+        (Conjunct(1, 0, ineqs=[(1, 0), (-1, 7)]), lambda i: 0 <= i < 8),
+        (
+            Conjunct(1, 1, eqs=[(1, -2, 0)], ineqs=[(1, 0, 0), (-1, 0, 15)]),
+            lambda i: i % 2 == 0 and 0 <= i < 16,
+        ),
+        (  # dark shadow: 3a <= i <= 3a + 1 skips every third value
+            Conjunct(1, 1, ineqs=[(1, -3, 0), (-1, 3, 1), (1, 0, 0), (-1, 0, 11)]),
+            lambda i: i % 3 != 2 and 0 <= i < 12,
+        ),
+        (  # two strides at once: i = 2a and i = 3b
+            Conjunct(
+                1, 2, eqs=[(1, -2, 0, 0), (1, 0, -3, 0)], ineqs=[(1, 0, 0, 0), (-1, 0, 0, 17)]
+            ),
+            lambda i: i % 6 == 0 and 0 <= i < 18,
+        ),
+        (
+            Conjunct(2, 0, ineqs=[(1, 0, 0), (0, -1, 3), (-1, 1, 0)]),
+            lambda i, j: 0 <= i <= j <= 3,
+        ),
+        (  # i + j = 2a: parity of a sum
+            Conjunct(
+                2,
+                1,
+                eqs=[(1, 1, -2, 0)],
+                ineqs=[(1, 0, 0, 0), (-1, 0, 0, 3), (0, 1, 0, 0), (0, -1, 0, 3)],
+            ),
+            lambda i, j: (i + j) % 2 == 0 and 0 <= i < 4 and 0 <= j < 4,
+        ),
+        (Conjunct(1, 1, eqs=[(2, -2, 1)]), lambda i: False),  # 2i + 1 = 2a
+        (Conjunct(1, 0, eqs=[(1, -30)]), lambda i: False),  # i = 30, outside the box
+    ]
+
+    @pytest.mark.parametrize("index", range(len(CASES)))
+    def test_points_match_predicate(self, index):
+        conjunct, predicate = self.CASES[index]
+        expected = oracle.by_predicate(predicate, conjunct.n_vars)
+        assert oracle.points(conjunct) == expected
+
+    def test_projection_hides_a_public_column(self):
+        # { [i, j] : j = 2i and 0 <= j < 10 } projected onto j: even j.
+        conjunct = Conjunct(2, 0, eqs=[(2, -1, 0)], ineqs=[(0, 1, 0), (0, -1, 9)])
+        assert oracle.points(conjunct, hidden=[0]) == oracle.by_predicate(
+            lambda j: j % 2 == 0 and 0 <= j < 10, 1
         )
-        env = dict(os.environ, REPRO_KERNEL="object")
-        proc = subprocess.run([sys.executable, "-c", code], env=env)
-        assert proc.returncode == 0
 
-    def test_fingerprint_is_mode_independent(self):
-        with kernel.use("flat"):
-            flat = kernel.fingerprint()
-        with kernel.use("object"):
-            obj = kernel.fingerprint()
-        assert flat == obj == f"kernel-v{kernel.KERNEL_VERSION}"
+    def test_feasibility_outside_the_box(self):
+        assert oracle.feasible(Conjunct(1, 0, eqs=[(1, -30)]))
+        # 2i + 1 = 2a with 0 <= i < 40: a parity clash the box cannot refute
+        # alone, decided by hiding i and enumerating its bounded range.
+        assert not oracle.feasible(Conjunct(1, 1, eqs=[(2, -2, 1)], ineqs=[(1, 0, 0), (-1, 0, 39)]))
+        assert oracle.feasible(Conjunct(0, 2, eqs=[(2, -3, 0)], ineqs=[(1, 0, 0), (-1, 0, 8)]))
+
+    def test_abstains_on_an_unbounded_column(self):
+        # exists e : i <= e has no bound on e from above.
+        with pytest.raises(oracle.Abstain):
+            oracle.points(Conjunct(1, 1, ineqs=[(-1, 1, 0)]))
+        # 2i + 1 = 2a alone bounds neither column once i is hidden.
+        with pytest.raises(oracle.Abstain):
+            oracle.feasible(Conjunct(1, 1, eqs=[(2, -2, 1)]))
+
+    def test_imports_nothing_from_the_algorithms_it_checks(self):
+        import ast
+        import inspect
+
+        modules = set()
+        for node in ast.walk(ast.parse(inspect.getsource(oracle))):
+            if isinstance(node, ast.Import):
+                modules.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                modules.add(node.module)
+        assert modules <= {"__future__", "itertools", "typing"}
 
 
-class TestNormalizeDifferential:
-    def test_normal_forms_identical(self):
+class TestNormalize:
+    def test_point_sets_preserved(self):
         for conjunct in corpus_conjuncts():
-            with kernel.use("flat"):
-                flat = omega.normalize(conjunct)
-            with kernel.use("object"):
-                obj = omega.normalize(conjunct)
-            if obj is None:
-                assert flat is None, conjunct
-                continue
-            assert flat is not None, conjunct
-            assert flat.eqs == obj.eqs, conjunct
-            assert flat.ineqs == obj.ineqs, conjunct
-            assert (flat.n_vars, flat.n_div) == (obj.n_vars, obj.n_div)
+            normalized = omega.normalize(conjunct)
+            assert optional_points(normalized) == oracle.points(conjunct), conjunct
+            if normalized is not None:
+                assert (normalized.n_vars, normalized.n_div) == (conjunct.n_vars, conjunct.n_div)
 
     def test_normed_fast_path_returns_same_object(self):
-        with kernel.use("flat"):
-            for conjunct in corpus_conjuncts():
-                normalized = omega.normalize(conjunct)
-                if normalized is None:
-                    continue
-                assert normalized._normed
-                assert omega.normalize(normalized) is normalized
-
-    def test_object_path_is_idempotent_by_value(self):
-        with kernel.use("object"):
-            for conjunct in corpus_conjuncts():
-                normalized = omega.normalize(conjunct)
-                if normalized is None:
-                    continue
-                again = omega.normalize(normalized)
-                assert again is not None
-                assert again.eqs == normalized.eqs
-                assert again.ineqs == normalized.ineqs
+        for conjunct in corpus_conjuncts():
+            normalized = omega.normalize(conjunct)
+            if normalized is None:
+                continue
+            assert normalized._normed
+            assert omega.normalize(normalized) is normalized
 
 
 class TestInterningInvariant:
-    """Satellite of the bugfix: no uninterned vector may survive normalize.
+    """No uninterned vector may survive normalize, Set construction or
+    elimination: the tightest-inequality rebuild (``key + (constant,)``) and
+    the opposite-pair promotion build fresh tuples that must be re-pooled."""
 
-    Before the fix, the tightest-inequality rebuild (``key + (constant,)``)
-    and the opposite-pair promotion appended freshly built tuples, so two
-    structurally equal conjuncts could disagree on vector identity and the
-    intern pool stopped deduplicating exactly the constraints the hot path
-    touches most.
-    """
+    def test_every_normalized_vector_is_interned(self):
+        for conjunct in corpus_conjuncts():
+            normalized = omega.normalize(conjunct)
+            if normalized is None:
+                continue
+            for vector in normalized.eqs + normalized.ineqs:
+                assert opcache.intern_vector(vector) is vector, (conjunct, vector)
 
-    @pytest.mark.parametrize("mode", ["flat", "object"])
-    def test_every_normalized_vector_is_interned(self, mode):
-        with kernel.use(mode):
-            for conjunct in corpus_conjuncts():
-                normalized = omega.normalize(conjunct)
-                if normalized is None:
-                    continue
-                for vector in normalized.eqs + normalized.ineqs:
-                    assert opcache.intern_vector(vector) is vector, (
-                        mode,
-                        conjunct,
-                        vector,
-                    )
+    def test_set_construction_stores_interned_vectors(self):
+        for text in CORPUS:
+            for conjunct in parse_set(text).conjuncts:
+                for vector in conjunct.eqs + conjunct.ineqs:
+                    assert opcache.intern_vector(vector) is vector, text
 
-    @pytest.mark.parametrize("mode", ["flat", "object"])
-    def test_set_construction_stores_interned_vectors(self, mode):
-        with kernel.use(mode):
-            for text in CORPUS:
-                for conjunct in parse_set(text).conjuncts:
-                    for vector in conjunct.eqs + conjunct.ineqs:
-                        assert opcache.intern_vector(vector) is vector, (mode, text)
-
-    @pytest.mark.parametrize("mode", ["flat", "object"])
-    def test_elimination_output_is_interned(self, mode):
-        with kernel.use(mode):
-            for conjunct in corpus_conjuncts():
-                normalized = omega.normalize(conjunct)
-                if normalized is None or normalized.const_col == 0:
-                    continue
-                col = omega._choose_elimination_col(normalized)
-                for piece in omega.eliminate_col(normalized, col):
-                    for vector in piece.eqs + piece.ineqs:
-                        assert opcache.intern_vector(vector) is vector, (mode, conjunct)
-
-
-class TestEliminationDifferential:
-    def test_eliminate_col_identical(self):
+    def test_elimination_output_is_interned(self):
         for conjunct in corpus_conjuncts():
             normalized = omega.normalize(conjunct)
             if normalized is None or normalized.const_col == 0:
                 continue
             col = omega._choose_elimination_col(normalized)
-            opcache.reset()
-            with kernel.use("flat"):
-                flat = omega.eliminate_col(normalized, col)
-            opcache.reset()
-            with kernel.use("object"):
-                obj = omega.eliminate_col(normalized, col)
-            assert len(flat) == len(obj), conjunct
-            for left, right in zip(flat, obj):
-                assert left.eqs == right.eqs, conjunct
-                assert left.ineqs == right.ineqs, conjunct
+            for piece in omega.eliminate_col(normalized, col):
+                for vector in piece.eqs + piece.ineqs:
+                    assert opcache.intern_vector(vector) is vector, conjunct
 
-    def test_simplify_identical(self):
+
+class TestElimination:
+    def test_eliminate_col_is_the_exact_projection(self):
+        """Every column of every corpus conjunct, not only the heuristic's pick."""
+        checked = 0
         for conjunct in corpus_conjuncts():
-            opcache.reset()
-            with kernel.use("flat"):
-                flat = omega.simplify(conjunct)
-            opcache.reset()
-            with kernel.use("object"):
-                obj = omega.simplify(conjunct)
-            if obj is None:
-                assert flat is None, conjunct
+            normalized = omega.normalize(conjunct)
+            if normalized is None:
                 continue
-            assert flat is not None, conjunct
-            assert flat.eqs == obj.eqs, conjunct
-            assert flat.ineqs == obj.ineqs, conjunct
+            for col in range(normalized.const_col):
+                hidden = [col] if col < normalized.n_vars else []
+                expected = oracle.points(normalized, hidden=hidden)
+                pieces = omega.eliminate_col(normalized, col)
+                assert oracle.union_points(pieces) == expected, (conjunct, col)
+                checked += 1
+        assert checked > 20
 
-    def test_feasibility_identical(self):
+    def test_simplify_preserves_points(self):
         for conjunct in corpus_conjuncts():
-            opcache.reset()
-            with kernel.use("flat"):
-                flat = omega.is_feasible(conjunct)
-            opcache.reset()
-            with kernel.use("object"):
-                obj = omega.is_feasible(conjunct)
-            assert flat == obj, conjunct
+            simplified = omega.simplify(conjunct)
+            assert optional_points(simplified) == oracle.points(conjunct), conjunct
+
+    def test_feasibility_matches_oracle(self):
+        for conjunct in corpus_conjuncts():
+            assert omega.is_feasible(conjunct) == oracle.feasible(conjunct), conjunct
 
 
-class TestSetAlgebraDifferential:
-    def verdicts(self):
+class TestSetAlgebra:
+    def test_corpus_lies_inside_the_box(self):
+        """The decision checks below compare box points, which is exact only
+        when no corpus set reaches the box edge."""
+        wider = range(oracle.BOX.start - 5, oracle.BOX.stop + 5)
+        for integer_set in corpus_sets():
+            assert oracle.union_points(integer_set.conjuncts) == oracle.union_points(
+                integer_set.conjuncts, wider
+            ), str(integer_set)
+
+    def test_full_sweep_matches_oracle(self):
         sets = corpus_sets()
-        table = []
-        for a in sets:
-            table.append(("empty", str(a), a.is_empty()))
-            for b in sets:
+        points = [oracle.union_points(s.conjuncts) for s in sets]
+        pairs = 0
+        for a, pa in zip(sets, points):
+            assert a.is_empty() == (not pa), str(a)
+            for b, pb in zip(sets, points):
                 if a.arity != b.arity:
                     continue
-                table.append(("subset", (str(a), str(b)), a.is_subset(b)))
-                table.append(("equal", (str(a), str(b)), a == b))
-                union = a.union(b)
-                meet = a.intersect(b)
-                diff = a.subtract(b)
-                table.append(("union", (str(a), str(b)), str(union)))
-                table.append(("intersect", (str(a), str(b)), str(meet)))
-                table.append(("subtract", (str(a), str(b)), str(diff)))
-        return table
-
-    def test_full_sweep_identical(self):
-        opcache.reset()
-        with kernel.use("flat"):
-            flat = self.verdicts()
-        opcache.reset()
-        with kernel.use("object"):
-            obj = self.verdicts()
-        assert flat == obj
+                label = (str(a), str(b))
+                assert oracle.union_points(a.union(b).conjuncts) == pa | pb, label
+                assert oracle.union_points(a.intersect(b).conjuncts) == pa & pb, label
+                difference = a.subtract(b)
+                assert oracle.union_points(difference.conjuncts) == pa - pb, label
+                for conjunct in difference.conjuncts:
+                    assert oracle.feasible(conjunct), label  # no empty pieces kept
+                assert a.is_subset(b) == (pa <= pb), label
+                assert (a == b) == (pa == pb), label
+                pairs += 1
+        assert pairs == 104
 
 
 class TestFeasibleMany:
+    def test_matches_oracle(self):
+        conjuncts = corpus_conjuncts()
+        assert kernel.feasible_many(conjuncts) == [oracle.feasible(c) for c in conjuncts]
+
     def test_matches_serial_is_feasible(self):
-        conjuncts = [c for c in corpus_conjuncts()]
-        with kernel.use("flat"):
-            batched = kernel.feasible_many(conjuncts)
-            serial = [omega.is_feasible(c) for c in conjuncts]
+        conjuncts = corpus_conjuncts()
+        batched = kernel.feasible_many(conjuncts)
+        serial = [omega.is_feasible(c) for c in conjuncts]
         assert batched == serial
 
     def test_empty_input(self):

@@ -1,16 +1,14 @@
-"""Regression tests: per-job timeouts must fire off the main thread.
+"""Regression tests: per-job timeouts must fire on any thread.
 
-The historical executor enforced budgets with ``SIGALRM`` only, which is
-POSIX- and main-thread-only — a latent portability bug that became load-
-bearing with the verification server, whose checks always run on worker
-threads.  :func:`repro.service.call_with_timeout` now dispatches to a
-signal-free watchdog (``PyThreadState_SetAsyncExc``) whenever ``SIGALRM``
-is unavailable, so these tests drive every path from a non-main thread.
+The verification server runs its checks on worker threads, so a budget
+that only a POSIX main thread can enforce would be silently ignored there.
+:func:`repro.service.call_with_timeout` uses one signal-free watchdog
+(``PyThreadState_SetAsyncExc``) on every thread; these tests drive it from
+non-main threads and from the main thread.
 
-The watchdog delivers between Python bytecodes (the same granularity as
-the alarm), so the stand-in workloads are pure-Python busy loops — a
-blocking C call like ``time.sleep`` is not interruptible on this path and
-is exactly what the real checker never does.
+The watchdog delivers between Python bytecodes, so the stand-in workloads
+are pure-Python busy loops — a blocking C call like ``time.sleep`` is not
+interruptible on this path and is exactly what the real checker never does.
 """
 
 import threading
@@ -84,14 +82,22 @@ class TestCallWithTimeout:
 
     def test_no_pending_exception_leaks_after_completion(self):
         """A budget that expires just as (or after) the call completes must
-        not leave an async exception pending in the worker thread."""
+        not leave an async exception pending in the worker thread.
+
+        On a loaded host a 1 ms budget can legitimately run out inside the
+        call itself, so a timeout raised *by* the call is an allowed outcome.
+        A timeout raised after a call has returned — in the code that
+        follows it, or in the final call with a generous budget — is a leak
+        and fails the test.
+        """
 
         def scenario():
-            # Tight budget, instant function: the timer may or may not fire
-            # in the cleanup window; either way the value must survive and
-            # later work on the same thread must be undisturbed.
             for _ in range(20):
-                assert call_with_timeout(lambda: "v", 0.001) == "v"
+                try:
+                    value = call_with_timeout(lambda: "v", 0.001)
+                except JobTimeoutError:
+                    continue  # the budget expired inside the call
+                assert value == "v"
             time.sleep(0.05)  # let any stale timer fire
             return call_with_timeout(lambda: "still alive", 5.0)
 
@@ -99,7 +105,7 @@ class TestCallWithTimeout:
 
     def test_budgets_are_independent_across_threads(self):
         """Two threads with different budgets: the short one times out, the
-        long one completes — no cross-talk (impossible with one SIGALRM)."""
+        long one completes — no cross-talk between the two budgets."""
         outcomes = {}
         barrier = threading.Barrier(2)
 

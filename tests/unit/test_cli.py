@@ -76,6 +76,35 @@ class TestMain:
         assert status == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "subcommand", [[], ["check"], ["diagnose"]], ids=["default", "check", "diagnose"]
+    )
+    @pytest.mark.parametrize(
+        "body",
+        ["b[0] = ;", "b[0] = " + "(" * 400 + "a[0]" + ")" * 400 + ";"],
+        ids=["malformed", "too-deep"],
+    )
+    def test_malformed_input_is_a_usage_error(self, tmp_path, capsys, subcommand, body):
+        """Exit 2 (usage error) with the offending file named, not exit 1
+        ("not proven") with a traceback."""
+        bad = tmp_path / "bad.c"
+        bad.write_text("f(int a[], int b[])\n{\n    " + body + "\n}\n")
+        status = main(subcommand + [str(bad), str(bad)])
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ")
+        assert "Traceback" not in err
+
+    def test_frontend_error_after_parsing_is_a_usage_error(self, tmp_path, capsys):
+        source = (
+            "#define N 8\nf(int A[], int B[])\n{\n    int k;\n"
+            "    for (k = 0; k < N; k++)\ns1:     B[k*k] = A[k];\n}\n"
+        )
+        path = tmp_path / "nonaffine.c"
+        path.write_text(source)
+        assert main([str(path), str(path)]) == 2
+        assert "non-linear" in capsys.readouterr().err
+
     def test_declare_op_and_correspond_options(self, fig1_files):
         status = main([
             "--quiet",

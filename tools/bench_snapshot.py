@@ -62,7 +62,7 @@ def _per_op_dict(stats) -> dict:
 
 
 def snapshot_presburger() -> dict:
-    """The operation-cache, kernel and warm-start ablations, counters cold."""
+    """The operation-cache and warm-start ablations, counters cold."""
     import tempfile
 
     from repro.presburger import kernel, opcache
@@ -79,12 +79,6 @@ def snapshot_presburger() -> dict:
     bench_presburger._run_repeated_composition(PRESBURGER_ITERATIONS)
     delta = opcache.stats().delta(before)
     speedup = disabled_seconds / enabled_seconds if enabled_seconds else 0.0
-
-    # Kernel ablation: flat-matrix kernel vs the object-at-a-time baseline.
-    object_seconds, flat_seconds = bench_presburger.time_kernel_ablation(
-        PRESBURGER_ITERATIONS
-    )
-    kernel_speedup = object_seconds / flat_seconds if flat_seconds else 0.0
 
     # Warm start: two fresh processes sharing one persistent cache directory,
     # plus an in-process cold pass for the deterministic disk-write count.
@@ -117,9 +111,6 @@ def snapshot_presburger() -> dict:
             "uncached_seconds": round(disabled_seconds, 6),
             "cached_seconds": round(enabled_seconds, 6),
             "speedup": round(speedup, 3),
-            "kernel_object_seconds": round(object_seconds, 6),
-            "kernel_flat_seconds": round(flat_seconds, 6),
-            "kernel_speedup": round(kernel_speedup, 3),
             "warm_cold_seconds": round(cold_seconds, 6),
             "warm_warm_seconds": round(warm_seconds, 6),
             "warm_speedup": round(warm_speedup, 3),
