@@ -94,6 +94,16 @@ _DESCRIPTION = (
 )
 
 
+def _seconds(text: str) -> float:
+    """argparse type of the budget flags: a non-negative number of seconds."""
+    try:
+        if float(text) >= 0:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative number of seconds, got {text!r}")
+
+
 def _add_checker_option_arguments(parser: argparse.ArgumentParser) -> None:
     """The checker flags shared by ``check`` and ``batch`` (one option set)."""
     parser.add_argument(
@@ -201,7 +211,7 @@ def _add_check_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--timeout",
-        type=float,
+        type=_seconds,
         default=None,
         metavar="SECONDS",
         help="wall-clock budget for the check (enforced server-side with --server)",
@@ -290,7 +300,7 @@ def _add_batch_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--timeout",
-        type=float,
+        type=_seconds,
         default=None,
         metavar="SECONDS",
         help="per-job wall-clock budget (default: unlimited)",
@@ -348,17 +358,17 @@ def _add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-cache", action="store_true", help="disable the verdict cache")
     parser.add_argument(
         "--timeout",
-        type=float,
+        type=_seconds,
         default=None,
         metavar="SECONDS",
         help="default per-job budget when a request carries none (default: unlimited)",
     )
     parser.add_argument(
         "--max-timeout",
-        type=float,
+        type=_seconds,
         default=None,
         metavar="SECONDS",
-        help="ceiling clamped onto every request's budget (default: none)",
+        help="ceiling on every budget, a job's own included (default: none)",
     )
     parser.add_argument(
         "--max-inflight",
@@ -540,7 +550,7 @@ def _add_fuzz_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--timeout",
-        type=float,
+        type=_seconds,
         default=None,
         metavar="SECONDS",
         help="per-job wall-clock budget (default: unlimited)",

@@ -467,18 +467,20 @@ class VerificationServer:
                 protocol.ERROR_INVALID_REQUEST, f"malformed job: {type(error).__name__}: {error}"
             ) from None
         timeout = params.get("timeout")
-        if timeout is not None and not isinstance(timeout, (int, float)):
+        if timeout is not None and (
+            isinstance(timeout, bool) or not isinstance(timeout, (int, float)) or not timeout >= 0
+        ):
             raise protocol.ProtocolError(
-                protocol.ERROR_INVALID_REQUEST, "'timeout' must be a number of seconds"
+                protocol.ERROR_INVALID_REQUEST, "'timeout' must be a non-negative number of seconds"
             )
-        if self.config.max_timeout is not None:
-            timeout = min(timeout, self.config.max_timeout) if timeout else self.config.max_timeout
         trace_requested = bool(params.get("trace"))
-        # Fingerprint once, on the event loop: the accepted log event, the
-        # dispatcher's dedup key and the pool's cache front all reuse it
-        # (hashing two whole programs costs ~1 ms — recomputing it per layer
-        # was the bulk of the observability overhead).
-        job = self.pool.prepare_job(job)
+        # Settle the job's options once — backend default, the budget capped
+        # by --max-timeout, no request-chosen persist_dir — and fingerprint
+        # once, on the event loop: the accepted log event, the dispatcher's
+        # dedup key and the pool's cache front all reuse both (hashing two
+        # whole programs costs ~1 ms — recomputing it per layer was the bulk
+        # of the observability overhead).
+        job = self.pool.prepare_job(job, timeout, cap=self.config.max_timeout)
         fingerprint = job_fingerprint(job)
         if self.request_log is not None and self.request_log.enabled_for("debug"):
             self._log_event(
@@ -495,7 +497,6 @@ class VerificationServer:
         try:
             outcome = await self.dispatcher.run(
                 job,
-                timeout,
                 collect_spans=trace_requested,
                 request_id=request_id,
                 fingerprint=fingerprint,
@@ -553,7 +554,7 @@ class VerificationServer:
             "elapsed_seconds": outcome.elapsed_seconds,
             "dedup": bool(outcome.metadata.get("deduplicated")),
             "cache_hit": outcome.cache_hit,
-            "options": job.options.to_dict() if job.options is not None else None,
+            "options": job.options.to_dict(),
             "error": outcome.error,
         }
         if check_stats is not None:

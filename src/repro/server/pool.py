@@ -17,18 +17,18 @@ amortises all of it across the daemon's lifetime:
   compile cache — and the content-addressed verdict cache
   (:class:`~repro.service.cache.ResultCache`);
 * :class:`JobDispatcher` — the asyncio front that coalesces concurrent
-  identical requests: the first request for a ``(job fingerprint, effective
-  timeout)`` key becomes the *leader* and actually executes; every duplicate
-  that arrives while the leader is in flight awaits the same task and fans
-  the verdict out at zero cost.  The key deliberately includes the timeout
-  budget (the same rule :class:`~repro.service.executor.BatchExecutor`
-  applies in-batch): a TIMEOUT outcome is budget-dependent, so a leader's
-  timeout must never be fanned out to a duplicate running under a different
-  budget.
+  identical requests: the first request for a ``(job fingerprint, budget)``
+  key becomes the *leader* and actually executes; every duplicate that
+  arrives while the leader is in flight awaits the same task and fans the
+  verdict out at zero cost.  The key deliberately includes the budget (the
+  same key :class:`~repro.service.executor.BatchExecutor` uses in-batch): a
+  TIMEOUT outcome is budget-dependent, so a leader's timeout must never be
+  fanned out to a duplicate running under a different budget.
 
-Timeouts inside the pool go through
-:func:`repro.service.executor.call_with_timeout`, whose signal-free watchdog
-works on the pool's worker threads as on any other thread.
+The cache front, the budget rule, the verdict store and the follower result
+are the batch executor's own (:mod:`repro.service.executor`).  Timeouts go
+through :func:`repro.service.executor.call_with_timeout`, whose signal-free
+watchdog works on the pool's worker threads as on any other thread.
 """
 
 from __future__ import annotations
@@ -39,13 +39,18 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional, Tuple
 
 from ..presburger import opcache
 from ..service.cache import ResultCache
-from ..service.executor import execute_job
+from ..service.executor import (
+    cached_result,
+    execute_job,
+    follower_result,
+    job_budget,
+    store_verdict,
+)
 from ..service.fingerprint import job_fingerprint
 from ..service.job import JobResult, JobStatus, VerificationJob
 from ..telemetry import TRACER, request_scope
@@ -228,34 +233,41 @@ class WarmVerifierPool:
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
-    def prepare_job(self, job: VerificationJob) -> VerificationJob:
-        """Apply the server's decision-backend default to *job*.
+    def prepare_job(
+        self,
+        job: VerificationJob,
+        timeout: Optional[float] = None,
+        cap: Optional[float] = None,
+    ) -> VerificationJob:
+        """*job* with the options this daemon actually checks it under.
 
-        A ``serve --backend`` override rewrites jobs that carry the default
-        (``omega``) backend; a request that explicitly selected another
-        backend keeps it.  The rewrite MUST happen before any
-        :func:`~repro.service.fingerprint.job_fingerprint` computation —
-        the backend participates in the fingerprint, so rewriting later
-        would alias cache entries and dedup keys across backends.
-        Idempotent, so both the dispatcher and :meth:`run_job` can call it.
+        * ``persist_dir`` is dropped: only the daemon's own
+          ``--persist-dir`` governs the on-disk opcache, so a request can
+          never re-point it.
+        * A ``serve --backend`` override rewrites jobs that carry the default
+          (``omega``) backend; a request that explicitly selected another
+          backend keeps it.
+        * ``timeout`` becomes the budget the job runs under:
+          :func:`~repro.service.executor.job_budget` over the request's
+          *timeout* and the pool's default, capped by *cap*
+          (``serve --max-timeout``).  The dedup key and the check then see
+          the same, capped value.
+
+        This MUST happen before any
+        :func:`~repro.service.fingerprint.job_fingerprint` computation — the
+        backend participates in the fingerprint, so rewriting later would
+        alias cache entries and dedup keys across backends.  Idempotent, so
+        both the dispatcher and :meth:`run_job` can call it.
         """
-        if self.backend is None or job.options is None:
-            return job
-        if job.options.backend != "omega":
-            return job
-        options = job.options.replace(
-            backend=self.backend,
-            smt_solver=job.options.smt_solver or self.smt_solver,
-        )
-        return dataclasses.replace(job, options=options)
-
-    def effective_timeout(self, job: VerificationJob, timeout: Optional[float]) -> Optional[float]:
-        """The budget this job would actually run under (the dedup key part)."""
-        if job.options is not None and job.options.timeout is not None:
-            return job.options.timeout
-        if timeout is not None:
-            return timeout
-        return self.default_timeout
+        changes: Dict[str, Any] = {
+            "persist_dir": None,
+            "timeout": job_budget(job, timeout, self.default_timeout, cap=cap),
+        }
+        if self.backend is not None and job.options.backend == "omega":
+            changes["backend"] = self.backend
+            changes["smt_solver"] = job.options.smt_solver or self.smt_solver
+        options = job.options.replace(**changes)
+        return job if options == job.options else replace(job, options=options)
 
     def run_job(
         self,
@@ -268,8 +280,8 @@ class WarmVerifierPool:
         """Execute one job warm, synchronously, in the calling thread.
 
         Cache front first; a miss checks the shared compiled store's
-        programs, with the job's effective budget enforced by the
-        signal-free timeout path.  Designed to be
+        programs, with the job's budget (see :meth:`prepare_job`) enforced
+        by the signal-free timeout path.  Designed to be
         called from the pool's worker threads (via :meth:`submit`) but safe
         from any thread, including the main one.
 
@@ -283,26 +295,16 @@ class WarmVerifierPool:
         the tracer, so concurrent traced requests on other workers never
         steal (or lose) each other's spans.
         """
-        job = self.prepare_job(job)
+        job = self.prepare_job(job, timeout)
         if fingerprint is None:
             # Hashing a job is ~1 ms (two whole programs through SHA-256);
             # callers that already fingerprinted — the dispatcher does, for
             # its dedup key — pass it down instead of paying again.
             fingerprint = job_fingerprint(job)
-        cached = self.cache.get(fingerprint) if self.cache is not None else None
-        if cached is not None:
+        hit = cached_result(self.cache, job, fingerprint)
+        if hit is not None:
             self.stats.inc("cache_hits")
-            return JobResult(
-                name=job.name,
-                status=JobStatus.OK,
-                equivalent=cached.equivalent,
-                expected_equivalent=job.expected_equivalent,
-                elapsed_seconds=0.0,
-                cache_hit=True,
-                fingerprint=fingerprint,
-                result=cached,
-                metadata=dict(job.metadata),
-            )
+            return hit
 
         def warm_run():
             with request_scope(request_id):
@@ -311,9 +313,7 @@ class WarmVerifierPool:
                 return Verifier().check(original, transformed, options=job.options)
 
         mark = TRACER.mark() if collect_spans and TRACER.enabled else None
-        outcome = execute_job(
-            job, self.effective_timeout(job, timeout), fingerprint, run=warm_run
-        )
+        outcome = execute_job(job, None, fingerprint, run=warm_run)
         if mark is not None:
             tid = threading.get_ident()
             outcome.telemetry = {
@@ -328,11 +328,7 @@ class WarmVerifierPool:
             self.stats.inc("timeouts")
         elif outcome.status == JobStatus.ERROR:
             self.stats.inc("errors")
-        elif self.cache is not None and outcome.result is not None:
-            try:
-                self.cache.put(fingerprint, outcome.result)
-            except OSError:
-                self.cache.stats.store_errors += 1
+        store_verdict(self.cache, outcome)
         if outcome.result is not None and outcome.result.stats.solver_queries:
             with self._solver_lock:
                 for kind, count in outcome.result.stats.solver_queries.items():
@@ -425,17 +421,17 @@ class JobDispatcher:
         fingerprint: Optional[str] = None,
     ) -> JobResult:
         loop = asyncio.get_running_loop()
-        job = self.pool.prepare_job(job)
+        job = self.pool.prepare_job(job, timeout)
         if fingerprint is None:
             fingerprint = job_fingerprint(job)
-        key = (fingerprint, self.pool.effective_timeout(job, timeout))
+        key = (fingerprint, job.options.timeout)
         leader = self._inflight.get(key)
         if leader is not None:
             self.pool.stats.inc("dedup_hits")
             # shield(): a follower whose client vanished must not cancel the
             # leader out from under every other waiter.
             outcome = await asyncio.shield(leader)
-            return self._follower_result(job, outcome)
+            return follower_result(job, outcome)
 
         async def lead() -> JobResult:
             return await asyncio.wrap_future(
@@ -446,21 +442,3 @@ class JobDispatcher:
         self._inflight[key] = task
         task.add_done_callback(lambda _t: self._inflight.pop(key, None))
         return await asyncio.shield(task)
-
-    @staticmethod
-    def _follower_result(job: VerificationJob, outcome: JobResult) -> JobResult:
-        # Mirrors the in-batch fan-out of BatchExecutor._record: the verdict
-        # (or failure) is inherited at zero cost and not counted as a cache
-        # hit, so dedup reuse never inflates the reported hit rate.
-        return JobResult(
-            name=job.name,
-            status=outcome.status,
-            equivalent=outcome.equivalent,
-            expected_equivalent=job.expected_equivalent,
-            elapsed_seconds=0.0,
-            cache_hit=False,
-            fingerprint=outcome.fingerprint,
-            result=outcome.result,
-            error=outcome.error,
-            metadata={**job.metadata, "deduplicated": True},
-        )

@@ -17,7 +17,8 @@ Module tour
 * :mod:`~repro.service.cache` — the on-disk verdict cache with an LRU front;
 * :mod:`~repro.service.executor` — :class:`BatchExecutor`: in-batch
   deduplication, process pool, per-job timeouts (a signal-free watchdog on
-  any thread — see :func:`call_with_timeout`);
+  any thread — see :func:`call_with_timeout`), and the job-running steps
+  the verification server shares with it;
 * :mod:`~repro.service.corpus` — turns the repo's workloads (kernels,
   generated pairs, mutated buggy pairs) into labelled job lists;
 * :mod:`~repro.service.report` — JSONL report writing/reading and the batch

@@ -15,6 +15,9 @@ cache, and only the misses exercise (and warm) the operation cache.
 An in-memory LRU front (bounded, default 1024 entries) makes repeated hits
 within one batch run free of any filesystem traffic.  The cache can also run
 purely in memory (``directory=None``) for ephemeral runs and tests.
+
+One lock guards the memory tier and the counters, so the server's worker
+threads can share one cache; disk reads and writes happen outside it.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
@@ -70,6 +74,7 @@ class ResultCache:
         self.memory_entries = max(0, memory_entries)
         self.stats = CacheStats()
         self._memory: "OrderedDict[str, EquivalenceResult]" = OrderedDict()
+        self._lock = threading.Lock()
         if self.directory:
             os.makedirs(self.directory, exist_ok=True)
 
@@ -79,6 +84,7 @@ class ResultCache:
         return os.path.join(self.directory, fingerprint[:2], fingerprint + ".json")
 
     def _remember(self, fingerprint: str, result: EquivalenceResult) -> None:
+        # Caller holds self._lock.
         if self.memory_entries == 0:
             return
         self._memory[fingerprint] = result
@@ -88,7 +94,8 @@ class ResultCache:
             self.stats.evictions += 1
 
     def _drop_corrupt(self, path: str) -> None:
-        self.stats.corrupt_entries += 1
+        with self._lock:
+            self.stats.corrupt_entries += 1
         try:
             os.remove(path)
         except OSError:
@@ -97,12 +104,13 @@ class ResultCache:
     # ------------------------------------------------------------------ #
     def get(self, fingerprint: str) -> Optional[EquivalenceResult]:
         """The cached verdict for *fingerprint*, or ``None`` on a miss."""
-        cached = self._memory.get(fingerprint)
-        if cached is not None:
-            self._memory.move_to_end(fingerprint)
-            self.stats.hits += 1
-            self.stats.memory_hits += 1
-            return cached
+        with self._lock:
+            cached = self._memory.get(fingerprint)
+            if cached is not None:
+                self._memory.move_to_end(fingerprint)
+                self.stats.hits += 1
+                self.stats.memory_hits += 1
+                return cached
         if self.directory:
             path = self._path(fingerprint)
             try:
@@ -118,16 +126,19 @@ class ResultCache:
             except (OSError, ValueError, KeyError, TypeError):
                 self._drop_corrupt(path)
             else:
-                self._remember(fingerprint, result)
-                self.stats.hits += 1
+                with self._lock:
+                    self._remember(fingerprint, result)
+                    self.stats.hits += 1
                 return result
-        self.stats.misses += 1
+        with self._lock:
+            self.stats.misses += 1
         return None
 
     def put(self, fingerprint: str, result: EquivalenceResult) -> None:
         """Store a verdict under *fingerprint* (atomically on disk)."""
-        self._remember(fingerprint, result)
-        self.stats.stores += 1
+        with self._lock:
+            self._remember(fingerprint, result)
+            self.stats.stores += 1
         if not self.directory:
             return
         path = self._path(fingerprint)
@@ -171,7 +182,8 @@ class ResultCache:
 
     def clear(self) -> None:
         """Drop every entry (memory and disk)."""
-        self._memory.clear()
+        with self._lock:
+            self._memory.clear()
         if self.directory:
             for root, _dirs, files in os.walk(self.directory):
                 for name in files:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from ..lang import program_to_text
 from ..verifier import CheckOptions
@@ -43,9 +43,7 @@ class CorpusSpec:
     deterministic and grows by appending, never by reshuffling.
 
     Every job of the corpus carries the same
-    :class:`~repro.verifier.options.CheckOptions`: either ``options``
-    verbatim, or — when ``options`` is ``None`` — the defaults with
-    ``method`` applied (the historical spelling).
+    :class:`~repro.verifier.options.CheckOptions`, ``options``.
     """
 
     kernels: Sequence[str] = ()
@@ -56,19 +54,12 @@ class CorpusSpec:
     stages: int = 3
     size: int = 24
     transform_steps: int = 3
-    method: str = "extended"
-    options: Optional[CheckOptions] = None
+    options: CheckOptions = field(default_factory=CheckOptions)
 
     def resolved_kernels(self) -> List[str]:
         if any(name == "all" for name in self.kernels):
             return kernel_names()
         return list(self.kernels)
-
-    def job_options(self) -> CheckOptions:
-        """The options every job of this corpus carries."""
-        if self.options is not None:
-            return self.options
-        return CheckOptions(method=self.method)
 
 
 def _generated_job(
@@ -95,7 +86,7 @@ def _generated_job(
         name=name,
         original_source=program_to_text(pair.original),
         transformed_source=program_to_text(pair.transformed),
-        options=spec.job_options(),
+        options=spec.options,
         expected_equivalent=pair.expected_equivalent,
         metadata=metadata,
     )
@@ -111,7 +102,7 @@ def build_corpus(spec: CorpusSpec) -> List[VerificationJob]:
                 name=f"kernel/{name}",
                 original_source=program_to_text(pair.original),
                 transformed_source=program_to_text(pair.transformed),
-                options=spec.job_options(),
+                options=spec.options,
                 expected_equivalent=True,
                 metadata={
                     "source": "kernel",
@@ -139,7 +130,9 @@ def jobs_from_file(path: str) -> List[VerificationJob]:
     The file holds a list of job objects.  Each object either embeds the
     programs (``original_source`` / ``transformed_source``) or references
     mini-C files (``original`` / ``transformed``, resolved relative to the
-    job file); the remaining keys are the :class:`VerificationJob` fields.
+    job file); the remaining keys are the :meth:`VerificationJob.from_dict`
+    schema — an ``options`` object or the legacy flat option keys.  Any
+    malformed entry raises :class:`ValueError` naming its position.
     """
     with open(path, "r", encoding="utf-8") as handle:
         entries = json.load(handle)
@@ -170,7 +163,7 @@ def jobs_from_file(path: str) -> List[VerificationJob]:
         entry.setdefault("name", f"job-{position}")
         try:
             jobs.append(VerificationJob.from_dict(entry))
-        except (TypeError, KeyError) as error:
+        except (TypeError, KeyError, ValueError) as error:
             # Normalise wrong-typed fields into the ValueError contract the
             # CLI reports cleanly (instead of a raw traceback).
             raise ValueError(f"job #{position} in {path!r} is malformed: {error}") from error

@@ -1,5 +1,11 @@
 """Batch execution of verification jobs: cache front, process pool, timeouts.
 
+This module is also the job-running core the verification server shares:
+:func:`job_budget` (the one budget rule), :func:`cached_result` (the cache
+front), :func:`store_verdict` (the failure-tolerant cache fill) and
+:func:`follower_result` (the dedup fan-out) each exist once, and both
+:class:`BatchExecutor` and :mod:`repro.server.pool` call them.
+
 The executor runs a sequence of :class:`~repro.service.job.VerificationJob`
 values and returns one :class:`~repro.service.job.JobResult` per job, in the
 input order.  Before any work is dispatched, every job is looked up in the
@@ -41,7 +47,16 @@ from .cache import ResultCache
 from .fingerprint import job_fingerprint
 from .job import JobResult, JobStatus, VerificationJob
 
-__all__ = ["BatchExecutor", "JobTimeoutError", "call_with_timeout", "execute_job"]
+__all__ = [
+    "BatchExecutor",
+    "JobTimeoutError",
+    "cached_result",
+    "call_with_timeout",
+    "execute_job",
+    "follower_result",
+    "job_budget",
+    "store_verdict",
+]
 
 
 class JobTimeoutError(BaseException):
@@ -108,9 +123,80 @@ def call_with_timeout(fn: Callable[[], Any], timeout: Optional[float]):
     raise JobTimeoutError()
 
 
-def _run_with_timeout(job: VerificationJob, timeout: Optional[float]):
-    """Run the job's check under :func:`call_with_timeout`."""
-    return call_with_timeout(job.run, timeout)
+def job_budget(
+    job: VerificationJob, *fallbacks: Optional[float], cap: Optional[float] = None
+) -> Optional[float]:
+    """The wall-clock budget *job* runs under.
+
+    The job's own ``options.timeout`` wins; otherwise the first of
+    *fallbacks* that is not ``None`` (the server passes the request's budget
+    and then its default, the batch executor its ``--timeout``).  *cap*
+    (``serve --max-timeout``) then bounds whichever budget won, and stands
+    in for "no budget" (``None`` or a non-positive value).
+    """
+    budget = next(
+        (value for value in (job.options.timeout, *fallbacks) if value is not None), None
+    )
+    if cap is not None and (budget is None or budget <= 0 or budget > cap):
+        budget = cap
+    return budget
+
+
+def cached_result(
+    cache: Optional[ResultCache], job: VerificationJob, fingerprint: str
+) -> Optional[JobResult]:
+    """The cache-hit result for *job*, or ``None`` on a miss (or no cache)."""
+    cached = cache.get(fingerprint) if cache is not None else None
+    if cached is None:
+        return None
+    return JobResult(
+        name=job.name,
+        status=JobStatus.OK,
+        equivalent=cached.equivalent,
+        expected_equivalent=job.expected_equivalent,
+        elapsed_seconds=0.0,
+        cache_hit=True,
+        fingerprint=fingerprint,
+        result=cached,
+        metadata=dict(job.metadata),
+    )
+
+
+def store_verdict(cache: Optional[ResultCache], outcome: JobResult) -> None:
+    """File a freshly computed verdict in *cache*.
+
+    Caching is an optimization: a full disk or read-only cache directory
+    must not discard a computed verdict, so a failed write only counts in
+    ``cache.stats.store_errors``.
+    """
+    if cache is None or outcome.cache_hit or outcome.result is None:
+        return
+    try:
+        cache.put(outcome.fingerprint, outcome.result)
+    except OSError:
+        with cache._lock:
+            cache.stats.store_errors += 1
+
+
+def follower_result(job: VerificationJob, outcome: JobResult) -> JobResult:
+    """*job*'s share of a duplicate leader's *outcome*.
+
+    The verdict (or failure) is inherited at zero cost.  It is not marked
+    ``cache_hit``: dedup reuse works with caching disabled and must not
+    inflate the reported hit rate.
+    """
+    return JobResult(
+        name=job.name,
+        status=outcome.status,
+        equivalent=outcome.equivalent,
+        expected_equivalent=job.expected_equivalent,
+        elapsed_seconds=0.0,
+        cache_hit=False,
+        fingerprint=outcome.fingerprint,
+        result=outcome.result,
+        error=outcome.error,
+        metadata={**job.metadata, "deduplicated": True},
+    )
 
 
 def _worker_init(collect_telemetry: bool, persist_dir: Optional[str] = None) -> None:
@@ -148,9 +234,9 @@ def execute_job(
 ) -> JobResult:
     """Execute one job in the current process, capturing failure and timeout.
 
-    *timeout* is the executor-wide default budget; a job whose
+    *timeout* is the fallback budget; a job whose
     :class:`~repro.verifier.options.CheckOptions` carry their own ``timeout``
-    overrides it.  With *collect_telemetry* (set by the pool path of the
+    overrides it (:func:`job_budget`).  With *collect_telemetry* (set by the pool path of the
     executor while tracing is on in the parent) the job's spans and metric
     increments are drained into ``JobResult.telemetry`` for the parent
     process to ingest.  *run* replaces ``job.run`` as the zero-argument check
@@ -158,8 +244,7 @@ def execute_job(
     status/timeout/error capture stays identical between the cold and the
     warm paths.
     """
-    if job.options is not None and job.options.timeout is not None:
-        timeout = job.options.timeout
+    timeout = job_budget(job, timeout)
     if not (collect_telemetry or _TRACER.enabled):
         return _execute_job_body(job, timeout, fingerprint, run)
     mark = _TRACER.mark()
@@ -184,52 +269,37 @@ def _execute_job_body(
     run: Optional[Callable[[], Any]] = None,
 ) -> JobResult:
     started = time.perf_counter()
-    try:
-        result = call_with_timeout(run if run is not None else job.run, timeout)
-    except JobTimeoutError:
+
+    def finish(status: str, **fields: Any) -> JobResult:
+        fields.setdefault("metadata", dict(job.metadata))
         return JobResult(
             name=job.name,
-            status=JobStatus.TIMEOUT,
+            status=status,
             expected_equivalent=job.expected_equivalent,
             elapsed_seconds=time.perf_counter() - started,
             fingerprint=fingerprint,
-            error=f"job exceeded the {timeout:g} s budget",
-            metadata=dict(job.metadata),
+            **fields,
         )
+
+    try:
+        result = call_with_timeout(run if run is not None else job.run, timeout)
+    except JobTimeoutError:
+        return finish(JobStatus.TIMEOUT, error=f"job exceeded the {timeout:g} s budget")
     except BackendDisagreement as error:
         # A cross-check divergence is a BaseException so the checker's broad
         # recovery paths cannot swallow it; it surfaces here as a hard ERROR
         # with the serialized query attached for offline replay
         # (repro.solvers.replay_query).
-        return JobResult(
-            name=job.name,
-            status=JobStatus.ERROR,
-            expected_equivalent=job.expected_equivalent,
-            elapsed_seconds=time.perf_counter() - started,
-            fingerprint=fingerprint,
+        return finish(
+            JobStatus.ERROR,
             error=f"BackendDisagreement: {error}",
             metadata={**job.metadata, "backend_disagreement": error.to_dict()},
         )
     except Exception as error:
-        return JobResult(
-            name=job.name,
-            status=JobStatus.ERROR,
-            expected_equivalent=job.expected_equivalent,
-            elapsed_seconds=time.perf_counter() - started,
-            fingerprint=fingerprint,
-            error=f"{type(error).__name__}: {error}\n{traceback.format_exc()}",
-            metadata=dict(job.metadata),
+        return finish(
+            JobStatus.ERROR, error=f"{type(error).__name__}: {error}\n{traceback.format_exc()}"
         )
-    return JobResult(
-        name=job.name,
-        status=JobStatus.OK,
-        equivalent=result.equivalent,
-        expected_equivalent=job.expected_equivalent,
-        elapsed_seconds=time.perf_counter() - started,
-        fingerprint=fingerprint,
-        result=result,
-        metadata=dict(job.metadata),
-    )
+    return finish(JobStatus.OK, equivalent=result.equivalent, result=result)
 
 
 class BatchExecutor:
@@ -243,7 +313,8 @@ class BatchExecutor:
         ``<= 1`` runs jobs serially in this process; larger values dispatch
         cache misses to a ``ProcessPoolExecutor`` of that many workers.
     timeout:
-        Per-job wall-clock budget in seconds (``None``: unlimited).
+        Wall-clock budget in seconds of every job that carries none of its
+        own (``None``: unlimited); see :func:`job_budget`.
     persist_dir:
         Directory of the shared persistent Presburger op-cache
         (:mod:`repro.presburger.persist`); attached in this process and in
@@ -284,19 +355,8 @@ class BatchExecutor:
 
         for index, job in enumerate(jobs):
             fingerprint = fingerprints[index] = job_fingerprint(job)
-            cached = self.cache.get(fingerprint) if self.cache is not None else None
-            if cached is not None:
-                outcome = JobResult(
-                    name=job.name,
-                    status=JobStatus.OK,
-                    equivalent=cached.equivalent,
-                    expected_equivalent=job.expected_equivalent,
-                    elapsed_seconds=0.0,
-                    cache_hit=True,
-                    fingerprint=fingerprint,
-                    result=cached,
-                    metadata=dict(job.metadata),
-                )
+            outcome = cached_result(self.cache, job, fingerprint)
+            if outcome is not None:
                 results[index] = outcome
                 if progress is not None:
                     progress(outcome)
@@ -313,10 +373,7 @@ class BatchExecutor:
         self._followers = {}
         leaders: List[int] = []
         for index in pending:
-            job = jobs[index]
-            job_timeout = job.options.timeout if job.options is not None else None
-            effective_timeout = job_timeout if job_timeout is not None else self.timeout
-            key = (fingerprints[index], effective_timeout)
+            key = (fingerprints[index], job_budget(jobs[index], self.timeout))
             if key in leader_of:
                 self._followers.setdefault(leader_of[key], []).append(index)
             else:
@@ -347,38 +404,12 @@ class BatchExecutor:
             _TRACER.ingest(outcome.telemetry.get("spans", ()))
             _METRICS.merge(outcome.telemetry.get("metrics", ()))
             outcome.telemetry = None
-        if (
-            self.cache is not None
-            and outcome.status == JobStatus.OK
-            and outcome.result is not None
-            and not outcome.cache_hit
-        ):
-            try:
-                self.cache.put(outcome.fingerprint, outcome.result)
-            except OSError:
-                # Caching is an optimization: a full disk or read-only cache
-                # directory must not discard the batch's computed verdicts.
-                self.cache.stats.store_errors += 1
+        store_verdict(self.cache, outcome)
         if progress is not None:
             progress(outcome)
-        # Fan the leader's outcome out to in-batch duplicates (same
-        # fingerprint): they inherit the verdict (or failure) at zero cost.
-        # Not marked cache_hit — dedup reuse works with caching disabled and
-        # must not inflate the reported hit rate.
+        # Fan the leader's outcome out to its in-batch duplicates.
         for follower_index in self._followers.pop(index, ()):
-            job = jobs[follower_index]
-            derived = JobResult(
-                name=job.name,
-                status=outcome.status,
-                equivalent=outcome.equivalent,
-                expected_equivalent=job.expected_equivalent,
-                elapsed_seconds=0.0,
-                cache_hit=False,
-                fingerprint=outcome.fingerprint,
-                result=outcome.result,
-                error=outcome.error,
-                metadata={**job.metadata, "deduplicated": True},
-            )
+            derived = follower_result(jobs[follower_index], outcome)
             results[follower_index] = derived
             if progress is not None:
                 progress(derived)

@@ -1,19 +1,19 @@
 """The job model of the batch verification service.
 
 A :class:`VerificationJob` is a self-contained, picklable description of one
-equivalence check: the two programs as mini-C source text plus a
-:class:`~repro.verifier.options.CheckOptions` describing every checker
-option that can influence the verdict.  Carrying source text (rather than
-parsed :class:`~repro.lang.ast.Program` values) keeps jobs cheap to ship
-across process boundaries and trivially serialisable into job files.
+equivalence check: the two programs as mini-C source text plus the
+:class:`~repro.verifier.options.CheckOptions` describing how to check them.
+Carrying source text (rather than parsed :class:`~repro.lang.ast.Program`
+values) keeps jobs cheap to ship across process boundaries and trivially
+serialisable into job files.
 
-Jobs can be constructed either with an ``options`` value directly or with
-the historical flat keyword arguments (``method``, ``outputs``,
-``correspondences``, ``operators``, ``tabling``, ``check_preconditions``,
-``timeout``); the two spellings are kept in sync, and the flat form remains
-the JSON job-file schema.  ``options`` is authoritative: :meth:`run`,
-:func:`~repro.service.fingerprint.job_fingerprint` and the executor all read
-it.
+The options value is the job's only spelling of *how* to check:
+:meth:`VerificationJob.run`, :func:`~repro.service.fingerprint.job_fingerprint`,
+the executor and the server all read it.  Job files written before the
+``options`` object existed spell the options as flat keys (``method``,
+``outputs``, ``correspondences``, ``operators``, ``tabling``,
+``check_preconditions``, ``timeout``, ``backend``, ``smt_solver``);
+:meth:`VerificationJob.from_dict` still reads them, converting them once.
 
 A :class:`JobResult` is the service-level outcome of running (or recalling
 from cache) one job: the checker verdict plus execution status, wall time,
@@ -24,9 +24,9 @@ comparison against the expected verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
-from ..checker import EquivalenceResult, OperatorRegistry, default_registry
+from ..checker import EquivalenceResult, default_registry
 from ..verifier import CheckOptions, Verifier
 
 __all__ = ["JobStatus", "VerificationJob", "JobResult"]
@@ -42,94 +42,48 @@ class JobStatus:
     ALL = (OK, ERROR, TIMEOUT)
 
 
-def _as_pairs(entries) -> Tuple[Tuple[str, str], ...]:
-    return tuple((str(a), str(b)) for a, b in entries)
+#: The flat option keys of legacy job-file entries (everything but ``operators``).
+_FLAT_KEYS = (
+    "method",
+    "outputs",
+    "correspondences",
+    "tabling",
+    "check_preconditions",
+    "timeout",
+    "backend",
+    "smt_solver",
+)
 
 
-def _operators_delta(registry: OperatorRegistry) -> Tuple[Tuple[str, str], ...]:
-    """Express *registry* as incremental declarations over the default registry.
+def _flat_options(data: Dict[str, Any]) -> CheckOptions:
+    """The :class:`CheckOptions` a legacy flat-key job entry describes.
 
-    A declaration with empty props overwrites (removes) a default law, so the
-    delta form is complete: any registry round-trips through it.
+    Flat ``operators`` are ``(name, props)`` declarations applied on top of
+    the default registry; empty props remove a default law.
     """
-    default = default_registry()
-    names = {op for op, _ in registry.items()} | {op for op, _ in default.items()}
-    delta = []
-    for op in sorted(names):
-        props = registry.get(op)
-        if props != default.get(op):
-            delta.append(
-                (op, ("A" if props.associative else "") + ("C" if props.commutative else ""))
-            )
-    return tuple(delta)
+    registry = default_registry()
+    for op, props in data.get("operators", ()):
+        props = str(props).upper()
+        registry.declare(str(op), associative="A" in props, commutative="C" in props)
+    flat = {key: data[key] for key in _FLAT_KEYS if key in data}
+    return CheckOptions.from_registry(registry, **flat)
 
 
 @dataclass
 class VerificationJob:
     """One (original, transformed) pair plus the checker options to use.
 
-    ``operators`` declares extra operator properties as ``(name, props)``
-    pairs where ``props`` is a string containing ``"A"`` (associative) and/or
-    ``"C"`` (commutative), applied on top of the default registry — the
-    historical picklable spelling.  Passing ``options`` instead makes that
-    :class:`CheckOptions` authoritative and refreshes the flat fields from
-    it.  ``timeout`` is this job's wall-clock budget in seconds; it overrides
-    the executor-wide budget when set.
+    ``options.timeout`` is this job's own wall-clock budget in seconds; it
+    overrides the executor's and the server's budgets when set (see
+    :func:`~repro.service.executor.job_budget`).
     """
 
     name: str
     original_source: str
     transformed_source: str
-    method: str = "extended"
-    outputs: Optional[Tuple[str, ...]] = None
-    correspondences: Tuple[Tuple[str, str], ...] = ()
-    operators: Tuple[Tuple[str, str], ...] = ()
-    tabling: bool = True
-    check_preconditions: bool = True
+    options: CheckOptions = field(default_factory=CheckOptions)
     expected_equivalent: Optional[bool] = None
     metadata: Dict[str, Any] = field(default_factory=dict)
-    timeout: Optional[float] = None
-    backend: str = "omega"
-    smt_solver: Optional[str] = None
-    options: Optional[CheckOptions] = None
-
-    def __post_init__(self) -> None:
-        if self.options is None:
-            if self.outputs is not None:
-                self.outputs = tuple(self.outputs)
-            self.correspondences = _as_pairs(self.correspondences)
-            self.operators = _as_pairs(self.operators)
-            registry = default_registry()
-            for op, props in self.operators:
-                props = props.upper()
-                registry.declare(op, associative="A" in props, commutative="C" in props)
-            self.options = CheckOptions.from_registry(
-                registry,
-                method=self.method,
-                outputs=self.outputs,
-                correspondences=self.correspondences,
-                tabling=self.tabling,
-                check_preconditions=self.check_preconditions,
-                timeout=self.timeout,
-                backend=self.backend,
-                smt_solver=self.smt_solver,
-            )
-        else:
-            # ``options`` wins; mirror it into the flat (legacy) views so the
-            # JSON job-file schema and older readers stay faithful.
-            self.method = self.options.method
-            self.outputs = self.options.outputs
-            self.correspondences = self.options.correspondences
-            self.operators = _operators_delta(self.options.registry())
-            self.tabling = self.options.tabling
-            self.check_preconditions = self.options.check_preconditions
-            self.timeout = self.options.timeout
-            self.backend = self.options.backend
-            self.smt_solver = self.options.smt_solver
-
-    def registry(self) -> OperatorRegistry:
-        """The operator registry implied by this job's options."""
-        return self.options.registry()
 
     def run(self) -> EquivalenceResult:
         """Run the equivalence check described by this job (in-process)."""
@@ -138,19 +92,14 @@ class VerificationJob:
         )
 
     def to_dict(self) -> Dict[str, Any]:
+        """The JSON form; ``persist_dir`` stays behind (it belongs to the host)."""
+        options = self.options.to_dict()
+        del options["persist_dir"]
         return {
             "name": self.name,
             "original_source": self.original_source,
             "transformed_source": self.transformed_source,
-            "method": self.method,
-            "outputs": list(self.outputs) if self.outputs is not None else None,
-            "correspondences": [list(pair) for pair in self.correspondences],
-            "operators": [list(pair) for pair in self.operators],
-            "tabling": self.tabling,
-            "check_preconditions": self.check_preconditions,
-            "timeout": self.timeout,
-            "backend": self.backend,
-            "smt_solver": self.smt_solver,
+            "options": options,
             "expected_equivalent": self.expected_equivalent,
             "metadata": dict(self.metadata),
         }
@@ -159,32 +108,25 @@ class VerificationJob:
     def from_dict(cls, data: Dict[str, Any]) -> "VerificationJob":
         """Build a job from its JSON form.
 
-        The flat (legacy) keys remain the canonical schema; a job file entry
-        may alternatively carry an ``"options"`` object in the
-        :meth:`CheckOptions.to_dict` shape, which then takes precedence over
-        the flat option keys.
+        The options come from an ``"options"`` object in the
+        :meth:`CheckOptions.to_dict` shape or, when that is absent, from the
+        legacy flat keys.  A wrong-typed entry raises :class:`ValueError`
+        (or :class:`TypeError`/:class:`KeyError`), never a later run failure.
         """
-        common = dict(
+        options = data.get("options")
+        if options is None:
+            options = _flat_options(data)
+        elif isinstance(options, dict):
+            options = CheckOptions.from_dict(options)
+        else:
+            raise ValueError(f"'options' must be an object, got {type(options).__name__}")
+        return cls(
             name=data["name"],
             original_source=data["original_source"],
             transformed_source=data["transformed_source"],
+            options=options,
             expected_equivalent=data.get("expected_equivalent"),
             metadata=dict(data.get("metadata", {})),
-        )
-        if data.get("options") is not None:
-            return cls(options=CheckOptions.from_dict(data["options"]), **common)
-        outputs = data.get("outputs")
-        return cls(
-            method=data.get("method", "extended"),
-            outputs=tuple(outputs) if outputs is not None else None,
-            correspondences=_as_pairs(data.get("correspondences", ())),
-            operators=_as_pairs(data.get("operators", ())),
-            tabling=data.get("tabling", True),
-            check_preconditions=data.get("check_preconditions", True),
-            timeout=data.get("timeout"),
-            backend=data.get("backend", "omega"),
-            smt_solver=data.get("smt_solver"),
-            **common,
         )
 
 

@@ -93,7 +93,8 @@ class CheckOptions:
         Run the def-use / single-assignment prerequisites first.
     timeout:
         Per-check wall-clock budget in seconds, enforced by the batch
-        service's executor (``None``: unlimited).  The timeout cannot change
+        service's executor: a non-negative number (``0`` or ``None``:
+        unlimited).  The timeout cannot change
         a *computed* verdict, so it does not participate in
         :meth:`fingerprint`.
     backend:
@@ -135,6 +136,14 @@ class CheckOptions:
         if self.backend not in BACKEND_NAMES:
             raise ValueError(
                 f"unknown backend {self.backend!r} (expected one of {', '.join(BACKEND_NAMES)})"
+            )
+        if self.timeout is not None and (
+            isinstance(self.timeout, bool)
+            or not isinstance(self.timeout, (int, float))
+            or not self.timeout >= 0
+        ):
+            raise ValueError(
+                f"timeout must be a non-negative number of seconds or None, got {self.timeout!r}"
             )
         if self.operators is not None:
             canonical = _canonical_operators(self.operators)

@@ -18,7 +18,7 @@ import time
 import pytest
 
 from repro.server import ServerClient, ServerConfig, ServerError, ServerThread, protocol
-from repro.service import JobStatus, VerificationJob
+from repro.service import CheckOptions, JobStatus, VerificationJob
 
 ORIGINAL = """
 #define N 8
@@ -120,6 +120,25 @@ class TestMalformedFrames:
             assert response["id"] == 5
             assert response["error"]["code"] == protocol.ERROR_INVALID_REQUEST
             assert "malformed job" in response["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "entry", [{"options": "basic"}, {"timeout": "soon"}], ids=["options-str", "timeout-str"]
+    )
+    def test_wrong_typed_job_entry_is_rejected_not_an_error(self, server, entry):
+        payload = {**make_job().to_dict(), **entry}
+        if "timeout" in entry:
+            payload.pop("options", None)  # a legacy flat-key job
+        with raw_connection(server.address) as sock:
+            sock.sendall(
+                protocol.encode_frame(protocol.request_frame("check", {"job": payload}, id=7))
+            )
+            response = read_frame(sock)
+            assert response["error"]["code"] == protocol.ERROR_INVALID_REQUEST
+            assert "malformed job" in response["error"]["message"]
+        with ServerClient(server.address) as client:
+            stats = client.stats()
+        assert stats["rejected"] == 1
+        assert stats["errors"] == 0
 
     def test_non_numeric_timeout(self, server):
         with raw_connection(server.address) as sock:
@@ -225,6 +244,37 @@ class TestBudgets:
                     make_job("slow", original=SLOW_MARKER + ORIGINAL), timeout=3600.0
                 )
                 assert outcome.status == JobStatus.TIMEOUT
+
+    def test_max_timeout_caps_a_jobs_own_budget(self, slow_compiles):
+        config = ServerConfig(port=0, workers=1, max_timeout=0.05)
+        job = VerificationJob(
+            name="slow",
+            original_source=SLOW_MARKER + ORIGINAL,
+            transformed_source=TRANSFORMED_EQ,
+            options=CheckOptions(timeout=3600.0),
+        )
+        with ServerThread(config) as handle:
+            with ServerClient(handle.address) as client:
+                outcome = client.check_job(job)
+                assert outcome.status == JobStatus.TIMEOUT
+
+    def test_request_cannot_repoint_the_persistent_opcache(self, server, tmp_path):
+        from repro.presburger import opcache
+
+        before = opcache.persistent_store()
+        target = tmp_path / "hijack"
+        payload = {**make_job().to_dict(), "options": {"persist_dir": str(target)}}
+        try:
+            with ServerClient(server.address) as client:
+                outcome = client.request("check", {"job": payload})
+                persist = client.stats()["persist"]
+            assert outcome["status"] == JobStatus.OK
+            assert opcache.persistent_store() is before
+            assert persist["path"] != str(target)
+            assert not (target / "opcache.sqlite").exists()
+        finally:
+            if opcache.persistent_store() is not before:
+                opcache.detach_persistent()
 
     def test_per_client_inflight_budget_rejects_excess(self):
         config = ServerConfig(port=0, workers=1, max_inflight_per_client=0)

@@ -31,7 +31,7 @@ def corpus():
 def direct_verdicts(corpus):
     return {
         job.name: check_equivalence(
-            job.original_source, job.transformed_source, method=job.method
+            job.original_source, job.transformed_source, method=job.options.method
         ).equivalent
         for job in corpus
     }

@@ -72,4 +72,3 @@ class TestScenarioJobs:
         options = CheckOptions(method="basic")
         for job in scenario_jobs(pairs, options=options):
             assert job.options is options
-            assert job.method == "basic"

@@ -15,8 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.server.pool import CompiledStore, JobDispatcher, WarmVerifierPool
 from repro.service import JobStatus, ResultCache, VerificationJob, job_fingerprint
+from repro.service.executor import job_budget
 from repro.service.job import JobResult
-from repro.verifier import Verifier
+from repro.verifier import CheckOptions, Verifier
 
 ORIGINAL = """
 #define N 8
@@ -44,7 +45,7 @@ def make_job(name="j", timeout=None, expected=None):
         name=name,
         original_source=ORIGINAL,
         transformed_source=TRANSFORMED_EQ,
-        timeout=timeout,
+        options=CheckOptions(timeout=timeout),
         expected_equivalent=expected,
     )
 
@@ -146,9 +147,13 @@ class TestWarmVerifierPool:
     def test_effective_timeout_precedence(self):
         pool = WarmVerifierPool(workers=1, default_timeout=30.0)
         try:
-            assert pool.effective_timeout(make_job(timeout=5.0), 10.0) == 5.0
-            assert pool.effective_timeout(make_job(), 10.0) == 10.0
-            assert pool.effective_timeout(make_job(), None) == 30.0
+            assert pool.prepare_job(make_job(timeout=5.0), 10.0).options.timeout == 5.0
+            assert pool.prepare_job(make_job(), 10.0).options.timeout == 10.0
+            assert pool.prepare_job(make_job(), None).options.timeout == 30.0
+            # --max-timeout caps whichever budget wins, the job's own included.
+            assert pool.prepare_job(make_job(timeout=3600.0), None, cap=1.0).options.timeout == 1.0
+            assert pool.prepare_job(make_job(), 3600.0, cap=1.0).options.timeout == 1.0
+            assert pool.prepare_job(make_job(), None, cap=60.0).options.timeout == 30.0
         finally:
             pool.close()
 
@@ -295,13 +300,7 @@ class TestDedupKeyProperty:
         a = make_job(name="a", timeout=job_a)
         b = make_job(name="b", timeout=job_b)
         executions, results = run_pair_through_dispatcher(a, request_a, b, request_b)
-        reference = WarmVerifierPool(workers=1)
-        try:
-            should_coalesce = reference.effective_timeout(
-                a, request_a
-            ) == reference.effective_timeout(b, request_b)
-        finally:
-            reference.close()
+        should_coalesce = job_budget(a, request_a) == job_budget(b, request_b)
         assert len(executions) == (1 if should_coalesce else 2)
         assert all(outcome.status == JobStatus.OK for outcome in results)
 
@@ -310,7 +309,8 @@ class TestDedupKeyProperty:
     def test_effective_timeout_precedence_property(self, job_timeout, request_timeout, default):
         pool = WarmVerifierPool(workers=1, default_timeout=default)
         try:
-            effective = pool.effective_timeout(make_job(timeout=job_timeout), request_timeout)
+            prepared = pool.prepare_job(make_job(timeout=job_timeout), request_timeout)
+            effective = prepared.options.timeout
         finally:
             pool.close()
         if job_timeout is not None:

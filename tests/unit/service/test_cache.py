@@ -2,6 +2,8 @@
 
 import json
 import os
+import sys
+import threading
 
 from repro.checker import CheckStats, Diagnostic, EquivalenceResult, OutputReport
 from repro.service import ResultCache
@@ -107,3 +109,42 @@ class TestDiskCache:
         cache.clear()
         assert len(cache) == 0
         assert cache.get(FP) is None
+
+
+class TestThreadSafety:
+    def test_concurrent_put_get_keeps_exact_counts(self):
+        """The server's worker threads share one cache: the LRU reorder and
+        the counters must not race (unguarded, ``move_to_end`` raised
+        ``KeyError`` and ``+=`` dropped counts)."""
+        threads, rounds = 4, 20_000
+        cache = ResultCache(None, memory_entries=4)
+        result = make_result()
+        errors = []
+
+        def hammer(thread_index):
+            try:
+                for step in range(rounds):
+                    key = f"{thread_index}-{step}"
+                    cache.put(key, result)
+                    cache.get(key)
+            except BaseException as error:  # pragma: no cover - the failure mode
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=hammer, args=(i,)) for i in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join()
+        finally:
+            sys.setswitchinterval(interval)
+        total = threads * rounds
+        assert errors == []
+        assert cache.stats.stores == total
+        assert cache.stats.hits + cache.stats.misses == total
+        assert cache.stats.memory_hits == cache.stats.hits
+        # Every put inserted a fresh key into the 4-entry LRU.
+        assert cache.stats.evictions == total - 4
+        assert len(cache) == 4

@@ -1,10 +1,11 @@
 """Unit tests: corpus enumeration and job-file loading."""
 
 import json
+import os
 
 import pytest
 
-from repro.service import CorpusSpec, build_corpus, job_fingerprint, jobs_from_file
+from repro.service import BatchExecutor, CorpusSpec, build_corpus, job_fingerprint, jobs_from_file
 from repro.workloads import kernel_names
 
 
@@ -89,3 +90,38 @@ class TestJobsFromFile:
         path.write_text(json.dumps([{"name": "incomplete"}]))
         with pytest.raises(ValueError):
             jobs_from_file(str(path))
+
+
+EXAMPLE_JOBS = os.path.join(
+    os.path.dirname(__file__), os.pardir, os.pardir, os.pardir, "examples", "jobs.json"
+)
+
+# The fingerprint of every job in examples/jobs.json.  Fingerprints are the
+# verdict-cache keys: a change here orphans every cached verdict, so it must
+# come with a CACHE_FORMAT_VERSION bump.
+EXAMPLE_FINGERPRINTS = {
+    "flat/sum-commuted": "6ba920a6d1875435e63fdf0122c3645acc243e85ae8e485644a821d35111dbb9",
+    "flat/sum-commuted-no-plus-law": (
+        "7255a6a82c777d3943b792a8cd39f243de2e3e604f725d5462144245ff5b14e1"
+    ),
+    "flat/sum-reversed-basic": "50cace2e967a4ed0b49e1ec39e74ce1921c04e4ded8053a7a687be35b49a723f",
+    "flat/sum-wrong-read": "04f19d3f125bf07df99843edd3849224814762747289ab59ccd110a2c25fd426",
+    "options/pipe-propagated": "df1ec5384f5697934e066e1cb26143118660bb899821181003a778e4242a851e",
+}
+
+
+class TestExampleJobFile:
+    """examples/jobs.json mixes legacy flat-key entries with the options form."""
+
+    def test_fingerprints_are_pinned(self):
+        jobs = jobs_from_file(EXAMPLE_JOBS)
+        assert {job.name: job_fingerprint(job) for job in jobs} == EXAMPLE_FINGERPRINTS
+
+    def test_flat_operator_delta_removes_a_default_law(self):
+        jobs = {job.name: job for job in jobs_from_file(EXAMPLE_JOBS)}
+        assert jobs["flat/sum-commuted-no-plus-law"].options.operators == (("*", "AC"),)
+        assert jobs["flat/sum-reversed-basic"].options.method == "basic"
+
+    def test_verdicts_match_expectations(self):
+        results = BatchExecutor().run(jobs_from_file(EXAMPLE_JOBS))
+        assert [outcome.matches_expectation for outcome in results] == [True] * len(results)

@@ -19,6 +19,7 @@ import pytest
 
 from repro.service import (
     BatchExecutor,
+    CheckOptions,
     JobStatus,
     JobTimeoutError,
     VerificationJob,
@@ -57,7 +58,7 @@ def make_job(timeout=None):
         name="t",
         original_source=ORIGINAL,
         transformed_source=ORIGINAL,
-        timeout=timeout,
+        options=CheckOptions(timeout=timeout),
     )
 
 

@@ -82,20 +82,25 @@ class TestJobFingerprint:
     def test_sensitive_to_programs_and_options(self):
         baseline = job_fingerprint(make_job())
         assert job_fingerprint(make_job(transformed_source=ORIGINAL)) != baseline
-        assert job_fingerprint(make_job(method="basic")) != baseline
-        assert job_fingerprint(make_job(outputs=("B",))) != baseline
-        assert job_fingerprint(make_job(tabling=False)) != baseline
-        assert job_fingerprint(make_job(operators=(("min", "AC"),))) != baseline
+        assert job_fingerprint(make_job(options=CheckOptions(method="basic"))) != baseline
+        assert job_fingerprint(make_job(options=CheckOptions(outputs=("B",)))) != baseline
+        assert job_fingerprint(make_job(options=CheckOptions(tabling=False))) != baseline
+        min_ac = CheckOptions(operators=(("min", "AC"),))
+        assert job_fingerprint(make_job(options=min_ac)) != baseline
 
     def test_operator_declaration_order_is_canonicalised(self):
-        first = job_fingerprint(make_job(operators=(("min", "AC"), ("max", "C"))))
-        second = job_fingerprint(make_job(operators=(("max", "C"), ("min", "CA"))))
+        first = CheckOptions(operators=(("min", "AC"), ("max", "C")))
+        second = CheckOptions(operators=(("max", "C"), ("min", "CA")))
+        assert job_fingerprint(make_job(options=first)) == job_fingerprint(
+            make_job(options=second)
+        )
         assert first == second
 
     def test_timeout_does_not_split_the_key_space(self):
         # A timeout aborts a check; it can never change a computed verdict,
         # so re-running with a different budget must hit the same cache entry.
-        assert job_fingerprint(make_job(timeout=5.0)) == job_fingerprint(make_job())
+        budgeted = make_job(options=CheckOptions(timeout=5.0))
+        assert job_fingerprint(budgeted) == job_fingerprint(make_job())
 
 
 class TestOptionsNeverAliasCachedVerdicts:
@@ -119,7 +124,16 @@ class TestOptionsNeverAliasCachedVerdicts:
         assert job_fingerprint(basic) != baseline
 
     def test_flat_and_options_spellings_agree(self):
-        flat = make_job(method="basic", outputs=("B",), tabling=False)
+        flat = VerificationJob.from_dict(
+            {
+                "name": "job",
+                "original_source": ORIGINAL,
+                "transformed_source": TRANSFORMED,
+                "method": "basic",
+                "outputs": ["B"],
+                "tabling": False,
+            }
+        )
         via_options = VerificationJob(
             name="job",
             original_source=ORIGINAL,
@@ -130,8 +144,8 @@ class TestOptionsNeverAliasCachedVerdicts:
 
     def test_basic_verdict_is_never_served_for_extended_request(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))
-        basic_job = make_job(method="basic")
-        extended_job = make_job(method="extended")
+        basic_job = make_job(options=CheckOptions(method="basic"))
+        extended_job = make_job(options=CheckOptions(method="extended"))
         basic_result = basic_job.run()
         cache.put(job_fingerprint(basic_job), basic_result)
         # The same pair under the extended method must miss the cache.
@@ -142,12 +156,12 @@ class TestOptionsNeverAliasCachedVerdicts:
     def test_every_option_field_splits_the_key(self):
         baseline = job_fingerprint(make_job())
         variants = [
-            make_job(method="basic"),
-            make_job(outputs=("B",)),
-            make_job(correspondences=(("x", "y"),)),
-            make_job(operators=(("min", "AC"),)),
-            make_job(tabling=False),
-            make_job(check_preconditions=False),
+            make_job(options=CheckOptions(method="basic")),
+            make_job(options=CheckOptions(outputs=("B",))),
+            make_job(options=CheckOptions(correspondences=(("x", "y"),))),
+            make_job(options=CheckOptions(operators=(("min", "AC"),))),
+            make_job(options=CheckOptions(tabling=False)),
+            make_job(options=CheckOptions(check_preconditions=False)),
         ]
         fingerprints = {job_fingerprint(job) for job in variants}
         assert baseline not in fingerprints

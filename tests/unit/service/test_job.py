@@ -2,7 +2,9 @@
 
 import pickle
 
-from repro.service import JobResult, JobStatus, VerificationJob, execute_job
+import pytest
+
+from repro.service import CheckOptions, JobResult, JobStatus, VerificationJob, execute_job
 
 ORIGINAL = """
 #define N 8
@@ -40,16 +42,82 @@ def test_job_dict_round_trip():
         name="j",
         original_source=ORIGINAL,
         transformed_source=TRANSFORMED_EQ,
-        method="basic",
-        outputs=("B",),
-        correspondences=(("t", "t2"),),
-        operators=(("min", "AC"),),
-        tabling=False,
+        options=CheckOptions(
+            method="basic",
+            outputs=("B",),
+            correspondences=(("t", "t2"),),
+            operators=(("min", "AC"),),
+            tabling=False,
+            timeout=5.0,
+        ),
         expected_equivalent=True,
         metadata={"source": "test"},
     )
     clone = VerificationJob.from_dict(job.to_dict())
     assert clone == job
+
+
+def test_legacy_flat_keys_convert_once():
+    # Flat ``operators`` are declarations over the default registry; empty
+    # props remove a default law.
+    job = VerificationJob.from_dict(
+        {
+            "name": "j",
+            "original_source": ORIGINAL,
+            "transformed_source": TRANSFORMED_EQ,
+            "method": "basic",
+            "outputs": ["B"],
+            "operators": [["min", "ca"], ["+", ""]],
+            "tabling": False,
+            "timeout": 5,
+        }
+    )
+    assert job.options == CheckOptions(
+        method="basic",
+        outputs=("B",),
+        operators=(("*", "AC"), ("min", "AC")),
+        tabling=False,
+        timeout=5,
+    )
+
+
+def test_options_object_wins_over_flat_keys():
+    job = VerificationJob.from_dict(
+        {
+            "name": "j",
+            "original_source": ORIGINAL,
+            "transformed_source": TRANSFORMED_EQ,
+            "method": "basic",
+            "options": {"tabling": False},
+        }
+    )
+    assert job.options == CheckOptions(tabling=False)
+
+
+def test_to_dict_never_carries_persist_dir():
+    job = VerificationJob(
+        "j", ORIGINAL, TRANSFORMED_EQ, options=CheckOptions(persist_dir="/somewhere")
+    )
+    payload = job.to_dict()
+    assert "persist_dir" not in payload["options"]
+    assert VerificationJob.from_dict(payload).options.persist_dir is None
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"options": "basic"},
+        {"options": ["basic"]},
+        {"timeout": "soon"},
+        {"timeout": True},
+        {"timeout": -1},
+        {"options": {"timeout": "soon"}},
+    ],
+)
+def test_malformed_entries_fail_at_load(entry):
+    data = {"name": "j", "original_source": ORIGINAL, "transformed_source": TRANSFORMED_EQ}
+    with pytest.raises(ValueError):
+        VerificationJob.from_dict({**data, **entry})
 
 
 def test_job_is_picklable():

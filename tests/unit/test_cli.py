@@ -1,5 +1,6 @@
 """Unit tests for the command-line driver."""
 
+import json
 import os
 import subprocess
 import sys
@@ -93,6 +94,23 @@ class TestMain:
         assert status == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "entry", [{"options": "basic"}, {"timeout": "soon"}], ids=["options-str", "timeout-str"]
+    )
+    def test_malformed_job_file_entry_is_a_usage_error(self, tmp_path, capsys, entry):
+        """A wrong-typed job entry fails at load time with its position named,
+        not as a traceback or as an ERROR row once the batch runs."""
+        source = "f(int a[], int b[])\n{\n    b[0] = a[0];\n}\n"
+        job_file = tmp_path / "jobs.json"
+        job_file.write_text(
+            json.dumps([{"original_source": source, "transformed_source": source, **entry}])
+        )
+        status = main(["batch", "--jobs", str(job_file), "--no-cache", "--report", "-", "--quiet"])
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: job #0 in {str(job_file)!r} is malformed: ")
         assert "Traceback" not in err
 
     def test_frontend_error_after_parsing_is_a_usage_error(self, tmp_path, capsys):
