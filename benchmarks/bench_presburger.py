@@ -209,10 +209,7 @@ def time_warm_start(persist_dir: str | None = None):
     """
     if persist_dir is None:
         persist_dir = tempfile.mkdtemp(prefix="repro-warmstart-")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
-    env.pop("REPRO_OPCACHE_PERSIST_DIR", None)
-    env.pop("REPRO_OPCACHE_DISABLE", None)
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
 
     def run_child() -> float:
         proc = subprocess.run(

@@ -79,10 +79,12 @@ import argparse
 import sys
 from typing import List, Optional, Sequence, TextIO
 
+from . import telemetry
 from .addg import addg_to_dot
 from .checker import default_registry
 from .lang import LangError, parse_program
 from .verifier import CheckObserver, CheckOptions, Verifier
+from .verifier.options import is_budget
 
 __all__ = ["main", "build_arg_parser", "build_cli_parser", "checker_options_from_args"]
 
@@ -95,13 +97,15 @@ _DESCRIPTION = (
 
 
 def _seconds(text: str) -> float:
-    """argparse type of the budget flags: a non-negative number of seconds."""
+    """argparse type of the budget flags: the one budget rule (:func:`is_budget`)."""
     try:
-        if float(text) >= 0:
+        if is_budget(float(text)):
             return float(text)
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"expected a non-negative number of seconds, got {text!r}")
+    raise argparse.ArgumentTypeError(
+        f"expected a finite, non-negative number of seconds, got {text!r}"
+    )
 
 
 def _add_checker_option_arguments(parser: argparse.ArgumentParser) -> None:
@@ -680,7 +684,6 @@ def checker_options_from_args(args: argparse.Namespace) -> CheckOptions:
         timeout=getattr(args, "timeout", None),
         backend=getattr(args, "backend", "omega"),
         smt_solver=getattr(args, "smt_solver", None),
-        persist_dir=getattr(args, "persist_dir", None),
     )
 
 
@@ -743,6 +746,32 @@ def _print_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
+def _warn_ignored(flags, context: str, reason: str) -> None:
+    """Say out loud which of the given ``(flag, given)`` pairs *context* ignores."""
+    ignored = [flag for flag, given in flags if given]
+    if ignored:
+        print(f"warning: {', '.join(ignored)} ignored with {context} ({reason})", file=sys.stderr)
+
+
+def _print_result(args: argparse.Namespace, result) -> int:
+    """Render a ``check`` verdict (in-process and ``--server`` alike); the exit code."""
+    if args.json:
+        _print_json(result.to_dict())
+    elif args.quiet:
+        print("Equivalent" if result.equivalent else "Not equivalent")
+    else:
+        print(result.summary())
+    return 0 if result.equivalent else 1
+
+
+def _ingest_server_spans(outcome) -> None:
+    """Fold a server result's spans into the client tracer, then drop the
+    transient payload so reports stay lean."""
+    if outcome.telemetry:
+        telemetry.ingest_spans(outcome.telemetry.get("spans") or ())
+        outcome.telemetry = None
+
+
 def _check_on_server(args: argparse.Namespace, original_source: str, transformed_source: str) -> int:
     """The `check --server` path: ship the pair to a daemon, render as usual."""
     from .server import ServerClient, ServerError
@@ -751,8 +780,11 @@ def _check_on_server(args: argparse.Namespace, original_source: str, transformed
     if args.dump_addg:
         print("error: --dump-addg is not available with --server", file=sys.stderr)
         return 2
-    from . import telemetry
-
+    _warn_ignored(
+        [("--persist-dir", args.persist_dir is not None)],
+        "--server",
+        "the daemon's own pool and cache apply",
+    )
     job = VerificationJob(
         name=args.original,
         original_source=original_source,
@@ -763,31 +795,23 @@ def _check_on_server(args: argparse.Namespace, original_source: str, transformed
     # ask the daemon for its spans too and merge them into our timeline: the
     # exported trace then shows client wait and server work side by side,
     # keyed by pid.
-    want_trace = telemetry.TRACER.enabled
     try:
         with ServerClient(args.server) as client:
             with telemetry.TRACER.span("client.request", "server", server=args.server):
-                outcome = client.check_job(job, timeout=args.timeout, trace=want_trace)
+                outcome = client.check_job(
+                    job, timeout=args.timeout, trace=telemetry.TRACER.enabled
+                )
     except (ServerError, ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    if want_trace and getattr(outcome, "telemetry", None):
-        telemetry.ingest_spans(outcome.telemetry.get("spans") or ())
-        outcome.telemetry = None
+    _ingest_server_spans(outcome)
     if outcome.status != JobStatus.OK or outcome.result is None:
         print(
             f"error: server check {outcome.status}: {outcome.error or 'no result'}",
             file=sys.stderr,
         )
         return 2
-    result = outcome.result
-    if args.json:
-        _print_json(result.to_dict())
-    elif args.quiet:
-        print("Equivalent" if result.equivalent else "Not equivalent")
-    else:
-        print(result.summary())
-    return 0 if result.equivalent else 1
+    return _print_result(args, outcome.result)
 
 
 def _run_check(args: argparse.Namespace) -> int:
@@ -827,14 +851,7 @@ def _run_check(args: argparse.Namespace) -> int:
     except LangError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-
-    if args.json:
-        _print_json(result.to_dict())
-    elif args.quiet:
-        print("Equivalent" if result.equivalent else "Not equivalent")
-    else:
-        print(result.summary())
-    return 0 if result.equivalent else 1
+    return _print_result(args, result)
 
 
 def _run_diagnose(args: argparse.Namespace) -> int:
@@ -864,51 +881,104 @@ def _run_diagnose(args: argparse.Namespace) -> int:
     return 0 if report.equivalent else 1
 
 
-def _open_report(path: Optional[str]):
-    """Open the streaming JSONL report for writing, before any job runs.
+#: The daemon counters a ``batch --server`` summary row carries.
+_SERVER_SUMMARY_KEYS = (
+    "requests",
+    "checks_executed",
+    "cache_hits",
+    "cache_hit_rate",
+    "dedup_hits",
+    "timeouts",
+    "errors",
+)
 
-    An unwritable path must fail fast, not after minutes of checking with
-    every verdict lost.  Returns ``(handle, exit_code)``: ``handle`` is
-    ``None`` for no report (path empty or ``"-"``) and ``exit_code`` is ``2``
-    when the open failed (an error was printed).
+
+def _run_jobs(args: argparse.Namespace, jobs, format_line, cache_dir=None, on_row=None):
+    """Run *jobs* and report them: the one runner of ``batch`` and ``fuzz``.
+
+    * The JSONL report (``args.report``; ``-`` for none) opens before any
+      job runs, so an unwritable path fails fast instead of after minutes
+      of checking with every verdict lost.
+    * The jobs run through a local :class:`~repro.service.BatchExecutor`
+      (``args.workers``, ``args.timeout``, a verdict cache under
+      *cache_dir* unless it is ``None``) or, with ``args.server``, over one
+      connection to a daemon, whose spans join the client trace.
+    * Each finished job passes the optional *on_row* hook, then streams as
+      a report row (a killed run still leaves every finished verdict
+      readable) and, unless ``args.quiet``, as ``format_line(outcome)``.
+    * The summary row closes the report and the summary is printed.
+
+    Returns ``(results, summary)`` for the subcommand's exit rule, or
+    ``None`` after printing an error (the caller exits 2).
     """
-    if not path or path == "-":
-        return None, None
-    try:
-        return open(path, "w", encoding="utf-8"), None
-    except OSError as error:
-        print(f"error: cannot write report: {error}", file=sys.stderr)
-        return None, 2
+    from .service import aggregate_results, format_summary, write_result_row, write_summary_row
 
+    report = None
+    if args.report and args.report != "-":
+        try:
+            report = open(args.report, "w", encoding="utf-8")
+        except OSError as error:
+            print(f"error: cannot write report: {error}", file=sys.stderr)
+            return None
 
-def _make_progress(report_handle, quiet: bool, format_line):
-    """The per-job progress callback both batch-style subcommands share.
-
-    Rows are streamed to the report as jobs complete, so a killed batch
-    still leaves every finished verdict readable; ``format_line(outcome)``
-    renders the subcommand's human-readable line.
-    """
-    from .service import write_result_row
-
-    def progress(outcome):
-        if report_handle is not None:
-            write_result_row(report_handle, outcome)
-        if not quiet:
+    def progress(outcome) -> None:
+        _ingest_server_spans(outcome)
+        if on_row is not None:
+            on_row(outcome)
+        if report is not None:
+            write_result_row(report, outcome)
+        if not args.quiet:
             print(format_line(outcome))
 
-    return progress
+    server = getattr(args, "server", None)
+    if server:
+        from .server import ServerClient, ServerError
 
+        try:
+            with ServerClient(server) as client:
+                with telemetry.TRACER.span("client.batch", "server", server=server, jobs=len(jobs)):
+                    results = client.run_jobs(
+                        jobs,
+                        timeout=args.timeout,
+                        progress=progress,
+                        trace=telemetry.TRACER.enabled,
+                    )
+                server_stats = client.stats()
+        except (ServerError, ValueError, OSError) as error:
+            print(f"error: server batch failed: {error}", file=sys.stderr)
+            if report is not None:
+                report.close()
+            return None
+        summary = aggregate_results(results)
+        summary["server"] = {key: server_stats.get(key) for key in _SERVER_SUMMARY_KEYS}
+    else:
+        from .presburger import opcache
+        from .service import BatchExecutor, ResultCache
 
-def _finish_report(report_handle, summary, path: Optional[str], quiet: bool) -> None:
-    """Append the summary row, close the report, and say where it went."""
-    from .service import write_summary_row
+        cache = None if cache_dir is None else ResultCache(cache_dir)
+        executor = BatchExecutor(cache=cache, workers=args.workers, timeout=args.timeout)
+        opcache_before = opcache.snapshot()
+        results = executor.run(jobs, progress=progress)
+        # Pool workers keep their own opcaches; only a serial run's delta is
+        # this run's Presburger work.
+        opcache_delta = opcache.stats().delta(opcache_before) if args.workers <= 1 else None
+        summary = aggregate_results(
+            results, cache.stats if cache is not None else None, opcache_stats=opcache_delta
+        )
 
-    if report_handle is None:
-        return
-    with report_handle:
-        write_summary_row(report_handle, summary)
-    if not quiet:
-        print(f"report written to {path}")
+    if report is not None:
+        with report:
+            write_summary_row(report, summary)
+        if not args.quiet:
+            print(f"report written to {args.report}")
+    print(format_summary(summary))
+    if server and not args.quiet:
+        print(
+            f"server: {server_stats.get('checks_executed', 0)} executed, "
+            f"{server_stats.get('cache_hits', 0)} verdict-cache hits, "
+            f"{server_stats.get('dedup_hits', 0)} dedup hits"
+        )
+    return results, summary
 
 
 def _batch_format_line(outcome) -> str:
@@ -943,121 +1013,29 @@ def _batch_exit_code(results, summary) -> int:
     return 0 if ok and no_mismatch and not unexpected_nonequivalent else 1
 
 
-def _run_batch_on_server(args: argparse.Namespace, jobs) -> int:
-    """The `batch --server` path: pipeline the jobs over one daemon connection."""
-    from .server import ServerClient, ServerError
-    from .service import aggregate_results, format_summary
-
-    ignored = [
-        flag
-        for flag, given in (
-            ("--workers", args.workers != 1),
-            ("--cache-dir", args.cache_dir != ".eqcheck_cache"),
-            ("--no-cache", args.no_cache),
-        )
-        if given
-    ]
-    if ignored:
-        print(
-            f"warning: {', '.join(ignored)} ignored with --server "
-            "(the daemon's own pool and cache apply)",
-            file=sys.stderr,
-        )
-
-    report_handle, error_code = _open_report(args.report)
-    if error_code is not None:
-        return error_code
-
-    from . import telemetry
-
-    want_trace = telemetry.TRACER.enabled
-    base_progress = _make_progress(report_handle, args.quiet, _batch_format_line)
-
-    def progress(outcome) -> None:
-        # Fold each job's server-side spans into the client tracer as results
-        # stream in, then drop the transient payload so reports stay lean.
-        if want_trace and getattr(outcome, "telemetry", None):
-            telemetry.ingest_spans(outcome.telemetry.get("spans") or ())
-            outcome.telemetry = None
-        base_progress(outcome)
-
-    try:
-        with ServerClient(args.server) as client:
-            with telemetry.TRACER.span(
-                "client.batch", "server", server=args.server, jobs=len(jobs)
-            ):
-                results = client.run_jobs(
-                    jobs,
-                    timeout=args.timeout,
-                    progress=progress,
-                    trace=want_trace,
-                )
-            server_stats = client.stats()
-    except (ServerError, ValueError, OSError) as error:
-        print(f"error: server batch failed: {error}", file=sys.stderr)
-        if report_handle is not None:
-            report_handle.close()
-        return 2
-
-    summary = aggregate_results(results)
-    summary["server"] = {
-        key: server_stats.get(key)
-        for key in (
-            "requests",
-            "checks_executed",
-            "cache_hits",
-            "cache_hit_rate",
-            "dedup_hits",
-            "timeouts",
-            "errors",
-        )
-    }
-    _finish_report(report_handle, summary, args.report, args.quiet)
-    print(format_summary(summary))
-    if not args.quiet:
-        print(
-            f"server: {server_stats.get('checks_executed', 0)} executed, "
-            f"{server_stats.get('cache_hits', 0)} verdict-cache hits, "
-            f"{server_stats.get('dedup_hits', 0)} dedup hits"
-        )
-    return _batch_exit_code(results, summary)
-
-
 def _run_batch(args: argparse.Namespace) -> int:
     # Imported lazily so `check` keeps working even if the service layer is
     # unavailable (e.g. a trimmed install).
-    from .service import (
-        BatchExecutor,
-        CorpusSpec,
-        ResultCache,
-        aggregate_results,
-        build_corpus,
-        format_summary,
-        jobs_from_file,
-    )
+    from .service import CorpusSpec, build_corpus, jobs_from_file
 
     if args.jobs:
         # The job file is authoritative for job-level options; the shared
         # checker flags only parameterise the built-in corpus.  Say so out
         # loud instead of silently ignoring flags the user passed.
-        ignored = [
-            flag
-            for flag, given in (
+        _warn_ignored(
+            [
                 ("--method", args.method != "extended"),
                 ("--output", bool(args.output)),
                 ("--correspond", bool(args.correspond)),
                 ("--declare-op", bool(args.declare_op)),
                 ("--no-tabling", args.no_tabling),
                 ("--no-preconditions", args.no_preconditions),
-            )
-            if given
-        ]
-        if ignored:
-            print(
-                f"warning: {', '.join(ignored)} ignored with --jobs "
-                "(each job's own options apply)",
-                file=sys.stderr,
-            )
+                ("--backend", args.backend != "omega"),
+                ("--smt-solver", args.smt_solver is not None),
+            ],
+            "--jobs",
+            "each job's own options apply",
+        )
         try:
             jobs = jobs_from_file(args.jobs)
         except (OSError, ValueError) as error:
@@ -1086,39 +1064,51 @@ def _run_batch(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.server:
+        _warn_ignored(
+            [
+                ("--workers", args.workers != 1),
+                ("--cache-dir", args.cache_dir != ".eqcheck_cache"),
+                ("--no-cache", args.no_cache),
+                ("--persist-dir", args.persist_dir is not None),
+            ],
+            "--server",
+            "the daemon's own pool and cache apply",
+        )
 
-    if getattr(args, "server", None):
-        return _run_batch_on_server(args, jobs)
-
-    report_handle, error_code = _open_report(args.report)
-    if error_code is not None:
-        return error_code
-
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    executor = BatchExecutor(
-        cache=cache,
-        workers=args.workers,
-        timeout=args.timeout,
-        persist_dir=getattr(args, "persist_dir", None),
+    ran = _run_jobs(
+        args, jobs, _batch_format_line, cache_dir=None if args.no_cache else args.cache_dir
     )
+    return 2 if ran is None else _batch_exit_code(*ran)
 
-    from .presburger import opcache
 
-    opcache_before = opcache.cache().stats.copy()
-    results = executor.run(
-        jobs, progress=_make_progress(report_handle, args.quiet, _batch_format_line)
-    )
-    cache_stats = cache.stats if cache is not None else None
-    opcache_delta = opcache.cache().stats.delta(opcache_before) if args.workers <= 1 else None
-    summary = aggregate_results(results, cache_stats, opcache_stats=opcache_delta)
-    _finish_report(report_handle, summary, args.report, args.quiet)
-    print(format_summary(summary))
-    return _batch_exit_code(results, summary)
+def _fuzz_format_line(outcome) -> str:
+    """The per-pair progress line of ``fuzz``: verdict, expectation and oracle."""
+    from .service import JobStatus
+
+    if outcome.status != JobStatus.OK:
+        verdict = outcome.status.upper()
+    elif outcome.equivalent:
+        verdict = "equivalent"
+    else:
+        verdict = "not equivalent"
+    expected = outcome.metadata.get("expected_label", "?")
+    oracle = (outcome.metadata.get("oracle") or {}).get("label", "?")
+    flag = ""
+    if outcome.status == JobStatus.OK and outcome.equivalent is not None:
+        if outcome.equivalent and oracle == "NOT_EQUIVALENT":
+            flag = "  << SOUNDNESS ERROR"
+        elif outcome.matches_expectation is False:
+            flag = "  << UNEXPECTED"
+    failure = outcome.metadata.get("failure_report")
+    if failure is not None:
+        flag += "  [witness confirmed]" if failure.get("confirmed") else "  [witness UNCONFIRMED]"
+    return f"  {outcome.name:<22} {verdict:<16} expected {expected:<14} oracle {oracle}{flag}"
 
 
 def _run_fuzz(args: argparse.Namespace) -> int:
     from .scenarios import ScenarioSpec, build_scenarios, scenario_jobs, write_corpus
-    from .service import BatchExecutor, JobStatus, aggregate_results, format_summary
+    from .service import JobStatus
 
     if args.smoke:
         # A fixed small corpus for CI: big enough to exercise every probe
@@ -1160,38 +1150,8 @@ def _run_fuzz(args: argparse.Namespace) -> int:
 
     jobs = scenario_jobs(pairs, options=checker_options_from_args(args))
 
-    report_handle, error_code = _open_report(args.report)
-    if error_code is not None:
-        return error_code
-
-    # No verdict cache: a fuzz run must actually exercise the checker, and
-    # seeded corpora change wholesale with the seed anyway.
-    executor = BatchExecutor(cache=None, workers=args.workers, timeout=args.timeout)
-
-    def format_line(outcome):
-        if outcome.status != JobStatus.OK:
-            verdict = outcome.status.upper()
-        elif outcome.equivalent:
-            verdict = "equivalent"
-        else:
-            verdict = "not equivalent"
-        expected = outcome.metadata.get("expected_label", "?")
-        oracle = (outcome.metadata.get("oracle") or {}).get("label", "?")
-        flag = ""
-        if outcome.status == JobStatus.OK and outcome.equivalent is not None:
-            if outcome.equivalent and oracle == "NOT_EQUIVALENT":
-                flag = "  << SOUNDNESS ERROR"
-            elif outcome.matches_expectation is False:
-                flag = "  << UNEXPECTED"
-        failure = outcome.metadata.get("failure_report")
-        if failure is not None:
-            flag += "  [witness confirmed]" if failure.get("confirmed") else "  [witness UNCONFIRMED]"
-        return f"  {outcome.name:<22} {verdict:<16} expected {expected:<14} oracle {oracle}{flag}"
-
-    base_progress = _make_progress(report_handle, args.quiet, format_line)
-    if args.no_diagnose:
-        progress = base_progress
-    else:
+    diagnose = None
+    if not args.no_diagnose:
         # Diagnose every non-equivalent verdict before its row is streamed,
         # so the JSONL report carries the failure_report blocks and the
         # summary can gate on checker-witness vs oracle-witness agreement.
@@ -1203,34 +1163,29 @@ def _run_fuzz(args: argparse.Namespace) -> int:
         # duplicates) reuse the compiled frontend artifacts across diagnoses.
         diagnosis_session = Verifier()
 
-        def progress(outcome):
+        def diagnose(outcome) -> None:
             # In-batch duplicates share the leader's verdict; share its
             # diagnosis too instead of re-running replay + bisection.
             cached = reports_by_fingerprint.get(outcome.fingerprint)
             if cached is not None:
                 outcome.metadata["failure_report"] = cached
-            else:
-                report = attach_failure_report(
-                    outcome,
-                    jobs_by_name.get(outcome.name),
-                    trials=args.oracle_trials,
-                    base_seed=args.seed,
-                    verifier=diagnosis_session,
-                )
-                if report is not None and outcome.fingerprint:
-                    reports_by_fingerprint[outcome.fingerprint] = outcome.metadata[
-                        "failure_report"
-                    ]
-            base_progress(outcome)
+                return
+            report = attach_failure_report(
+                outcome,
+                jobs_by_name.get(outcome.name),
+                trials=args.oracle_trials,
+                base_seed=args.seed,
+                verifier=diagnosis_session,
+            )
+            if report is not None and outcome.fingerprint:
+                reports_by_fingerprint[outcome.fingerprint] = outcome.metadata["failure_report"]
 
-    from .presburger import opcache
-
-    opcache_before = opcache.cache().stats.copy()
-    results = executor.run(jobs, progress=progress)
-    opcache_delta = opcache.cache().stats.delta(opcache_before) if args.workers <= 1 else None
-    summary = aggregate_results(results, opcache_stats=opcache_delta)
-    _finish_report(report_handle, summary, args.report, args.quiet)
-    print(format_summary(summary))
+    # No verdict cache: a fuzz run must actually exercise the checker, and
+    # seeded corpora change wholesale with the seed anyway.
+    ran = _run_jobs(args, jobs, _fuzz_format_line, on_row=diagnose)
+    if ran is None:
+        return 2
+    results, summary = ran
 
     scenarios = summary.get("scenarios") or {}
     ok = all(outcome.status == JobStatus.OK for outcome in results)
@@ -1364,7 +1319,6 @@ def _run_with_telemetry(args: argparse.Namespace, runner) -> int:
     if not trace_path and not metrics_path:
         return runner(args)
 
-    from . import telemetry
     from .presburger import opcache
 
     telemetry.reset()
@@ -1401,6 +1355,26 @@ def _run_with_telemetry(args: argparse.Namespace, runner) -> int:
         telemetry.reset()
 
 
+def _run_with_persistence(args: argparse.Namespace, runner) -> int:
+    """Run a checking subcommand with the persistent opcache it asked for.
+
+    Where the Presburger operation cache keeps its work is process state,
+    not an option of any one check: ``--persist-dir`` attaches the store
+    here, once, for the whole run (batch pool workers re-attach the same
+    store), and detaches it afterwards.  With ``--server`` the daemon's own
+    store applies and the flag is ignored (with a warning).
+    """
+    if not args.persist_dir or getattr(args, "server", None):
+        return _run_with_telemetry(args, runner)
+    from .presburger import opcache
+
+    opcache.attach_persistent(args.persist_dir)
+    try:
+        return _run_with_telemetry(args, runner)
+    finally:
+        opcache.detach_persistent()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(argv) if argv is not None else sys.argv[1:]
     # Bare --help (and an empty command line) go to the subcommand parser so
@@ -1408,19 +1382,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # subcommand is the legacy spelling `repro-eqcheck original.c transformed.c`.
     if not argv or argv[0] in _SUBCOMMANDS or argv[0] in ("-h", "--help"):
         args = build_cli_parser().parse_args(argv)
-        if args.command == "batch":
-            return _run_with_telemetry(args, _run_batch)
-        if args.command == "fuzz":
-            return _run_with_telemetry(args, _run_fuzz)
-        if args.command == "diagnose":
-            return _run_with_telemetry(args, _run_diagnose)
         if args.command == "serve":
             return _run_serve(args)
         if args.command == "stats":
             return _run_stats(args)
-        return _run_with_telemetry(args, _run_check)
-    args = build_arg_parser().parse_args(argv)
-    return _run_with_telemetry(args, _run_check)
+        runner = {"batch": _run_batch, "fuzz": _run_fuzz, "diagnose": _run_diagnose}.get(
+            args.command, _run_check
+        )
+    else:
+        args = build_arg_parser().parse_args(argv)
+        runner = _run_check
+    return _run_with_persistence(args, runner)
 
 
 if __name__ == "__main__":

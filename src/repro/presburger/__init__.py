@@ -9,8 +9,8 @@ of dependence relations.
 The heavy operations (composition, inversion, intersection, subtraction,
 feasibility, transitive closure) are transparently memoized over hash-consed
 operands by :mod:`repro.presburger.opcache`; see ``docs/presburger.md`` for
-the layering and the tuning knobs (``REPRO_OPCACHE_SIZE``,
-``REPRO_OPCACHE_DISABLE``).
+the layering and the tuning knobs (``opcache.configure(maxsize=…)``,
+``opcache.disabled()``).
 
 Quick tour
 ----------

@@ -16,40 +16,33 @@ the integer set/relation operations themselves:
 * a bounded, instrumented **operation cache** (LRU) that memoizes the
   results of the relation-algebra operations, keyed on the interned operands.
 
-Both layers are per-process, purely an optimization, and can be disabled
-(see :func:`configure` and the ``REPRO_OPCACHE_DISABLE`` environment
-variable) — results are bit-for-bit identical either way, which the unit
-tests in ``tests/unit/presburger/test_opcache.py`` assert property-style.
+Both layers are per-process, purely an optimization, and can be switched
+off with :func:`disabled` — results are bit-for-bit identical either way,
+which the unit tests in ``tests/unit/presburger/test_opcache.py`` assert
+property-style.
 
 Public knobs
 ------------
 
-``REPRO_OPCACHE_SIZE`` (environment variable)
-    Maximum number of memoized operation results (default ``8192``).  Each
-    entry holds small tuples of Python ints; a few thousand entries cost a
-    few MB.  Read once at import time; :func:`configure` overrides it.
-
-``REPRO_OPCACHE_DISABLE`` (environment variable)
-    Any non-empty value other than ``0``/``false``/``no`` disables both the
-    operation cache and the intern hit accounting at import time.
-
-``REPRO_OPCACHE_PERSIST_DIR`` (environment variable)
-    A directory for the disk-backed second tier (see
-    :mod:`repro.presburger.persist`): in-memory misses consult
-    ``<dir>/opcache.sqlite`` before recomputing, fresh results are written
-    through, and decoded conjuncts repopulate the intern pools — so warm
-    state survives processes and is shared by executor workers and the
-    server pool.  Unset (the default) means memory-only, exactly as before.
-    :func:`attach_persistent` / :func:`detach_persistent` control it at
-    runtime; ``CheckOptions.persist_dir`` and the ``--persist-dir`` CLI
-    flags export it.
-
 :func:`configure`
-    Programmatic runtime control over size and enablement.
+    ``maxsize``: the maximum number of memoized operation results (default
+    ``8192``).  Each entry holds small tuples of Python ints; a few thousand
+    entries cost a few MB.
 
 :func:`disabled`
-    Context manager that switches the cache off for a code block (used by
-    the ablation benchmarks).
+    Context manager that switches memoization and interning off for a code
+    block (the one off switch; used by the ablation benchmarks and the
+    cache-invariance tests).
+
+:func:`attach_persistent` / :func:`detach_persistent`
+    A disk-backed second tier (see :mod:`repro.presburger.persist`):
+    in-memory misses consult ``<dir>/opcache.sqlite`` before recomputing,
+    fresh results are written through, and decoded conjuncts repopulate the
+    intern pools — so warm state survives processes and is shared by
+    executor workers and the server pool.  Nothing is attached by default
+    (memory-only); the process that owns the run attaches it once — the CLI
+    and the daemon from their ``--persist-dir`` — and batch pool workers
+    re-attach the parent's store.
 
 :func:`stats` / :func:`snapshot` / :func:`reset`
     Instrumentation: cumulative counters, cheap copies of them for
@@ -59,7 +52,6 @@ Public knobs
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -89,20 +81,6 @@ __all__ = [
 
 DEFAULT_SIZE = 8192
 _INTERN_POOL_SIZE = 16384
-
-
-def _env_size() -> int:
-    raw = os.environ.get("REPRO_OPCACHE_SIZE", "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return DEFAULT_SIZE
-    return value if value > 0 else DEFAULT_SIZE
-
-
-def _env_disabled() -> bool:
-    raw = os.environ.get("REPRO_OPCACHE_DISABLE", "").strip().lower()
-    return raw not in ("", "0", "false", "no")
 
 
 @dataclass
@@ -231,9 +209,9 @@ class OpCache:
     so returning the cached object itself — rather than a copy — is safe.
     """
 
-    def __init__(self, maxsize: int = DEFAULT_SIZE, enabled: bool = True):
+    def __init__(self, maxsize: int = DEFAULT_SIZE):
         self.maxsize = maxsize
-        self.enabled = enabled
+        self.enabled = True
         self.stats = OpCacheStats()
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._conjuncts = _InternPool()
@@ -339,7 +317,7 @@ class OpCache:
         self._vectors.clear()
 
 
-_CACHE = OpCache(maxsize=_env_size(), enabled=not _env_disabled())
+_CACHE = OpCache()
 
 
 def cache() -> OpCache:
@@ -390,24 +368,12 @@ def reattach_persistent() -> None:
         _CACHE._persist = store.reopened()
 
 
-def _attach_from_env() -> None:
-    path = os.environ.get("REPRO_OPCACHE_PERSIST_DIR", "").strip()
-    if path:
-        try:
-            attach_persistent(path)
-        except Exception:
-            _CACHE._persist = None  # never let a bad cache dir break imports
-
-
-_attach_from_env()
-
-
 def is_enabled() -> bool:
     """Whether memoization and interning are currently active."""
     return _CACHE.enabled
 
 
-def configure(maxsize: int | None = None, enabled: bool | None = None) -> OpCache:
+def configure(maxsize: int | None = None) -> OpCache:
     """Adjust the process-wide cache at runtime.
 
     Parameters
@@ -415,10 +381,6 @@ def configure(maxsize: int | None = None, enabled: bool | None = None) -> OpCach
     maxsize:
         New bound on the number of memoized results.  Shrinking below the
         current population evicts oldest entries immediately.
-    enabled:
-        ``False`` switches both memoization and interning off (operations
-        recompute from scratch); ``True`` switches them back on.  The stored
-        entries are kept either way so re-enabling resumes warm.
     """
     if maxsize is not None:
         if maxsize <= 0:
@@ -427,8 +389,6 @@ def configure(maxsize: int | None = None, enabled: bool | None = None) -> OpCach
         while len(_CACHE._entries) > maxsize:
             _CACHE._entries.popitem(last=False)
             _CACHE.stats.evictions += 1
-    if enabled is not None:
-        _CACHE.enabled = bool(enabled)
     return _CACHE
 
 
@@ -436,8 +396,9 @@ def configure(maxsize: int | None = None, enabled: bool | None = None) -> OpCach
 def disabled() -> Iterator[None]:
     """Context manager: run a block with memoization and interning off.
 
-    Used by the ablation benchmarks and the property tests that assert
-    cached and uncached results agree.
+    The one off switch.  Stored entries are kept, so the cache resumes warm
+    when the block exits.  Used by the ablation benchmarks and the property
+    tests that assert cached and uncached results agree.
     """
     previous = _CACHE.enabled
     _CACHE.enabled = False

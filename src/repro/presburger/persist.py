@@ -38,9 +38,9 @@ conjuncts, sets, maps) rather than raw pickle so that decoding rebuilds
 The file is a cache the process itself wrote — it is trusted the same way
 the in-memory cache is.
 
-Selection: set ``REPRO_OPCACHE_PERSIST_DIR`` (or ``CheckOptions.persist_dir``
-/ the ``--persist-dir`` CLI flag, which export it) to a directory; the store
-lives in ``<dir>/opcache.sqlite``.
+Selection: :func:`repro.presburger.opcache.attach_persistent` with a
+directory (the CLI's and the daemon's ``--persist-dir`` call it once per
+process); the store lives in ``<dir>/opcache.sqlite``.
 """
 
 from __future__ import annotations

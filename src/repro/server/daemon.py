@@ -42,6 +42,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..presburger import opcache
 from ..service.cache import ResultCache
 from ..service.fingerprint import job_fingerprint
 from ..service.job import VerificationJob
@@ -55,6 +56,7 @@ from ..telemetry import (
     render_server_snapshot,
 )
 from ..telemetry.prom import CONTENT_TYPE as _PROM_CONTENT_TYPE
+from ..verifier.options import is_budget
 from . import protocol
 from .pool import JobDispatcher, WarmVerifierPool
 
@@ -82,8 +84,8 @@ class ServerConfig:
     # (see WarmVerifierPool.prepare_job); None honours each job's options.
     backend: Optional[str] = None
     smt_solver: Optional[str] = None
-    # Directory of the persistent Presburger op-cache shared by the pool's
-    # worker threads (None: in-memory warm state only).
+    # Directory of the persistent Presburger op-cache, attached once by the
+    # daemon and shared by the pool's worker threads (None: in-memory only).
     persist_dir: Optional[str] = None
     # Observability (docs/observability.md, "Operating the server"): the
     # structured JSONL request log and the bounded slow-request capture.
@@ -116,6 +118,8 @@ class VerificationServer:
 
     def __init__(self, config: Optional[ServerConfig] = None, pool: Optional[WarmVerifierPool] = None):
         self.config = config or ServerConfig()
+        if self.config.persist_dir:
+            opcache.attach_persistent(self.config.persist_dir)
         self.pool = pool or WarmVerifierPool(
             workers=self.config.workers,
             cache=self.config.build_cache(),
@@ -123,7 +127,6 @@ class VerificationServer:
             default_timeout=self.config.default_timeout,
             backend=self.config.backend,
             smt_solver=self.config.smt_solver,
-            persist_dir=self.config.persist_dir,
         )
         self.dispatcher = JobDispatcher(self.pool)
         self.addresses: List[str] = []
@@ -467,19 +470,17 @@ class VerificationServer:
                 protocol.ERROR_INVALID_REQUEST, f"malformed job: {type(error).__name__}: {error}"
             ) from None
         timeout = params.get("timeout")
-        if timeout is not None and (
-            isinstance(timeout, bool) or not isinstance(timeout, (int, float)) or not timeout >= 0
-        ):
+        if not is_budget(timeout):
             raise protocol.ProtocolError(
-                protocol.ERROR_INVALID_REQUEST, "'timeout' must be a non-negative number of seconds"
+                protocol.ERROR_INVALID_REQUEST,
+                "'timeout' must be a finite, non-negative number of seconds",
             )
         trace_requested = bool(params.get("trace"))
         # Settle the job's options once — backend default, the budget capped
-        # by --max-timeout, no request-chosen persist_dir — and fingerprint
-        # once, on the event loop: the accepted log event, the dispatcher's
-        # dedup key and the pool's cache front all reuse both (hashing two
-        # whole programs costs ~1 ms — recomputing it per layer was the bulk
-        # of the observability overhead).
+        # by --max-timeout — and fingerprint once, on the event loop: the
+        # accepted log event, the dispatcher's dedup key and the pool's cache
+        # front all reuse both (hashing two whole programs costs ~1 ms —
+        # recomputing it per layer was the bulk of the observability overhead).
         job = self.pool.prepare_job(job, timeout, cap=self.config.max_timeout)
         fingerprint = job_fingerprint(job)
         if self.request_log is not None and self.request_log.enabled_for("debug"):

@@ -197,12 +197,10 @@ class WarmVerifierPool:
         Bound of the shared :class:`CompiledStore`.
     default_timeout:
         Wall-clock budget applied to jobs that carry none of their own.
-    persist_dir:
-        Directory of the persistent Presburger op-cache
-        (:mod:`repro.presburger.persist`).  All worker threads share the
-        process-wide opcache, so one attach here warms every thread — and
-        a daemon restart starts warm from disk instead of re-deriving the
-        relation algebra cold.
+
+    All worker threads share the process-wide Presburger op-cache, including
+    the persistent tier the daemon attaches, so one warm store serves every
+    thread.
     """
 
     def __init__(
@@ -213,7 +211,6 @@ class WarmVerifierPool:
         default_timeout: Optional[float] = None,
         backend: Optional[str] = None,
         smt_solver: Optional[str] = None,
-        persist_dir: Optional[str] = None,
     ):
         self.workers = max(1, int(workers))
         self.cache = cache
@@ -221,9 +218,6 @@ class WarmVerifierPool:
         self.default_timeout = default_timeout
         self.backend = backend
         self.smt_solver = smt_solver
-        self.persist_dir = persist_dir
-        if persist_dir:
-            opcache.attach_persistent(persist_dir)
         self.stats = ServerStats()
         self.solver_queries: Dict[str, int] = {}
         self._solver_lock = threading.Lock()
@@ -241,9 +235,6 @@ class WarmVerifierPool:
     ) -> VerificationJob:
         """*job* with the options this daemon actually checks it under.
 
-        * ``persist_dir`` is dropped: only the daemon's own
-          ``--persist-dir`` governs the on-disk opcache, so a request can
-          never re-point it.
         * A ``serve --backend`` override rewrites jobs that carry the default
           (``omega``) backend; a request that explicitly selected another
           backend keeps it.
@@ -259,10 +250,7 @@ class WarmVerifierPool:
         alias cache entries and dedup keys across backends.  Idempotent, so
         both the dispatcher and :meth:`run_job` can call it.
         """
-        changes: Dict[str, Any] = {
-            "persist_dir": None,
-            "timeout": job_budget(job, timeout, self.default_timeout, cap=cap),
-        }
+        changes: Dict[str, Any] = {"timeout": job_budget(job, timeout, self.default_timeout, cap=cap)}
         if self.backend is not None and job.options.backend == "omega":
             changes["backend"] = self.backend
             changes["smt_solver"] = job.options.smt_solver or self.smt_solver

@@ -43,6 +43,7 @@ from typing import Any, Callable, Iterable, List, Optional, Sequence
 
 from ..solvers.base import BackendDisagreement
 from ..telemetry import METRICS as _METRICS, TRACER as _TRACER
+from ..verifier.options import is_budget
 from .cache import ResultCache
 from .fingerprint import job_fingerprint
 from .job import JobResult, JobStatus, VerificationJob
@@ -73,10 +74,15 @@ def call_with_timeout(fn: Callable[[], Any], timeout: Optional[float]):
     calling thread with ``PyThreadState_SetAsyncExc``.  The exception
     surfaces at the next bytecode boundary, which is exactly the granularity
     the pure-Python checker needs, and any number of threads can carry
-    independent budgets concurrently.  ``None`` or a non-positive *timeout*
-    runs *fn* without a budget.
+    independent budgets concurrently.  ``None`` or ``0`` runs *fn* without a
+    budget; a value outside the budget rule (:func:`is_budget`) raises
+    :class:`ValueError` instead of running *fn* unbudgeted.
     """
-    if timeout is None or timeout <= 0:
+    if not is_budget(timeout):
+        raise ValueError(
+            f"timeout must be a finite, non-negative number of seconds, got {timeout!r}"
+        )
+    if not timeout:
         return fn()
     target = threading.get_ident()
     # The lock makes "deliver" and "finish" mutually exclusive: the timer
@@ -199,7 +205,7 @@ def follower_result(job: VerificationJob, outcome: JobResult) -> JobResult:
     )
 
 
-def _worker_init(collect_telemetry: bool, persist_dir: Optional[str] = None) -> None:
+def _worker_init(collect_telemetry: bool, persist_path: Optional[str]) -> None:
     """Pool-worker initializer: start every worker from a clean tracer.
 
     With the ``fork`` start method a worker inherits the parent's record
@@ -207,11 +213,11 @@ def _worker_init(collect_telemetry: bool, persist_dir: Optional[str] = None) -> 
     would duplicate them, so the buffers are cleared — and re-stamped with
     the worker's own pid — before the first job runs.
 
-    The worker also (re-)attaches the persistent op-cache: with ``fork`` the
-    inherited sqlite connection must not be reused, and with ``spawn`` an
-    explicitly configured *persist_dir* is not inherited at all.  Every
-    worker then shares the batch's warm on-disk state through its own
-    connection (WAL keeps concurrent workers safe).
+    The worker also (re-)attaches the persistent op-cache the parent has
+    attached at *persist_path* (``None``: none): with ``fork`` the inherited
+    sqlite connection must not be reused, and with ``spawn`` the store is
+    not inherited at all.  Every worker then shares the batch's warm on-disk
+    state through its own connection (WAL keeps concurrent workers safe).
     """
     _TRACER.clear()
     _METRICS.clear()
@@ -219,8 +225,8 @@ def _worker_init(collect_telemetry: bool, persist_dir: Optional[str] = None) -> 
     _METRICS.enabled = collect_telemetry
     from ..presburger import opcache
 
-    if persist_dir and opcache.persistent_store() is None:
-        opcache.attach_persistent(persist_dir)
+    if persist_path and opcache.persistent_store() is None:
+        opcache.attach_persistent(persist_path)
     else:
         opcache.reattach_persistent()
 
@@ -315,11 +321,9 @@ class BatchExecutor:
     timeout:
         Wall-clock budget in seconds of every job that carries none of its
         own (``None``: unlimited); see :func:`job_budget`.
-    persist_dir:
-        Directory of the shared persistent Presburger op-cache
-        (:mod:`repro.presburger.persist`); attached in this process and in
-        every pool worker, so the whole batch reads and fills one warm
-        store.  ``None`` keeps whatever the process already has attached.
+
+    Pool workers share the persistent Presburger op-cache this process has
+    attached (if any), so the whole batch reads and fills one warm store.
     """
 
     def __init__(
@@ -327,16 +331,10 @@ class BatchExecutor:
         cache: Optional[ResultCache] = None,
         workers: int = 1,
         timeout: Optional[float] = None,
-        persist_dir: Optional[str] = None,
     ):
         self.cache = cache
         self.workers = max(1, int(workers))
         self.timeout = timeout
-        self.persist_dir = persist_dir
-        if persist_dir:
-            from ..presburger import opcache
-
-            opcache.attach_persistent(persist_dir)
         # index of an executing job -> indices of its in-batch duplicates
         # (same fingerprint); rebuilt by every run() call.
         self._followers: dict = {}
@@ -422,11 +420,14 @@ class BatchExecutor:
         results: List[Optional[JobResult]],
         progress: Optional[Callable[[JobResult], None]],
     ) -> None:
+        from ..presburger import opcache
+
         collect = _TRACER.enabled or _METRICS.enabled
+        store = opcache.persistent_store()
         with ProcessPoolExecutor(
             max_workers=self.workers,
             initializer=_worker_init,
-            initargs=(collect, self.persist_dir),
+            initargs=(collect, store.path if store is not None else None),
         ) as pool:
             future_index = {
                 pool.submit(

@@ -92,14 +92,12 @@ class VerificationJob:
         )
 
     def to_dict(self) -> Dict[str, Any]:
-        """The JSON form; ``persist_dir`` stays behind (it belongs to the host)."""
-        options = self.options.to_dict()
-        del options["persist_dir"]
+        """The JSON form; inverse of :meth:`from_dict`."""
         return {
             "name": self.name,
             "original_source": self.original_source,
             "transformed_source": self.transformed_source,
-            "options": options,
+            "options": self.options.to_dict(),
             "expected_equivalent": self.expected_equivalent,
             "metadata": dict(self.metadata),
         }

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterable, Optional, Tuple
 
@@ -67,6 +68,22 @@ def _registry_operators(registry: OperatorRegistry) -> OperatorDecls:
 _DEFAULT_OPERATORS = _registry_operators(default_registry())
 
 
+def is_budget(value: Any) -> bool:
+    """The one rule for a wall-clock budget, wherever one enters the tool.
+
+    ``None`` (no budget) or a finite, non-negative number of seconds the
+    watchdog timer can wait on: at most ``threading.TIMEOUT_MAX``, beyond
+    which the timer thread dies and the check would silently run unbudgeted.
+    ``0`` means unlimited, like ``None``.  The CLI budget flags,
+    :class:`CheckOptions` and the daemon's request ``timeout`` all apply it.
+    """
+    return value is None or (
+        not isinstance(value, bool)
+        and isinstance(value, (int, float))
+        and 0 <= value <= threading.TIMEOUT_MAX
+    )
+
+
 @dataclass(frozen=True)
 class CheckOptions:
     """Everything that can influence the verdict of one equivalence check.
@@ -93,8 +110,8 @@ class CheckOptions:
         Run the def-use / single-assignment prerequisites first.
     timeout:
         Per-check wall-clock budget in seconds, enforced by the batch
-        service's executor: a non-negative number (``0`` or ``None``:
-        unlimited).  The timeout cannot change
+        service's executor: a finite, non-negative number (``0`` or
+        ``None``: unlimited; see :func:`is_budget`).  The timeout cannot change
         a *computed* verdict, so it does not participate in
         :meth:`fingerprint`.
     backend:
@@ -110,13 +127,10 @@ class CheckOptions:
         excluded from :meth:`fingerprint`: any sound SMT-LIB2 solver must
         produce the same verdict, and a solver that doesn't is a bug to
         surface, not a distinct cache universe.
-    persist_dir:
-        Directory for the disk-backed Presburger op-cache
-        (:mod:`repro.presburger.persist`), so warm state survives processes;
-        ``None`` (the default) keeps the cache in-memory only.  Excluded
-        from :meth:`fingerprint` for the same reason as ``timeout``: where
-        cached work is stored cannot change a verdict (the cache-invariance
-        test leg gates exactly that).
+
+    Where the Presburger operation cache keeps its work is not an option of
+    a check: it is process state, attached once by the process that owns the
+    run (see :func:`repro.presburger.opcache.attach_persistent`).
     """
 
     method: str = "extended"
@@ -128,7 +142,6 @@ class CheckOptions:
     timeout: Optional[float] = None
     backend: str = "omega"
     smt_solver: Optional[str] = None
-    persist_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.method not in ("basic", "extended"):
@@ -137,13 +150,10 @@ class CheckOptions:
             raise ValueError(
                 f"unknown backend {self.backend!r} (expected one of {', '.join(BACKEND_NAMES)})"
             )
-        if self.timeout is not None and (
-            isinstance(self.timeout, bool)
-            or not isinstance(self.timeout, (int, float))
-            or not self.timeout >= 0
-        ):
+        if not is_budget(self.timeout):
             raise ValueError(
-                f"timeout must be a non-negative number of seconds or None, got {self.timeout!r}"
+                "timeout must be a finite, non-negative number of seconds or None, "
+                f"got {self.timeout!r}"
             )
         if self.operators is not None:
             canonical = _canonical_operators(self.operators)
@@ -204,11 +214,12 @@ class CheckOptions:
             "timeout": self.timeout,
             "backend": self.backend,
             "smt_solver": self.smt_solver,
-            "persist_dir": self.persist_dir,
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "CheckOptions":
+        """Inverse of :meth:`to_dict`.  Unknown keys are ignored, so option
+        blocks written by older versions keep loading."""
         operators = data.get("operators")
         outputs = data.get("outputs")
         return cls(
@@ -221,7 +232,6 @@ class CheckOptions:
             timeout=data.get("timeout"),
             backend=data.get("backend", "omega"),
             smt_solver=data.get("smt_solver"),
-            persist_dir=data.get("persist_dir"),
         )
 
     def fingerprint(self) -> str:

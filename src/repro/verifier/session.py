@@ -404,25 +404,6 @@ def _addg_if_built(compiled: CompiledProgram) -> Optional[ADDG]:
         return None
 
 
-def _apply_persistence(resolved: CheckOptions) -> None:
-    """Attach the options' persistent op-cache directory, if any.
-
-    Idempotent: a store already attached at the same directory (by an
-    earlier check, the environment variable, or the server/executor setup)
-    is reused.  ``persist_dir=None`` leaves whatever is attached alone —
-    persistence is process-level warm state, not a per-check toggle.
-    """
-    if not resolved.persist_dir:
-        return
-    import os
-
-    from ..presburger import opcache
-
-    store = opcache.persistent_store()
-    if store is None or store.path != os.path.abspath(resolved.persist_dir):
-        opcache.attach_persistent(resolved.persist_dir)
-
-
 def _traverse_with_backend(
     original: ADDG,
     transformed: ADDG,
@@ -440,7 +421,6 @@ def _traverse_with_backend(
     """
     from ..solvers import use_backend
 
-    _apply_persistence(resolved)
     with use_backend(resolved.backend, resolved.smt_solver) as backend:
         result = _traverse(original, transformed, resolved, broadcast)
     result.stats.backend = resolved.backend

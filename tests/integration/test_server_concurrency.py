@@ -173,6 +173,29 @@ class TestConcurrentClients:
         assert remote_code == local_code == 0
         assert remote_out == local_out == "Equivalent\n"
 
+    def test_persist_dir_is_ignored_with_a_warning(self, server, tmp_path, capsys):
+        """With --server the daemon's own opcache store applies: a client's
+        --persist-dir is neither attached nor dropped without a word."""
+        from repro.cli import main
+        from repro.presburger import opcache
+
+        original = tmp_path / "orig.c"
+        transformed = tmp_path / "trans.c"
+        original.write_text(ORIGINAL)
+        transformed.write_text(TRANSFORMED_EQ)
+        persist = tmp_path / "persist"
+        before = opcache.persistent_store()
+        flags = ["--persist-dir", str(persist), "--server", server.address]
+
+        assert main(["check", str(original), str(transformed), "--quiet"] + flags) == 0
+        err = capsys.readouterr().err
+        assert "warning: --persist-dir ignored with --server" in err
+        assert main(["batch", "--kernel", "fir", "--report", "-", "--quiet"] + flags) == 0
+        err = capsys.readouterr().err
+        assert "warning: --persist-dir ignored with --server" in err
+        assert opcache.persistent_store() is before
+        assert not persist.exists()
+
     def test_reset_leaves_no_cross_request_state(self, server, direct_verdicts):
         """After a warm run and a reset, re-running must actually re-execute
         (nothing warm survives) and reproduce the identical verdict."""

@@ -140,10 +140,14 @@ class TestMalformedFrames:
         assert stats["rejected"] == 1
         assert stats["errors"] == 0
 
-    def test_non_numeric_timeout(self, server):
+    @pytest.mark.parametrize(
+        "timeout", ["soon", -1, float("inf"), 1e12], ids=["str", "negative", "inf", "1e12"]
+    )
+    def test_malformed_timeout(self, server, timeout):
+        # ``Infinity`` is what Python's json writes (and reads) for inf.
         with raw_connection(server.address) as sock:
             frame = protocol.request_frame(
-                "check", {"job": make_job().to_dict(), "timeout": "soon"}, id=6
+                "check", {"job": make_job().to_dict(), "timeout": timeout}, id=6
             )
             sock.sendall(protocol.encode_frame(frame))
             response = read_frame(sock)

@@ -53,6 +53,38 @@ class TestBatchExecutor:
             assert outcome.status == JobStatus.OK
             assert outcome.equivalent == direct_verdicts[outcome.name]
 
+    def test_pool_workers_share_the_parents_persistent_store(self, tmp_path, corpus):
+        """Workers write to the store the parent attached; a second run with
+        cold memory tiers is served from disk, with identical verdicts."""
+        from repro.presburger import opcache
+        from repro.presburger.persist import PersistentStore
+
+        path = str(tmp_path / "persist")
+
+        def pool_run():
+            # Workers fork from this process: drop its memory tier first so
+            # every hit below comes from the disk tier.
+            opcache.reset()
+            results = BatchExecutor(workers=2).run(corpus)
+            misses = sum(r.result.stats.opcache_misses for r in results)
+            return [(r.name, r.status, r.equivalent) for r in results], misses
+
+        opcache.attach_persistent(path)
+        try:
+            cold, cold_misses = pool_run()
+            written = PersistentStore(path)
+            entries = written.entry_count()
+            written.close()
+            warm, warm_misses = pool_run()
+        finally:
+            opcache.detach_persistent()
+            opcache.reset()
+        assert entries > 0
+        assert warm == cold
+        assert all(status == JobStatus.OK for _, status, _ in cold)
+        # Memory tiers start cold in both runs: the warm run's hits are disk hits.
+        assert warm_misses * 10 < cold_misses
+
     def test_warm_run_hits_cache(self, tmp_path, corpus, direct_verdicts):
         cache = ResultCache(str(tmp_path / "cache"))
         executor = BatchExecutor(cache=cache, workers=1)

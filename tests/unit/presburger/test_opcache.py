@@ -30,7 +30,7 @@ def fresh_cache():
     opcache.reset()
     yield
     opcache.reset()
-    opcache.configure(maxsize=opcache.DEFAULT_SIZE, enabled=True)
+    opcache.configure(maxsize=opcache.DEFAULT_SIZE)
 
 
 MAP_SOURCES = [

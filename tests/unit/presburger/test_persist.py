@@ -2,7 +2,8 @@
 
 Covers the store in isolation (roundtrips, fingerprint wipes, corruption
 tolerance, the op whitelist) and its integration with the in-memory cache
-(disk counters, promotion, env attachment, cross-process warm starts).
+(disk counters, promotion, cross-process warm starts, no attachment at
+import).
 All failures must degrade to cache misses — persistence can never change a
 verdict, only how fast it is reached.
 """
@@ -23,6 +24,8 @@ from repro.presburger.persist import (
     PersistentStore,
     store_fingerprint,
 )
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))))
 
 
 @pytest.fixture
@@ -242,22 +245,23 @@ class TestCacheIntegration:
         assert after.path == before.path
         assert after.load("feasible", "k") is True
 
-    def test_env_attachment(self, tmp_path):
-        path = str(tmp_path / "envcache")
+    def test_import_attaches_nothing(self, tmp_path):
+        """Importing the package opens no file, whatever the environment:
+        the persistent tier is attached only by the process that owns it."""
+        path = tmp_path / "envcache"
         code = (
             "from repro.presburger import opcache\n"
-            "store = opcache.persistent_store()\n"
-            "assert store is not None, 'env attachment failed'\n"
+            "assert opcache.persistent_store() is None\n"
             "opcache.memoized('feasible', 'warm', lambda: True)\n"
-            "assert store.entry_count() == 1\n"
         )
-        env = dict(os.environ, REPRO_OPCACHE_PERSIST_DIR=path)
-        env["PYTHONPATH"] = "src"
+        env = dict(os.environ, REPRO_OPCACHE_PERSIST_DIR=str(path))
+        env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
         proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, cwd="/root/repo",
+            [sys.executable, "-c", code], env=env, cwd=REPO_ROOT,
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
+        assert not path.exists()
 
     def test_cross_process_warm_start(self, tmp_path):
         """A second process over the same persist dir must serve the first
@@ -272,11 +276,10 @@ class TestCacheIntegration:
             "stats = opcache.stats()\n"
             "print(stats.disk_hits, stats.disk_writes)\n"
         ).format(path=path)
-        env = dict(os.environ, PYTHONPATH="src")
-        env.pop("REPRO_OPCACHE_PERSIST_DIR", None)
+        env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
 
         cold = subprocess.run(
-            [sys.executable, "-c", workload], env=env, cwd="/root/repo",
+            [sys.executable, "-c", workload], env=env, cwd=REPO_ROOT,
             capture_output=True, text=True,
         )
         assert cold.returncode == 0, cold.stderr
@@ -285,7 +288,7 @@ class TestCacheIntegration:
         assert cold_hits == 0
 
         warm = subprocess.run(
-            [sys.executable, "-c", workload], env=env, cwd="/root/repo",
+            [sys.executable, "-c", workload], env=env, cwd=REPO_ROOT,
             capture_output=True, text=True,
         )
         assert warm.returncode == 0, warm.stderr

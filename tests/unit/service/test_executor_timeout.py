@@ -67,6 +67,20 @@ class TestCallWithTimeout:
         assert call_with_timeout(lambda: 42, None) == 42
         assert call_with_timeout(lambda: 42, 0) == 42
 
+    @pytest.mark.parametrize(
+        "timeout", [-1, float("nan"), float("inf"), 1e12], ids=["negative", "nan", "inf", "1e12"]
+    )
+    def test_budget_outside_the_rule_is_refused(self, timeout):
+        # Beyond threading.TIMEOUT_MAX the timer thread dies with an
+        # OverflowError and fn() would silently run with no budget.
+        calls = []
+        with pytest.raises(ValueError):
+            call_with_timeout(lambda: calls.append(1), timeout)
+        assert calls == []
+
+    def test_largest_timer_budget_is_a_budget(self):
+        assert call_with_timeout(lambda: 42, threading.TIMEOUT_MAX) == 42
+
     def test_fires_from_non_main_thread(self):
         def scenario():
             assert threading.current_thread() is not threading.main_thread()

@@ -5,6 +5,7 @@ import pickle
 import pytest
 
 from repro.service import CheckOptions, JobResult, JobStatus, VerificationJob, execute_job
+from repro.service.fingerprint import job_fingerprint
 
 ORIGINAL = """
 #define N 8
@@ -94,13 +95,17 @@ def test_options_object_wins_over_flat_keys():
     assert job.options == CheckOptions(tabling=False)
 
 
-def test_to_dict_never_carries_persist_dir():
-    job = VerificationJob(
-        "j", ORIGINAL, TRANSFORMED_EQ, options=CheckOptions(persist_dir="/somewhere")
-    )
-    payload = job.to_dict()
-    assert "persist_dir" not in payload["options"]
-    assert VerificationJob.from_dict(payload).options.persist_dir is None
+def test_stale_persist_dir_key_is_ignored():
+    """Job files and clients from before the persistent opcache became
+    process state may still send ``options.persist_dir``: it loads, is
+    ignored, and leaves the fingerprint unchanged."""
+    plain = VerificationJob("j", ORIGINAL, TRANSFORMED_EQ)
+    payload = plain.to_dict()
+    payload["options"]["persist_dir"] = "/somewhere"
+    job = VerificationJob.from_dict(payload)
+    assert job == plain
+    assert job_fingerprint(job) == job_fingerprint(plain)
+    assert "persist_dir" not in job.to_dict()["options"]
 
 
 @pytest.mark.parametrize(
@@ -111,7 +116,10 @@ def test_to_dict_never_carries_persist_dir():
         {"timeout": "soon"},
         {"timeout": True},
         {"timeout": -1},
+        {"timeout": float("inf")},
+        {"timeout": 1e12},
         {"options": {"timeout": "soon"}},
+        {"options": {"timeout": float("inf")}},
     ],
 )
 def test_malformed_entries_fail_at_load(entry):

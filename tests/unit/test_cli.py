@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from repro.cli import build_arg_parser, main
+from repro.cli import build_arg_parser, build_cli_parser, main
 from repro.workloads import FIG1_SOURCES
 
 
@@ -36,6 +36,20 @@ class TestArgumentParser:
     def test_method_choice_validated(self):
         with pytest.raises(SystemExit):
             build_arg_parser().parse_args(["a.c", "b.c", "--method", "wrong"])
+
+    @pytest.mark.parametrize(
+        "command",
+        [["check", "a.c", "b.c"], ["batch"], ["fuzz"], ["serve"]],
+        ids=["check", "batch", "fuzz", "serve"],
+    )
+    @pytest.mark.parametrize("value", ["-1", "inf", "1e12"])
+    def test_malformed_budget_is_a_usage_error(self, capsys, command, value):
+        # Beyond threading.TIMEOUT_MAX the watchdog timer thread dies and the
+        # check would run unbudgeted with a thread traceback on stderr.
+        with pytest.raises(SystemExit) as excinfo:
+            build_cli_parser().parse_args(command + ["--timeout", value])
+        assert excinfo.value.code == 2
+        assert "finite, non-negative number of seconds" in capsys.readouterr().err
 
 
 class TestMain:
@@ -97,7 +111,9 @@ class TestMain:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "entry", [{"options": "basic"}, {"timeout": "soon"}], ids=["options-str", "timeout-str"]
+        "entry",
+        [{"options": "basic"}, {"timeout": "soon"}, {"timeout": float("inf")}, {"timeout": 1e12}],
+        ids=["options-str", "timeout-str", "timeout-inf", "timeout-1e12"],
     )
     def test_malformed_job_file_entry_is_a_usage_error(self, tmp_path, capsys, entry):
         """A wrong-typed job entry fails at load time with its position named,
@@ -135,6 +151,47 @@ class TestMain:
     def test_bad_correspond_syntax(self, fig1_files):
         with pytest.raises(SystemExit):
             main(["--correspond", "broken", fig1_files["a"], fig1_files["b"]])
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--backend", "crosscheck"], ["--smt-solver", "builtin"]],
+        ids=["backend", "smt-solver"],
+    )
+    def test_job_file_warns_about_ignored_backend_flags(self, tmp_path, capsys, flags):
+        source = "f(int a[], int b[])\n{\n    b[0] = a[0];\n}\n"
+        job_file = tmp_path / "jobs.json"
+        job_file.write_text(
+            json.dumps([{"name": "j", "original_source": source, "transformed_source": source}])
+        )
+        status = main(
+            ["batch", "--jobs", str(job_file), "--no-cache", "--report", "-", "--quiet"] + flags
+        )
+        assert status == 0
+        captured = capsys.readouterr()
+        assert f"warning: {flags[0]} ignored with --jobs" in captured.err
+        # The job's own (default) backend ran: no solvers block.
+        assert "solvers" not in captured.out
+
+    def test_persist_dir_attaches_the_store(self, fig1_files, tmp_path):
+        from repro.presburger import opcache
+        from repro.presburger.persist import PersistentStore
+
+        path = str(tmp_path / "persist")
+        argv = ["check", "--quiet", "--persist-dir", path, fig1_files["a"], fig1_files["c"]]
+        opcache.reset()
+        try:
+            assert main(argv) == 0
+            store = PersistentStore(path)
+            assert store.entry_count() > 0
+            store.close()
+            # The run's store is released with the run ...
+            assert opcache.persistent_store() is None
+            # ... and a second run with a cold memory tier starts warm from it.
+            opcache.reset()
+            assert main(argv) == 0
+            assert opcache.stats().disk_hits > 0
+        finally:
+            opcache.reset()
 
 
 class TestTelemetryFlags:

@@ -1,19 +1,20 @@
 """Cache invariance: every caching tier is an optimization, never an input.
 
 The operation cache has three observable configurations — in-memory (the
-default), fully disabled (``REPRO_OPCACHE_DISABLE=1``) and disk-backed
-(``REPRO_OPCACHE_PERSIST_DIR`` / ``CheckOptions.persist_dir``).  Verdicts
-must be bit-identical across all three; this module is the regression leg
-the persistence design docs point at.
+default), fully disabled (``opcache.disabled()``) and disk-backed
+(``opcache.attach_persistent``, which the CLI's ``--persist-dir`` calls).
+Verdicts must be bit-identical across all three; this module is the
+regression leg the persistence design docs point at.
 
 Two layers:
 
 * in-process — the same checks run under each configuration inside one
   interpreter and the full verdict/diagnostic structure is compared;
-* subprocess — a representative unit subset runs under ``pytest`` with the
-  cache disabled and with a throwaway persistent directory (twice, so the
-  second run starts warm), which catches anything that only manifests
-  through module-import-time attachment.
+* subprocess — a representative unit subset runs under ``pytest`` in a
+  child that first enters ``opcache.disabled()`` or attaches a throwaway
+  persistent directory (twice, so the second run starts warm), which
+  catches anything that only manifests when the setting is in force before
+  the tests import and run.
 """
 
 import os
@@ -24,7 +25,6 @@ import pytest
 
 from repro.checker import check_equivalence
 from repro.presburger import opcache
-from repro.verifier import CheckOptions, Verifier
 from repro.workloads import SMALL_KERNEL_PARAMS, kernel_pair
 from repro.workloads.fig1 import fig1_original, fig1_ver1, fig1_ver3_erroneous
 
@@ -57,12 +57,11 @@ class TestInProcessInvariance:
     def test_disabled_cache_matches_default(self):
         opcache.reset()
         baseline = sweep()
-        opcache.configure(enabled=False)
         try:
-            opcache.reset()
-            disabled = sweep()
+            with opcache.disabled():
+                opcache.reset()
+                disabled = sweep()
         finally:
-            opcache.configure(enabled=True)
             opcache.reset()
         assert disabled == baseline
 
@@ -82,38 +81,31 @@ class TestInProcessInvariance:
         assert cold == baseline
         assert warm == baseline
 
-    def test_options_persist_dir_attaches(self, tmp_path):
-        path = str(tmp_path / "optcache")
-        original, transformed = fig1_original(), fig1_ver1()
-        verifier = Verifier(options=CheckOptions(persist_dir=path))
-        try:
-            result = verifier.check(original, transformed)
-            assert result.equivalent
-            store = opcache.persistent_store()
-            assert store is not None
-            assert store.path == os.path.abspath(path)
-            assert store.entry_count() > 0
-        finally:
-            opcache.detach_persistent()
-            opcache.reset()
-
-    def test_persist_dir_does_not_change_fingerprint(self, tmp_path):
-        plain = CheckOptions()
-        persisted = CheckOptions(persist_dir=str(tmp_path))
-        assert plain.fingerprint() == persisted.fingerprint()
-
 
 SUBSET = "tests/unit/presburger/test_omega.py"
 
 
-def run_subset(extra_env):
-    env = dict(os.environ)
-    env.pop("REPRO_OPCACHE_DISABLE", None)
-    env.pop("REPRO_OPCACHE_PERSIST_DIR", None)
-    env["PYTHONPATH"] = "src"
-    env.update(extra_env)
+#: The child's set-up before ``pytest.main``: the cache state is in force
+#: before the subset imports anything.
+CHILD = """
+import sys
+import pytest
+from repro.presburger import opcache
+
+args = ["-q", "-p", "no:cacheprovider", {subset!r}]
+if sys.argv[1] == "disabled":
+    with opcache.disabled():
+        sys.exit(pytest.main(args))
+opcache.attach_persistent(sys.argv[1])
+sys.exit(pytest.main(args))
+"""
+
+
+def run_subset(mode):
+    """Run the subset in a child under ``disabled`` or a persistent directory."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
     return subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", SUBSET],
+        [sys.executable, "-c", CHILD.format(subset=SUBSET), mode],
         env=env,
         cwd=REPO_ROOT,
         capture_output=True,
@@ -124,15 +116,15 @@ def run_subset(extra_env):
 @pytest.mark.slow
 class TestSubprocessInvariance:
     def test_subset_passes_with_cache_disabled(self):
-        proc = run_subset({"REPRO_OPCACHE_DISABLE": "1"})
+        proc = run_subset("disabled")
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
     def test_subset_passes_with_persistent_cache(self, tmp_path):
         path = str(tmp_path / "throwaway")
-        cold = run_subset({"REPRO_OPCACHE_PERSIST_DIR": path})
+        cold = run_subset(path)
         assert cold.returncode == 0, cold.stdout + cold.stderr
         # Second run starts warm from the first run's disk state and must be
         # just as green.
-        warm = run_subset({"REPRO_OPCACHE_PERSIST_DIR": path})
+        warm = run_subset(path)
         assert warm.returncode == 0, warm.stdout + warm.stderr
         assert os.path.exists(os.path.join(path, "opcache.sqlite"))
