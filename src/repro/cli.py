@@ -84,7 +84,7 @@ from .addg import addg_to_dot
 from .checker import default_registry
 from .lang import LangError, parse_program
 from .verifier import CheckObserver, CheckOptions, Verifier
-from .verifier.options import is_budget
+from .verifier.options import BACKEND_NAMES, is_budget
 
 __all__ = ["main", "build_arg_parser", "build_cli_parser", "checker_options_from_args"]
 
@@ -149,18 +149,18 @@ def _add_checker_option_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--backend",
-        choices=("omega", "smtlib", "z3", "crosscheck"),
+        choices=BACKEND_NAMES,
         default="omega",
         help="decision-procedure backend: the omega core (default), an SMT-LIB2 "
-        "solver, the in-process z3 module, or 'crosscheck' (omega vs SMT on "
-        "every query, hard error on divergence)",
+        "solver binary, the in-process z3 module, or 'crosscheck' (omega vs "
+        "brute-force enumeration on every query, hard error on divergence)",
     )
     parser.add_argument(
         "--smt-solver",
         metavar="CMD",
         default=None,
-        help="solver command for the SMT backends, e.g. 'z3', 'cvc5 --lang smt2' "
-        "or 'builtin' (default: auto-detect z3/cvc5, else builtin)",
+        help="solver command for --backend smtlib, e.g. 'z3' or 'cvc5 --lang smt2' "
+        "(default: z3, else cvc5, on PATH)",
     )
     parser.add_argument(
         "--persist-dir",
@@ -398,7 +398,7 @@ def _add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--backend",
-        choices=("omega", "smtlib", "z3", "crosscheck"),
+        choices=BACKEND_NAMES,
         default=None,
         help="decision backend applied to requests that do not choose one "
         "themselves (default: honour each job's own options)",
@@ -407,7 +407,7 @@ def _add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         "--smt-solver",
         metavar="CMD",
         default=None,
-        help="solver command for the SMT backends (default: auto-detect)",
+        help="solver command for --backend smtlib (default: z3, else cvc5, on PATH)",
     )
     parser.add_argument(
         "--persist-dir",
@@ -839,6 +839,7 @@ def _run_check(args: argparse.Namespace) -> int:
 
     observer = None if args.quiet or args.json else _ProgressObserver(sys.stderr)
     from .service import JobTimeoutError, call_with_timeout
+    from .solvers import SolverUnavailableError
 
     try:
         result = call_with_timeout(
@@ -848,7 +849,7 @@ def _run_check(args: argparse.Namespace) -> int:
     except JobTimeoutError:
         print(f"error: check exceeded the {args.timeout:g} s budget", file=sys.stderr)
         return 2
-    except LangError as error:
+    except (LangError, SolverUnavailableError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     return _print_result(args, result)
@@ -862,6 +863,8 @@ def _run_diagnose(args: argparse.Namespace) -> int:
     if programs is None:
         return 2
 
+    from .solvers import SolverUnavailableError
+
     verifier = Verifier(options=checker_options_from_args(args))
     observer = None if args.quiet or args.json else _ProgressObserver(sys.stderr)
     try:
@@ -871,7 +874,7 @@ def _run_diagnose(args: argparse.Namespace) -> int:
             replay_trials=args.trials,
             replay_seed=args.seed,
         )
-    except LangError as error:
+    except (LangError, SolverUnavailableError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     if args.json:

@@ -153,8 +153,7 @@ class CompiledStore:
         # Parse outside the lock: compilation is the expensive part and two
         # threads racing on the same new program is rarer than one thread
         # blocking every other on a big parse.
-        started = time.perf_counter()
-        compiled = CompiledProgram(parse_program(source), frontend_seconds=time.perf_counter() - started)
+        compiled = CompiledProgram(parse_program(source))
         with self._lock:
             winner = self._entries.setdefault(key, compiled)
             self._entries.move_to_end(key)

@@ -7,13 +7,17 @@ package second-sources those decisions behind a small protocol:
 * :class:`OmegaBackend` — the existing omega core (default; activating it
   is byte-identical to the inline path);
 * :class:`SmtLibBackend` — compiles the queries to SMT-LIB2 ``LIA`` text
-  and solves via any external solver binary (z3, cvc5) or the bundled
-  stdlib interpreter (:mod:`repro.solvers.mini_smt`, ``builtin``);
+  and solves via an external solver binary (z3, cvc5);
 * :class:`Z3Backend` — the same scripts through the optional ``z3-solver``
   Python module, in process;
-* :class:`CrossCheckBackend` — runs two backends on every query and raises
-  :class:`BackendDisagreement` (carrying the serialized query, replayable
-  with :func:`replay_query`) on any divergence.
+* :class:`~repro.solvers.enum_backend.EnumBackend` — brute-force
+  enumeration over bounded integer points, sharing no code with the omega
+  core; it abstains (:class:`~repro.solvers.base.Abstain`) rather than
+  guess;
+* :class:`CrossCheckBackend` — runs omega and the enumeration partner on
+  every query and raises :class:`BackendDisagreement` (carrying the
+  serialized query, replayable with :func:`replay_query`) on any
+  divergence.
 
 Selection travels as ``CheckOptions.backend`` (``--backend`` on the CLI)
 and is folded into the options fingerprint, so verdicts never alias across
@@ -40,11 +44,11 @@ from .base import (
     serialize_query,
 )
 from .crosscheck import CrossCheckBackend
+from .enum_backend import EnumBackend
 from .omega_backend import OmegaBackend
 from .smtlib import SmtLibBackend, Z3Backend, resolve_solver_command
 
 __all__ = [
-    "BACKEND_NAMES",
     "BackendDisagreement",
     "CrossCheckBackend",
     "OmegaBackend",
@@ -63,18 +67,14 @@ __all__ = [
     "use_backend",
 ]
 
-#: Every selectable ``CheckOptions.backend`` / ``--backend`` value.
-BACKEND_NAMES: Tuple[str, ...] = ("omega", "smtlib", "z3", "crosscheck")
-
-
 def get_backend(name: str, smt_solver: Optional[str] = None) -> SolverBackend:
     """Construct the backend *name* (a fresh instance with zeroed counters).
 
-    ``smt_solver`` picks the external solver command for the SMT-based
-    backends (default: ``z3`` > ``cvc5`` on PATH, else the in-process
-    ``builtin`` interpreter).  ``crosscheck`` pairs the omega core with the
-    SMT path.  Raises :class:`SolverUnavailableError` when the requested
-    backend cannot run here and :class:`ValueError` for unknown names.
+    ``smt_solver`` picks the external solver command for ``smtlib``
+    (default: ``z3`` > ``cvc5`` on PATH).  ``crosscheck`` always pairs the
+    omega core with the enumeration partner.  Raises
+    :class:`SolverUnavailableError` when the requested backend cannot run
+    here and :class:`ValueError` for unknown names.
     """
     if name == "omega":
         return OmegaBackend()
@@ -83,19 +83,25 @@ def get_backend(name: str, smt_solver: Optional[str] = None) -> SolverBackend:
     if name == "z3":
         return Z3Backend()
     if name == "crosscheck":
-        return CrossCheckBackend(OmegaBackend(), SmtLibBackend(smt_solver))
-    raise ValueError(f"unknown backend {name!r} (expected one of {BACKEND_NAMES})")
+        return CrossCheckBackend(OmegaBackend(), EnumBackend())
+    raise ValueError(f"unknown backend {name!r}")
 
 
 def available_backends() -> Tuple[str, ...]:
     """The backend names that can actually be constructed on this machine."""
-    names = ["omega", "smtlib", "crosscheck"]
+    names = ["omega"]
+    try:
+        resolve_solver_command()
+        names.append("smtlib")
+    except SolverUnavailableError:
+        pass
     try:
         import z3  # noqa: F401
 
-        names.insert(2, "z3")
+        names.append("z3")
     except ImportError:
         pass
+    names.append("crosscheck")
     return tuple(names)
 
 

@@ -31,6 +31,7 @@ from ..presburger.conjunct import Conjunct
 
 __all__ = [
     "SolverBackend",
+    "Abstain",
     "BackendDisagreement",
     "SolverError",
     "SolverUnavailableError",
@@ -47,6 +48,10 @@ class SolverError(RuntimeError):
 
 class SolverUnavailableError(SolverError):
     """The requested backend cannot run here (missing binary or module)."""
+
+
+class Abstain(SolverError):
+    """A backend cannot decide this query and declines rather than guess."""
 
 
 class BackendDisagreement(BaseException):

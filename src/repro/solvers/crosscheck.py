@@ -2,10 +2,11 @@
 
 The PR 4 scenario engine compares the checker against an interpreter
 oracle; this backend applies the same idea one layer down and compares two
-decision procedures against each other.  Every query runs on both backends;
-agreement and divergence are counted in telemetry
-(``solvers.crosscheck.agreements`` / ``.disagreements``) and a divergence
-raises :class:`~repro.solvers.base.BackendDisagreement` with the serialized
+decision procedures against each other.  Every query runs on both backends
+and is counted as ``crosscheck.agreements``, ``crosscheck.abstentions``
+(the secondary raised :class:`~repro.solvers.base.Abstain`; the primary's
+answer stands) or ``crosscheck.disagreements``.  A disagreement raises
+:class:`~repro.solvers.base.BackendDisagreement` with the serialized
 query, so the exact constraint system that split the solvers can be
 replayed offline (:func:`~repro.solvers.base.replay_query`).
 
@@ -17,12 +18,11 @@ constraints instead of re-deriving it.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Sequence, Tuple
 
 from ..presburger.conjunct import Conjunct
-from ..telemetry import METRICS
 
-from .base import BackendDisagreement, SolverBackend, serialize_query
+from .base import Abstain, BackendDisagreement, SolverBackend, serialize_query
 
 __all__ = ["CrossCheckBackend"]
 
@@ -57,59 +57,46 @@ class CrossCheckBackend(SolverBackend):
         self._own_counts[key] = self._own_counts.get(key, 0) + 1
 
     # ------------------------------------------------------------------ #
-    def _compare(self, kind: str, first: Any, second: Any, query: Dict[str, Any]) -> Any:
-        if first == second:
+    def _settle(self, first: Any, second: Callable[[], Any], query: Callable[[], Dict[str, Any]]) -> Any:
+        """Compare *first* with the secondary's answer; *first* is the verdict."""
+        try:
+            answer = second()
+        except Abstain:
+            self._count("abstentions")
+            return first
+        if answer == first:
             self._count("agreements")
-            if METRICS.enabled:
-                METRICS.inc("solvers.crosscheck.agreements")
             return first
         self._count("disagreements")
-        if METRICS.enabled:
-            METRICS.inc("solvers.crosscheck.disagreements")
-        raise BackendDisagreement(
-            query, self.primary.name, self.secondary.name, first, second
+        raise BackendDisagreement(query(), self.primary.name, self.secondary.name, first, answer)
+
+    def _run(self, kind: str, *args: Any) -> Any:
+        return self._settle(
+            getattr(self.primary, kind)(*args),
+            lambda: getattr(self.secondary, kind)(*args),
+            lambda: serialize_query(kind, *args),
         )
 
     def is_feasible(self, conjunct: Conjunct) -> bool:
-        return self._compare(
-            "is_feasible",
-            self.primary.is_feasible(conjunct),
-            self.secondary.is_feasible(conjunct),
-            serialize_query("is_feasible", (conjunct,)),
-        )
+        return self._run("is_feasible", conjunct)
 
     def is_subset(self, a: Sequence[Conjunct], b: Sequence[Conjunct]) -> bool:
-        return self._compare(
-            "is_subset",
-            self.primary.is_subset(a, b),
-            self.secondary.is_subset(a, b),
-            serialize_query("is_subset", a, b),
-        )
+        return self._run("is_subset", a, b)
 
     def is_equal(self, a: Sequence[Conjunct], b: Sequence[Conjunct]) -> bool:
-        return self._compare(
-            "is_equal",
-            self.primary.is_equal(a, b),
-            self.secondary.is_equal(a, b),
-            serialize_query("is_equal", a, b),
-        )
+        return self._run("is_equal", a, b)
 
     def is_disjoint(self, a: Sequence[Conjunct], b: Sequence[Conjunct]) -> bool:
-        return self._compare(
-            "is_disjoint",
-            self.primary.is_disjoint(a, b),
-            self.secondary.is_disjoint(a, b),
-            serialize_query("is_disjoint", a, b),
-        )
+        return self._run("is_disjoint", a, b)
 
     def sample_point(self, set_like: Any, seed: int = 0, limit: int = 4096) -> Tuple[int, ...]:
         point = self.primary.sample_point(set_like, seed=seed, limit=limit)
-        member = any(
-            self.secondary.is_feasible(conjunct.substitute_vars(list(point)))
-            for conjunct in set_like.conjuncts
+        self._settle(
+            True,
+            lambda: any(
+                self.secondary.is_feasible(conjunct.substitute_vars(list(point)))
+                for conjunct in set_like.conjuncts
+            ),
+            lambda: serialize_query("sample_point", set_like.conjuncts, seed=seed, limit=limit),
         )
-        query = serialize_query(
-            "sample_point", set_like.conjuncts, seed=seed, limit=limit
-        )
-        self._compare("sample_point", True, member, query)
         return point

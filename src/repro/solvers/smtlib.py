@@ -15,22 +15,22 @@ The mapping from the Presburger layer onto SMT-LIB2:
   ``Ai ∧ ¬∃(B1) ∧ ... ∧ ¬∃(Bm)``, and disjointness is one SAT check per
   pair ``(Ai, Bj)``.
 
-:class:`SmtLibBackend` feeds the scripts to any SMT-LIB2 solver binary
-(z3, cvc5) via a subprocess, or to the bundled stdlib interpreter
-:mod:`repro.solvers.mini_smt` when no binary is available (``builtin``).
-:class:`Z3Backend` reuses the same scripts through the optional
-``z3-solver`` Python module, in process.  Query results are memoized in the
-operation cache under keys qualified by the solver command, so answers can
-never alias across solvers.
+:class:`SmtLibBackend` feeds the scripts to an SMT-LIB2 solver binary (z3,
+cvc5) via a subprocess; :class:`Z3Backend` reuses the same scripts through
+the optional ``z3-solver`` Python module, in process.  Neither is needed
+for a default install.  Query results are memoized in the operation cache
+under keys qualified by the solver command, so answers can never alias
+across solvers.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import shutil
 import subprocess
 import tempfile
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 from ..presburger import opcache as _opcache
 from ..presburger.conjunct import Conjunct
@@ -41,6 +41,7 @@ __all__ = [
     "SmtLibBackend",
     "Z3Backend",
     "resolve_solver_command",
+    "parse_sexprs",
     "conjunct_formula",
     "feasibility_script",
     "subset_scripts",
@@ -162,18 +163,23 @@ def disjoint_scripts(a: Sequence[Conjunct], b: Sequence[Conjunct], *, commands: 
 # Solver resolution
 # --------------------------------------------------------------------------- #
 def resolve_solver_command(spec: Optional[str] = None) -> str:
-    """The solver command to use: explicit *spec* > ``z3`` > ``cvc5`` > ``builtin``.
+    """The solver command to use: explicit *spec* > ``z3`` > ``cvc5`` on PATH.
 
-    ``builtin`` selects the in-process stdlib interpreter
-    (:mod:`repro.solvers.mini_smt`) — always available, so ``--backend
-    smtlib`` and ``--backend crosscheck`` work on a bare install.
+    Raises :class:`SolverUnavailableError` when the explicit command's
+    binary is missing or, without one, when neither solver is on PATH.
     """
     if spec:
+        binary = spec.split()[0]
+        if shutil.which(binary) is None:
+            raise SolverUnavailableError(f"solver binary not found: {binary!r}")
         return spec
     for candidate in ("z3", "cvc5"):
         if shutil.which(candidate):
             return candidate
-    return "builtin"
+    raise SolverUnavailableError(
+        "the 'smtlib' backend needs an SMT-LIB2 solver: put z3 or cvc5 on PATH "
+        "or name one with --smt-solver"
+    )
 
 
 def _run_solver(command: str, script: str) -> str:
@@ -204,13 +210,32 @@ def _run_solver(command: str, script: str) -> str:
     return output
 
 
+Sexpr = Union[str, List["Sexpr"]]
+
+
+def parse_sexprs(text: str) -> List[Sexpr]:
+    """Parse solver output into a list of nested lists and atom strings."""
+    forms: List[Sexpr] = []
+    stack: List[List[Sexpr]] = []
+    for token in re.findall(r"[()]|[^\s();]+", re.sub(r";[^\n]*", "", text)):
+        if token == "(":
+            stack.append([])
+        elif token == ")":
+            if not stack:
+                raise SolverError("unbalanced ')' in solver output")
+            done = stack.pop()
+            (stack[-1] if stack else forms).append(done)
+        else:
+            (stack[-1] if stack else forms).append(token)
+    if stack:
+        raise SolverError("unbalanced '(' in solver output")
+    return forms
+
+
 def _parse_values(output_tail: str, symbols: Sequence[str]) -> Tuple[int, ...]:
     """Extract ``(get-value ...)`` integers from solver output."""
-    from .mini_smt import parse_sexprs
-
-    forms = parse_sexprs(output_tail)
     values = {}
-    for form in forms:
+    for form in parse_sexprs(output_tail):
         if not isinstance(form, list):
             continue
         for pair in form:
@@ -246,11 +271,6 @@ class SmtLibBackend(SolverBackend):
 
     # ---- raw solving (memoized on the script text) -------------------- #
     def _solve(self, script: str, model_symbols: Sequence[str] = ()) -> Tuple[str, Optional[Tuple[int, ...]]]:
-        if self.solver_cmd == "builtin":
-            from . import mini_smt
-
-            result = mini_smt.solve_text(script)
-            return result.status, result.values
         output = _run_solver(self.solver_cmd, script)
         lines = [line.strip() for line in output.splitlines() if line.strip()]
         status = next((line for line in lines if line in ("sat", "unsat", "unknown")), None)
@@ -324,8 +344,8 @@ class Z3Backend(SmtLibBackend):
         except ImportError as error:
             raise SolverUnavailableError(
                 "the 'z3' backend needs the optional z3-solver package "
-                "(pip install z3-solver); use --backend smtlib for the "
-                "subprocess/builtin path"
+                "(pip install z3-solver); use --backend smtlib to run a "
+                "z3 or cvc5 binary instead"
             ) from error
         SolverBackend.__init__(self)
         self._z3 = z3

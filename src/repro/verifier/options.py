@@ -36,10 +36,8 @@ __all__ = ["CheckOptions", "OPTIONS_FINGERPRINT_VERSION", "BACKEND_NAMES"]
 #: Version 2: ``backend`` joined the payload (PR 8).
 OPTIONS_FINGERPRINT_VERSION = 2
 
-#: The selectable decision-procedure backends (see :mod:`repro.solvers`).
-#: Spelled here rather than imported so the options layer stays free of a
-#: solvers dependency; :func:`repro.solvers.get_backend` accepts exactly
-#: these names.
+#: The selectable decision-procedure backends (see :mod:`repro.solvers`),
+#: the one list the CLI choices and :func:`repro.solvers.get_backend` follow.
 BACKEND_NAMES = ("omega", "smtlib", "z3", "crosscheck")
 
 OperatorDecls = Tuple[Tuple[str, str], ...]
@@ -118,12 +116,14 @@ class CheckOptions:
         The decision-procedure backend answering the Presburger queries:
         ``"omega"`` (default, the paper's core), ``"smtlib"`` (external
         SMT solver via SMT-LIB2 text), ``"z3"`` (in-process, optional
-        module) or ``"crosscheck"`` (omega *and* SMT on every query, hard
-        error on divergence).  Participates in :meth:`fingerprint` — a
-        verdict computed by one backend must never be served for another.
+        module) or ``"crosscheck"`` (omega *and* the enumeration partner
+        on every query, hard error on divergence).  Participates in
+        :meth:`fingerprint` — a verdict computed by one backend must never
+        be served for another.
     smt_solver:
-        Solver command for the SMT-based backends (e.g. ``z3``, ``cvc5``,
-        ``builtin``); ``None`` auto-detects.  Like ``timeout`` it is
+        Solver command for the ``smtlib`` backend (e.g. ``z3``,
+        ``cvc5 --lang smt2``); ``None`` picks ``z3``, else ``cvc5``, on
+        PATH.  Like ``timeout`` it is
         excluded from :meth:`fingerprint`: any sound SMT-LIB2 solver must
         produce the same verdict, and a solver that doesn't is a bug to
         surface, not a distinct cache universe.

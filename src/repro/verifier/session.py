@@ -76,15 +76,13 @@ class CompiledProgram:
     report (:attr:`dataflow_issues`) and the extracted ADDG (:attr:`addg`)
     are computed on first use and cached, so a precondition-failing check
     never pays for extraction and a ``check_preconditions=False`` check never
-    pays for the def-use analysis.  :attr:`frontend_seconds` accumulates the
-    wall time of every frontend stage run so far.
+    pays for the def-use analysis.
     """
 
-    __slots__ = ("program", "frontend_seconds", "_dataflow_issues", "_addg", "_fingerprint")
+    __slots__ = ("program", "_dataflow_issues", "_addg", "_fingerprint")
 
-    def __init__(self, program: Program, frontend_seconds: float = 0.0):
+    def __init__(self, program: Program):
         self.program = program
-        self.frontend_seconds = frontend_seconds
         self._dataflow_issues: Optional[Tuple[str, ...]] = None
         self._addg: Optional[ADDG] = None
         self._fingerprint: Optional[str] = None
@@ -93,19 +91,15 @@ class CompiledProgram:
     def dataflow_issues(self) -> Tuple[str, ...]:
         """Def-use / single-assignment prerequisite violations (Fig. 6), if any."""
         if self._dataflow_issues is None:
-            started = time.perf_counter()
             with TRACER.span("frontend.defuse", "frontend"):
                 self._dataflow_issues = tuple(str(issue) for issue in check_dataflow(self.program))
-            self.frontend_seconds += time.perf_counter() - started
         return self._dataflow_issues
 
     @property
     def addg(self) -> ADDG:
         """The extracted array data dependence graph (built once, cached)."""
         if self._addg is None:
-            started = time.perf_counter()
             self._addg = build_addg(self.program)
-            self.frontend_seconds += time.perf_counter() - started
         return self._addg
 
     @property
@@ -122,7 +116,7 @@ class CompiledProgram:
         return tuple(self.addg.outputs)
 
     def __repr__(self) -> str:
-        return f"CompiledProgram({self.fingerprint[:12]}, frontend={self.frontend_seconds:.3f}s)"
+        return f"CompiledProgram({self.fingerprint[:12]})"
 
 
 class Verifier:
@@ -185,9 +179,8 @@ class Verifier:
             self.compile_hits += 1
             return cached
         self.compile_misses += 1
-        started = time.perf_counter()
         program = parse_program(source) if isinstance(source, str) else source
-        compiled = CompiledProgram(program, frontend_seconds=time.perf_counter() - started)
+        compiled = CompiledProgram(program)
         self._cache[key] = compiled
         return compiled
 

@@ -4,8 +4,8 @@ The kernel (:mod:`repro.presburger.kernel`) and the algorithms built on it
 (:mod:`repro.presburger.omega`) must preserve integer point sets exactly.
 These tests sweep the FM / stride / dark-shadow corpus of the solver
 differential suite and compare every result with the brute-force oracle of
-:mod:`tests.unit.presburger.enum_oracle`, which shares no code with the
-kernel: normal forms, simplification, elimination (against the projection of
+:mod:`repro.solvers.enum_backend` (the crosscheck partner of the omega
+core), which shares no code with the kernel: normal forms, simplification, elimination (against the projection of
 the input's points), feasibility and the set-algebra operations.  The oracle
 abstains only by raising, so an abstention fails the test instead of
 passing it vacuously.
@@ -19,13 +19,15 @@ They also gate the two interning invariants of the kernel:
   ``_normed`` fast path), which is only sound given interning.
 """
 
+import itertools
+
 import pytest
 
 from repro.presburger import opcache, parse_set
 from repro.presburger import kernel, omega
 from repro.presburger.conjunct import Conjunct
 
-from tests.unit.presburger import enum_oracle as oracle
+from repro.solvers import enum_backend as oracle
 from tests.unit.solvers.test_differential import CORPUS
 
 
@@ -47,6 +49,11 @@ def corpus_conjuncts():
     # oracle's repeated bounding (e2 is bounded only through e1).
     seen.append(Conjunct(0, 2, eqs=[(2, -3, 0)], ineqs=[(1, 0, 0), (-1, 0, 8)]))
     return seen
+
+
+def by_predicate(predicate, arity, box=oracle.BOX):
+    """The box points satisfying a plain Python predicate."""
+    return frozenset(p for p in itertools.product(box, repeat=arity) if predicate(*p))
 
 
 def optional_points(conjunct):
@@ -96,13 +103,13 @@ class TestOracleSelfCheck:
     @pytest.mark.parametrize("index", range(len(CASES)))
     def test_points_match_predicate(self, index):
         conjunct, predicate = self.CASES[index]
-        expected = oracle.by_predicate(predicate, conjunct.n_vars)
+        expected = by_predicate(predicate, conjunct.n_vars)
         assert oracle.points(conjunct) == expected
 
     def test_projection_hides_a_public_column(self):
         # { [i, j] : j = 2i and 0 <= j < 10 } projected onto j: even j.
         conjunct = Conjunct(2, 0, eqs=[(2, -1, 0)], ineqs=[(0, 1, 0), (0, -1, 9)])
-        assert oracle.points(conjunct, hidden=[0]) == oracle.by_predicate(
+        assert oracle.points(conjunct, hidden=[0]) == by_predicate(
             lambda j: j % 2 == 0 and 0 <= j < 10, 1
         )
 
@@ -130,8 +137,9 @@ class TestOracleSelfCheck:
             if isinstance(node, ast.Import):
                 modules.update(alias.name for alias in node.names)
             elif isinstance(node, ast.ImportFrom):
-                modules.add(node.module)
-        assert modules <= {"__future__", "itertools", "typing"}
+                modules.add("." * node.level + (node.module or ""))
+        # Only the stdlib and the backend protocol (`Abstain`, `SolverBackend`).
+        assert modules <= {"__future__", "itertools", "typing", ".base"}
 
 
 class TestNormalize:

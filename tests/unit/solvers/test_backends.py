@@ -1,29 +1,43 @@
 """Backend protocol, selection, routing and options/stats plumbing tests."""
 
+import shutil
+
 import pytest
 
 from repro.checker.result import CheckStats
 from repro.presburger import parse_set
 from repro.presburger import hooks
 from repro.solvers import (
-    BACKEND_NAMES,
     OmegaBackend,
-    SmtLibBackend,
+    SolverUnavailableError,
     available_backends,
     get_backend,
     use_backend,
 )
-from repro.verifier.options import CheckOptions
+from repro.verifier.options import BACKEND_NAMES, CheckOptions
+
+NO_SMT_SOLVER = shutil.which("z3") is None and shutil.which("cvc5") is None
 
 
 class TestSelection:
     def test_get_backend_names(self):
         assert get_backend("omega").name == "omega"
-        assert get_backend("smtlib", "builtin").name == "smtlib"
-        crosscheck = get_backend("crosscheck", "builtin")
+        crosscheck = get_backend("crosscheck")
         assert crosscheck.name == "crosscheck"
         assert crosscheck.primary.name == "omega"
-        assert crosscheck.secondary.name == "smtlib"
+        assert crosscheck.secondary.name == "enum"
+
+    def test_smt_solver_does_not_change_the_crosscheck_partner(self):
+        assert get_backend("crosscheck", "cvc5 --lang smt2").secondary.name == "enum"
+
+    def test_missing_solver_binary_is_unavailable(self):
+        with pytest.raises(SolverUnavailableError, match="nosuchsolver"):
+            get_backend("smtlib", "nosuchsolver")
+
+    @pytest.mark.skipif(not NO_SMT_SOLVER, reason="an SMT solver is on PATH")
+    def test_smtlib_needs_a_solver_on_path(self):
+        with pytest.raises(SolverUnavailableError, match="z3 or cvc5"):
+            get_backend("smtlib")
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
@@ -31,8 +45,9 @@ class TestSelection:
 
     def test_available_backends_always_include_stdlib_ones(self):
         names = available_backends()
-        for name in ("omega", "smtlib", "crosscheck"):
+        for name in ("omega", "crosscheck"):
             assert name in names
+        assert ("smtlib" in names) == (not NO_SMT_SOLVER)
         assert set(names) <= set(BACKEND_NAMES)
 
 
@@ -66,22 +81,22 @@ class TestRouting:
             assert backend is None
             assert hooks.active_backend() is None
 
-    def test_smtlib_routes_set_queries(self):
+    def test_crosscheck_routes_set_queries(self):
         small = parse_set("{ [i] : 0 <= i < 4 }")
         big = parse_set("{ [i] : 0 <= i < 8 }")
-        with use_backend("smtlib", "builtin") as backend:
+        with use_backend("crosscheck") as backend:
             assert hooks.active_backend() is backend
             assert small.is_subset(big)
             assert small.contains([2])
         assert hooks.active_backend() is None
-        assert backend.query_counts["smtlib.is_subset"] == 1
-        assert backend.query_counts["smtlib.is_feasible"] == 1
+        assert backend.query_counts["enum.is_subset"] == 1
+        assert backend.query_counts["enum.is_feasible"] == 1
 
     def test_backend_reentry_is_suspended(self):
         # sample_point's fallback re-enters the Set API; the hook must be
         # suspended there or a routing backend would recurse into itself.
         small = parse_set("{ [i] : 0 <= i < 4 }")
-        with use_backend("smtlib", "builtin"):
+        with use_backend("crosscheck"):
             point = small.sample_point()
         assert point in {(i,) for i in range(4)}
 
@@ -98,11 +113,11 @@ class TestOptionsPlumbing:
         # sound solver must compute the same verdict.
         assert (
             CheckOptions(backend="smtlib", smt_solver="z3").fingerprint()
-            == CheckOptions(backend="smtlib", smt_solver="builtin").fingerprint()
+            == CheckOptions(backend="smtlib", smt_solver="cvc5").fingerprint()
         )
 
     def test_roundtrip(self):
-        options = CheckOptions(backend="crosscheck", smt_solver="builtin")
+        options = CheckOptions(backend="smtlib", smt_solver="cvc5 --lang smt2")
         again = CheckOptions.from_dict(options.to_dict())
         assert again == options
 

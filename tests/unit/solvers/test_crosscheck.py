@@ -12,11 +12,12 @@ from repro.solvers import (
     BackendDisagreement,
     CrossCheckBackend,
     OmegaBackend,
-    SmtLibBackend,
     replay_query,
     serialize_query,
     use_backend,
 )
+from repro.solvers.base import Abstain
+from repro.solvers.enum_backend import EnumBackend
 
 
 class LyingBackend(OmegaBackend):
@@ -28,35 +29,78 @@ class LyingBackend(OmegaBackend):
         return not super().is_subset(a, b)
 
 
+class AbstainingBackend(OmegaBackend):
+    """A partner that declines every query."""
+
+    name = "abstaining"
+
+    def is_subset(self, a, b):
+        raise Abstain("declined")
+
+    def is_feasible(self, conjunct):
+        raise Abstain("declined")
+
+
 class TestAgreement:
     def test_counters_accumulate_across_children(self):
         small = parse_set("{ [i] : 0 <= i < 4 }")
         big = parse_set("{ [i] : 0 <= i < 8 }")
-        backend = CrossCheckBackend(OmegaBackend(), SmtLibBackend("builtin"))
+        backend = CrossCheckBackend(OmegaBackend(), EnumBackend())
         assert backend.is_subset(small.conjuncts, big.conjuncts)
         assert backend.is_equal(small.conjuncts, small.conjuncts)
         counts = backend.query_counts
         assert counts["crosscheck.agreements"] == 2
         assert counts["omega.is_subset"] == 1
-        assert counts["smtlib.is_subset"] == 1
+        assert counts["enum.is_subset"] == 1
         assert counts["omega.is_equal"] == 1
-        assert counts["smtlib.is_equal"] == 1
+        assert counts["enum.is_equal"] == 1
         assert "crosscheck.disagreements" not in counts
 
     def test_sample_point_checked_by_membership(self):
         # The two backends may return different witnesses of the same set;
         # the secondary only verifies membership of the primary's point.
         stripes = parse_set("{ [i] : exists a : i = 3a and 0 <= i < 12 }")
-        backend = CrossCheckBackend(OmegaBackend(), SmtLibBackend("builtin"))
+        backend = CrossCheckBackend(OmegaBackend(), EnumBackend())
         point = backend.sample_point(stripes)
         assert point[0] % 3 == 0
         assert backend.query_counts["crosscheck.agreements"] == 1
 
     def test_routing_through_set_api(self):
         small = parse_set("{ [i] : 0 <= i < 4 }")
-        with use_backend("crosscheck", "builtin") as backend:
+        with use_backend("crosscheck") as backend:
             assert small.is_equal(small)
         assert backend.query_counts["crosscheck.agreements"] == 1
+
+
+class TestAbstention:
+    def test_abstention_keeps_the_primary_answer(self):
+        small = parse_set("{ [i] : 0 <= i < 4 }")
+        big = parse_set("{ [i] : 0 <= i < 8 }")
+        backend = CrossCheckBackend(OmegaBackend(), AbstainingBackend())
+        assert backend.is_subset(small.conjuncts, big.conjuncts) is True
+        assert not backend.is_subset(big.conjuncts, small.conjuncts)
+        assert backend.sample_point(small) in {(i,) for i in range(4)}
+        counts = backend.query_counts
+        assert counts["crosscheck.abstentions"] == 3
+        assert "crosscheck.agreements" not in counts
+        assert "crosscheck.disagreements" not in counts
+
+    def test_enum_abstains_on_an_unbounded_subset(self):
+        # Both sets are infinite: enumeration cannot decide containment.
+        upper = parse_set("{ [i] : i >= 0 }")
+        wider = parse_set("{ [i] : i >= -1 }")
+        backend = CrossCheckBackend(OmegaBackend(), EnumBackend())
+        assert backend.is_subset(upper.conjuncts, wider.conjuncts)
+        assert backend.query_counts["crosscheck.abstentions"] == 1
+
+    def test_enum_pins_only_a_column_no_side_constrains(self):
+        enum = EnumBackend()
+        narrow = parse_set("{ [i, j] : 0 <= i < 4 }").conjuncts
+        wide = parse_set("{ [i, j] : 0 <= i < 8 }").conjuncts
+        assert enum.is_subset(narrow, wide)
+        assert not enum.is_subset(wide, narrow)
+        with pytest.raises(Abstain):
+            enum.is_subset(narrow, parse_set("{ [i, j] : 0 <= i < 8 and j >= 0 }").conjuncts)
 
 
 class TestDisagreement:
@@ -78,7 +122,7 @@ class TestDisagreement:
         payload = json.loads(json.dumps(error.to_dict()))
         assert payload["query"]["kind"] == "is_subset"
         assert replay_query(payload["query"], OmegaBackend()) is True
-        assert replay_query(payload["query"], SmtLibBackend("builtin")) is True
+        assert replay_query(payload["query"], EnumBackend()) is True
         assert replay_query(payload["query"], LyingBackend()) is False
 
     def test_disagreement_is_not_an_exception(self):

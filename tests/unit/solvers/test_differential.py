@@ -1,6 +1,7 @@
-"""Differential property sweep: the omega core and the SMT-LIB2 path must
-agree on every decision query, over a corpus of hand-picked hard cases and
-over the full registered kernel workload.
+"""Differential property sweep: the omega core and the enumeration partner
+must agree on every decision query, over a corpus of hand-picked hard cases
+and over the full registered kernel workload.  Real SMT solvers join in when
+their binaries are on PATH.
 
 The hard cases deliberately include the Fourier–Motzkin dark-shadow and
 splinter territory — strided (divisibility-constrained) sets with
@@ -15,6 +16,7 @@ import pytest
 
 from repro.presburger import parse_set
 from repro.solvers import CrossCheckBackend, OmegaBackend, SmtLibBackend
+from repro.solvers.enum_backend import EnumBackend
 from repro.verifier import Verifier
 from repro.verifier.options import CheckOptions
 from repro.workloads import SMALL_KERNEL_PARAMS, kernel_names, kernel_pair
@@ -42,7 +44,7 @@ CORPUS = [
 
 
 def backends():
-    return OmegaBackend(), SmtLibBackend("builtin")
+    return OmegaBackend(), EnumBackend()
 
 
 def pairs(dimension):
@@ -58,26 +60,26 @@ def pairs(dimension):
 class TestCorpusSweep:
     @pytest.mark.parametrize("dimension", [1, 2])
     def test_binary_queries_agree(self, dimension):
-        omega, smt = backends()
+        omega, enum = backends()
         for a, b in pairs(dimension):
             for kind in ("is_subset", "is_equal", "is_disjoint"):
                 first = getattr(omega, kind)(a.conjuncts, b.conjuncts)
-                second = getattr(smt, kind)(a.conjuncts, b.conjuncts)
+                second = getattr(enum, kind)(a.conjuncts, b.conjuncts)
                 assert first == second, (kind, str(a), str(b))
 
     def test_feasibility_agrees(self):
-        omega, smt = backends()
+        omega, enum = backends()
         for text in CORPUS:
             for conjunct in parse_set(text).conjuncts:
-                assert omega.is_feasible(conjunct) == smt.is_feasible(conjunct), text
+                assert omega.is_feasible(conjunct) == enum.is_feasible(conjunct), text
 
     def test_sample_points_are_members(self):
-        omega, smt = backends()
+        omega, enum = backends()
         for text in CORPUS:
             integer_set = parse_set(text)
             if integer_set.is_empty():
                 continue
-            for backend in (omega, smt):
+            for backend in (omega, enum):
                 point = backend.sample_point(integer_set)
                 assert integer_set.contains(list(point)), (text, backend.name, point)
 
@@ -90,11 +92,13 @@ class TestCorpusSweep:
         counts = backend.query_counts
         assert counts["crosscheck.agreements"] > 0
         assert "crosscheck.disagreements" not in counts
+        assert "crosscheck.abstentions" not in counts
 
 
 class TestKernelSweep:
     """Verdict identity end to end: every registered workload kernel checks
-    to the same verdict under omega and under the SMT path."""
+    to the same verdict under omega and under the crosscheck, whose every
+    query the enumeration partner confirms or abstains on."""
 
     @pytest.mark.parametrize("name", kernel_names())
     def test_kernel_verdicts_identical(self, name):
@@ -102,13 +106,15 @@ class TestKernelSweep:
         omega_result = Verifier(options=CheckOptions()).check(
             pair.original, pair.transformed
         )
-        smt_result = Verifier(
-            options=CheckOptions(backend="smtlib", smt_solver="builtin")
-        ).check(pair.original, pair.transformed)
-        assert omega_result.equivalent == smt_result.equivalent
+        crosscheck_result = Verifier(options=CheckOptions(backend="crosscheck")).check(
+            pair.original, pair.transformed
+        )
+        assert omega_result.equivalent == crosscheck_result.equivalent
         assert omega_result.equivalent  # the registered pairs are equivalent
-        assert smt_result.stats.backend == "smtlib"
-        assert sum(smt_result.stats.solver_queries.values()) > 0
+        assert crosscheck_result.stats.backend == "crosscheck"
+        counts = crosscheck_result.stats.solver_queries
+        assert counts.get("crosscheck.agreements", 0) > 0
+        assert counts.get("crosscheck.disagreements", 0) == 0
         assert omega_result.stats.backend == "omega"
         assert omega_result.stats.solver_queries == {}
 
@@ -117,9 +123,9 @@ class TestKernelSweep:
         # verdict too (divergence would raise BackendDisagreement here).
         from repro.workloads import fig1_original, fig1_ver3_erroneous
 
-        result = Verifier(
-            options=CheckOptions(backend="crosscheck", smt_solver="builtin")
-        ).check(fig1_original(), fig1_ver3_erroneous())
+        result = Verifier(options=CheckOptions(backend="crosscheck")).check(
+            fig1_original(), fig1_ver3_erroneous()
+        )
         assert not result.equivalent
         assert result.stats.backend == "crosscheck"
         counts = result.stats.solver_queries

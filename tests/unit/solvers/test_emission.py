@@ -1,15 +1,21 @@
 """Unit tests for the SMT-LIB2 emission layer of :mod:`repro.solvers.smtlib`."""
 
+import itertools
+
 import pytest
 
 from repro.presburger import parse_set
 from repro.presburger.conjunct import Conjunct
+from repro.solvers import enum_backend
 from repro.solvers.smtlib import (
     conjunct_formula,
     disjoint_scripts,
     feasibility_script,
+    parse_sexprs,
     subset_scripts,
 )
+
+from tests.unit.solvers.test_differential import CORPUS
 
 
 def conjunct_of(text):
@@ -95,3 +101,80 @@ class TestScripts:
         (script,) = disjoint_scripts(a, b)
         assert "(declare-const d0 Int)" in script
         assert "(declare-const e0 Int)" in script
+
+
+# --------------------------------------------------------------------------- #
+# Semantics: the emitted assertions hold exactly at the conjuncts' points
+# --------------------------------------------------------------------------- #
+_OPS = {
+    "=": lambda x, y: x == y,
+    ">=": lambda x, y: x >= y,
+    ">": lambda x, y: x > y,
+    "<=": lambda x, y: x <= y,
+    "<": lambda x, y: x < y,
+    "*": lambda x, y: x * y,
+}
+
+
+def _value(expr, env):
+    if isinstance(expr, str):
+        if expr == "true":
+            return True
+        return env[expr] if expr in env else int(expr)
+    op, *args = expr
+    values = [_value(arg, env) for arg in args]
+    if op == "and":
+        return all(values)
+    if op == "not":
+        return not values[0]
+    if op == "+":
+        return sum(values)
+    if op == "-":
+        return -values[0] if len(values) == 1 else values[0] - sum(values[1:])
+    return _OPS[op](*values)
+
+
+def holds(script, point):
+    """Whether every assertion of *script* is true with ``x<k> = point[k]``."""
+    env = {f"x{k}": value for k, value in enumerate(point)}
+    return all(
+        _value(form[1], env) for form in parse_sexprs(script) if form[0] == "assert"
+    )
+
+
+def flat_conjuncts(arity):
+    """The corpus conjuncts without existential columns, plus negative
+    literals and non-unit coefficients on both sides of the box."""
+    texts = CORPUS + [
+        "{ [i] : -2 <= i <= 5 }",
+        "{ [i, j] : 2i - 3j >= -4 and 0 <= i < 6 and -2 <= j < 5 }",
+    ]
+    return [
+        conjunct
+        for text in texts
+        for conjunct in parse_set(text).conjuncts
+        if conjunct.n_div == 0 and conjunct.n_vars == arity
+    ]
+
+
+class TestScriptSemantics:
+    """Evaluates the emitted scripts at every box point of the enumeration
+    backend and compares with its point sets, so emission keeps a semantic
+    test that needs no solver."""
+
+    @pytest.mark.parametrize("arity", [1, 2])
+    def test_scripts_hold_exactly_at_the_points(self, arity):
+        conjuncts = flat_conjuncts(arity)
+        assert len(conjuncts) >= 2
+        box = list(itertools.product(enum_backend.BOX, repeat=arity))
+        points = [enum_backend.points(conjunct) for conjunct in conjuncts]
+        for left, left_points in zip(conjuncts, points):
+            script = feasibility_script(left)
+            assert [holds(script, p) for p in box] == [p in left_points for p in box], left
+            for right, right_points in zip(conjuncts, points):
+                (subset,) = subset_scripts([left], [right])
+                (disjoint,) = disjoint_scripts([left], [right])
+                for p in box:
+                    inside = p in left_points
+                    assert holds(subset, p) == (inside and p not in right_points), (left, right, p)
+                    assert holds(disjoint, p) == (inside and p in right_points), (left, right, p)

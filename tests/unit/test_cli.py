@@ -139,6 +139,28 @@ class TestMain:
         assert main([str(path), str(path)]) == 2
         assert "non-linear" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subcommand", ["check", "diagnose"])
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--backend", "z3"],
+            ["--backend", "smtlib", "--smt-solver", "nosuchsolver"],
+            ["--backend", "smtlib"],
+        ],
+        ids=["no-z3-module", "no-such-binary", "no-solver-on-path"],
+    )
+    def test_unavailable_backend_is_a_usage_error(
+        self, fig1_files, tmp_path, capsys, monkeypatch, subcommand, flags
+    ):
+        """A backend that cannot run here is `error: ...` and exit 2, not a traceback."""
+        monkeypatch.setitem(sys.modules, "z3", None)  # as if z3-solver were absent
+        monkeypatch.setenv("PATH", str(tmp_path))  # no solver binary to find
+        status = main([subcommand, "--quiet", *flags, fig1_files["a"], fig1_files["c"]])
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_declare_op_and_correspond_options(self, fig1_files):
         status = main([
             "--quiet",
@@ -154,7 +176,7 @@ class TestMain:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--backend", "crosscheck"], ["--smt-solver", "builtin"]],
+        [["--backend", "crosscheck"], ["--smt-solver", "z3"]],
         ids=["backend", "smt-solver"],
     )
     def test_job_file_warns_about_ignored_backend_flags(self, tmp_path, capsys, flags):

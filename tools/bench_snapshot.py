@@ -12,8 +12,9 @@ PR that moves the numbers:
 * ``BENCH_service.json`` — a serial batch over the built-in corpus
   (generated + buggy pairs, seed 0);
 * ``BENCH_solvers.json`` — the decision-backend comparison of
-  ``benchmarks/bench_solvers.py`` (omega vs SMT-LIB2 vs crosscheck on the
-  ``fir`` kernel).
+  ``benchmarks/bench_solvers.py`` (omega vs crosscheck on the ``fir``
+  kernel, plus the crosscheck's agreement / abstention counts over every
+  registered kernel and the fuzz smoke corpus).
 
 Each snapshot splits into two sub-objects:
 
@@ -239,15 +240,21 @@ def _snapshot_service_server(jobs):
 
 
 def snapshot_solvers() -> dict:
-    """The decision-backend comparison: same kernel, three backends."""
+    """The decision-backend comparison: same kernel, omega vs crosscheck."""
     import bench_solvers
 
     timings = {}
     results = {}
-    for backend in ("omega", "smtlib", "crosscheck"):
+    for backend in ("omega", "crosscheck"):
         started = time.perf_counter()
         results[backend] = bench_solvers.check_kernel(backend)
         timings[backend] = time.perf_counter() - started
+    started = time.perf_counter()
+    sweep = bench_solvers.kernel_sweep()
+    timings["kernel_sweep"] = time.perf_counter() - started
+    started = time.perf_counter()
+    fuzz = bench_solvers.fuzz_smoke()
+    timings["fuzz_smoke"] = time.perf_counter() - started
     crosscheck_counts = dict(results["crosscheck"].stats.solver_queries)
     omega_seconds = timings["omega"]
     return {
@@ -256,17 +263,19 @@ def snapshot_solvers() -> dict:
             "verdicts": {
                 backend: bool(result.equivalent) for backend, result in results.items()
             },
-            "smtlib_queries": dict(results["smtlib"].stats.solver_queries),
             "crosscheck_queries": crosscheck_counts,
             "disagreements": crosscheck_counts.get("crosscheck.disagreements", 0),
+            "kernel_sweep": sweep,
+            "fuzz_smoke": fuzz,
         },
         "timing": {
             "omega_seconds": round(timings["omega"], 6),
-            "smtlib_seconds": round(timings["smtlib"], 6),
             "crosscheck_seconds": round(timings["crosscheck"], 6),
             "crosscheck_overhead": (
                 round(timings["crosscheck"] / omega_seconds, 3) if omega_seconds else 0.0
             ),
+            "kernel_sweep_seconds": round(timings["kernel_sweep"], 6),
+            "fuzz_smoke_seconds": round(timings["fuzz_smoke"], 6),
         },
     }
 
