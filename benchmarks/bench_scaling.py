@@ -4,8 +4,9 @@ Section 6.2 argues that the traversal is linear in the size of the larger
 ADDG thanks to the tabling of established equivalences, and that the integer
 set/relation operations stay cheap because the formulae remain small.  This
 harness sweeps the number of stages of generated programs (which grows the
-ADDG linearly), times the check, and compares tabling on vs off on a program
-with heavily shared sub-ADDGs.
+ADDG linearly), the length of associative chains of reads of one array
+(commutative matching), times the check, and compares tabling on vs off on a
+program with heavily shared sub-ADDGs.
 """
 
 import random
@@ -17,22 +18,24 @@ from repro.checker import check_addgs, check_equivalence
 from repro.lang import ProgramBuilder, parse_program
 from repro.presburger import opcache
 from repro.transforms import apply_random_transforms, loop_reversal, loop_split
-from repro.workloads import RandomProgramGenerator
+from repro.workloads import CHAIN_SHAPES, RandomProgramGenerator, chain_source
 
 from conftest import run_once
 
 STAGE_SWEEP = [2, 4, 6, 8]
 BREADTH_SWEEP = [2, 4, 8, 16]
+CHAIN_SWEEP = [10, 20, 40, 80]
 
 
 @pytest.mark.parametrize("stages", STAGE_SWEEP)
 def bench_e9_scaling_with_pipeline_depth(benchmark, stages, paper_threshold_seconds):
     """Depth series: longer and longer chains of dependent stages.
 
-    Because the stages are chained through associative operators, the
-    flattening performed by the extended method has to normalise ever longer
-    chains: the cost grows faster than the ADDG size here (see
-    EXPERIMENTS.md for the discussion).
+    The cost grows faster than the ADDG size here, but not because of
+    matching: generated stages read earlier stages more than once, so the
+    number of data-flow paths grows geometrically with the depth (4, 8, 10
+    and 428 checked paths at 2, 4, 6 and 8 stages).  Matching the operands
+    of one chain is linear; see the chain series below.
     """
     generator = RandomProgramGenerator(seed=17, stages=stages, size=48)
     original = generator.generate()
@@ -45,6 +48,42 @@ def bench_e9_scaling_with_pipeline_depth(benchmark, stages, paper_threshold_seco
     # record the ADDG size alongside the timing so the series can be plotted
     benchmark.extra_info["addg_size"] = max(original_addg.size(), transformed_addg.size())
     benchmark.extra_info["paths"] = result.stats.paths_checked
+
+
+def _chain_check(shape: str, length: int):
+    """A *shape* chain of *length* reads of ``A`` against its reversal."""
+    original = parse_program(chain_source(shape, range(length)))
+    transformed = parse_program(chain_source(shape, reversed(range(length))))
+    return original, transformed
+
+
+def chain_sweep() -> dict:
+    """``compare_calls`` of each chain shape against its reversal, per length.
+
+    The reads pair by their dependency-mapping keys, one compare each, so
+    every entry is ``length + 1``; trial-comparing every pair of reads
+    would cost ``length**2 + 1``.
+    """
+    sweep = {}
+    for shape in CHAIN_SHAPES:
+        sweep[shape] = {}
+        for length in CHAIN_SWEEP:
+            result = check_equivalence(*_chain_check(shape, length))
+            assert result.equivalent, (shape, length)
+            sweep[shape][str(length)] = result.stats.compare_calls
+    return sweep
+
+
+@pytest.mark.parametrize("length", CHAIN_SWEEP)
+@pytest.mark.parametrize("shape", CHAIN_SHAPES)
+def bench_e9_scaling_with_chain_length(benchmark, shape, length, paper_threshold_seconds):
+    """Chain series: n reads of one array against their reversal (FIR taps)."""
+    original, transformed = _chain_check(shape, length)
+    result = run_once(benchmark, check_equivalence, original, transformed, rounds=1)
+    assert result.equivalent
+    assert result.stats.compare_calls == length + 1
+    assert result.stats.elapsed_seconds < paper_threshold_seconds
+    benchmark.extra_info["compare_calls"] = result.stats.compare_calls
 
 
 def _parallel_pipelines_program(width: int, size: int = 48):

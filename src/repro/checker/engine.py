@@ -27,7 +27,8 @@ public entry point is :func:`repro.checker.api.check_equivalence`.
 from __future__ import annotations
 
 import time
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set as PySet, Tuple
+from collections import deque
+from typing import Deque, Dict, FrozenSet, List, Optional, Sequence, Set as PySet, Tuple
 
 from ..presburger import Map, Set, SpaceMismatchError, opcache
 from ..presburger.errors import PresburgerError
@@ -533,6 +534,10 @@ class Engine:
     def _compare_leaves(self, first: Term, second: Term) -> bool:
         self.stats.leaf_comparisons += 1
         self.stats.paths_checked += 1
+        return self._leaf_verdict(first, second)
+
+    def _leaf_verdict(self, first: Term, second: Term) -> bool:
+        """Decide one pair of input leaves, diagnosing a mismatch (not counted)."""
         if first.array != second.array:
             self._diag(
                 Diagnostic(
@@ -775,7 +780,27 @@ class Engine:
         return ("op", term.node.op)
 
     def _match_terms(self, terms1: List[Term], terms2: List[Term], trial: bool, depth: int) -> bool:
-        """Pair the operands of a commutative operator (Section 5.2, "matching")."""
+        """Pair the operands of a commutative operator (Section 5.2, "matching").
+
+        Operands are grouped by a coarse signature (constant value, input
+        array, operator, recurrence array); the group sizes must agree.  A
+        group of several reads of one input array is first paired by key:
+        each read's key is its dependency mapping's :func:`_map_key` (already
+        restricted to the common output domain).  Two input leaves are
+        compatible exactly when their mappings are equal, which is an
+        equivalence relation, and equal keys mean identical conjuncts, hence
+        equal mappings.  So pairing equal keys greedily never loses a
+        complete matching, and the chain ``A[k+0] + ... + A[k+n-1]`` against
+        any permutation costs n compares where trial-comparing every pair
+        would cost n².  Each key pair is still confirmed through
+        :meth:`compare`, so tabling and the leaf counters keep their
+        meaning.  Reads without a key partner (equal mappings written
+        differently, or genuine mismatches) and all other groups are paired
+        by trial-comparing every pair and taking a maximum bipartite
+        matching.  Unpaired operands stay in their
+        original order, so the diagnostics of Section 6.1 name the same
+        failing operands whichever way they were paired.
+        """
         if len(terms1) != len(terms2):
             self._diag(
                 Diagnostic(
@@ -815,6 +840,8 @@ class Engine:
                     ok = False
                     failing_pairs.append((group1[0], group2[0]))
                 continue
+            if signature[0] == "input":
+                group1, group2 = self._pair_by_key(group1, group2, depth)
             compatibility = [
                 [self.compare(a, b, True, depth + 1) for b in group2] for a in group1
             ]
@@ -832,6 +859,30 @@ class Engine:
             self._report_matching_failures(failing_pairs)
         return ok
 
+    def _pair_by_key(
+        self, group1: List[Term], group2: List[Term], depth: int
+    ) -> Tuple[List[Term], List[Term]]:
+        """Pair reads of one input array whose mappings have equal keys.
+
+        Each term of *group1*, in order, takes the first unused term of
+        *group2* with the same key (the column Kuhn's algorithm would pick
+        first).  Returns the unpaired terms of both groups in their original
+        order.
+        """
+        buckets: Dict[Tuple, Deque[int]] = {}
+        for index, term in enumerate(group2):
+            buckets.setdefault(_map_key(term.rel), deque()).append(index)
+        paired: PySet[int] = set()
+        unpaired1: List[Term] = []
+        for term in group1:
+            bucket = buckets.get(_map_key(term.rel))
+            if bucket and self.compare(term, group2[bucket[0]], True, depth + 1):
+                paired.add(bucket.popleft())
+            else:
+                unpaired1.append(term)
+        unpaired2 = [term for index, term in enumerate(group2) if index not in paired]
+        return unpaired1, unpaired2
+
     @staticmethod
     def _describe_group(groups: Dict[Tuple, List[Term]]) -> List[str]:
         result = []
@@ -842,9 +893,10 @@ class Engine:
     def _report_matching_failures(self, failing_pairs: Sequence[Tuple[Term, Term]]) -> None:
         for term1, term2 in failing_pairs:
             if self._is_input_term(term1) and self._is_input_term(term2) and term1.array == term2.array:
-                # Re-run the leaf comparison without suppression to get the
-                # detailed mapping-mismatch diagnostic of Section 6.1.
-                self._compare_leaves(term1, term2)
+                # Re-decide the leaf pair without suppression to get the
+                # detailed mapping-mismatch diagnostic of Section 6.1; the
+                # pair was already counted when matching tried it.
+                self._leaf_verdict(term1, term2)
             else:
                 self._diag(
                     Diagnostic(

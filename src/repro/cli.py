@@ -838,7 +838,7 @@ def _run_check(args: argparse.Namespace) -> int:
             handle.write(addg_to_dot(verifier.compile(transformed).addg, "transformed"))
 
     observer = None if args.quiet or args.json else _ProgressObserver(sys.stderr)
-    from .service import JobTimeoutError, call_with_timeout
+    from .verifier.watchdog import JobTimeoutError, call_with_timeout
     from .solvers import SolverUnavailableError
 
     try:

@@ -27,7 +27,7 @@ amortises all of it across the daemon's lifetime:
 
 The cache front, the budget rule, the verdict store and the follower result
 are the batch executor's own (:mod:`repro.service.executor`).  Timeouts go
-through :func:`repro.service.executor.call_with_timeout`, whose signal-free
+through :func:`repro.verifier.watchdog.call_with_timeout`, whose signal-free
 watchdog works on the pool's worker threads as on any other thread.
 """
 

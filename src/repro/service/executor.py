@@ -18,8 +18,9 @@ killing the worker).  The one mechanism is a signal-free watchdog: a timer
 thread that raises :class:`JobTimeoutError` into the executing thread at the
 next bytecode boundary, so any thread — the main thread, a server worker
 thread — can carry its own independent budget (see
-:func:`call_with_timeout`).  A job that exceeds its budget yields a
-``timeout`` result instead of poisoning the pool.  Any exception a job raises is captured into an ``error`` result
+:func:`repro.verifier.watchdog.call_with_timeout`, re-exported here).  A job
+that exceeds its budget yields a ``timeout`` result instead of poisoning the
+pool.  Any exception a job raises is captured into an ``error`` result
 with its traceback — one bad program never aborts the batch.  Two alarms
 deliberately pierce that capture as ``BaseException``: the timeout itself,
 and :class:`~repro.solvers.BackendDisagreement` from a cross-checked run,
@@ -34,8 +35,6 @@ per-job share of that activity travels back inside the job's
 
 from __future__ import annotations
 
-import ctypes
-import threading
 import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -43,7 +42,7 @@ from typing import Any, Callable, Iterable, List, Optional, Sequence
 
 from ..solvers.base import BackendDisagreement
 from ..telemetry import METRICS as _METRICS, TRACER as _TRACER
-from ..verifier.options import is_budget
+from ..verifier.watchdog import JobTimeoutError, call_with_timeout
 from .cache import ResultCache
 from .fingerprint import job_fingerprint
 from .job import JobResult, JobStatus, VerificationJob
@@ -58,75 +57,6 @@ __all__ = [
     "job_budget",
     "store_verdict",
 ]
-
-
-class JobTimeoutError(BaseException):
-    # BaseException, not Exception: the checker (e.g. the presburger closure
-    # heuristics) uses broad `except Exception` internally, which must not
-    # swallow the timeout and let a job run past its budget.
-    pass
-
-
-def call_with_timeout(fn: Callable[[], Any], timeout: Optional[float]):
-    """Call ``fn()``, raising :class:`JobTimeoutError` past *timeout* seconds.
-
-    A :class:`threading.Timer` delivers :class:`JobTimeoutError` into the
-    calling thread with ``PyThreadState_SetAsyncExc``.  The exception
-    surfaces at the next bytecode boundary, which is exactly the granularity
-    the pure-Python checker needs, and any number of threads can carry
-    independent budgets concurrently.  ``None`` or ``0`` runs *fn* without a
-    budget; a value outside the budget rule (:func:`is_budget`) raises
-    :class:`ValueError` instead of running *fn* unbudgeted.
-    """
-    if not is_budget(timeout):
-        raise ValueError(
-            f"timeout must be a finite, non-negative number of seconds, got {timeout!r}"
-        )
-    if not timeout:
-        return fn()
-    target = threading.get_ident()
-    # The lock makes "deliver" and "finish" mutually exclusive: the timer
-    # either delivers before the cleanup below (which then clears a still
-    # pending delivery) or sees the call finished and does nothing.
-    lock = threading.Lock()
-    fired = []
-    finished = []
-
-    def interrupt() -> None:
-        with lock:
-            if finished:
-                return
-            fired.append(True)
-            ctypes.pythonapi.PyThreadState_SetAsyncExc(
-                ctypes.c_ulong(target), ctypes.py_object(JobTimeoutError)
-            )
-
-    timer = threading.Timer(timeout, interrupt)
-    timer.daemon = True
-    outcome = []
-    timer.start()
-    try:
-        try:
-            try:
-                outcome.append(fn())
-            except JobTimeoutError:
-                pass
-        finally:
-            timer.cancel()
-            with lock:
-                finished.append(True)
-                if fired:
-                    # The async exception may still be pending delivery (the
-                    # timer fired after fn() returned); clearing it stops it
-                    # surfacing at some arbitrary later bytecode of this thread.
-                    ctypes.pythonapi.PyThreadState_SetAsyncExc(ctypes.c_ulong(target), None)
-    except JobTimeoutError:
-        # Delivered in the cleanup window above: the computed result (if
-        # any) still wins, so a verdict finished in time is never discarded.
-        pass
-    if outcome:
-        return outcome[0]
-    raise JobTimeoutError()
 
 
 def job_budget(

@@ -58,7 +58,7 @@ class BackendDisagreement(BaseException):
     """Two backends returned different verdicts for the same decision query.
 
     Inherits :class:`BaseException` (not :class:`Exception`) for the same
-    reason :class:`~repro.service.executor.JobTimeoutError` does: a
+    reason :class:`~repro.verifier.watchdog.JobTimeoutError` does: a
     disagreement is a soundness alarm that must reach the executor even
     through the checker's broad internal ``except Exception`` recovery
     paths.  The serialized query rides along for offline replay

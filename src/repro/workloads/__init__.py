@@ -1,5 +1,6 @@
-"""Workloads: the paper's Fig. 1 example, DSP kernels, and a random generator."""
+"""Workloads: the paper's Fig. 1 example, DSP kernels, chains, and a random generator."""
 
+from .chains import CHAIN_SHAPES, chain_source
 from .fig1 import (
     FIG1_SOURCES,
     fig1_program,
@@ -12,12 +13,14 @@ from .generator import GeneratedPair, RandomProgramGenerator
 from .kernels import KERNEL_REGISTRY, SMALL_KERNEL_PARAMS, KernelPair, kernel_names, kernel_pair
 
 __all__ = [
+    "CHAIN_SHAPES",
     "FIG1_SOURCES",
     "GeneratedPair",
     "KERNEL_REGISTRY",
     "KernelPair",
     "SMALL_KERNEL_PARAMS",
     "RandomProgramGenerator",
+    "chain_source",
     "fig1_original",
     "fig1_program",
     "fig1_ver1",

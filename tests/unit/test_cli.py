@@ -276,3 +276,15 @@ class TestImportWeight:
         )
         proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ))
         assert proc.returncode == 0
+
+    def test_check_leaves_the_batch_service_unloaded(self, fig1_files):
+        # `check --timeout` needs only the watchdog, which lives in a leaf
+        # module; the batch service package stays off the one-shot path.
+        code = (
+            "import sys; from repro.cli import main; "
+            f"code = main(['check', '--quiet', '--timeout', '60', {fig1_files['a']!r}, "
+            f"{fig1_files['b']!r}]); "
+            "sys.exit(3 if 'repro.service' in sys.modules else code)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ))
+        assert proc.returncode == 0

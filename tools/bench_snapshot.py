@@ -8,7 +8,10 @@ PR that moves the numbers:
 * ``BENCH_presburger.json`` — the repeated-composition operation-cache
   ablation of ``benchmarks/bench_presburger.py``;
 * ``BENCH_verifier.json`` — the session-reuse variant corpus of
-  ``benchmarks/bench_verifier.py`` (seed 7, 12 variants);
+  ``benchmarks/bench_verifier.py`` (seed 7, 12 variants), plus the
+  ``compare_calls`` of the chain-against-its-reversal sweep of
+  ``benchmarks/bench_scaling.py`` (n = 10 to 80), which pins commutative
+  matching to linear cost;
 * ``BENCH_service.json`` — a serial batch over the built-in corpus
   (generated + buggy pairs, seed 0);
 * ``BENCH_solvers.json`` — the decision-backend comparison of
@@ -28,7 +31,7 @@ Each snapshot splits into two sub-objects:
 
 Usage::
 
-    python tools/bench_snapshot.py              # regenerate all three
+    python tools/bench_snapshot.py              # regenerate all four
     python tools/bench_snapshot.py --check      # CI drift gate
     python tools/bench_snapshot.py --suite verifier
 """
@@ -120,7 +123,8 @@ def snapshot_presburger() -> dict:
 
 
 def snapshot_verifier() -> dict:
-    """The session-reuse corpus: one original, N transformed variants."""
+    """The session-reuse corpus, then the commutative-chain sweep."""
+    import bench_scaling
     from repro.lang import program_to_text
     from repro.presburger import opcache
     from repro.verifier import Verifier
@@ -140,6 +144,10 @@ def snapshot_verifier() -> dict:
     def total(field: str) -> int:
         return sum(getattr(result.stats, field) for result in results)
 
+    started = time.perf_counter()
+    chain_sweep = bench_scaling.chain_sweep()
+    chain_sweep_seconds = time.perf_counter() - started
+
     return {
         "deterministic": {
             "seed": VERIFIER_SEED,
@@ -152,10 +160,12 @@ def snapshot_verifier() -> dict:
             "opcache_misses": total("opcache_misses"),
             "compile_hits": verifier.compile_hits,
             "compile_misses": verifier.compile_misses,
+            "chain_sweep_compare_calls": chain_sweep,
         },
         "timing": {
             "total_seconds": round(total_seconds, 6),
             "mean_seconds_per_check": round(total_seconds / len(results), 6),
+            "chain_sweep_seconds": round(chain_sweep_seconds, 6),
         },
     }
 
