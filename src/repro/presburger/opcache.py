@@ -89,8 +89,9 @@ class OpCacheStats:
 
     ``hits``/``misses`` count memoized-operation lookups; ``per_op`` breaks
     them down by operation name (``"compose"``, ``"inverse"``, ``"ui"`` for
-    union-intersect, ``"us"`` for union-subtract, ``"simplify"``,
-    ``"feasible"``, ``"closure"``).  ``intern_hits``/``intern_misses`` count
+    union-intersect, ``"us"`` for union-subtract, ``"project"``,
+    ``"restrict"``, ``"simplify"``, ``"feasible"``, ``"lexmin"``,
+    ``"closure"``).  ``intern_hits``/``intern_misses`` count
     intern-pool lookups (a hit means an already-canonical object was reused).
 
     ``disk_hits``/``disk_misses``/``disk_writes``/``disk_errors`` count the

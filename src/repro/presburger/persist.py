@@ -71,7 +71,10 @@ CACHE_FORMAT_VERSION = 1
 #: in-memory cache memoizes today is covered; unknown ops simply stay
 #: memory-only.
 PERSISTABLE_OPS = frozenset(
-    {"simplify", "feasible", "ui", "us", "compose", "inverse", "lexmin", "closure", "smt.query"}
+    {
+        "simplify", "feasible", "ui", "us", "project", "restrict",
+        "compose", "inverse", "lexmin", "closure", "smt.query",
+    }
 )
 
 #: Consecutive sqlite failures after which a store stops trying (a dead disk

@@ -141,6 +141,44 @@ def _union_subtract(a: Sequence[Conjunct], b: Sequence[Conjunct]) -> Tuple[Conju
     return _opcache.memoized("us", (tuple(a), tuple(b)), lambda: _union_subtract_uncached(a, b))
 
 
+def _project(conjuncts: Tuple[Conjunct, ...], cols: Tuple[int, ...]) -> Tuple[Conjunct, ...]:
+    """Existential projection of the columns *cols* out of a union (memoized).
+
+    Backs ``Set.project_out`` (and through it ``Map.domain``/``range``,
+    ``apply`` and ``preimage``) and ``Map.deltas``; dimension names never
+    enter the computation, so the key is the columns and the conjunct tuple.
+    """
+    return _opcache.memoized(
+        "project",
+        (cols, conjuncts),
+        lambda: _clean(
+            piece for conjunct in conjuncts for piece in omega.project_cols(conjunct, cols)
+        ),
+    )
+
+
+def _restrict(relation: "Map", set_conjuncts: Tuple[Conjunct, ...], at_input: bool) -> Tuple[Conjunct, ...]:
+    """Restriction of a map's input (*at_input*) or output tuple to a set (memoized).
+
+    Backs ``Map.restrict_domain``/``restrict_range``; the key carries the
+    in/out split and the side, but no dimension names.
+    """
+
+    def compute() -> Tuple[Conjunct, ...]:
+        lifted = [relation._lift_set_conjunct(c, at_input=at_input) for c in set_conjuncts]
+        return _clean(
+            omega.conjunct_intersect(map_conjunct, set_conjunct)
+            for map_conjunct in relation.conjuncts
+            for set_conjunct in lifted
+        )
+
+    return _opcache.memoized(
+        "restrict",
+        (relation.n_in, relation.n_out, at_input, relation.conjuncts, set_conjuncts),
+        compute,
+    )
+
+
 def _union_subtract_uncached(a: Sequence[Conjunct], b: Sequence[Conjunct]) -> Tuple[Conjunct, ...]:
     pieces: List[Conjunct] = list(a)
     for other in b:
@@ -406,17 +444,14 @@ class Set:
         return not _union_intersect(self.conjuncts, other.conjuncts)
 
     def project_out(self, names: Sequence[str]) -> "Set":
-        """Existentially project away the named dimensions."""
+        """Existentially project away the named dimensions (memoized)."""
         names = list(names)
         for name in names:
             if name not in self.names:
                 raise SpaceMismatchError(f"dimension {name!r} not in set {self.names!r}")
-        cols = [self.names.index(name) for name in names]
+        cols = tuple(self.names.index(name) for name in names)
         remaining = tuple(n for n in self.names if n not in names)
-        pieces: List[Conjunct] = []
-        for conjunct in self.conjuncts:
-            pieces.extend(omega.project_cols(conjunct, cols))
-        return Set(remaining, pieces)
+        return Set(remaining, _project(self.conjuncts, cols), _clean_input=False)
 
     def rename(self, names: Sequence[str]) -> "Set":
         names = tuple(names)
@@ -872,26 +907,26 @@ class Map:
         return self.restrict_range(range_set).domain()
 
     def restrict_domain(self, domain_set: Set) -> "Map":
-        """Keep only pairs whose input tuple lies in *domain_set*."""
+        """Keep only pairs whose input tuple lies in *domain_set* (memoized)."""
         if domain_set.arity != self.n_in:
             raise SpaceMismatchError("domain restriction arity mismatch")
-        pieces: List[Conjunct] = []
-        for map_conjunct in self.conjuncts:
-            for set_conjunct in domain_set.conjuncts:
-                lifted = self._lift_set_conjunct(set_conjunct, at_input=True)
-                pieces.append(omega.conjunct_intersect(map_conjunct, lifted))
-        return Map(self.in_names, self.out_names, pieces)
+        return Map(
+            self.in_names,
+            self.out_names,
+            _restrict(self, domain_set.conjuncts, at_input=True),
+            _clean_input=False,
+        )
 
     def restrict_range(self, range_set: Set) -> "Map":
-        """Keep only pairs whose output tuple lies in *range_set*."""
+        """Keep only pairs whose output tuple lies in *range_set* (memoized)."""
         if range_set.arity != self.n_out:
             raise SpaceMismatchError("range restriction arity mismatch")
-        pieces: List[Conjunct] = []
-        for map_conjunct in self.conjuncts:
-            for set_conjunct in range_set.conjuncts:
-                lifted = self._lift_set_conjunct(set_conjunct, at_input=False)
-                pieces.append(omega.conjunct_intersect(map_conjunct, lifted))
-        return Map(self.in_names, self.out_names, pieces)
+        return Map(
+            self.in_names,
+            self.out_names,
+            _restrict(self, range_set.conjuncts, at_input=False),
+            _clean_input=False,
+        )
 
     def _lift_set_conjunct(self, conjunct: Conjunct, *, at_input: bool) -> Conjunct:
         width = self.n_in + self.n_out
@@ -941,9 +976,8 @@ class Map:
                 vector[self.n_in + index] = -1  # -out_i
                 vector[width + index] = 1  # +d_i
                 delta_eqs.append(tuple(vector))
-            extended = extended.with_constraints(eqs=delta_eqs)
-            pieces.extend(omega.project_cols(extended, list(range(width))))
-        return Set(delta_names, pieces)
+            pieces.append(extended.with_constraints(eqs=delta_eqs))
+        return Set(delta_names, _project(tuple(pieces), tuple(range(width))), _clean_input=False)
 
     def rename(self, in_names: Sequence[str], out_names: Sequence[str]) -> "Map":
         in_names, out_names = tuple(in_names), tuple(out_names)

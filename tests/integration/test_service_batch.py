@@ -9,6 +9,7 @@ import pytest
 
 from repro.checker import check_equivalence
 from repro.cli import main
+from repro.presburger import opcache
 from repro.service import (
     BatchExecutor,
     CorpusSpec,
@@ -146,7 +147,10 @@ class TestBatchExecutor:
             transformed_source=job.transformed_source,
             options=job.options,
         )
-        results = BatchExecutor(workers=1).run([tight, loose])
+        # Uncached, the check reliably outlasts the 1 ms budget; against a
+        # warm opcache it can finish before the watchdog thread gets to run.
+        with opcache.disabled():
+            results = BatchExecutor(workers=1).run([tight, loose])
         by_name = {r.name: r for r in results}
         assert by_name["tight"].status == JobStatus.TIMEOUT
         assert by_name["loose"].status == JobStatus.OK

@@ -118,6 +118,78 @@ class TestMemoizedEqualsUncached:
             uncached = (left.is_empty(), left.is_subset(right), left.is_disjoint(right))
         assert cached == uncached
 
+    @pytest.mark.parametrize("source", MAP_SOURCES)
+    def test_domain_and_range(self, source):
+        relation = parse_map(source)
+        cached = (relation.domain(), relation.range())
+        with opcache.disabled():
+            uncached = (relation.domain(), relation.range())
+        for warm, cold in zip(cached, uncached):
+            assert warm.names == cold.names and warm.conjuncts == cold.conjuncts
+            assert warm.is_equal(cold)
+
+    @pytest.mark.parametrize("source", SET_SOURCES)
+    def test_project_out(self, source):
+        domain = parse_set(source)
+        for name in domain.names:
+            cached = domain.project_out([name])
+            with opcache.disabled():
+                uncached = domain.project_out([name])
+            assert cached.names == uncached.names and cached.conjuncts == uncached.conjuncts
+            assert cached.is_equal(uncached)
+
+    @pytest.mark.parametrize(
+        "map_source,set_source",
+        [
+            (map_source, set_source)
+            for map_source in MAP_SOURCES
+            for set_source in SET_SOURCES
+            if parse_map(map_source).n_in == parse_set(set_source).arity
+        ],
+    )
+    def test_restriction_apply_and_preimage(self, map_source, set_source):
+        relation, domain = parse_map(map_source), parse_set(set_source)
+
+        def results():
+            return (
+                relation.restrict_domain(domain),
+                relation.restrict_range(domain),
+                relation.apply(domain),
+                relation.preimage(domain),
+            )
+
+        cached = results()
+        with opcache.disabled():
+            uncached = results()
+        for warm, cold in zip(cached, uncached):
+            assert warm.conjuncts == cold.conjuncts
+            assert warm.is_equal(cold)
+
+    def test_repeated_projection_and_restriction_hit(self):
+        relation, domain = parse_map(MAP_SOURCES[1]), parse_set(SET_SOURCES[2])
+        first = (relation.domain(), relation.restrict_domain(domain))
+        before = opcache.snapshot()
+        second = (relation.domain(), relation.restrict_domain(domain))
+        delta = opcache.snapshot().delta(before)
+        assert delta.per_op["project"] == (1, 0)
+        assert delta.per_op["restrict"] == (1, 0)
+        assert second[0].conjuncts is first[0].conjuncts
+        assert second[1].conjuncts is first[1].conjuncts
+
+    def test_restriction_sides_do_not_collide(self):
+        relation, domain = parse_map(MAP_SOURCES[1]), parse_set(SET_SOURCES[2])
+        at_input = relation.restrict_domain(domain)
+        at_output = relation.restrict_range(domain)
+        assert opcache.stats().per_op["restrict"] == (0, 2)
+        assert not at_input.is_equal(at_output)
+
+    def test_projected_columns_do_not_collide(self):
+        box = parse_set("{ [i, j] : 0 <= i < 8 and 0 <= j < 4 }")
+        without_i = box.project_out(["i"])
+        without_j = box.project_out(["j"])
+        assert opcache.stats().per_op["project"] == (0, 2)
+        assert not without_i.rename(["k"]).is_equal(without_j.rename(["k"]))
+
     def test_fresh_parses_share_cached_results(self):
         """Structural keys mean a re-parsed relation hits the warm cache."""
         first = parse_map(MAP_SOURCES[0]).compose(parse_map(MAP_SOURCES[1]))

@@ -221,6 +221,24 @@ class TestCacheIntegration:
         opcache.memoized("feasible", conjunct, lambda: False)
         assert opcache.stats().disk_hits == first  # second hit was memory-only
 
+    def test_projection_and_restriction_are_served_from_disk(self, attached):
+        assert {"project", "restrict"} <= PERSISTABLE_OPS
+        relation = parse_map("{ [k] -> [k + 1] : 0 <= k < 128 }")
+        window = parse_set("{ [k] : exists j : k = 2j and 10 <= k < 40 }")
+        relation.domain()
+        relation.restrict_domain(window)
+
+        opcache.reset()  # drop the in-memory tier, keep the disk tier
+        before = opcache.snapshot()
+        domain = relation.domain()
+        restricted = relation.restrict_domain(window)
+        delta = opcache.snapshot().delta(before)
+        assert delta.per_op == {"project": (1, 0), "restrict": (1, 0)}
+        assert delta.disk_hits == 2
+        with opcache.disabled():
+            assert domain.conjuncts == relation.domain().conjuncts
+            assert restricted.conjuncts == relation.restrict_domain(window).conjuncts
+
     def test_nonpersistable_ops_stay_memory_only(self, attached):
         opcache.memoized("transient.op", "k", lambda: 3)
         stats = opcache.stats()

@@ -9,6 +9,7 @@ from ``BatchExecutor`` pool workers.
 import os
 
 from repro import telemetry
+from repro.presburger import opcache
 from repro.telemetry import METRICS, TRACER
 from repro.verifier import CallbackObserver, Verifier
 from repro.service import BatchExecutor, VerificationJob
@@ -85,9 +86,10 @@ class TestVerifierTelemetry:
         telemetry.enable()
         snapshots = []
         observer = CallbackObserver(on_telemetry=snapshots.append)
+        opcache.reset()
         Verifier().check(ORIGINAL, TRANSFORMED, observer=observer)
         (snapshot,) = snapshots
-        # The engine always performs FM eliminations on this pair.
+        # The engine performs FM eliminations on this pair in a cold check.
         assert snapshot.counters.get("presburger.fm_eliminations", 0) > 0
 
     def test_check_addgs_also_traces(self):
