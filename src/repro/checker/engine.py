@@ -32,7 +32,7 @@ from typing import Deque, Dict, FrozenSet, List, Optional, Sequence, Set as PySe
 
 from ..presburger import Map, Set, SpaceMismatchError, opcache
 from ..presburger.errors import PresburgerError
-from ..telemetry import METRICS as _METRICS, TRACER as _TRACER
+from ..telemetry import TRACER as _TRACER
 from ..addg.graph import ADDG, ConstNode, ExprNode, OpNode, ReadNode, StatementNode
 from .properties import OperatorProperties, OperatorRegistry, default_registry
 from .result import CheckStats, Diagnostic, DiagnosticKind
@@ -341,8 +341,6 @@ class Engine:
                 self.stats.table_hits += 1
                 if _TRACER.enabled:
                     _TRACER.event("engine.table_hit", "engine", output=self.current_output)
-                if _METRICS.enabled:
-                    _METRICS.inc("engine.table_hits")
                 return self._table[key]
 
         entry_assumptions = len(self._assumptions)
@@ -361,8 +359,6 @@ class Engine:
             if independent and (result or not trial):
                 self._table[key] = result
                 self.stats.table_entries = len(self._table)
-                if _METRICS.enabled:
-                    _METRICS.inc("engine.table_entries")
         return result
 
     def _compare_inner(self, first: Term, second: Term, trial: bool, depth: int) -> bool:

@@ -77,7 +77,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence, TextIO
+from typing import Callable, List, Optional, Sequence, TextIO
 
 from . import telemetry
 from .addg import addg_to_dot
@@ -184,8 +184,8 @@ def _add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
         "--metrics",
         metavar="FILE",
         default=None,
-        help="record counters/gauges/histograms and write them as JSONL "
-        "(one metric object per line, plus an aggregate opcache row)",
+        help="write the run's Presburger work counters as JSONL "
+        "(one counter row per line, then an aggregate opcache row)",
     )
 
 
@@ -247,6 +247,48 @@ def _add_diagnose_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_run_arguments(
+    parser: argparse.ArgumentParser,
+    report: str,
+    workers_for: str,
+    noun: str,
+    after_report: Callable[[], None],
+    after_timeout: Callable[[], None] = lambda: None,
+) -> None:
+    """The --report/--workers/--timeout/--quiet arguments of batch and fuzz.
+
+    *report* is the default report path, *workers_for* what the worker
+    processes run and *noun* what one progress line reports.  The command's
+    own arguments go in through *after_report* and *after_timeout*, which
+    keeps each ``--help`` in its established order.
+    """
+    parser.add_argument(
+        "--report",
+        metavar="FILE",
+        default=report,
+        help=f"JSONL report path (default: {report}; '-' to skip the file)",
+    )
+    after_report()
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        metavar="N",
+        help=f"worker processes for {workers_for} (default: 1 = serial)",
+    )
+    parser.add_argument(
+        "--timeout",
+        type=_seconds,
+        default=None,
+        metavar="SECONDS",
+        help="per-job wall-clock budget (default: unlimited)",
+    )
+    after_timeout()
+    parser.add_argument(
+        "--quiet", action="store_true", help=f"print only the summary (no per-{noun} lines)"
+    )
+
+
 def _add_batch_arguments(parser: argparse.ArgumentParser) -> None:
     source = parser.add_argument_group("job sources")
     source.add_argument(
@@ -282,36 +324,17 @@ def _add_batch_arguments(parser: argparse.ArgumentParser) -> None:
         "--transform-steps", type=int, default=3, help="transformation steps per generated pair"
     )
     _add_checker_option_arguments(parser)
-    parser.add_argument(
-        "--report",
-        metavar="FILE",
-        default="eqcheck_report.jsonl",
-        help="JSONL report path (default: eqcheck_report.jsonl; '-' to skip the file)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=".eqcheck_cache",
-        help="result cache directory (default: .eqcheck_cache)",
-    )
-    parser.add_argument("--no-cache", action="store_true", help="disable the result cache")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for cache misses (default: 1 = serial)",
-    )
-    parser.add_argument(
-        "--timeout",
-        type=_seconds,
-        default=None,
-        metavar="SECONDS",
-        help="per-job wall-clock budget (default: unlimited)",
-    )
-    parser.add_argument(
-        "--quiet", action="store_true", help="print only the summary (no per-job lines)"
-    )
+
+    def cache_arguments() -> None:
+        parser.add_argument(
+            "--cache-dir",
+            metavar="DIR",
+            default=".eqcheck_cache",
+            help="result cache directory (default: .eqcheck_cache)",
+        )
+        parser.add_argument("--no-cache", action="store_true", help="disable the result cache")
+
+    _add_run_arguments(parser, "eqcheck_report.jsonl", "cache misses", "job", cache_arguments)
     parser.add_argument(
         "--server",
         metavar="ADDR",
@@ -533,49 +556,40 @@ def _add_fuzz_arguments(parser: argparse.ArgumentParser) -> None:
         help="random inputs the differential oracle executes per pair (default: 3)",
     )
     _add_checker_option_arguments(parser)
-    parser.add_argument(
-        "--report",
-        metavar="FILE",
-        default="fuzz_report.jsonl",
-        help="JSONL report path (default: fuzz_report.jsonl; '-' to skip the file)",
-    )
-    parser.add_argument(
-        "--corpus-out",
-        metavar="FILE",
-        default=None,
-        help="also persist the labelled scenario corpus (sources, traces, oracle verdicts) as JSONL",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for the verification batch (default: 1 = serial)",
-    )
-    parser.add_argument(
-        "--timeout",
-        type=_seconds,
-        default=None,
-        metavar="SECONDS",
-        help="per-job wall-clock budget (default: unlimited)",
-    )
-    parser.add_argument(
-        "--no-diagnose",
-        action="store_true",
-        help="skip the witness diagnosis of non-equivalent pairs (and its report blocks)",
-    )
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="also fail on incompleteness (equivalent pairs the checker cannot prove)",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="small fixed-size CI corpus (overrides --pairs/--size/--max-depth)",
-    )
-    parser.add_argument(
-        "--quiet", action="store_true", help="print only the summary (no per-pair lines)"
+
+    def corpus_out_argument() -> None:
+        parser.add_argument(
+            "--corpus-out",
+            metavar="FILE",
+            default=None,
+            help="also persist the labelled scenario corpus (sources, traces, oracle verdicts) "
+            "as JSONL",
+        )
+
+    def gate_arguments() -> None:
+        parser.add_argument(
+            "--no-diagnose",
+            action="store_true",
+            help="skip the witness diagnosis of non-equivalent pairs (and its report blocks)",
+        )
+        parser.add_argument(
+            "--strict",
+            action="store_true",
+            help="also fail on incompleteness (equivalent pairs the checker cannot prove)",
+        )
+        parser.add_argument(
+            "--smoke",
+            action="store_true",
+            help="small fixed-size CI corpus (overrides --pairs/--size/--max-depth)",
+        )
+
+    _add_run_arguments(
+        parser,
+        "fuzz_report.jsonl",
+        "the verification batch",
+        "pair",
+        corpus_out_argument,
+        gate_arguments,
     )
     _add_telemetry_arguments(parser)
 
@@ -962,8 +976,9 @@ def _run_jobs(args: argparse.Namespace, jobs, format_line, cache_dir=None, on_ro
         executor = BatchExecutor(cache=cache, workers=args.workers, timeout=args.timeout)
         opcache_before = opcache.snapshot()
         results = executor.run(jobs, progress=progress)
-        # Pool workers keep their own opcaches; only a serial run's delta is
-        # this run's Presburger work.
+        # Pool workers keep their own opcaches and ship their deltas home
+        # only under --trace/--metrics; report a serial run's delta alone so
+        # the summary does not depend on the telemetry flags.
         opcache_delta = opcache.stats().delta(opcache_before) if args.workers <= 1 else None
         summary = aggregate_results(
             results, cache.stats if cache is not None else None, opcache_stats=opcache_delta
@@ -1326,7 +1341,7 @@ def _run_with_telemetry(args: argparse.Namespace, runner) -> int:
 
     telemetry.reset()
     telemetry.enable()
-    opcache_before = opcache.cache().stats.copy()
+    opcache_before = opcache.snapshot()
     try:
         return runner(args)
     finally:
@@ -1338,12 +1353,20 @@ def _run_with_telemetry(args: argparse.Namespace, runner) -> int:
                 print(f"trace written to {trace_path}", file=sys.stderr)
             except OSError as error:
                 print(f"error: cannot write trace: {error}", file=sys.stderr)
+        opcache_delta = opcache.stats().delta(opcache_before)
+        counters = {
+            f"presburger.{name}": getattr(opcache_delta, name)
+            for name in ("dark_shadow_splinters", "feasibility_checks", "fm_eliminations")
+            if getattr(opcache_delta, name)
+        }
         if metrics_path:
-            opcache_delta = opcache.cache().stats.delta(opcache_before)
             try:
                 telemetry.write_metrics_jsonl(
                     metrics_path,
-                    telemetry.METRICS.snapshot(),
+                    [
+                        {"type": "counter", "name": name, "value": value}
+                        for name, value in counters.items()
+                    ],
                     extra_rows=[{"type": "opcache", **opcache_delta.as_dict()}],
                 )
                 print(f"metrics written to {metrics_path}", file=sys.stderr)
@@ -1352,7 +1375,7 @@ def _run_with_telemetry(args: argparse.Namespace, runner) -> int:
         summary = telemetry.format_phase_summary(
             telemetry.aggregate_phase_seconds(records),
             len(records),
-            telemetry.METRICS.counters(),
+            {"opcache.hits": opcache_delta.hits, "opcache.misses": opcache_delta.misses, **counters},
         )
         print(summary, file=sys.stderr)
         telemetry.reset()

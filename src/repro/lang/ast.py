@@ -488,9 +488,6 @@ class Program:
     def param_names(self) -> Tuple[str, ...]:
         return tuple(decl.name for decl in self.params)
 
-    def local_names(self) -> Tuple[str, ...]:
-        return tuple(decl.name for decl in self.locals)
-
     # ------------------------------------------------------------------ #
     # Array role classification (inputs / outputs / intermediates)
     # ------------------------------------------------------------------ #
@@ -499,21 +496,6 @@ class Program:
         for assignment in self.assignments():
             if assignment.target.name not in names:
                 names.append(assignment.target.name)
-        return tuple(names)
-
-    def read_arrays(self) -> Tuple[str, ...]:
-        names: List[str] = []
-
-        def visit(expr: Expr) -> None:
-            if isinstance(expr, ArrayRef) and expr.name not in names:
-                names.append(expr.name)
-            for child in expr.children():
-                visit(child)
-
-        for assignment in self.assignments():
-            visit(assignment.rhs)
-            for index in assignment.target.indices:
-                visit(index)
         return tuple(names)
 
     def input_arrays(self) -> Tuple[str, ...]:

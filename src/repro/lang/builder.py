@@ -114,9 +114,6 @@ class ProgramBuilder:
         return And(list(parts))
 
     # ------------------------- declaration helpers ------------------------ #
-    def add_param(self, name: str, dims: Sequence[int]) -> None:
-        self.params.append(ArrayDecl(name, dims))
-
     def add_local(self, name: str, dims: Sequence[int]) -> None:
         self.locals.append(ArrayDecl(name, dims))
 

@@ -129,13 +129,6 @@ class TokenStream:
             return token
         return None
 
-    def accept_kind(self, kind: str) -> Optional[Token]:
-        token = self.peek()
-        if token is not None and token.kind == kind:
-            self.index += 1
-            return token
-        return None
-
     def expect(self, text: str) -> Token:
         token = self.peek()
         if token is None:

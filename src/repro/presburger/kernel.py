@@ -23,7 +23,7 @@ step:
   unit-coefficient substitution and remove the column in a single
   comprehension instead of substitute → construct → drop → construct.
 * ``feasible_many`` — batched feasibility over all conjuncts of one
-  ``Set``: one metrics increment, one normalisation sweep (near-free for
+  ``Set``: one work-counter increment, one normalisation sweep (near-free for
   ``_normed`` members) and the recursion only for the hard remainder.
 
 ``tests/unit/presburger/test_kernel.py`` checks every routine against a
@@ -231,15 +231,14 @@ def substitute_drop(rows: Sequence[Vector], eq: Vector, col: int) -> List[Vector
 def feasible_many(conjuncts: Sequence[Conjunct]) -> List[bool]:
     """Integer feasibility of every conjunct of one ``Set`` in one pass.
 
-    One batched metrics increment, one normalisation sweep (a no-op for
+    One batched work-counter increment, one normalisation sweep (a no-op for
     ``_normed`` members, i.e. the common case of freshly simplified
     conjuncts) and the elimination recursion only for the hard remainder.
     Same verdicts as mapping :func:`repro.presburger.omega.is_feasible`.
     """
     from . import omega as _omega
 
-    if _omega._METRICS.enabled and conjuncts:
-        _omega._METRICS.inc("presburger.feasibility_checks", len(conjuncts))
+    _opcache._CACHE.stats.feasibility_checks += len(conjuncts)
     results: List[bool] = []
     for conjunct in conjuncts:
         if conjunct.is_universe():

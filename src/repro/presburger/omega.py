@@ -27,7 +27,6 @@ from .conjunct import Conjunct, Vector
 from .errors import UnsupportedOperationError
 from . import kernel as _kernel
 from . import opcache as _opcache
-from ..telemetry import METRICS as _METRICS
 
 __all__ = [
     "mod_hat",
@@ -132,8 +131,7 @@ def eliminate_col(conjunct: Conjunct, col: int) -> List[Conjunct]:
     sets equals the projection of the input.  An empty list means the input
     was infeasible regardless of the eliminated variable.
     """
-    if _METRICS.enabled:
-        _METRICS.inc("presburger.fm_eliminations")
+    _opcache._CACHE.stats.fm_eliminations += 1
     normalized = normalize(conjunct)
     if normalized is None:
         return []
@@ -216,8 +214,7 @@ def _eliminate_inequality_col(conjunct: Conjunct, col: int) -> List[Conjunct]:
     for lower in lowers:
         b = lower[col]
         max_offset = (a_max * b - a_max - b) // a_max
-        if _METRICS.enabled:
-            _METRICS.inc("presburger.dark_shadow_splinters", max_offset + 1)
+        _opcache._CACHE.stats.dark_shadow_splinters += max_offset + 1
         for offset in range(max_offset + 1):
             equality = list(lower)
             equality[-1] -= offset
@@ -302,8 +299,7 @@ def _choose_elimination_col(conjunct: Conjunct) -> int:
 
 def is_feasible(conjunct: Conjunct) -> bool:
     """Decide whether the conjunct contains at least one integer point."""
-    if _METRICS.enabled:
-        _METRICS.inc("presburger.feasibility_checks")
+    _opcache._CACHE.stats.feasibility_checks += 1
     if conjunct.is_universe():
         return True  # fast path: no constraints, every point qualifies
     normalized = normalize(conjunct)

@@ -45,8 +45,9 @@ Public knobs
     re-attach the parent's store.
 
 :func:`stats` / :func:`snapshot` / :func:`reset`
-    Instrumentation: cumulative counters, cheap copies of them for
-    delta-accounting (the checker engine stores per-check deltas into
+    Instrumentation: cumulative counters (the cache tiers, the intern pools
+    and the omega core's work), cheap copies of them for delta-accounting
+    (the checker engine stores per-check deltas into
     :class:`~repro.checker.result.CheckStats`), and a full reset.
 """
 
@@ -54,10 +55,10 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, Hashable, Iterator, Tuple
 
-from ..telemetry import METRICS as _METRICS, TRACER as _TRACER
+from ..telemetry import TRACER as _TRACER
 
 __all__ = [
     "OpCacheStats",
@@ -85,7 +86,7 @@ _INTERN_POOL_SIZE = 16384
 
 @dataclass
 class OpCacheStats:
-    """Cumulative counters of the operation cache and the intern pools.
+    """Cumulative counters of the operation cache, the intern pools and omega.
 
     ``hits``/``misses`` count memoized-operation lookups; ``per_op`` breaks
     them down by operation name (``"compose"``, ``"inverse"``, ``"ui"`` for
@@ -98,6 +99,12 @@ class OpCacheStats:
     optional persistent tier (always zero when no store is attached); a disk
     hit is *also* recorded as an ordinary hit for the consulted operation,
     since the caller got a cached result either way.
+
+    ``fm_eliminations``/``dark_shadow_splinters``/``feasibility_checks``
+    count the omega core's work (:mod:`repro.presburger.omega` and
+    :func:`repro.presburger.kernel.feasible_many`): variable eliminations,
+    dark-shadow splinters and integer-feasibility decisions, whether or not
+    the operation that asked for them was memoized.
     """
 
     hits: int = 0
@@ -109,6 +116,9 @@ class OpCacheStats:
     disk_misses: int = 0
     disk_writes: int = 0
     disk_errors: int = 0
+    fm_eliminations: int = 0
+    dark_shadow_splinters: int = 0
+    feasibility_checks: int = 0
     per_op: Dict[str, Tuple[int, int]] = field(default_factory=dict)
 
     def record(self, op: str, hit: bool) -> None:
@@ -123,16 +133,7 @@ class OpCacheStats:
     def copy(self) -> "OpCacheStats":
         """A cheap snapshot for delta accounting across one equivalence check."""
         return OpCacheStats(
-            hits=self.hits,
-            misses=self.misses,
-            evictions=self.evictions,
-            intern_hits=self.intern_hits,
-            intern_misses=self.intern_misses,
-            disk_hits=self.disk_hits,
-            disk_misses=self.disk_misses,
-            disk_writes=self.disk_writes,
-            disk_errors=self.disk_errors,
-            per_op=dict(self.per_op),
+            **{name: getattr(self, name) for name in _COUNTS}, per_op=dict(self.per_op)
         )
 
     def delta(self, earlier: "OpCacheStats") -> "OpCacheStats":
@@ -143,31 +144,27 @@ class OpCacheStats:
             if h != h0 or m != m0:
                 per_op[op] = (h - h0, m - m0)
         return OpCacheStats(
-            hits=self.hits - earlier.hits,
-            misses=self.misses - earlier.misses,
-            evictions=self.evictions - earlier.evictions,
-            intern_hits=self.intern_hits - earlier.intern_hits,
-            intern_misses=self.intern_misses - earlier.intern_misses,
-            disk_hits=self.disk_hits - earlier.disk_hits,
-            disk_misses=self.disk_misses - earlier.disk_misses,
-            disk_writes=self.disk_writes - earlier.disk_writes,
-            disk_errors=self.disk_errors - earlier.disk_errors,
+            **{name: getattr(self, name) - getattr(earlier, name) for name in _COUNTS},
             per_op=per_op,
         )
 
+    def merge(self, data: Dict[str, Any]) -> None:
+        """Add an :meth:`as_dict` delta shipped home by a pool worker."""
+        for name in _COUNTS:
+            setattr(self, name, getattr(self, name) + data.get(name, 0))
+        for op, counts in data.get("per_op", {}).items():
+            h, m = self.per_op.get(op, (0, 0))
+            self.per_op[op] = (h + counts["hits"], m + counts["misses"])
+
     def as_dict(self) -> Dict[str, Any]:
         return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "intern_hits": self.intern_hits,
-            "intern_misses": self.intern_misses,
-            "disk_hits": self.disk_hits,
-            "disk_misses": self.disk_misses,
-            "disk_writes": self.disk_writes,
-            "disk_errors": self.disk_errors,
+            **{name: getattr(self, name) for name in _COUNTS},
             "per_op": {op: {"hits": h, "misses": m} for op, (h, m) in sorted(self.per_op.items())},
         }
+
+
+#: The scalar counters of :class:`OpCacheStats` (every field but ``per_op``).
+_COUNTS = tuple(f.name for f in fields(OpCacheStats) if f.name != "per_op")
 
 
 class _InternPool:
@@ -238,8 +235,6 @@ class OpCache:
         if full_key in entries:
             entries.move_to_end(full_key)
             self.stats.record(op, hit=True)
-            if _METRICS.enabled:
-                _METRICS.inc("opcache.hits")
             return entries[full_key]
         store = self._persist
         if store is not None:
@@ -249,9 +244,6 @@ class OpCache:
                 # into the memory tier so repeats stay identity-fast.
                 self.stats.record(op, hit=True)
                 self.stats.disk_hits += 1
-                if _METRICS.enabled:
-                    _METRICS.inc("opcache.hits")
-                    _METRICS.inc("opcache.disk_hits")
                 entries[full_key] = found
                 if len(entries) > self.maxsize:
                     entries.popitem(last=False)
@@ -261,8 +253,6 @@ class OpCache:
             if store.errors:
                 self.stats.disk_errors = store.errors
         self.stats.record(op, hit=False)
-        if _METRICS.enabled:
-            _METRICS.inc("opcache.misses")
         if _TRACER.enabled:
             with _TRACER.span("opcache." + op, "presburger"):
                 result = compute()
@@ -271,8 +261,6 @@ class OpCache:
         if store is not None:
             if store.save(op, key, result):
                 self.stats.disk_writes += 1
-                if _METRICS.enabled:
-                    _METRICS.inc("opcache.disk_writes")
             elif store.errors:
                 self.stats.disk_errors = store.errors
         entries[full_key] = result

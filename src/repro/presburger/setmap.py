@@ -951,9 +951,6 @@ class Map:
         """True when no two input tuples map to the same output tuple."""
         return self.inverse().is_single_valued()
 
-    def is_bijection_on_domain(self) -> bool:
-        return self.is_single_valued() and self.is_injective()
-
     def deltas(self) -> Set:
         """The set of differences ``out - in`` (requires equal in/out arity)."""
         if self.n_in != self.n_out:

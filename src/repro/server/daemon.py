@@ -48,7 +48,6 @@ from ..service.fingerprint import job_fingerprint
 from ..service.job import VerificationJob
 from ..service.report import SERVER_SNAPSHOT_VERSION
 from ..telemetry import (
-    METRICS,
     TRACER,
     Histogram,
     RequestLogger,
@@ -146,10 +145,9 @@ class VerificationServer:
             else None
         )
         self.slow_requests = SlowRequestRing(self.config.slow_capacity)
-        # Always-on request/check latency histograms: unlike the opt-in
-        # METRICS registry these must be observable through `stats` on any
-        # daemon, telemetry flags or not.  Observed only from the event-loop
-        # thread, so no lock is needed.
+        # Always-on request/check latency histograms, observable through
+        # `stats` on any daemon, telemetry flags or not.  Observed only from
+        # the event-loop thread, so no lock is needed.
         self.request_latency = Histogram("request_seconds")
         self.check_latency = Histogram("check_seconds")
         # Per-request trace propagation: while >=1 traced check is in
@@ -419,13 +417,12 @@ class VerificationServer:
                 payload["slow"]["records"] = self.slow_requests.snapshot()
             fmt = params.get("format")
             if fmt == "prometheus":
-                metric_rows = METRICS.snapshot() if METRICS.enabled else None
                 return protocol.ok_response(
                     request_id,
                     {
                         "format": "prometheus",
                         "content_type": _PROM_CONTENT_TYPE,
-                        "text": render_server_snapshot(payload, metric_rows=metric_rows),
+                        "text": render_server_snapshot(payload),
                     },
                 )
             if fmt not in (None, "json"):

@@ -66,16 +66,15 @@ class ServerStats:
 
     Kept as plain integers, always on, so the ``stats`` RPC and the soak
     benchmark can observe the server whatever the telemetry flags.  They are
-    the server's only counters: the opt-in
-    :data:`repro.telemetry.METRICS` registry carries no ``server.*`` rows.
+    the server's only request counters; the Presburger work counts live in
+    the ``opcache`` block (:class:`~repro.presburger.opcache.OpCacheStats`).
 
     Counters are mutated from two places at once — the asyncio event loop
     (``requests``/``rejected``/``dedup_hits``/``errors``) and the pool's
     worker threads (``cache_hits``/``checks_executed``/``timeouts``/
-    ``errors``) — so every update must go through :meth:`inc`, which takes
-    the same one-lock-per-increment approach as
-    :class:`repro.telemetry.metrics.Counter`.  Bare ``stats.field += 1``
-    read-modify-writes can drop increments under thread preemption.
+    ``errors``) — so every update must go through :meth:`inc`, which holds
+    one lock per increment.  Bare ``stats.field += 1`` read-modify-writes
+    can drop increments under thread preemption.
     """
 
     requests: int = 0

@@ -40,8 +40,9 @@ import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Any, Callable, Iterable, List, Optional, Sequence
 
+from ..presburger import opcache
 from ..solvers.base import BackendDisagreement
-from ..telemetry import METRICS as _METRICS, TRACER as _TRACER
+from ..telemetry import TRACER as _TRACER
 from ..verifier.watchdog import JobTimeoutError, call_with_timeout
 from .cache import ResultCache
 from .fingerprint import job_fingerprint
@@ -150,11 +151,7 @@ def _worker_init(collect_telemetry: bool, persist_path: Optional[str]) -> None:
     state through its own connection (WAL keeps concurrent workers safe).
     """
     _TRACER.clear()
-    _METRICS.clear()
     _TRACER.enabled = collect_telemetry
-    _METRICS.enabled = collect_telemetry
-    from ..presburger import opcache
-
     if persist_path and opcache.persistent_store() is None:
         opcache.attach_persistent(persist_path)
     else:
@@ -173,28 +170,28 @@ def execute_job(
     *timeout* is the fallback budget; a job whose
     :class:`~repro.verifier.options.CheckOptions` carry their own ``timeout``
     overrides it (:func:`job_budget`).  With *collect_telemetry* (set by the pool path of the
-    executor while tracing is on in the parent) the job's spans and metric
-    increments are drained into ``JobResult.telemetry`` for the parent
-    process to ingest.  *run* replaces ``job.run`` as the zero-argument check
-    body — the verification server passes a warm-session closure here so the
-    status/timeout/error capture stays identical between the cold and the
-    warm paths.
+    executor while tracing is on in the parent) the job's spans and its
+    :class:`~repro.presburger.opcache.OpCacheStats` delta are drained into
+    ``JobResult.telemetry`` for the parent process to ingest.  *run*
+    replaces ``job.run`` as the zero-argument check body — the verification
+    server passes a warm-session closure here so the status/timeout/error
+    capture stays identical between the cold and the warm paths.
     """
     timeout = job_budget(job, timeout)
     if not (collect_telemetry or _TRACER.enabled):
         return _execute_job_body(job, timeout, fingerprint, run)
     mark = _TRACER.mark()
+    opcache_before = opcache.snapshot()
     with _TRACER.span("service.job", "service", job=job.name) as span:
         outcome = _execute_job_body(job, timeout, fingerprint, run)
         span.set(status=outcome.status)
     if collect_telemetry:
-        # Ship this job's share and reset, so the worker's buffers do not
-        # grow across jobs and each job carries exactly its own increments.
+        # Ship this job's share, so the worker's span buffer does not grow
+        # across jobs and each job carries exactly its own increments.
         outcome.telemetry = {
             "spans": [record.to_dict() for record in _TRACER.drain_since(mark)],
-            "metrics": _METRICS.snapshot(),
+            "opcache": opcache.stats().delta(opcache_before).as_dict(),
         }
-        _METRICS.clear()
     return outcome
 
 
@@ -330,7 +327,7 @@ class BatchExecutor:
         results[index] = outcome
         if outcome.telemetry is not None:
             _TRACER.ingest(outcome.telemetry.get("spans", ()))
-            _METRICS.merge(outcome.telemetry.get("metrics", ()))
+            opcache.stats().merge(outcome.telemetry.get("opcache", {}))
             outcome.telemetry = None
         store_verdict(self.cache, outcome)
         if progress is not None:
@@ -350,9 +347,7 @@ class BatchExecutor:
         results: List[Optional[JobResult]],
         progress: Optional[Callable[[JobResult], None]],
     ) -> None:
-        from ..presburger import opcache
-
-        collect = _TRACER.enabled or _METRICS.enabled
+        collect = _TRACER.enabled
         store = opcache.persistent_store()
         with ProcessPoolExecutor(
             max_workers=self.workers,

@@ -1,4 +1,4 @@
-"""Observability for the verification stack: span tracing + metrics.
+"""Observability for the verification stack: span tracing and exporters.
 
 The paper's method lives or dies on where the time goes — frontend ADDG
 extraction versus Presburger traversal versus FM elimination — and this
@@ -8,31 +8,33 @@ disabled by default, and pay-for-what-you-use**:
 * :mod:`repro.telemetry.trace` — a hierarchical span tracer (context-manager
   and decorator API, thread-aware, process-aware via explicit serialization
   across the ``ProcessPoolExecutor`` boundary);
-* :mod:`repro.telemetry.metrics` — a counter / gauge / histogram registry;
+* :mod:`repro.telemetry.metrics` — the power-of-two latency histogram the
+  server keeps (work counts live with their owners:
+  :class:`~repro.presburger.opcache.OpCacheStats` for the Presburger layer,
+  :class:`~repro.checker.result.CheckStats` per check);
 * :mod:`repro.telemetry.export` — Chrome trace-event JSON (loadable in
   Perfetto), JSONL metrics dumps, and human-readable per-phase summaries;
 * :mod:`repro.telemetry.live` — serving-side observability: the structured
   JSONL request log, the bounded slow-request ring and the request-scoped
   span-tagging context used by ``repro-eqcheck serve``;
 * :mod:`repro.telemetry.prom` — Prometheus text exposition (format 0.0.4)
-  over the metrics snapshots and the server's deep ``stats`` payload.
+  over the server's deep ``stats`` payload.
 
-Quickstart (the CLI flags ``--trace FILE`` / ``--metrics FILE`` do exactly
-this around a check)::
+Quickstart (the CLI flag ``--trace FILE`` does exactly this around a
+check)::
 
     from repro import telemetry
 
     telemetry.enable()
     ...                                  # run checks / batches / fuzzing
     telemetry.write_chrome_trace("trace.json", telemetry.spans())
-    telemetry.write_metrics_jsonl("metrics.jsonl", telemetry.METRICS.snapshot())
     telemetry.disable()
 
 Instrumentation sites throughout the stack (frontend lexer/parser/def-use/
 extraction, the checker traversal, the Presburger operation cache and omega
 core, the batch executor and the scenario engine) bind the process-wide
-:data:`TRACER` / :data:`METRICS` singletons at import time and guard on a
-single ``.enabled`` attribute load, so the whole layer costs <2% when off
+:data:`TRACER` singleton at import time and guard on a single ``.enabled``
+attribute load, so the whole layer costs <2% when off
 (gated by ``benchmarks/bench_verifier.py`` and the telemetry unit tests).
 
 See ``docs/observability.md`` for the full tour.
@@ -44,9 +46,8 @@ import functools
 from typing import Any, Callable, Iterable, List, Optional
 
 from .trace import TRACER, Span, SpanRecord, Tracer
-from .metrics import METRICS, Counter, Gauge, Histogram, MetricsRegistry, delta_counters
+from .metrics import Histogram
 from .export import (
-    TelemetrySnapshot,
     aggregate_phase_seconds,
     chrome_trace,
     format_phase_summary,
@@ -60,21 +61,16 @@ from .live import (
     request_scope,
     set_current_request,
 )
-from .prom import render_metric_rows, render_server_snapshot
+from .prom import render_server_snapshot
 
 __all__ = [
     "TRACER",
-    "METRICS",
     "Tracer",
     "Span",
     "SpanRecord",
-    "Counter",
-    "Gauge",
     "Histogram",
-    "MetricsRegistry",
     "RequestLogger",
     "SlowRequestRing",
-    "TelemetrySnapshot",
     "enable",
     "disable",
     "is_tracing",
@@ -88,32 +84,26 @@ __all__ = [
     "chrome_trace",
     "current_request",
     "format_phase_summary",
-    "render_metric_rows",
     "render_server_snapshot",
     "request_scope",
     "set_current_request",
     "write_chrome_trace",
     "write_metrics_jsonl",
-    "delta_counters",
 ]
 
 
-def enable(tracing: bool = True, metrics: bool = True) -> None:
-    """Switch telemetry on (both layers by default).
+def enable() -> None:
+    """Switch span recording on.
 
-    Idempotent; previously recorded spans and counters are kept, so pair
-    with :func:`reset` for a cold start.
+    Idempotent; previously recorded spans are kept, so pair with
+    :func:`reset` for a cold start.
     """
-    if tracing:
-        TRACER.enabled = True
-    if metrics:
-        METRICS.enabled = True
+    TRACER.enabled = True
 
 
 def disable() -> None:
-    """Switch both tracing and metrics off (recorded data is kept)."""
+    """Switch span recording off (recorded spans are kept)."""
     TRACER.enabled = False
-    METRICS.enabled = False
 
 
 def is_tracing() -> bool:
@@ -175,6 +165,5 @@ def ingest_spans(records: Iterable[Any]) -> int:
 
 
 def reset() -> None:
-    """Drop all recorded spans and metrics (enablement flags are kept)."""
+    """Drop all recorded spans (the enablement flag is kept)."""
     TRACER.clear()
-    METRICS.clear()

@@ -7,9 +7,10 @@ Three consumers, three formats:
   events plus ``ph: "M"`` process/thread name metadata), which Perfetto
   loads directly.  One track per ``(pid, tid)``, so spans merged home from
   ``ProcessPoolExecutor`` workers appear as their own process rows.
-* **Machines** — :func:`write_metrics_jsonl` dumps every metric as one JSON
-  object per line (plus a trailing aggregate row mirroring the Presburger
-  operation-cache counters), append-friendly like the service reports.
+* **Machines** — :func:`write_metrics_jsonl` dumps metric rows as one JSON
+  object per line (the CLI writes the Presburger work counters plus a
+  trailing aggregate row of the operation-cache counters), append-friendly
+  like the service reports.
 * **Humans** — :func:`format_phase_summary` renders the per-phase wall-time
   breakdown that :func:`aggregate_phase_seconds` derives from the span tree:
   time is attributed to the *outermost* span of each category, so nested
@@ -21,13 +22,11 @@ Three consumers, three formats:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, TextIO, Union
 
 from .trace import SpanRecord
 
 __all__ = [
-    "TelemetrySnapshot",
     "chrome_trace",
     "write_chrome_trace",
     "write_metrics_jsonl",
@@ -105,12 +104,12 @@ def write_metrics_jsonl(
     snapshot: Sequence[Dict[str, Any]],
     extra_rows: Sequence[Dict[str, Any]] = (),
 ) -> None:
-    """Write a metrics snapshot as JSONL: one metric object per line.
+    """Write metric rows as JSONL: one metric object per line.
 
-    *extra_rows* lets callers append aggregate rows that are not registry
-    metrics — the CLI adds an ``{"type": "opcache", ...}`` row mirroring the
-    process-wide Presburger operation-cache counters so one file carries the
-    full picture.
+    *snapshot* holds ``{"type": "counter", "name": ..., "value": ...}``
+    rows; *extra_rows* lets callers append aggregate rows after them — the
+    CLI adds an ``{"type": "opcache", ...}`` row with the run's Presburger
+    operation-cache counters so one file carries the full picture.
     """
     def _write(handle: TextIO) -> None:
         for row in list(snapshot) + list(extra_rows):
@@ -179,28 +178,3 @@ def format_phase_summary(
     for name, value in sorted((counters or {}).items()):
         lines.append(f"  {name:<24}: {value}")
     return "\n".join(lines)
-
-
-@dataclass
-class TelemetrySnapshot:
-    """What :meth:`CheckObserver.on_telemetry` receives after one check.
-
-    ``phase_seconds`` is the per-phase breakdown of this check's spans (the
-    same dict stored into ``CheckStats.phase_seconds``), ``span_count`` the
-    number of spans the check recorded, and ``counters`` the metric-counter
-    increments attributable to the check (empty unless metrics are enabled).
-    """
-
-    phase_seconds: Dict[str, float] = field(default_factory=dict)
-    span_count: int = 0
-    counters: Dict[str, int] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "phase_seconds": dict(self.phase_seconds),
-            "span_count": self.span_count,
-            "counters": dict(self.counters),
-        }
-
-    def format(self) -> str:
-        return format_phase_summary(self.phase_seconds, self.span_count, self.counters)

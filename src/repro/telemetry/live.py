@@ -1,6 +1,6 @@
 """Live-serving observability primitives: request logs and slow-request capture.
 
-The tracer and metrics registry in this package answer questions about one
+The tracer and exporters in this package answer questions about one
 process run; a long-lived verification daemon needs the complementary
 *operational* views:
 

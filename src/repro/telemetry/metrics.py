@@ -1,88 +1,27 @@
-"""A counter / gauge / histogram metrics registry for the verification stack.
+"""The power-of-two latency histogram of the verification stack.
 
 Where spans (:mod:`repro.telemetry.trace`) answer *where did the time go*,
-metrics answer *how often and how big*: tabling hits per check, FM
-eliminations per Presburger operation, dark-shadow splinter explosions,
-oracle runs per scenario.  The registry is deliberately small:
-
-* :class:`Counter` — a monotonically increasing integer (``inc``);
-* :class:`Gauge` — a last-value-wins number (``set``);
-* :class:`Histogram` — count/sum/min/max plus power-of-two magnitude
-  buckets, enough to spot skew without storing samples.
-
-Like the tracer, the process-wide :data:`METRICS` registry is disabled by
-default and mutated in place, so hot code binds it once and guards on a
-single ``.enabled`` attribute load.  Snapshots are plain dicts, which makes
-the cross-process story explicit: a worker ships ``snapshot()`` deltas home
-with its job result and the parent :meth:`MetricsRegistry.merge`\\ s them in.
+a :class:`Histogram` answers *how is it spread*: the verification daemon
+keeps one per request and per check latency, always on, and ships their
+snapshots in its ``stats`` payload.  Work counts have one owner each
+instead: the Presburger work in
+:class:`~repro.presburger.opcache.OpCacheStats`, the per-check traversal
+counts in :class:`~repro.checker.result.CheckStats` and the daemon's
+lifetime counts in :class:`~repro.server.pool.ServerStats`.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Dict, List, Optional
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "METRICS", "delta_counters"]
-
-
-class Counter:
-    """A monotonically increasing event counter.
-
-    ``inc`` is thread-safe: counters are shared between the asyncio event
-    loop and pool worker threads in the verification server, where a bare
-    ``value += amount`` read-modify-write can drop increments under
-    preemption.  One short critical section per increment keeps the counter
-    exact; reads of ``value`` are single attribute loads and need no lock.
-    :class:`repro.server.pool.ServerStats` follows the same pattern.
-    """
-
-    __slots__ = ("name", "value", "_lock")
-    kind = "counter"
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-        self._lock = threading.Lock()
-
-    def inc(self, amount: int = 1) -> None:
-        with self._lock:
-            self.value += amount
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {"type": self.kind, "name": self.name, "value": self.value}
-
-    def merge(self, data: Dict[str, Any]) -> None:
-        self.inc(int(data.get("value", 0)))
-
-
-class Gauge:
-    """A last-value-wins measurement (e.g. a cache population)."""
-
-    __slots__ = ("name", "value")
-    kind = "gauge"
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {"type": self.kind, "name": self.name, "value": self.value}
-
-    def merge(self, data: Dict[str, Any]) -> None:
-        # Merging gauges across processes keeps the maximum: the only gauges
-        # we record (cache populations, corpus sizes) are "high water" style.
-        self.value = max(self.value, data.get("value", 0.0))
+__all__ = ["Histogram"]
 
 
 class Histogram:
     """Count/sum/min/max plus power-of-two magnitude buckets.
 
     Bucket ``k`` counts observations ``v`` with ``2**(k-1) < |v| <= 2**k``
-    (bucket 0 counts ``|v| <= 1``), which is coarse but cheap and fully
-    mergeable across processes.
+    (bucket 0 counts ``|v| <= 1``), which is coarse but cheap.
     """
 
     __slots__ = ("name", "count", "total", "minimum", "maximum", "buckets")
@@ -126,102 +65,3 @@ class Histogram:
             "mean": self.mean,
             "buckets": {str(k): v for k, v in enumerate(self.buckets) if v},
         }
-
-    def merge(self, data: Dict[str, Any]) -> None:
-        self.count += int(data.get("count", 0))
-        self.total += data.get("sum", 0.0)
-        for bound in ("min", "max"):
-            other = data.get(bound)
-            if other is None:
-                continue
-            if bound == "min":
-                self.minimum = other if self.minimum is None else min(self.minimum, other)
-            else:
-                self.maximum = other if self.maximum is None else max(self.maximum, other)
-        for key, value in (data.get("buckets") or {}).items():
-            index = min(int(key), self.MAX_BUCKET)
-            self.buckets[index] += int(value)
-
-
-class MetricsRegistry:
-    """The process-wide named-metric store (one instance, see :data:`METRICS`).
-
-    All mutating entry points are no-ops while :attr:`enabled` is false, so
-    instrumentation sites can call ``METRICS.inc(...)`` unconditionally in
-    warm-but-not-hot code; truly hot paths should guard on ``.enabled``
-    themselves to skip even the call.
-    """
-
-    def __init__(self) -> None:
-        self.enabled = False
-        self._lock = threading.Lock()
-        self._metrics: Dict[str, Any] = {}
-
-    # ------------------------------------------------------------------ #
-    def _get(self, name: str, factory):
-        metric = self._metrics.get(name)
-        if metric is None:
-            with self._lock:
-                metric = self._metrics.setdefault(name, factory(name))
-        return metric
-
-    def counter(self, name: str) -> Counter:
-        return self._get(name, Counter)
-
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge)
-
-    def histogram(self, name: str) -> Histogram:
-        return self._get(name, Histogram)
-
-    # Convenience mutators (no-ops while disabled).
-    def inc(self, name: str, amount: int = 1) -> None:
-        if self.enabled:
-            self.counter(name).inc(amount)
-
-    def set(self, name: str, value: float) -> None:
-        if self.enabled:
-            self.gauge(name).set(value)
-
-    def observe(self, name: str, value: float) -> None:
-        if self.enabled:
-            self.histogram(name).observe(value)
-
-    # ------------------------------------------------------------------ #
-    def snapshot(self) -> List[Dict[str, Any]]:
-        """Every metric's serialised state, sorted by name."""
-        with self._lock:
-            metrics = list(self._metrics.values())
-        return [metric.snapshot() for metric in sorted(metrics, key=lambda m: m.name)]
-
-    def counters(self) -> Dict[str, int]:
-        """Just the counters, as a flat ``{name: value}`` dict."""
-        with self._lock:
-            return {
-                name: metric.value
-                for name, metric in sorted(self._metrics.items())
-                if isinstance(metric, Counter)
-            }
-
-    def merge(self, snapshot: List[Dict[str, Any]]) -> None:
-        """Fold a :meth:`snapshot` from another process into this registry."""
-        factories = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
-        for entry in snapshot:
-            factory = factories.get(entry.get("type", "counter"), Counter)
-            self._get(entry["name"], factory).merge(entry)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._metrics.clear()
-
-
-def delta_counters(later: Dict[str, int], earlier: Dict[str, int]) -> Dict[str, int]:
-    """The counter increments between two :meth:`MetricsRegistry.counters` calls."""
-    return {
-        name: value - earlier.get(name, 0)
-        for name, value in later.items()
-        if value - earlier.get(name, 0)
-    }
-
-
-METRICS = MetricsRegistry()

@@ -1,17 +1,13 @@
 """Prometheus text exposition (format 0.0.4) for the observability stack.
 
-Two renderers over the stack's existing snapshot shapes, so a scraper can
+One renderer over the server's existing snapshot shape, so a scraper can
 consume the verification server without any new dependency:
-
-* :func:`render_metric_rows` — renders a
-  :meth:`repro.telemetry.metrics.MetricsRegistry.snapshot` list (typed
-  counter/gauge/histogram rows);
-* :func:`render_server_snapshot` — renders the server's deep ``stats``
-  payload (see :meth:`repro.server.daemon.VerificationServer.snapshot`):
-  nested dicts flatten into underscore-joined metric names, a few known
-  keys expand into labelled samples (``solver_queries`` → ``kind=...``,
-  ``per_op`` → ``op=...``), and embedded histogram snapshots become full
-  ``_bucket``/``_sum``/``_count`` families.
+:func:`render_server_snapshot` renders the deep ``stats`` payload (see
+:meth:`repro.server.daemon.VerificationServer.snapshot`): nested dicts
+flatten into underscore-joined metric names, a few known keys expand into
+labelled samples (``solver_queries`` → ``kind=...``, ``per_op`` →
+``op=...``), and embedded histogram snapshots become full
+``_bucket``/``_sum``/``_count`` families.
 
 The histogram buckets reuse :class:`repro.telemetry.metrics.Histogram`'s
 power-of-two magnitude scheme: bucket ``k`` holds ``2**(k-1) < |v| <= 2**k``
@@ -22,13 +18,12 @@ power-of-two magnitude scheme: bucket ``k`` holds ``2**(k-1) < |v| <= 2**k``
 from __future__ import annotations
 
 import re
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 __all__ = [
     "CONTENT_TYPE",
     "escape_help",
     "escape_label_value",
-    "render_metric_rows",
     "render_server_snapshot",
     "sanitize_metric_name",
 ]
@@ -69,6 +64,9 @@ _COUNTER_KEYS = frozenset(
         "events_written",
         "events_dropped",
         "captured",
+        "fm_eliminations",
+        "dark_shadow_splinters",
+        "feasibility_checks",
     }
 )
 
@@ -186,21 +184,6 @@ def _kind_for(key: str) -> str:
     return "counter" if key in _COUNTER_KEYS else "gauge"
 
 
-def render_metric_rows(rows: Sequence[Mapping[str, Any]], namespace: str = "repro") -> str:
-    """Render a ``MetricsRegistry.snapshot()`` list to exposition text."""
-    out = _Exposition()
-    for row in rows:
-        name = f"{namespace}_{row.get('name', 'metric')}"
-        kind = row.get("type", "counter")
-        if kind == "histogram":
-            out.add_histogram(name, row)
-        elif kind in ("counter", "gauge"):
-            out.add(name, kind, row.get("value", 0))
-        # Unknown row types are skipped: this renderer must never fail a
-        # scrape over a snapshot written by a newer registry.
-    return out.render()
-
-
 def _walk(out: _Exposition, path: Tuple[str, ...], value: Any, namespace: str) -> None:
     name = namespace + "_" + "_".join(path) if path else namespace
     key = path[-1] if path else ""
@@ -232,21 +215,9 @@ def _walk(out: _Exposition, path: Tuple[str, ...], value: Any, namespace: str) -
     # Strings, None and lists carry no sample; they stay JSON-only fields.
 
 
-def render_server_snapshot(
-    snapshot: Mapping[str, Any],
-    namespace: str = "repro_server",
-    metric_rows: Optional[Iterable[Mapping[str, Any]]] = None,
-) -> str:
-    """Render the server's deep ``stats`` snapshot to exposition text.
-
-    *metric_rows*, when given, appends the opt-in
-    :data:`repro.telemetry.METRICS` registry rows under the plain ``repro``
-    namespace after the always-on server metrics.
-    """
+def render_server_snapshot(snapshot: Mapping[str, Any], namespace: str = "repro_server") -> str:
+    """Render the server's deep ``stats`` snapshot to exposition text."""
     out = _Exposition()
     for key in snapshot:
         _walk(out, (str(key),), snapshot[key], namespace)
-    text = out.render()
-    if metric_rows:
-        text += render_metric_rows(list(metric_rows))
-    return text
+    return out.render()

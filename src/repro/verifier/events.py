@@ -16,18 +16,13 @@ called *while the check runs*:
   after the traversal, so an observer that retains them sees the final form;
 * :meth:`~CheckObserver.on_stats` — once at the end of the check, with the
   finalised :class:`~repro.checker.result.CheckStats` (frontend/engine time
-  split included);
+  split included, and the per-phase wall-time breakdown
+  ``phase_seconds`` while :mod:`repro.telemetry` tracing is enabled);
 * :meth:`~CheckObserver.on_failure_report` — once per
   :meth:`~repro.verifier.session.Verifier.diagnose` call, with the
   :class:`~repro.diagnostics.report.FailureReport` after the diagnosis
   stages (witness synthesis, replay, bisection) completed.  Plain
-  :meth:`~repro.verifier.session.Verifier.check` calls never emit it;
-* :meth:`~CheckObserver.on_telemetry` — once per check, *only while*
-  :mod:`repro.telemetry` tracing is enabled, with a
-  :class:`~repro.telemetry.TelemetrySnapshot` carrying the check's
-  per-phase wall-time breakdown (the same dict stored into
-  ``CheckStats.phase_seconds``), its span count and its metric-counter
-  deltas.  Emitted just before :meth:`~CheckObserver.on_stats`.
+  :meth:`~repro.verifier.session.Verifier.check` calls never emit it.
 
 Observers are caller-owned code: exceptions they raise propagate out of the
 check.  Keep callbacks cheap — they run on the checking thread.
@@ -38,7 +33,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from ..checker.result import CheckStats, Diagnostic, OutputReport
-from ..telemetry import TelemetrySnapshot
 
 if TYPE_CHECKING:  # annotation-only: the verifier must not import the
     # higher-level diagnostics package at runtime (layering / cycle risk)
@@ -62,9 +56,6 @@ class CheckObserver:
     def on_failure_report(self, report: FailureReport) -> None:
         """A :meth:`Verifier.diagnose` run produced its failure report."""
 
-    def on_telemetry(self, snapshot: TelemetrySnapshot) -> None:
-        """The check finished under active tracing; *snapshot* has its spans' digest."""
-
 
 class CallbackObserver(CheckObserver):
     """A :class:`CheckObserver` assembled from plain callables.
@@ -81,13 +72,11 @@ class CallbackObserver(CheckObserver):
         on_diagnostic: Optional[Callable[[Diagnostic], None]] = None,
         on_stats: Optional[Callable[[CheckStats], None]] = None,
         on_failure_report: Optional[Callable[[FailureReport], None]] = None,
-        on_telemetry: Optional[Callable[[TelemetrySnapshot], None]] = None,
     ):
         self._on_output_checked = on_output_checked
         self._on_diagnostic = on_diagnostic
         self._on_stats = on_stats
         self._on_failure_report = on_failure_report
-        self._on_telemetry = on_telemetry
 
     def on_output_checked(self, report: OutputReport) -> None:
         if self._on_output_checked is not None:
@@ -104,10 +93,6 @@ class CallbackObserver(CheckObserver):
     def on_failure_report(self, report: FailureReport) -> None:
         if self._on_failure_report is not None:
             self._on_failure_report(report)
-
-    def on_telemetry(self, snapshot: TelemetrySnapshot) -> None:
-        if self._on_telemetry is not None:
-            self._on_telemetry(snapshot)
 
 
 class _Broadcast(CheckObserver):
@@ -131,7 +116,3 @@ class _Broadcast(CheckObserver):
     def on_failure_report(self, report: FailureReport) -> None:
         for observer in self._observers:
             observer.on_failure_report(report)
-
-    def on_telemetry(self, snapshot: TelemetrySnapshot) -> None:
-        for observer in self._observers:
-            observer.on_telemetry(snapshot)

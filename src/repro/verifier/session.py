@@ -39,14 +39,7 @@ from ..checker.result import (
     EquivalenceResult,
     OutputReport,
 )
-from ..telemetry import (
-    METRICS,
-    TRACER,
-    TelemetrySnapshot,
-    aggregate_phase_seconds,
-    current_request,
-    delta_counters,
-)
+from ..telemetry import TRACER, aggregate_phase_seconds, current_request
 from .events import CheckObserver, _Broadcast
 from .options import CheckOptions
 
@@ -200,10 +193,8 @@ class Verifier:
         ``stats.engine_seconds`` (``elapsed_seconds`` is their sum).
 
         While :mod:`repro.telemetry` tracing is enabled the check additionally
-        fills ``stats.phase_seconds`` from its recorded spans and broadcasts a
-        :class:`~repro.telemetry.TelemetrySnapshot` via
-        :meth:`~repro.verifier.events.CheckObserver.on_telemetry` just before
-        :meth:`~repro.verifier.events.CheckObserver.on_stats`.
+        fills ``stats.phase_seconds`` from its recorded spans before
+        :meth:`~repro.verifier.events.CheckObserver.on_stats` is broadcast.
         """
         resolved = options if options is not None else self.options
         broadcast = self._broadcast(observer)
@@ -212,7 +203,6 @@ class Verifier:
             broadcast.on_stats(result.stats)
             return result
         mark = TRACER.mark()
-        counters_before = METRICS.counters() if METRICS.enabled else {}
         with TRACER.span("verifier.check", "verifier") as check_span:
             # When the check runs under a server request, tag the root span
             # with the request id so a merged cross-process trace can be
@@ -221,7 +211,8 @@ class Verifier:
             if request is not None:
                 check_span.set(request=request)
             result = self._check_impl(original, transformed, resolved, broadcast)
-        self._finish_telemetry(broadcast, result, mark, counters_before)
+        result.stats.phase_seconds = aggregate_phase_seconds(TRACER.records_since(mark))
+        broadcast.on_stats(result.stats)
         return result
 
     def _check_impl(
@@ -341,7 +332,6 @@ class Verifier:
             broadcast.on_stats(result.stats)
             return result
         mark = TRACER.mark()
-        counters_before = METRICS.counters() if METRICS.enabled else {}
         with TRACER.span("verifier.check_addgs", "verifier") as check_span, TRACER.span(
             "engine.traverse", "engine"
         ):
@@ -349,37 +339,9 @@ class Verifier:
             if request is not None:
                 check_span.set(request=request)
             result = _traverse_with_backend(original, transformed, resolved, broadcast)
-        self._finish_telemetry(broadcast, result, mark, counters_before)
-        return result
-
-    def _finish_telemetry(
-        self,
-        broadcast: _Broadcast,
-        result: EquivalenceResult,
-        mark: int,
-        counters_before: Dict[str, int],
-    ) -> None:
-        """Attach the traced check's phase breakdown and broadcast it.
-
-        Runs only when tracing was on for the whole check: computes the
-        per-phase wall-time split from the spans recorded since *mark*,
-        stores it into ``result.stats.phase_seconds`` and emits the
-        ``on_telemetry`` milestone followed by ``on_stats``.
-        """
-        records = TRACER.records_since(mark)
-        phase_seconds = aggregate_phase_seconds(records)
-        result.stats.phase_seconds = dict(phase_seconds)
-        counters = (
-            delta_counters(METRICS.counters(), counters_before) if METRICS.enabled else {}
-        )
-        broadcast.on_telemetry(
-            TelemetrySnapshot(
-                phase_seconds=dict(phase_seconds),
-                span_count=len(records),
-                counters=counters,
-            )
-        )
+        result.stats.phase_seconds = aggregate_phase_seconds(TRACER.records_since(mark))
         broadcast.on_stats(result.stats)
+        return result
 
     # ------------------------------------------------------------------ #
     def _broadcast(self, observer: Optional[CheckObserver]) -> _Broadcast:

@@ -297,3 +297,102 @@ class TestCheckerIntegration:
         assert cached.equivalent == uncached.equivalent
         assert cached.stats.compare_calls == uncached.stats.compare_calls
         assert uncached.stats.opcache_hits == 0
+
+
+class TestWorkCounts:
+    """``OpCacheStats`` owns the omega core's work counts (always on)."""
+
+    def _cold_check_delta(self):
+        from repro.verifier import Verifier
+
+        before = opcache.snapshot()
+        assert Verifier().check(fig1_original(), fig1_ver1()).equivalent
+        return opcache.stats().delta(before)
+
+    def test_cold_check_counts_eliminations_and_feasibility_tests(self):
+        delta = self._cold_check_delta()
+        assert delta.fm_eliminations > 0
+        assert delta.feasibility_checks > 0
+
+    def test_reset_zeroes_the_work_counts(self):
+        self._cold_check_delta()
+        opcache.reset()
+        assert opcache.stats().fm_eliminations == 0
+        assert opcache.stats().feasibility_checks == 0
+
+    def test_merge_round_trips_an_as_dict_delta(self):
+        delta = self._cold_check_delta()
+        assert delta.per_op
+        merged = opcache.OpCacheStats()
+        merged.merge(delta.as_dict())
+        assert merged == delta
+        merged.merge(delta.as_dict())
+        assert merged.fm_eliminations == 2 * delta.fm_eliminations
+        op, (hits, misses) = next(iter(delta.per_op.items()))
+        assert merged.per_op[op] == (2 * hits, 2 * misses)
+
+    def test_copy_is_independent_of_the_live_counts(self):
+        self._cold_check_delta()
+        copied = opcache.snapshot()
+        assert copied == opcache.stats()
+        opcache.stats().fm_eliminations += 1
+        opcache.stats().feasibility_checks += 1
+        assert copied.fm_eliminations == opcache.stats().fm_eliminations - 1
+        assert copied.feasibility_checks == opcache.stats().feasibility_checks - 1
+
+    def test_delta_subtracts_the_work_counts(self):
+        earlier = opcache.OpCacheStats(fm_eliminations=3, dark_shadow_splinters=1, feasibility_checks=5)
+        later = opcache.OpCacheStats(fm_eliminations=10, dark_shadow_splinters=4, feasibility_checks=5)
+        delta = later.delta(earlier)
+        assert (delta.fm_eliminations, delta.dark_shadow_splinters, delta.feasibility_checks) == (
+            7,
+            3,
+            0,
+        )
+
+    def test_as_dict_carries_the_work_counts(self):
+        data = opcache.OpCacheStats(
+            fm_eliminations=2, dark_shadow_splinters=1, feasibility_checks=9
+        ).as_dict()
+        assert data["fm_eliminations"] == 2
+        assert data["dark_shadow_splinters"] == 1
+        assert data["feasibility_checks"] == 9
+        assert data["per_op"] == {}
+
+    def test_merge_of_an_empty_payload_changes_nothing(self):
+        delta = self._cold_check_delta()
+        merged = delta.copy()
+        merged.merge({})
+        assert merged == delta
+
+    def test_feasibility_decisions_are_counted(self):
+        from repro.presburger import kernel, omega
+
+        conjuncts = [
+            Conjunct(1, 0, ineqs=[(1, 0), (-1, 7)]),
+            Conjunct(2, 0, ineqs=[(1, 0, 0), (0, -1, 3), (-1, 1, 0)]),
+        ]
+        before = opcache.snapshot()
+        assert omega.is_feasible(conjuncts[0])
+        assert opcache.stats().delta(before).feasibility_checks >= 1
+        before = opcache.snapshot()
+        assert kernel.feasible_many(conjuncts) == [True, True]
+        assert opcache.stats().delta(before).feasibility_checks >= len(conjuncts)
+
+    def test_dark_shadow_splinters_are_counted(self):
+        from repro.presburger import omega
+
+        # 3a <= i <= 3a + 1 with 0 <= i <= 11: projecting out a is inexact.
+        conjunct = Conjunct(1, 1, ineqs=[(1, -3, 0), (-1, 3, 1), (1, 0, 0), (-1, 0, 11)])
+        before = opcache.snapshot()
+        assert omega.eliminate_col(conjunct, 1)
+        delta = opcache.stats().delta(before)
+        assert delta.fm_eliminations >= 1
+        assert delta.dark_shadow_splinters > 0
+
+    def test_work_counts_tick_with_memoization_off(self):
+        with opcache.disabled():
+            delta = self._cold_check_delta()
+        assert delta.hits == delta.misses == 0
+        assert delta.fm_eliminations > 0
+        assert delta.feasibility_checks > 0

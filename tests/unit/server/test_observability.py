@@ -201,22 +201,17 @@ class TestPingAndStats:
         assert buckets
         assert any(int(line.rsplit(" ", 1)[1]) > 0 for line in buckets)
 
-    def test_prometheus_rendering_is_valid_with_metrics_enabled(self):
-        # With the opt-in registry on, its rows render next to the snapshot;
-        # the two must never expose the same family twice.
+    def test_prometheus_renders_presburger_work_counters(self):
+        # The omega core's work counts live in the always-on opcache block,
+        # so any daemon exposes them, telemetry flags or not.
         lint = _load_lint()
-        telemetry.reset()
-        telemetry.enable(tracing=False, metrics=True)
-        try:
-            with ServerThread(ServerConfig(port=0)) as handle:
-                with ServerClient(handle.address) as client:
-                    client.check_job(make_job())
-                    client.check_job(make_job(name="repeat"))
-                    text = client.stats(format="prometheus")["text"]
-        finally:
-            telemetry.disable()
-            telemetry.reset()
+        with ServerThread(ServerConfig(port=0)) as handle:
+            with ServerClient(handle.address) as client:
+                client.check_job(make_job())
+                text = client.stats(format="prometheus")["text"]
         assert lint.validate(text) == []
+        for name in ("fm_eliminations", "dark_shadow_splinters", "feasibility_checks"):
+            assert f"# TYPE repro_server_opcache_{name} counter" in text
 
     def test_unknown_stats_format_rejected(self, observed_server):
         handle, _ = observed_server

@@ -1,16 +1,15 @@
 """Integration-level unit tests: the instrumented stack under active tracing.
 
 Covers the tentpole wiring end to end at unit-test scale: frontend and
-engine spans during a ``Verifier.check``, the ``on_telemetry`` observer
-milestone, ``CheckStats.phase_seconds``, and the cross-process span merge
-from ``BatchExecutor`` pool workers.
+engine spans during a ``Verifier.check``, ``CheckStats.phase_seconds`` as
+the ``on_stats`` observer sees it, and the cross-process merge of spans and
+Presburger work counts from ``BatchExecutor`` pool workers.
 """
 
 import os
 
 from repro import telemetry
 from repro.presburger import opcache
-from repro.telemetry import METRICS, TRACER
 from repro.verifier import CallbackObserver, Verifier
 from repro.service import BatchExecutor, VerificationJob
 
@@ -62,35 +61,19 @@ class TestVerifierTelemetry:
         result = Verifier().check(ORIGINAL, TRANSFORMED)
         assert result.stats.phase_seconds == {}
 
-    def test_on_telemetry_fires_before_on_stats_under_tracing(self):
+    def test_on_stats_sees_phase_seconds_under_tracing(self):
         telemetry.enable()
-        milestones = []
-        observer = CallbackObserver(
-            on_stats=lambda stats: milestones.append(("stats", stats)),
-            on_telemetry=lambda snapshot: milestones.append(("telemetry", snapshot)),
-        )
+        seen = []
+        observer = CallbackObserver(on_stats=lambda stats: seen.append(dict(stats.phase_seconds)))
         Verifier().check(ORIGINAL, TRANSFORMED, observer=observer)
-        kinds = [kind for kind, _ in milestones]
-        assert kinds == ["telemetry", "stats"]
-        snapshot = milestones[0][1]
-        assert snapshot.span_count > 0
-        assert "engine" in snapshot.phase_seconds
+        (phase_seconds,) = seen
+        assert "engine" in phase_seconds
 
-    def test_on_telemetry_not_fired_when_disabled(self):
-        snapshots = []
-        observer = CallbackObserver(on_telemetry=snapshots.append)
+    def test_on_stats_sees_no_phase_seconds_when_disabled(self):
+        seen = []
+        observer = CallbackObserver(on_stats=lambda stats: seen.append(dict(stats.phase_seconds)))
         Verifier().check(ORIGINAL, TRANSFORMED, observer=observer)
-        assert snapshots == []
-
-    def test_metrics_counters_flow_into_the_snapshot(self):
-        telemetry.enable()
-        snapshots = []
-        observer = CallbackObserver(on_telemetry=snapshots.append)
-        opcache.reset()
-        Verifier().check(ORIGINAL, TRANSFORMED, observer=observer)
-        (snapshot,) = snapshots
-        # The engine performs FM eliminations on this pair in a cold check.
-        assert snapshot.counters.get("presburger.fm_eliminations", 0) > 0
+        assert seen == [{}]
 
     def test_check_addgs_also_traces(self):
         from repro.addg import build_addg
@@ -122,6 +105,7 @@ def _jobs(count):
 class TestCrossProcessMerge:
     def test_pool_workers_ship_spans_home(self):
         telemetry.enable()
+        before = opcache.snapshot()
         results = BatchExecutor(cache=None, workers=2).run(_jobs(3))
         assert all(outcome.status == "ok" for outcome in results)
         spans = telemetry.spans()
@@ -131,8 +115,8 @@ class TestCrossProcessMerge:
         assert os.getpid() not in worker_pids  # the jobs ran in workers
         # The shipped telemetry must be consumed, not serialised onward.
         assert all(outcome.telemetry is None for outcome in results)
-        # Worker metrics merged into the parent registry.
-        assert METRICS.counters().get("presburger.fm_eliminations", 0) > 0
+        # The workers' Presburger work counts merged into the parent's.
+        assert opcache.stats().delta(before).fm_eliminations > 0
 
     def test_worker_spans_keep_their_own_track(self):
         telemetry.enable()
@@ -149,7 +133,24 @@ class TestCrossProcessMerge:
         assert len(job_spans) == 2
         assert {record.pid for record in job_spans} == {os.getpid()}
 
+    def test_execute_job_ships_its_opcache_delta(self):
+        from repro.service.executor import execute_job
+
+        opcache.reset()
+        outcome = execute_job(_jobs(1)[0], collect_telemetry=True)
+        assert outcome.status == "ok"
+        shipped = outcome.telemetry["opcache"]
+        assert shipped["fm_eliminations"] > 0
+        assert shipped["feasibility_checks"] > 0
+        assert shipped["per_op"]
+        merged = opcache.OpCacheStats()
+        merged.merge(shipped)
+        assert merged.as_dict() == shipped
+
     def test_untraced_batch_ships_no_telemetry(self):
+        before = opcache.snapshot()
         results = BatchExecutor(cache=None, workers=2).run(_jobs(2))
         assert all(outcome.status == "ok" for outcome in results)
         assert telemetry.spans() == []
+        # The parent itself does no Presburger work in a pooled batch.
+        assert opcache.stats().delta(before).fm_eliminations == 0

@@ -1,95 +1,4 @@
-"""Unit tests: the metrics registry — counters, gauges, histograms, merging."""
-
-from repro import telemetry
-from repro.telemetry import METRICS, MetricsRegistry, delta_counters
-
-
-class TestRegistryBasics:
-    def test_disabled_mutators_are_noops(self):
-        METRICS.inc("a")
-        METRICS.set("b", 3.0)
-        METRICS.observe("c", 1.0)
-        assert METRICS.snapshot() == []
-
-    def test_counter_increments(self):
-        telemetry.enable()
-        METRICS.inc("checks")
-        METRICS.inc("checks", 4)
-        assert METRICS.counters() == {"checks": 5}
-
-    def test_gauge_last_value_wins(self):
-        telemetry.enable()
-        METRICS.set("population", 10)
-        METRICS.set("population", 3)
-        (entry,) = METRICS.snapshot()
-        assert entry == {"type": "gauge", "name": "population", "value": 3}
-
-    def test_histogram_buckets_and_moments(self):
-        telemetry.enable()
-        for value in (0.5, 1.0, 3.0, 1000.0):
-            METRICS.observe("sizes", value)
-        (entry,) = METRICS.snapshot()
-        assert entry["count"] == 4
-        assert entry["min"] == 0.5
-        assert entry["max"] == 1000.0
-        assert entry["mean"] == (0.5 + 1.0 + 3.0 + 1000.0) / 4
-        # |v| <= 1 -> bucket 0; 3.0 -> bucket 2 (2 < 3 <= 4); 1000 -> bucket 10.
-        assert entry["buckets"] == {"0": 2, "2": 1, "10": 1}
-
-    def test_snapshot_is_sorted_by_name(self):
-        telemetry.enable()
-        METRICS.inc("zeta")
-        METRICS.inc("alpha")
-        names = [entry["name"] for entry in METRICS.snapshot()]
-        assert names == ["alpha", "zeta"]
-
-
-class TestMerging:
-    def test_merge_adds_counters_and_maxes_gauges(self):
-        local = MetricsRegistry()
-        local.enabled = True
-        local.inc("jobs", 2)
-        local.set("high_water", 5)
-        remote = MetricsRegistry()
-        remote.enabled = True
-        remote.inc("jobs", 3)
-        remote.set("high_water", 9)
-        remote.observe("latency", 4.0)
-        local.merge(remote.snapshot())
-        assert local.counters() == {"jobs": 5}
-        by_name = {entry["name"]: entry for entry in local.snapshot()}
-        assert by_name["high_water"]["value"] == 9
-        assert by_name["latency"]["count"] == 1
-
-    def test_merge_combines_histogram_bounds_and_buckets(self):
-        left = MetricsRegistry()
-        left.enabled = True
-        left.observe("latency", 1.0)
-        right = MetricsRegistry()
-        right.enabled = True
-        right.observe("latency", 100.0)
-        left.merge(right.snapshot())
-        (entry,) = left.snapshot()
-        assert entry["count"] == 2
-        assert entry["min"] == 1.0
-        assert entry["max"] == 100.0
-
-    def test_merge_works_into_a_disabled_registry(self):
-        # The parent may have been disabled between the drain and the merge;
-        # the worker's increments must not be lost.
-        target = MetricsRegistry()
-        source = MetricsRegistry()
-        source.enabled = True
-        source.inc("jobs", 7)
-        target.merge(source.snapshot())
-        assert target.counters() == {"jobs": 7}
-
-
-class TestDeltas:
-    def test_delta_counters_reports_only_increments(self):
-        earlier = {"a": 2, "b": 5}
-        later = {"a": 6, "b": 5, "c": 1}
-        assert delta_counters(later, earlier) == {"a": 4, "c": 1}
+"""Unit tests: the power-of-two latency histogram the server keeps."""
 
 
 class TestHistogramEdgeCases:
@@ -97,6 +6,18 @@ class TestHistogramEdgeCases:
         from repro.telemetry.metrics import Histogram
 
         return Histogram("h")
+
+    def test_buckets_and_moments(self):
+        histogram = self._histogram()
+        for value in (0.5, 1.0, 3.0, 1000.0):
+            histogram.observe(value)
+        snapshot = histogram.snapshot()
+        assert snapshot["count"] == 4
+        assert snapshot["min"] == 0.5
+        assert snapshot["max"] == 1000.0
+        assert snapshot["mean"] == (0.5 + 1.0 + 3.0 + 1000.0) / 4
+        # |v| <= 1 -> bucket 0; 3.0 -> bucket 2 (2 < 3 <= 4); 1000 -> bucket 10.
+        assert snapshot["buckets"] == {"0": 2, "2": 1, "10": 1}
 
     def test_empty_snapshot(self):
         snapshot = self._histogram().snapshot()
@@ -139,29 +60,3 @@ class TestHistogramEdgeCases:
         histogram.observe(2.000001)
         snapshot = histogram.snapshot()
         assert snapshot["buckets"] == {"1": 1, "2": 1}
-
-
-class TestCounterThreadSafety:
-    def test_concurrent_increments_are_exact(self):
-        # The server increments counters from worker threads while the event
-        # loop reads them; a bare `+=` loses updates under contention.
-        import threading
-
-        from repro.telemetry.metrics import Counter
-
-        counter = Counter("hammered")
-        threads = 8
-        per_thread = 2500
-        barrier = threading.Barrier(threads)
-
-        def hammer():
-            barrier.wait()
-            for _ in range(per_thread):
-                counter.inc()
-
-        workers = [threading.Thread(target=hammer) for _ in range(threads)]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join()
-        assert counter.value == threads * per_thread

@@ -13,7 +13,6 @@ from repro.telemetry.prom import (
     CONTENT_TYPE,
     escape_help,
     escape_label_value,
-    render_metric_rows,
     render_server_snapshot,
     sanitize_metric_name,
 )
@@ -56,36 +55,6 @@ class TestEscaping:
         assert "0.0.4" in CONTENT_TYPE
 
 
-class TestRenderMetricRows:
-    def test_counter_rows_render_and_validate(self):
-        text = render_metric_rows(
-            [{"type": "counter", "name": "frontend.parse", "value": 3}]
-        )
-        assert_clean(text)
-        assert "# TYPE repro_frontend_parse counter" in text
-        assert "repro_frontend_parse 3" in text
-
-    def test_histogram_rows_are_cumulative(self):
-        histogram = Histogram("depth")
-        for value in (0.5, 1.5, 3.0, 100.0):
-            histogram.observe(value)
-        text = render_metric_rows([histogram.snapshot()])
-        assert_clean(text)
-        lines = [line for line in text.splitlines() if "_bucket" in line]
-        counts = [int(line.rsplit(" ", 1)[1]) for line in lines]
-        assert counts == sorted(counts), "bucket counts must be cumulative"
-        assert lines[-1].startswith('repro_depth_bucket{le="+Inf"}')
-        assert counts[-1] == 4
-        assert "repro_depth_count 4" in text
-
-    def test_weird_label_values_survive_the_validator(self):
-        text = render_server_snapshot(
-            {"solver_queries": {'om"ega\n\\': 7}}, namespace="repro_server"
-        )
-        assert_clean(text)
-        assert '\\"' in text and "\\n" in text
-
-
 class TestRenderServerSnapshot:
     SNAPSHOT = {
         "requests": 12,
@@ -101,6 +70,9 @@ class TestRenderServerSnapshot:
         "opcache": {
             "hits": 10,
             "misses": 2,
+            "fm_eliminations": 7,
+            "dark_shadow_splinters": 0,
+            "feasibility_checks": 11,
             "per_op": {"compose": {"hits": 4, "misses": 1}},
         },
         "solver_queries": {"omega": 9},
@@ -142,13 +114,31 @@ class TestRenderServerSnapshot:
         assert_clean(text)
         assert 'repro_server_latency_request_seconds_bucket{le="+Inf"} 0' in text
 
-    def test_metric_rows_ride_along(self):
+    def test_presburger_work_counts_are_counters(self):
+        text = render_server_snapshot(self.SNAPSHOT)
+        for name in ("fm_eliminations", "dark_shadow_splinters", "feasibility_checks"):
+            assert f"# TYPE repro_server_opcache_{name} counter" in text
+        assert "repro_server_opcache_fm_eliminations 7" in text
+
+    def test_histogram_buckets_are_cumulative(self):
+        histogram = Histogram("depth")
+        for value in (0.5, 1.5, 3.0, 100.0):
+            histogram.observe(value)
+        text = render_server_snapshot({"depth": histogram.snapshot()}, namespace="repro")
+        assert_clean(text)
+        lines = [line for line in text.splitlines() if "_bucket" in line]
+        counts = [int(line.rsplit(" ", 1)[1]) for line in lines]
+        assert counts == sorted(counts), "bucket counts must be cumulative"
+        assert lines[-1].startswith('repro_depth_bucket{le="+Inf"}')
+        assert counts[-1] == 4
+        assert "repro_depth_count 4" in text
+
+    def test_weird_label_values_survive_the_validator(self):
         text = render_server_snapshot(
-            self.SNAPSHOT,
-            metric_rows=[{"type": "counter", "name": "engine.compare", "value": 6}],
+            {"solver_queries": {'om"ega\n\\': 7}}, namespace="repro_server"
         )
         assert_clean(text)
-        assert "repro_engine_compare 6" in text
+        assert '\\"' in text and "\\n" in text
 
 
 class TestValidatorItself:

@@ -51,6 +51,30 @@ class TestArgumentParser:
         assert excinfo.value.code == 2
         assert "finite, non-negative number of seconds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, report",
+        [("batch", "eqcheck_report.jsonl"), ("fuzz", "fuzz_report.jsonl")],
+    )
+    def test_run_arguments_keep_each_command_default(self, command, report):
+        args = build_cli_parser().parse_args([command])
+        assert args.report == report
+        assert args.workers == 1
+        assert args.timeout is None
+        assert args.quiet is False
+
+    @pytest.mark.parametrize(
+        "command, workers_for, noun",
+        [("batch", "cache misses", "job"), ("fuzz", "the verification batch", "pair")],
+    )
+    def test_run_arguments_help_names_the_command(self, capsys, command, workers_for, noun):
+        with pytest.raises(SystemExit):
+            build_cli_parser().parse_args([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert f"worker processes for {workers_for}" in text
+        assert f"no per-{noun} lines" in text
+        assert "then an aggregate opcache row" in text
+        assert "gauges" not in text
+
 
 class TestMain:
     def test_equivalent_pair_exits_zero(self, fig1_files, capsys):
@@ -245,13 +269,31 @@ class TestTelemetryFlags:
         err = capsys.readouterr().err
         assert "telemetry" in err or "phase" in err
 
+    def test_metrics_rows_are_presburger_counters_then_opcache(self, fig1_files, tmp_path):
+        import json
+
+        from repro.presburger import opcache
+
+        opcache.reset()  # a cold check, so the omega core does some work
+        metrics_path = tmp_path / "metrics.jsonl"
+        assert main(["check", "--quiet", "--metrics", str(metrics_path),
+                     fig1_files["a"], fig1_files["b"]]) == 0
+        rows = [json.loads(line) for line in metrics_path.read_text().splitlines()]
+        *counters, opcache_row = rows
+        assert opcache_row["type"] == "opcache"
+        assert all(row["type"] == "counter" for row in counters)
+        by_name = {row["name"]: row["value"] for row in counters}
+        assert all(name.startswith("presburger.") for name in by_name)
+        # The counter rows and the opcache row read the same owner.
+        assert by_name["presburger.fm_eliminations"] == opcache_row["fm_eliminations"] > 0
+        assert by_name["presburger.feasibility_checks"] == opcache_row["feasibility_checks"] > 0
+
     def test_trace_flag_leaves_telemetry_disabled_afterwards(self, fig1_files, tmp_path):
-        from repro.telemetry import METRICS, TRACER
+        from repro.telemetry import TRACER
 
         main(["check", "--quiet", "--trace", str(tmp_path / "t.json"),
               fig1_files["a"], fig1_files["b"]])
         assert TRACER.enabled is False
-        assert METRICS.enabled is False
         assert TRACER.records() == []
 
     def test_legacy_invocation_accepts_trace_flag(self, fig1_files, tmp_path):
