@@ -11,13 +11,18 @@ data-flow analysis on the statement contexts:
 * :func:`check_coverage` — every element read from a non-input array is
   written by some statement (no reads of undefined values);
 * :func:`check_def_use_order` — every read happens after the write of the
-  element it reads, under the sequential schedule of the program;
+  element it reads, under the sequential schedule of the program.  The
+  classical per-level dependence test decides it: for each schedule level
+  one emptiness test finds the conflicting instance pairs that agree on the
+  earlier levels and have the read earlier at this one (plus the pairs that
+  agree everywhere); levels whose two entries are constants are decided
+  without a Presburger operation;
 * :func:`check_dataflow` — all of the above, returning a list of issues.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..presburger import AffineConstraint, LinExpr, Map, Set, eq_, lt_
 from ..lang.ast import ArrayRef, Program, array_reads
@@ -58,15 +63,16 @@ def check_single_assignment(program: Program, contexts: Optional[Sequence[Statem
         by_array.setdefault(context.target_array, []).append(context)
 
     for array, writers in by_array.items():
+        write_maps = [write_access_map(writer) for writer in writers]
+        defined = [write_map.range() for write_map in write_maps]
         for index, writer in enumerate(writers):
-            write_map = write_access_map(writer)
-            if not write_map.is_injective():
+            if not write_maps[index].is_injective():
                 issues.append(
                     f"statement {writer.label!r} writes some element of {array!r} "
                     "in more than one iteration (single-assignment violation)"
                 )
-            for other in writers[index + 1 :]:
-                if not defined_set(writer).is_disjoint(defined_set(other)):
+            for offset, other in enumerate(writers[index + 1 :], start=index + 1):
+                if not defined[index].is_disjoint(defined[offset]):
                     issues.append(
                         f"statements {writer.label!r} and {other.label!r} both write "
                         f"some element of {array!r} (single-assignment violation)"
@@ -108,36 +114,94 @@ def check_coverage(program: Program, contexts: Optional[Sequence[StatementContex
 # --------------------------------------------------------------------------- #
 # Def-use order
 # --------------------------------------------------------------------------- #
-def _schedule_map(context: StatementContext, length: int, prefix: str) -> Map:
-    """Map from the statement's iteration vector to its (padded) timestamp vector."""
-    iterators = context.iterators
-    out_names = tuple(f"{prefix}{i}" for i in range(length))
-    constraints: List[AffineConstraint] = []
-    renaming = {it: f"{prefix}_{it}" for it in iterators}
-    in_names = tuple(renaming[it] for it in iterators)
-    for index in range(length):
-        if index < len(context.schedule):
-            expr = context.schedule[index].rename(renaming)
-        else:
-            expr = LinExpr.constant(0)
-        constraints.append(eq_(LinExpr.var(out_names[index]), expr))
-    relation = Map.build(in_names, out_names, constraints)
-    domain = context.domain.rename(in_names)
-    return relation.restrict_domain(domain)
+def _timestamps(context: StatementContext, length: int, prefix: str) -> Tuple[LinExpr, ...]:
+    """The statement's ``2d+1`` timestamp, zero-padded to *length* entries.
+
+    Iterators are renamed to the positional dimension names ``prefix0``,
+    ``prefix1``, ... of the side (writer or reader) of a conflict relation.
+    """
+    renaming = {it: f"{prefix}{index}" for index, it in enumerate(context.iterators)}
+    padding = (LinExpr.constant(0),) * (length - len(context.schedule))
+    return tuple(expr.rename(renaming) for expr in context.schedule) + padding
 
 
-def _lexicographic_before(length: int) -> Map:
-    """The relation ``a lex< b`` over two timestamp vectors of the given length."""
-    a_names = tuple(f"a{i}" for i in range(length))
-    b_names = tuple(f"b{i}" for i in range(length))
-    result = Map.empty(a_names, b_names)
-    for position in range(length):
-        constraints: List[AffineConstraint] = []
-        for index in range(position):
-            constraints.append(eq_(LinExpr.var(a_names[index]), LinExpr.var(b_names[index])))
-        constraints.append(lt_(LinExpr.var(a_names[position]), LinExpr.var(b_names[position])))
-        result = result.union(Map.build(a_names, b_names, constraints))
-    return result
+def _order_violation(conflict: Map, writer_time: Sequence[LinExpr], reader_time: Sequence[LinExpr]) -> Map:
+    """The conflict pairs whose read does not execute strictly after the write.
+
+    A pair violates the order iff the reader's timestamp is not
+    lexicographically after the writer's, i.e. iff for some level ``p`` the
+    timestamps agree on every level before ``p`` and the reader's entry at
+    ``p`` is smaller, or they agree everywhere.  Each level contributes one
+    single-conjunct piece intersected with *conflict*; a level whose entries
+    are both constants is decided without a Presburger operation.
+
+    *writer_time* and *reader_time* are :func:`_timestamps` of equal length
+    over the conflict's positional dimensions ``w0, w1, ...`` (writer
+    iteration) and ``r0, r1, ...`` (reader iteration).
+    """
+    in_names = tuple(f"w{index}" for index in range(conflict.n_in))
+    out_names = tuple(f"r{index}" for index in range(conflict.n_out))
+
+    def piece(constraints: List[AffineConstraint]) -> Map:
+        if not constraints:
+            return conflict
+        return conflict.intersect(Map.build(in_names, out_names, constraints))
+
+    found: List[Map] = []
+    prefix: List[AffineConstraint] = []
+    for write, read in zip(writer_time, reader_time):
+        if write.is_constant() and read.is_constant():
+            if write.const < read.const:
+                break  # every pair agreeing so far is ordered at this level
+            if write.const > read.const:
+                found.append(piece(prefix))
+                break
+            continue
+        found.append(piece(prefix + [lt_(read, write)]))
+        prefix.append(eq_(write, read))
+    else:
+        found.append(piece(prefix))  # identical timestamps: the read is not after the write
+
+    violation = Map.empty(conflict.in_names, conflict.out_names)
+    for part in found:
+        if not part.is_empty():
+            violation = violation.union(part)
+    return violation
+
+
+def _order_violations(
+    program: Program, contexts: Optional[Sequence[StatementContext]] = None
+) -> Iterator[Tuple[StatementContext, ArrayRef, StatementContext, Map]]:
+    """Yield ``(reader, ref, writer, violation)`` for every misordered pair.
+
+    *violation* is the non-empty relation from writer iterations to reader
+    iterations of *ref* that touch the same element without the read
+    executing after the write.
+    """
+    contexts = list(contexts) if contexts is not None else statement_contexts(program)
+    inputs = set(program.input_arrays())
+    writers_by_array: Dict[str, List[StatementContext]] = {}
+    for context in contexts:
+        writers_by_array.setdefault(context.target_array, []).append(context)
+
+    length = max((len(c.schedule) for c in contexts), default=0)
+    write_maps = {c: write_access_map(c) for c in contexts}
+    writer_times = {c: _timestamps(c, length, "w") for c in contexts}
+    reader_times = {c: _timestamps(c, length, "r") for c in contexts}
+
+    for reader in contexts:
+        for ref in array_reads(reader.assignment.rhs):
+            if ref.name in inputs or ref.name not in writers_by_array:
+                continue
+            read_inverse = access_map(reader, ref).inverse()
+            for writer in writers_by_array[ref.name]:
+                # conflict: writer iteration -> reader iteration touching the same element
+                conflict = write_maps[writer].compose(read_inverse)
+                if conflict.is_empty():
+                    continue
+                violation = _order_violation(conflict, writer_times[writer], reader_times[reader])
+                if not violation.is_empty():
+                    yield reader, ref, writer, violation
 
 
 def check_def_use_order(program: Program, contexts: Optional[Sequence[StatementContext]] = None) -> List[str]:
@@ -145,40 +209,17 @@ def check_def_use_order(program: Program, contexts: Optional[Sequence[StatementC
 
     For each (writer statement, reader reference) pair on the same array, the
     conflict relation ``{ i_w -> i_r : w(i_w) = r(i_r) }`` must be contained
-    in the happens-before relation derived from the ``2d+1`` schedules.
+    in the happens-before relation of the ``2d+1`` schedules: the reader's
+    timestamp must be lexicographically after the writer's.  The test runs
+    level by level over the zero-padded timestamps, one emptiness test per
+    level (see :func:`_order_violation`); where both entries of a level are
+    constants the level is decided without a Presburger operation.
     """
-    contexts = list(contexts) if contexts is not None else statement_contexts(program)
-    issues: List[str] = []
-    inputs = set(program.input_arrays())
-    writers_by_array: Dict[str, List[StatementContext]] = {}
-    for context in contexts:
-        writers_by_array.setdefault(context.target_array, []).append(context)
-
-    max_schedule = max((len(c.schedule) for c in contexts), default=0)
-
-    for reader in contexts:
-        for ref in array_reads(reader.assignment.rhs):
-            if ref.name in inputs or ref.name not in writers_by_array:
-                continue
-            read_map = access_map(reader, ref)
-            for writer in writers_by_array[ref.name]:
-                write_map = write_access_map(writer)
-                # conflict: writer iteration -> reader iteration touching the same element
-                conflict = write_map.compose(read_map.inverse())
-                if conflict.is_empty():
-                    continue
-                writer_schedule = _schedule_map(writer, max_schedule, "w")
-                reader_schedule = _schedule_map(reader, max_schedule, "r")
-                before = _lexicographic_before(max_schedule)
-                # writer iteration -> reader iteration pairs that are correctly ordered
-                ordered = writer_schedule.compose(before).compose(reader_schedule.inverse())
-                if not conflict.is_subset(ordered):
-                    violation = conflict.subtract(ordered)
-                    issues.append(
-                        f"statement {reader.label!r} reads elements of {ref.name!r} before "
-                        f"statement {writer.label!r} writes them (violating instances: {violation})"
-                    )
-    return issues
+    return [
+        f"statement {reader.label!r} reads elements of {ref.name!r} before "
+        f"statement {writer.label!r} writes them (violating instances: {violation})"
+        for reader, ref, writer, violation in _order_violations(program, contexts)
+    ]
 
 
 def check_dataflow(program: Program) -> List[str]:
