@@ -1,19 +1,17 @@
 """Experiment E12: cycles (recurrences) in the ADDG.
 
 The paper's closing remark of Section 5.2 states that cycles are handled via
-the transitive closure of the cycle's dependence mapping, computable under
-conditions that hold in practice.  This harness times (i) the transitive
-closure computation itself, and (ii) the end-to-end verification of
-recurrence kernels, checking that the cost does not grow with the number of
-loop iterations (the recurrence is *not* unrolled).
+the transitive closure of the cycle's dependence mapping.  This reproduction
+discharges a cycle by induction instead: the checker assumes the
+correspondence of the compared array pair while the cycle is re-entered.
+This harness times the end-to-end verification of recurrence kernels,
+checking that the cost does not grow with the number of loop iterations (the
+recurrence is *not* unrolled).
 """
 
 import pytest
 
-from repro.analysis import dependency_map, statement_contexts
 from repro.checker import check_equivalence
-from repro.lang.ast import array_reads
-from repro.presburger import parse_map, transitive_closure
 from repro.workloads import kernel_pair
 
 from conftest import run_once
@@ -36,21 +34,3 @@ def bench_e12_accumulation_kernels(benchmark, name, params, paper_threshold_seco
     result = run_once(benchmark, check_equivalence, pair.original, pair.transformed, rounds=1)
     assert result.equivalent
     assert result.stats.elapsed_seconds < paper_threshold_seconds
-
-
-@pytest.mark.parametrize("size", [128, 1024, 8192])
-def bench_e12_transitive_closure_of_recurrence(benchmark, size):
-    relation = parse_map(f"{{ [k] -> [k - 1] : 1 <= k < {size} }}")
-    closure, exact = run_once(benchmark, transitive_closure, relation, rounds=3)
-    assert exact
-    assert closure.contains([size - 1], [0])
-
-
-def bench_e12_closure_from_extracted_dependence(benchmark):
-    pair = kernel_pair("fir", n=32, taps=6)
-    contexts = {c.label: c for c in statement_contexts(pair.original)}
-    recurrence = contexts["f2"]
-    self_read = [r for r in array_reads(recurrence.assignment.rhs) if r.name == "acc"][0]
-    dependence = dependency_map(recurrence, self_read)
-    closure, exact = run_once(benchmark, transitive_closure, dependence, rounds=3)
-    assert exact

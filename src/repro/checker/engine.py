@@ -241,8 +241,8 @@ class Engine:
         Recurrence arrays (cycles in the ADDG) are only expanded while
         *allowance* is positive; each expansion consumes one unit.  This keeps
         the traversal from unrolling recurrences: they are instead discharged
-        by the inductive assumptions of :meth:`compare` (the counterpart of
-        the paper's transitive-closure treatment of cycles).
+        by the inductive assumptions of :meth:`compare`, which the checker
+        uses instead of the paper's transitive closure of the cycle.
         """
         if term.kind in (Term.OP, Term.CONST) or self._is_input_term(term):
             return [term], True
@@ -707,8 +707,8 @@ class Engine:
         if term.kind == Term.ARRAY and self._array_under_comparison(term):
             # Do not unroll a recurrence through flattening: keep the
             # recursive operand as a chain element so that it is discharged by
-            # the inductive assumption (the paper's transitive-closure
-            # treatment of cycles corresponds to this cut).
+            # the inductive assumption (the checker uses induction where the
+            # paper takes the transitive closure of the cycle).
             return [(term.rel.domain(), [term])]
         pieces, _ok = self._resolve(term)
         expanded: List[Tuple[Set, List[Term]]] = []

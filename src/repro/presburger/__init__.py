@@ -3,11 +3,10 @@
 This package provides the Presburger-arithmetic machinery the equivalence
 checker relies on: affine integer sets (:class:`Set`), tuple relations
 (:class:`Map`), symbolic affine expressions (:class:`LinExpr`) and
-constraints, a parser for the usual textual notation, and transitive closure
-of dependence relations.
+constraints, and a parser for the usual textual notation.
 
 The heavy operations (composition, inversion, intersection, subtraction,
-feasibility, transitive closure) are transparently memoized over hash-consed
+projection, feasibility) are transparently memoized over hash-consed
 operands by :mod:`repro.presburger.opcache`; see ``docs/presburger.md`` for
 the layering and the tuning knobs (``opcache.configure(maxsize=…)``,
 ``opcache.disabled()``).
@@ -29,7 +28,6 @@ False
 from . import opcache
 from .conjunct import Conjunct
 from .constraints import AffineConstraint, all_of, eq_, ge_, gt_, le_, lt_
-from .closure import transitive_closure, power_closure_exactness
 from .errors import (
     ParseError,
     PresburgerError,
@@ -61,6 +59,4 @@ __all__ = [
     "opcache",
     "parse_map",
     "parse_set",
-    "power_closure_exactness",
-    "transitive_closure",
 ]

@@ -195,25 +195,6 @@ class Conjunct:
 
         return Conjunct(n_vars, n_div, [shrink(v) for v in self.eqs], [shrink(v) for v in self.ineqs])
 
-    def promote_var_to_div(self, col: int) -> "Conjunct":
-        """Turn public column *col* into an existential column (moved after the vars)."""
-        if not (0 <= col < self.n_vars):
-            raise ValueError(f"column {col} is not a public dimension")
-        new_pos = self.n_vars - 1  # position of the moved column among the new vars/divs
-
-        def move(vec: Vector) -> Vector:
-            values = list(vec)
-            moved = values.pop(col)
-            values.insert(new_pos, moved)
-            return tuple(values)
-
-        return Conjunct(
-            self.n_vars - 1,
-            self.n_div + 1,
-            [move(v) for v in self.eqs],
-            [move(v) for v in self.ineqs],
-        )
-
     # ------------------------------------------------------------------ #
     # Point evaluation
     # ------------------------------------------------------------------ #
@@ -271,33 +252,3 @@ class Conjunct:
             f"Conjunct(n_vars={self.n_vars}, n_div={self.n_div}, "
             f"eqs={list(self.eqs)!r}, ineqs={list(self.ineqs)!r})"
         )
-
-    def pretty(self, var_names: Sequence[str] | None = None) -> str:
-        """Human readable rendering, mostly for debugging and error messages."""
-        names = list(var_names) if var_names is not None else [f"x{i}" for i in range(self.n_vars)]
-        names += [f"e{i}" for i in range(self.n_div)]
-
-        def render(vec: Vector, op: str) -> str:
-            terms = []
-            for coefficient, name in zip(vec[:-1], names):
-                if coefficient == 0:
-                    continue
-                if coefficient == 1:
-                    terms.append(f"+ {name}")
-                elif coefficient == -1:
-                    terms.append(f"- {name}")
-                elif coefficient > 0:
-                    terms.append(f"+ {coefficient}{name}")
-                else:
-                    terms.append(f"- {-coefficient}{name}")
-            constant = vec[-1]
-            if constant or not terms:
-                terms.append(f"+ {constant}" if constant >= 0 else f"- {-constant}")
-            text = " ".join(terms)
-            if text.startswith("+ "):
-                text = text[2:]
-            return f"{text} {op} 0"
-
-        pieces = [render(v, "=") for v in self.eqs] + [render(v, ">=") for v in self.ineqs]
-        return " and ".join(pieces) if pieces else "true"
-

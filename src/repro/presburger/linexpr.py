@@ -93,11 +93,6 @@ class LinExpr:
         """The constant term."""
         return self._const
 
-    @property
-    def coeffs(self) -> Dict[str, int]:
-        """A copy of the (non-zero) coefficient dictionary."""
-        return dict(self._coeffs)
-
     def coeff(self, name: str) -> int:
         """The coefficient of variable *name* (0 if absent)."""
         return self._coeffs.get(name, 0)

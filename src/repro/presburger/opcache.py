@@ -1,12 +1,12 @@
 """Hash-consing and memoization for the Presburger relation algebra.
 
 Every equivalence check reduces to long chains of ``Map.compose``, inverses,
-intersections, subtractions, feasibility tests and transitive closures over
-the same handful of dependency relations, so the checker keeps re-deriving
-results it has already derived (the synchronized traversal of Section 5
-revisits the same relations once per path through a shared sub-ADDG).  This
-module extends the paper's tabling idea (Section 6.2) one layer down, into
-the integer set/relation operations themselves:
+intersections, subtractions, projections and feasibility tests over the same
+handful of dependency relations, so the checker keeps re-deriving results it
+has already derived (the synchronized traversal of Section 5 revisits the
+same relations once per path through a shared sub-ADDG).  This module
+extends the paper's tabling idea (Section 6.2) one layer down, into the
+integer set/relation operations themselves:
 
 * **interning** (hash-consing) of :class:`~repro.presburger.conjunct.Conjunct`
   values, :class:`~repro.presburger.linexpr.LinExpr` values and normalized
@@ -91,9 +91,9 @@ class OpCacheStats:
     ``hits``/``misses`` count memoized-operation lookups; ``per_op`` breaks
     them down by operation name (``"compose"``, ``"inverse"``, ``"ui"`` for
     union-intersect, ``"us"`` for union-subtract, ``"project"``,
-    ``"restrict"``, ``"simplify"``, ``"feasible"``, ``"lexmin"``,
-    ``"closure"``).  ``intern_hits``/``intern_misses`` count
-    intern-pool lookups (a hit means an already-canonical object was reused).
+    ``"restrict"``, ``"simplify"``, ``"feasible"``, ``"lexmin"``).
+    ``intern_hits``/``intern_misses`` count intern-pool lookups (a hit means
+    an already-canonical object was reused).
 
     ``disk_hits``/``disk_misses``/``disk_writes``/``disk_errors`` count the
     optional persistent tier (always zero when no store is attached); a disk
@@ -224,9 +224,9 @@ class OpCache:
         """Return the cached result for ``(op, key)`` or compute and store it.
 
         *key* must capture every input that can influence the result of
-        *compute* (the wrappers in :mod:`repro.presburger.setmap` and
-        :mod:`repro.presburger.closure` build keys from interned conjunct
-        tuples plus the dimension names that appear in the result).
+        *compute* (the wrappers in :mod:`repro.presburger.setmap` build keys
+        from interned conjunct tuples plus the dimension names that appear in
+        the result).
         """
         if not self.enabled:
             return compute()

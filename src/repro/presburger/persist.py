@@ -73,7 +73,7 @@ CACHE_FORMAT_VERSION = 1
 PERSISTABLE_OPS = frozenset(
     {
         "simplify", "feasible", "ui", "us", "project", "restrict",
-        "compose", "inverse", "lexmin", "closure", "smt.query",
+        "compose", "inverse", "lexmin", "smt.query",
     }
 )
 

@@ -145,8 +145,8 @@ def _project(conjuncts: Tuple[Conjunct, ...], cols: Tuple[int, ...]) -> Tuple[Co
     """Existential projection of the columns *cols* out of a union (memoized).
 
     Backs ``Set.project_out`` (and through it ``Map.domain``/``range``,
-    ``apply`` and ``preimage``) and ``Map.deltas``; dimension names never
-    enter the computation, so the key is the columns and the conjunct tuple.
+    ``apply`` and ``preimage``); dimension names never enter the
+    computation, so the key is the columns and the conjunct tuple.
     """
     return _opcache.memoized(
         "project",
@@ -459,18 +459,6 @@ class Set:
             raise SpaceMismatchError("renaming must preserve arity")
         return Set(names, self.conjuncts, _clean_input=False)
 
-    def coalesce(self) -> "Set":
-        """Drop conjuncts that are subsets of other conjuncts (light coalescing)."""
-        kept: List[Conjunct] = []
-        for index, conjunct in enumerate(self.conjuncts):
-            others = [c for j, c in enumerate(self.conjuncts) if j != index]
-            single = Set(self.names, [conjunct], _clean_input=False)
-            rest = Set(self.names, others, _clean_input=False)
-            if others and single.is_subset(rest):
-                continue
-            kept.append(conjunct)
-        return Set(self.names, kept, _clean_input=False)
-
     # ------------------------ point enumeration ----------------------- #
     def dim_bounds(self, name: str) -> Tuple[int, int]:
         """Valid integer bounds ``(low, high)`` of dimension *name*.
@@ -652,11 +640,6 @@ class Map:
 
     # -------------------------- constructors -------------------------- #
     @staticmethod
-    def universe(in_names: Sequence[str], out_names: Sequence[str]) -> "Map":
-        width = len(tuple(in_names)) + len(tuple(out_names))
-        return Map(in_names, out_names, [Conjunct.universe(width)], _clean_input=False)
-
-    @staticmethod
     def empty(in_names: Sequence[str], out_names: Sequence[str]) -> "Map":
         return Map(in_names, out_names, [], _clean_input=False)
 
@@ -688,27 +671,6 @@ class Map:
         public = tuple(in_names) + tuple(out_names)
         conjunct = _lower_constraints(constraints, public, tuple(exists))
         return Map(in_names, out_names, [conjunct])
-
-    @staticmethod
-    def from_exprs(
-        in_names: Sequence[str],
-        out_exprs: Sequence[LinExpr],
-        domain_constraints: Iterable[AffineConstraint] = (),
-        out_names: Optional[Sequence[str]] = None,
-    ) -> "Map":
-        """The affine function ``in -> (out_exprs)`` restricted by *domain_constraints*.
-
-        Output expressions must be affine in the input dimensions.
-        """
-        in_names = tuple(in_names)
-        if out_names is None:
-            out_names = tuple(f"o{i}" for i in range(len(out_exprs)))
-        out_names = tuple(out_names)
-        constraints: List[AffineConstraint] = []
-        for name, expr in zip(out_names, out_exprs):
-            constraints.append(AffineConstraint(LinExpr.var(name) - expr, "=="))
-        constraints.extend(domain_constraints)
-        return Map.build(in_names, out_names, constraints)
 
     # ---------------------------- queries ----------------------------- #
     @property
@@ -951,48 +913,11 @@ class Map:
         """True when no two input tuples map to the same output tuple."""
         return self.inverse().is_single_valued()
 
-    def deltas(self) -> Set:
-        """The set of differences ``out - in`` (requires equal in/out arity)."""
-        if self.n_in != self.n_out:
-            raise SpaceMismatchError("deltas requires equal input and output arity")
-        delta_names = tuple(f"d{i}" for i in range(self.n_in))
-        # Build map (in, out) space extended with delta dims, then project.
-        width = self.n_in + self.n_out
-        pieces: List[Conjunct] = []
-        for conjunct in self.conjuncts:
-            extended = Conjunct(
-                width + self.n_in,
-                conjunct.n_div,
-                [v[:width] + (0,) * self.n_in + v[width:] for v in conjunct.eqs],
-                [v[:width] + (0,) * self.n_in + v[width:] for v in conjunct.ineqs],
-            )
-            delta_eqs = []
-            for index in range(self.n_in):
-                vector = [0] * (extended.n_cols)
-                vector[index] = 1  # in_i
-                vector[self.n_in + index] = -1  # -out_i
-                vector[width + index] = 1  # +d_i
-                delta_eqs.append(tuple(vector))
-            pieces.append(extended.with_constraints(eqs=delta_eqs))
-        return Set(delta_names, _project(tuple(pieces), tuple(range(width))), _clean_input=False)
-
     def rename(self, in_names: Sequence[str], out_names: Sequence[str]) -> "Map":
         in_names, out_names = tuple(in_names), tuple(out_names)
         if len(in_names) != self.n_in or len(out_names) != self.n_out:
             raise SpaceMismatchError("renaming must preserve arities")
         return Map(in_names, out_names, self.conjuncts, _clean_input=False)
-
-    def coalesce(self) -> "Map":
-        kept: List[Conjunct] = []
-        for index, conjunct in enumerate(self.conjuncts):
-            others = [c for j, c in enumerate(self.conjuncts) if j != index]
-            if others:
-                single = Map(self.in_names, self.out_names, [conjunct], _clean_input=False)
-                rest = Map(self.in_names, self.out_names, others, _clean_input=False)
-                if single.is_subset(rest):
-                    continue
-            kept.append(conjunct)
-        return Map(self.in_names, self.out_names, kept, _clean_input=False)
 
     # ------------------------ point enumeration ----------------------- #
     def pairs(self, limit: int = 1_000_000) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:

@@ -20,8 +20,8 @@ __all__ = ["JobTimeoutError", "call_with_timeout"]
 
 
 class JobTimeoutError(BaseException):
-    # BaseException, not Exception: the checker (e.g. the presburger closure
-    # heuristics) uses broad `except Exception` internally, which must not
+    # BaseException, not Exception: the verifier and the executor recover
+    # from errors with broad `except Exception` handlers, which must not
     # swallow the timeout and let a job run past its budget.
     pass
 

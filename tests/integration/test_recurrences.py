@@ -1,52 +1,87 @@
 """Integration test E12: cycles in the ADDG (recurrences).
 
 The paper handles cycles through the transitive closure of the cycle's
-dependence mapping; this reproduction certifies the same well-foundedness with
-the transitive closure (no element depends on itself) and discharges the cycle
-during traversal with an inductive assumption.  These tests check both halves
-and the end-to-end behaviour on recurrence kernels.
+dependence mapping.  This reproduction does not compute closures: the
+checker discharges a cycle during traversal with an inductive assumption
+(the correspondence of each compared array pair is assumed while its cycle
+is re-entered).  The element-level well-foundedness that a closure would
+certify, namely that no element depends on itself or on a later value, is
+the def-use order check's job; see the self-read case of
+``TestDefUseOrderLevels`` in ``tests/unit/analysis/test_dataflow.py``.
+These tests check cycle detection, the element-level order of the
+recurrences' self-dependences, and the end-to-end behaviour on recurrence
+kernels.
 """
 
 import pytest
 
 from repro.addg import build_addg
-from repro.analysis import dependency_map, statement_contexts
+from repro.analysis import check_def_use_order, dependency_map, statement_contexts
 from repro.checker import check_equivalence
 from repro.lang import parse_program
 from repro.lang.ast import array_reads
-from repro.presburger import Map, transitive_closure
+from repro.presburger import Map, parse_map
 from repro.workloads import kernel_pair
 
+RECURRENCE_KERNELS = ("prefix_sum", "fir", "matvec", "sad")
 
-class TestCycleDetectionAndClosure:
+
+class TestCycleDetection:
     def test_cyclic_arrays_of_recurrence_kernels(self):
-        for name in ("prefix_sum", "fir", "matvec", "sad"):
+        for name in RECURRENCE_KERNELS:
             pair = kernel_pair(name)
             addg = build_addg(pair.original)
             assert "acc" in addg.cyclic_arrays(), name
 
-    def test_self_dependence_closure_is_irreflexive(self):
-        """The paper's computability condition: the closure exists and is acyclic at the element level."""
-        pair = kernel_pair("prefix_sum", n=32)
-        contexts = {c.label: c for c in statement_contexts(pair.original)}
-        recurrence = contexts["p2"]
-        self_read = [r for r in array_reads(recurrence.assignment.rhs) if r.name == "acc"][0]
-        dependence = dependency_map(recurrence, self_read)
-        closure, exact = transitive_closure(dependence)
-        assert exact
-        identity = Map.identity(closure.in_names, domain=dependence.domain())
-        assert closure.intersect(identity).is_empty()
 
-    def test_two_dimensional_recurrence_closure(self):
-        pair = kernel_pair("fir", n=16, taps=4)
-        contexts = {c.label: c for c in statement_contexts(pair.original)}
-        recurrence = contexts["f2"]
-        self_read = [r for r in array_reads(recurrence.assignment.rhs) if r.name == "acc"][0]
-        dependence = dependency_map(recurrence, self_read)
-        closure, exact = transitive_closure(dependence)
-        assert exact
-        assert closure.contains([3, 3], [3, 0])
-        assert not closure.contains([3, 3], [2, 0])
+class TestRecurrenceWellFoundedness:
+    """The paper's computability condition, checked without a closure."""
+
+    def test_self_dependence_is_irreflexive_and_strictly_decreasing(self):
+        dependence = _self_dependence("prefix_sum", "p2", n=32)
+        identity = Map.identity(dependence.in_names, domain=dependence.domain())
+        assert dependence.intersect(identity).is_empty()
+        assert dependence.is_subset(parse_map("{ [k] -> [j] : j < k }"))
+        # Every chain of the recurrence ends: the 32nd step has nowhere to go.
+        power = dependence
+        for _ in range(31):
+            assert power.intersect(identity).is_empty()
+            power = power.compose(dependence)
+        assert power.is_empty()
+
+    def test_two_dimensional_recurrence_steps_along_one_row(self):
+        dependence = _self_dependence("fir", "f2", n=16, taps=4)
+        assert dependence.contains([3, 3], [3, 2])
+        assert not dependence.contains([3, 3], [2, 2])
+        three_steps = dependence.compose(dependence).compose(dependence)
+        assert three_steps.contains([3, 3], [3, 0])
+        assert not three_steps.contains([3, 3], [2, 0])
+        assert three_steps.compose(dependence).is_empty()
+
+    @pytest.mark.parametrize("side", ["original", "transformed"])
+    @pytest.mark.parametrize("name", RECURRENCE_KERNELS)
+    def test_recurrence_kernels_read_only_earlier_values(self, name, side):
+        program = getattr(kernel_pair(name), side)
+        assert check_def_use_order(program) == []
+
+    def test_recurrence_reading_a_later_element_is_flagged(self):
+        program = parse_program(
+            """
+            #define N 16
+            f(int x[], int y[]) {
+                int i, acc[N];
+                for (i = 0; i < N; i++) {
+                    if (i == N - 1)
+            p1:         acc[i] = x[i];
+                    else
+            p2:         acc[i] = acc[i+1] + x[i];
+            p3:     y[i] = acc[i];
+                }
+            }
+            """
+        )
+        issues = check_def_use_order(program)
+        assert any("p2" in issue and "acc" in issue for issue in issues)
 
 
 class TestRecurrenceEquivalence:
@@ -121,6 +156,15 @@ class TestRecurrenceEquivalence:
         )
         result = check_equivalence(good.original, broken)
         assert not result.equivalent
+
+
+def _self_dependence(name, label, **params):
+    """The dependency mapping of statement *label*'s read of its own ``acc``."""
+    pair = kernel_pair(name, **params)
+    contexts = {c.label: c for c in statement_contexts(pair.original)}
+    recurrence = contexts[label]
+    [self_read] = [r for r in array_reads(recurrence.assignment.rhs) if r.name == "acc"]
+    return dependency_map(recurrence, self_read)
 
 
 def _pair(name, **params):

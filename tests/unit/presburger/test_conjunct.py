@@ -62,14 +62,6 @@ class TestStructuralOps:
         with pytest.raises(ValueError):
             Conjunct.universe(1).drop_col(1)
 
-    def test_promote_var_to_div(self):
-        conjunct = Conjunct(2, 0, eqs=[(1, 2, 3)])
-        promoted = conjunct.promote_var_to_div(0)
-        assert promoted.n_vars == 1
-        assert promoted.n_div == 1
-        # the promoted column moved after the remaining public dims
-        assert promoted.eqs == ((2, 1, 3),)
-
     def test_substitute_vars(self):
         conjunct = Conjunct(2, 1, ineqs=[(1, 2, 3, 4)])
         plugged = conjunct.substitute_vars([10, -1])
@@ -80,14 +72,3 @@ class TestStructuralOps:
     def test_substitute_wrong_arity(self):
         with pytest.raises(ValueError):
             Conjunct.universe(2).substitute_vars([1])
-
-
-class TestPretty:
-    def test_pretty_universe(self):
-        assert Conjunct.universe(1).pretty() == "true"
-
-    def test_pretty_with_names(self):
-        conjunct = Conjunct(2, 0, eqs=[(1, -2, 0)])
-        text = conjunct.pretty(["x", "k"])
-        assert "x" in text and "k" in text and "= 0" in text
-

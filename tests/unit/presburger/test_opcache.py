@@ -19,7 +19,6 @@ from repro.presburger import (
     opcache,
     parse_map,
     parse_set,
-    transitive_closure,
 )
 from repro.workloads.fig1 import fig1_original, fig1_ver1
 
@@ -78,6 +77,31 @@ class TestMemoizedEqualsUncached:
         assert cached.is_equal(uncached)
         assert cached.inverse().is_equal(relation)
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "{ [k] -> [k + 1] : 0 <= k < 32 }",
+            "{ [i, j] -> [i, j - 1] : 0 <= i < 8 and 1 <= j < 8 }",
+        ],
+    )
+    def test_composition_power(self, source):
+        step = parse_map(source)
+
+        def power_and_reach():
+            power = step
+            for _ in range(3):
+                power = power.compose(step)
+            return power, power.domain(), step.inverse().range()
+
+        cached_power, cached_domain, cached_reach = power_and_reach()
+        with opcache.disabled():
+            uncached_power, uncached_domain, uncached_reach = power_and_reach()
+        assert cached_power.is_equal(uncached_power)
+        assert cached_domain.is_equal(uncached_domain)
+        assert cached_reach.is_equal(uncached_reach)
+        assert cached_domain.is_subset(cached_reach)
+        assert power_and_reach()[0] is cached_power
+
     @pytest.mark.parametrize("left_source", SET_SOURCES)
     @pytest.mark.parametrize("right_source", SET_SOURCES)
     def test_intersect_and_subtract(self, left_source, right_source):
@@ -91,21 +115,6 @@ class TestMemoizedEqualsUncached:
             uncached_sub = left.subtract(right)
         assert cached_and.is_equal(uncached_and)
         assert cached_sub.is_equal(uncached_sub)
-
-    @pytest.mark.parametrize(
-        "source",
-        [
-            "{ [k] -> [k + 1] : 0 <= k < 32 }",
-            "{ [i, j] -> [i, j - 1] : 0 <= i < 8 and 1 <= j < 8 }",
-        ],
-    )
-    def test_transitive_closure(self, source):
-        relation = parse_map(source)
-        cached_closure, cached_exact = transitive_closure(relation)
-        with opcache.disabled():
-            uncached_closure, uncached_exact = transitive_closure(relation)
-        assert cached_exact == uncached_exact
-        assert cached_closure.is_equal(uncached_closure)
 
     @pytest.mark.parametrize("left_source", SET_SOURCES)
     @pytest.mark.parametrize("right_source", SET_SOURCES)

@@ -148,6 +148,30 @@ class TestLifecycle:
         assert second.load("feasible", "k") is True
         second.close()
 
+    def test_rows_of_a_retired_op_do_not_wipe_the_store(self, tmp_path):
+        """A store written while "closure" was persistable still opens and serves."""
+        assert "closure" not in PERSISTABLE_OPS
+        path = str(tmp_path / "cache")
+        first = PersistentStore(path)
+        first.save("feasible", "k", True)
+        relation = parse_map("{ [k] -> [k - 1] : 1 <= k < 8 }")
+        with first._lock:
+            first._conn.execute(
+                "INSERT INTO ops (key, op, value) VALUES (?, ?, ?)",
+                (
+                    persist.encode_key("closure", "k"),
+                    "closure",
+                    persist.encode_value((relation, True)),
+                ),
+            )
+        first.close()
+
+        second = PersistentStore(path)
+        assert second.entry_count() == 2
+        assert second.load("feasible", "k") is True
+        assert second.load("closure", "k") is second.MISS
+        second.close()
+
     def test_corrupt_file_restarts_empty(self, tmp_path):
         path = str(tmp_path / "cache")
         os.makedirs(path)

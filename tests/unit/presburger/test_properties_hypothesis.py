@@ -124,9 +124,9 @@ def affine_map(draw) -> Map:
     """A random affine map k -> a*k + b restricted to the box."""
     a = draw(st.integers(min_value=-2, max_value=2))
     b = draw(st.integers(min_value=-3, max_value=3))
-    k = LinExpr.var("k")
-    return Map.from_exprs(
-        ["k"], [a * k + b], [ge_(k, BOX_LOW), le_(k, BOX_HIGH)]
+    k, o0 = LinExpr.var("k"), LinExpr.var("o0")
+    return Map.build(
+        ["k"], ["o0"], [eq_(o0, a * k + b), ge_(k, BOX_LOW), le_(k, BOX_HIGH)]
     )
 
 

@@ -11,7 +11,6 @@ from repro.presburger import (
     eq_,
     ge_,
     le_,
-    lt_,
     parse_map,
     parse_set,
 )
@@ -102,13 +101,12 @@ class TestSetAlgebra:
         projected = square.project_out(["y"])
         assert sorted(projected.points()) == [(0,), (1,), (2,), (3,)]
 
-    def test_coalesce_drops_contained_conjuncts(self):
+    def test_union_with_a_contained_set_equals_the_larger(self):
         a = interval("x", 0, 9)
         b = interval("x", 2, 4)
         union = a.union(b)
-        coalesced = union.coalesce()
-        assert coalesced.is_equal(a)
-        assert len(coalesced.conjuncts) == 1
+        assert union.is_equal(a)
+        assert sorted(union.points()) == [(x,) for x in range(10)]
 
     def test_operators(self):
         a, b = interval("x", 0, 5), interval("x", 3, 8)
@@ -123,9 +121,11 @@ class TestMapBasics:
         assert ident.contains([4], [4])
         assert not ident.contains([4], [5])
 
-    def test_from_exprs(self):
-        m = Map.from_exprs(["k"], [2 * LinExpr.var("k")], [ge_(LinExpr.var("k"), 0), lt_(LinExpr.var("k"), 4)])
+    def test_build_with_output_equalities(self):
+        k, o = LinExpr.var("k"), LinExpr.var("o")
+        m = Map.build(["k"], ["o"], [eq_(o, 2 * k), ge_(k, 0), le_(k, 3)])
         assert sorted(m.pairs()) == [((0,), (0,)), ((1,), (2,)), ((2,), (4,)), ((3,), (6,))]
+        assert m.is_equal(parse_map("{ [k] -> [2k] : 0 <= k < 4 }"))
 
     def test_domain_and_range(self):
         m = parse_map("{ [k] -> [2k] : 0 <= k < 4 }")
@@ -179,11 +179,6 @@ class TestMapProperties:
         relation = parse_map("{ [k] -> [j] : 0 <= k < 4 and 0 <= j < 2 }")
         assert not relation.is_single_valued()
 
-    def test_deltas(self):
-        shift = parse_map("{ [k] -> [k - 1] : 1 <= k < 8 }")
-        deltas = shift.deltas()
-        assert sorted(deltas.points()) == [(-1,)]
-
     def test_equality_of_piecewise_maps(self):
         split = parse_map("{ [k] -> [k] : 0 <= k < 4 ; [k] -> [k] : 4 <= k < 8 }")
         whole = parse_map("{ [k] -> [k] : 0 <= k < 8 }")
@@ -210,3 +205,62 @@ class TestMapProperties:
     def test_str_shows_image_form(self):
         m = parse_map("{ [k] -> [2k] : 0 <= k < 4 }")
         assert "2*k" in str(m)
+
+
+def _power(relation, steps):
+    """*relation* composed with itself, *steps* applications in all."""
+    power = relation
+    for _ in range(steps - 1):
+        power = power.compose(relation)
+    return power
+
+
+class TestUniformRelationPowers:
+    """Composition powers of the dependence relations recurrences produce."""
+
+    def test_backward_chain_powers(self):
+        relation = parse_map("{ [k] -> [k - 1] : 1 <= k < 8 }")
+        for steps in range(1, 4):
+            expected = {((i,), (i - steps,)) for i in range(steps, 8)}
+            assert set(_power(relation, steps).pairs()) == expected
+
+    def test_union_of_powers_reaches_every_earlier_element(self):
+        relation = parse_map("{ [k] -> [k - 1] : 1 <= k < 8 }")
+        reach = Map.empty(relation.in_names, relation.out_names)
+        for steps in range(1, 8):
+            reach = reach.union(_power(relation, steps))
+        expected = {((i,), (j,)) for i in range(1, 8) for j in range(0, i)}
+        assert set(reach.pairs()) == expected
+        assert _power(relation, 8).is_empty()
+
+    def test_forward_stride_powers(self):
+        relation = parse_map("{ [k] -> [k + 2] : 0 <= k < 6 }")
+        three_steps = _power(relation, 3)
+        assert three_steps.contains([0], [6])
+        assert not three_steps.contains([0], [4])
+        assert set(three_steps.pairs()) == {((0,), (6,)), ((1,), (7,))}
+        assert _power(relation, 4).is_empty()
+
+    def test_two_dimensional_translation_power(self):
+        relation = parse_map("{ [i, j] -> [i, j - 1] : 0 <= i < 3 and 1 <= j < 4 }")
+        three_steps = _power(relation, 3)
+        assert three_steps.contains([1, 3], [1, 0])
+        assert not three_steps.contains([1, 3], [2, 0])
+        assert set(three_steps.pairs()) == {((i, 3), (i, 0)) for i in range(3)}
+
+    def test_power_of_the_empty_relation_is_empty(self):
+        empty = Map.empty(["k"], ["k'"])
+        assert _power(empty, 3).is_empty()
+
+    def test_non_uniform_relation_powers(self):
+        relation = parse_map("{ [k] -> [2k] : 1 <= k < 5 }")
+        two_steps = _power(relation, 2)
+        assert set(two_steps.pairs()) == {((1,), (4,)), ((2,), (8,))}
+        assert set(_power(relation, 3).pairs()) == {((1,), (8,))}
+
+    def test_acyclic_relation_powers_are_irreflexive(self):
+        relation = parse_map("{ [k] -> [k - 1] : 1 <= k < 10 }")
+        identity = parse_map("{ [k] -> [k] : 0 <= k < 10 }")
+        for steps in range(1, 10):
+            assert _power(relation, steps).intersect(identity).is_empty()
+        assert _power(relation, 10).is_empty()
