@@ -1,6 +1,6 @@
 """The equivalence checker: properties, engine, diagnostics, public API."""
 
-from .api import check_addgs, check_equivalence
+from .api import check_equivalence
 from .engine import Engine, Term
 from .properties import OperatorProperties, OperatorRegistry, default_registry, empty_registry
 from .result import CheckStats, Diagnostic, DiagnosticKind, EquivalenceResult, OutputReport
@@ -15,7 +15,6 @@ __all__ = [
     "OperatorRegistry",
     "OutputReport",
     "Term",
-    "check_addgs",
     "check_equivalence",
     "default_registry",
     "empty_registry",

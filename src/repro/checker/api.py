@@ -1,50 +1,26 @@
-"""Push-button entry points of the equivalence checker (the tool of Fig. 6).
+"""Push-button entry point of the equivalence checker (the tool of Fig. 6).
 
-:func:`check_equivalence` and :func:`check_addgs` are thin backward
-compatible shims over the session API of :mod:`repro.verifier`: each call
-builds a :class:`~repro.verifier.options.CheckOptions` from its keyword
-arguments and delegates to a one-shot
-:class:`~repro.verifier.session.Verifier`.  They remain the convenient
-spelling for single checks; callers that check many pairs (or many variants
-of one program) should hold a :class:`Verifier` instead to reuse its
-compiled-artifact cache and to stream progress through observers — see
-``docs/api.md`` for the migration table.
+:func:`check_equivalence` is a thin backward compatible shim over the
+session API of :mod:`repro.verifier`: each call builds a
+:class:`~repro.verifier.options.CheckOptions` from its keyword arguments and
+delegates to a one-shot :class:`~repro.verifier.session.Verifier`.  It
+remains the convenient spelling for single checks; callers that check many
+pairs (or many variants of one program) should hold a :class:`Verifier`
+instead to reuse its compiled-artifact cache and to stream progress through
+observers — see ``docs/api.md`` for the migration table.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple, Union
 
-from ..addg import ADDG
 from ..lang import Program
 from .properties import OperatorRegistry
 from .result import EquivalenceResult
 
-__all__ = ["check_equivalence", "check_addgs"]
+__all__ = ["check_equivalence"]
 
 ProgramLike = Union[Program, str]
-
-
-def _one_shot_options(
-    method: str,
-    registry: Optional[OperatorRegistry],
-    outputs: Optional[Sequence[str]],
-    correspondences: Sequence[Tuple[str, str]],
-    tabling: bool,
-    check_preconditions: bool = True,
-):
-    # Imported lazily: repro.verifier depends on this package's engine and
-    # result modules, so a module-level import would be circular.
-    from ..verifier import CheckOptions
-
-    return CheckOptions.from_registry(
-        registry,
-        method=method,
-        outputs=tuple(outputs) if outputs is not None else None,
-        correspondences=tuple((a, b) for a, b in correspondences),
-        tabling=tabling,
-        check_preconditions=check_preconditions,
-    )
 
 
 def check_equivalence(
@@ -86,26 +62,16 @@ def check_equivalence(
         Run the def-use / single-assignment prerequisites (Fig. 6) first and
         report violations as diagnostics instead of checking equivalence.
     """
-    from ..verifier import Verifier
+    # Imported lazily: repro.verifier depends on this package's engine and
+    # result modules, so a module-level import would be circular.
+    from ..verifier import CheckOptions, Verifier
 
-    options = _one_shot_options(
-        method, registry, outputs, correspondences, tabling, check_preconditions
+    options = CheckOptions.from_registry(
+        registry,
+        method=method,
+        outputs=tuple(outputs) if outputs is not None else None,
+        correspondences=tuple((a, b) for a, b in correspondences),
+        tabling=tabling,
+        check_preconditions=check_preconditions,
     )
     return Verifier().check(original, transformed, options=options)
-
-
-def check_addgs(
-    original: ADDG,
-    transformed: ADDG,
-    *,
-    method: str = "extended",
-    registry: Optional[OperatorRegistry] = None,
-    outputs: Optional[Sequence[str]] = None,
-    correspondences: Sequence[Tuple[str, str]] = (),
-    tabling: bool = True,
-) -> EquivalenceResult:
-    """Check equivalence of two already-extracted ADDGs (skips the frontend)."""
-    from ..verifier import Verifier
-
-    options = _one_shot_options(method, registry, outputs, correspondences, tabling)
-    return Verifier().check_addgs(original, transformed, options=options)

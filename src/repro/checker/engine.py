@@ -148,8 +148,8 @@ class Engine:
     def record_opcache_stats(self) -> None:
         """Store this run's Presburger cache/intern activity into :attr:`stats`.
 
-        Called once per :func:`repro.checker.api.check_addgs` run, after the
-        traversal finished; the counters are deltas against the engine's
+        Called once per :meth:`repro.verifier.Verifier.check` traversal, after
+        it finished; the counters are deltas against the engine's
         construction-time snapshot, so concurrent warm state contributed by
         earlier checks in the same process is not double counted.
         """

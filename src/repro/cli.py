@@ -152,8 +152,8 @@ def _add_checker_option_arguments(parser: argparse.ArgumentParser) -> None:
         choices=BACKEND_NAMES,
         default="omega",
         help="decision-procedure backend: the omega core (default), an SMT-LIB2 "
-        "solver binary, the in-process z3 module, or 'crosscheck' (omega vs "
-        "brute-force enumeration on every query, hard error on divergence)",
+        "solver binary, or 'crosscheck' (omega vs brute-force enumeration on "
+        "every query, hard error on divergence)",
     )
     parser.add_argument(
         "--smt-solver",

@@ -8,8 +8,7 @@ constraints, and a parser for the usual textual notation.
 The heavy operations (composition, inversion, intersection, subtraction,
 projection, feasibility) are transparently memoized over hash-consed
 operands by :mod:`repro.presburger.opcache`; see ``docs/presburger.md`` for
-the layering and the tuning knobs (``opcache.configure(maxsize=…)``,
-``opcache.disabled()``).
+the layering and the off switch (``opcache.disabled()``).
 
 Quick tour
 ----------

@@ -22,7 +22,7 @@ they can be tested in isolation.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 Vector = Tuple[int, ...]
 
@@ -116,11 +116,6 @@ class Conjunct:
     # Basic queries
     # ------------------------------------------------------------------ #
     @property
-    def n_cols(self) -> int:
-        """Total number of columns (public + existential + constant)."""
-        return self.n_vars + self.n_div + 1
-
-    @property
     def const_col(self) -> int:
         """Index of the constant column."""
         return self.n_vars + self.n_div
@@ -128,12 +123,6 @@ class Conjunct:
     def is_universe(self) -> bool:
         """True when the conjunct has no constraints at all."""
         return not self.eqs and not self.ineqs
-
-    def constraints(self) -> List[Tuple[Vector, bool]]:
-        """All constraints as ``(vector, is_equality)`` pairs."""
-        result: List[Tuple[Vector, bool]] = [(v, True) for v in self.eqs]
-        result.extend((v, False) for v in self.ineqs)
-        return result
 
     def involves_col(self, col: int) -> bool:
         """True if any constraint has a non-zero coefficient in column *col*."""

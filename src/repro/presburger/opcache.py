@@ -24,11 +24,6 @@ property-style.
 Public knobs
 ------------
 
-:func:`configure`
-    ``maxsize``: the maximum number of memoized operation results (default
-    ``8192``).  Each entry holds small tuples of Python ints; a few thousand
-    entries cost a few MB.
-
 :func:`disabled`
     Context manager that switches memoization and interning off for a code
     block (the one off switch; used by the ablation benchmarks and the
@@ -65,10 +60,8 @@ __all__ = [
     "OpCache",
     "attach_persistent",
     "cache",
-    "configure",
     "detach_persistent",
     "disabled",
-    "is_enabled",
     "intern_conjunct",
     "intern_expr",
     "intern_vector",
@@ -355,30 +348,6 @@ def reattach_persistent() -> None:
     store = _CACHE._persist
     if store is not None:
         _CACHE._persist = store.reopened()
-
-
-def is_enabled() -> bool:
-    """Whether memoization and interning are currently active."""
-    return _CACHE.enabled
-
-
-def configure(maxsize: int | None = None) -> OpCache:
-    """Adjust the process-wide cache at runtime.
-
-    Parameters
-    ----------
-    maxsize:
-        New bound on the number of memoized results.  Shrinking below the
-        current population evicts oldest entries immediately.
-    """
-    if maxsize is not None:
-        if maxsize <= 0:
-            raise ValueError("opcache maxsize must be positive")
-        _CACHE.maxsize = maxsize
-        while len(_CACHE._entries) > maxsize:
-            _CACHE._entries.popitem(last=False)
-            _CACHE.stats.evictions += 1
-    return _CACHE
 
 
 @contextmanager

@@ -27,7 +27,7 @@ import os
 import tempfile
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from ..checker import EquivalenceResult
@@ -159,17 +159,6 @@ class ResultCache:
             except OSError:
                 pass
             raise
-
-    def __contains__(self, fingerprint: str) -> bool:
-        """Fast existence probe (no I/O beyond a stat).
-
-        May return ``True`` for an entry :meth:`get` will still reject (and
-        delete) as stale or corrupt — never use ``in`` to guarantee that a
-        subsequent ``get`` returns a result.
-        """
-        if fingerprint in self._memory:
-            return True
-        return bool(self.directory) and os.path.exists(self._path(fingerprint))
 
     def __len__(self) -> int:
         """The number of entries on disk (memory-only: entries in the LRU)."""

@@ -8,8 +8,6 @@ package second-sources those decisions behind a small protocol:
   is byte-identical to the inline path);
 * :class:`SmtLibBackend` — compiles the queries to SMT-LIB2 ``LIA`` text
   and solves via an external solver binary (z3, cvc5);
-* :class:`Z3Backend` — the same scripts through the optional ``z3-solver``
-  Python module, in process;
 * :class:`~repro.solvers.enum_backend.EnumBackend` — brute-force
   enumeration over bounded integer points, sharing no code with the omega
   core; it abstains (:class:`~repro.solvers.base.Abstain`) rather than
@@ -46,7 +44,7 @@ from .base import (
 from .crosscheck import CrossCheckBackend
 from .enum_backend import EnumBackend
 from .omega_backend import OmegaBackend
-from .smtlib import SmtLibBackend, Z3Backend, resolve_solver_command
+from .smtlib import SmtLibBackend, resolve_solver_command
 
 __all__ = [
     "BackendDisagreement",
@@ -56,7 +54,6 @@ __all__ = [
     "SolverBackend",
     "SolverError",
     "SolverUnavailableError",
-    "Z3Backend",
     "available_backends",
     "conjunct_from_dict",
     "conjunct_to_dict",
@@ -80,8 +77,6 @@ def get_backend(name: str, smt_solver: Optional[str] = None) -> SolverBackend:
         return OmegaBackend()
     if name == "smtlib":
         return SmtLibBackend(smt_solver)
-    if name == "z3":
-        return Z3Backend()
     if name == "crosscheck":
         return CrossCheckBackend(OmegaBackend(), EnumBackend())
     raise ValueError(f"unknown backend {name!r}")
@@ -94,12 +89,6 @@ def available_backends() -> Tuple[str, ...]:
         resolve_solver_command()
         names.append("smtlib")
     except SolverUnavailableError:
-        pass
-    try:
-        import z3  # noqa: F401
-
-        names.append("z3")
-    except ImportError:
         pass
     names.append("crosscheck")
     return tuple(names)

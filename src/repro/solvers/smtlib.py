@@ -1,4 +1,4 @@
-"""SMT-LIB2 (``LIA``) emission and the subprocess / in-process SMT backends.
+"""SMT-LIB2 (``LIA``) emission and the subprocess SMT backend.
 
 The mapping from the Presburger layer onto SMT-LIB2:
 
@@ -16,11 +16,9 @@ The mapping from the Presburger layer onto SMT-LIB2:
   pair ``(Ai, Bj)``.
 
 :class:`SmtLibBackend` feeds the scripts to an SMT-LIB2 solver binary (z3,
-cvc5) via a subprocess; :class:`Z3Backend` reuses the same scripts through
-the optional ``z3-solver`` Python module, in process.  Neither is needed
-for a default install.  Query results are memoized in the operation cache
-under keys qualified by the solver command, so answers can never alias
-across solvers.
+cvc5) via a subprocess; a default install needs neither.  Query results
+are memoized in the operation cache under keys qualified by the solver
+command, so answers can never alias across solvers.
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ from .base import SolverBackend, SolverError, SolverUnavailableError
 
 __all__ = [
     "SmtLibBackend",
-    "Z3Backend",
     "resolve_solver_command",
     "parse_sexprs",
     "conjunct_formula",
@@ -110,27 +107,24 @@ def _declares(symbols: Sequence[str]) -> List[str]:
     return [f"(declare-const {name} Int)" for name in symbols]
 
 
-def _script(lines: Sequence[str], *, commands: bool = True, get_values: Sequence[str] = ()) -> str:
+def _script(lines: Sequence[str], get_values: Sequence[str] = ()) -> str:
     header = ["(set-logic LIA)"]
-    if commands and get_values:
+    footer = ["(check-sat)"]
+    if get_values:
         header.insert(0, "(set-option :produce-models true)")
-    footer: List[str] = []
-    if commands:
-        footer.append("(check-sat)")
-        if get_values:
-            footer.append("(get-value (" + " ".join(get_values) + "))")
+        footer.append("(get-value (" + " ".join(get_values) + "))")
     return "\n".join(header + list(lines) + footer) + "\n"
 
 
-def feasibility_script(conjunct: Conjunct, *, get_model: bool = False, commands: bool = True) -> str:
+def feasibility_script(conjunct: Conjunct, *, get_model: bool = False) -> str:
     """A SAT check of one conjunct (optionally extracting its public point)."""
     var_symbols = [f"x{i}" for i in range(conjunct.n_vars)]
     body, div_symbols = conjunct_formula(conjunct, var_symbols)
     lines = _declares(var_symbols + div_symbols) + [f"(assert {body})"]
-    return _script(lines, commands=commands, get_values=var_symbols if get_model else ())
+    return _script(lines, get_values=var_symbols if get_model else ())
 
 
-def subset_scripts(a: Sequence[Conjunct], b: Sequence[Conjunct], *, commands: bool = True) -> List[str]:
+def subset_scripts(a: Sequence[Conjunct], b: Sequence[Conjunct]) -> List[str]:
     """One script per conjunct of *a*; ``a ⊆ b`` iff every script is UNSAT."""
     scripts: List[str] = []
     for left in a:
@@ -140,11 +134,11 @@ def subset_scripts(a: Sequence[Conjunct], b: Sequence[Conjunct], *, commands: bo
         for right in b:
             right_body, right_divs = conjunct_formula(right, var_symbols, div_prefix="e")
             lines.append(f"(assert (not {_exists(right_body, right_divs)}))")
-        scripts.append(_script(lines, commands=commands))
+        scripts.append(_script(lines))
     return scripts
 
 
-def disjoint_scripts(a: Sequence[Conjunct], b: Sequence[Conjunct], *, commands: bool = True) -> List[str]:
+def disjoint_scripts(a: Sequence[Conjunct], b: Sequence[Conjunct]) -> List[str]:
     """One script per pair; the unions are disjoint iff every script is UNSAT."""
     scripts: List[str] = []
     for left in a:
@@ -155,7 +149,7 @@ def disjoint_scripts(a: Sequence[Conjunct], b: Sequence[Conjunct], *, commands: 
             lines = _declares(var_symbols + left_divs + right_divs)
             lines.append(f"(assert {left_body})")
             lines.append(f"(assert {right_body})")
-            scripts.append(_script(lines, commands=commands))
+            scripts.append(_script(lines))
     return scripts
 
 
@@ -326,74 +320,3 @@ class SmtLibBackend(SolverBackend):
                 return tuple(values)
         raise ValueError("cannot sample a point from an empty set")
 
-
-class Z3Backend(SmtLibBackend):
-    """In-process variant through the optional ``z3-solver`` module.
-
-    Shares the emission layer with :class:`SmtLibBackend` (scripts are
-    parsed with ``parse_smt2_string`` instead of shelled out), so the two
-    agree by construction on what is being asked.  Constructed only when
-    ``import z3`` succeeds; the default install never requires it.
-    """
-
-    name = "z3"
-
-    def __init__(self) -> None:
-        try:
-            import z3
-        except ImportError as error:
-            raise SolverUnavailableError(
-                "the 'z3' backend needs the optional z3-solver package "
-                "(pip install z3-solver); use --backend smtlib to run a "
-                "z3 or cvc5 binary instead"
-            ) from error
-        SolverBackend.__init__(self)
-        self._z3 = z3
-        self.solver_cmd = "z3-inprocess"
-        self._tag = f"{self.name}:in-process"
-
-    def _solve(self, script: str, model_symbols: Sequence[str] = ()) -> Tuple[str, Optional[Tuple[int, ...]]]:
-        z3 = self._z3
-        solver = z3.Solver()
-        solver.add(z3.parse_smt2_string(script))
-        verdict = solver.check()
-        if verdict == z3.sat:
-            values: Optional[Tuple[int, ...]] = None
-            if model_symbols:
-                model = solver.model()
-                values = tuple(
-                    model.eval(z3.Int(symbol), model_completion=True).as_long()
-                    for symbol in model_symbols
-                )
-            return "sat", values
-        if verdict == z3.unsat:
-            return "unsat", None
-        raise SolverError("z3 returned 'unknown'")
-
-    def is_feasible(self, conjunct: Conjunct) -> bool:
-        self._count("is_feasible")
-        return self._is_sat(feasibility_script(conjunct, commands=False))
-
-    def _subset(self, a: Sequence[Conjunct], b: Sequence[Conjunct]) -> bool:
-        return all(
-            not self._is_sat(script) for script in subset_scripts(a, b, commands=False)
-        )
-
-    def is_disjoint(self, a: Sequence[Conjunct], b: Sequence[Conjunct]) -> bool:
-        self._count("is_disjoint")
-        return all(
-            not self._is_sat(script) for script in disjoint_scripts(a, b, commands=False)
-        )
-
-    def sample_point(self, set_like: Any, seed: int = 0, limit: int = 4096) -> Tuple[int, ...]:
-        self._count("sample_point")
-        for conjunct in set_like.conjuncts:
-            symbols = [f"x{i}" for i in range(conjunct.n_vars)]
-            status, values = self._query(
-                feasibility_script(conjunct, commands=False), tuple(symbols)
-            )
-            if status == "sat":
-                if values is None:
-                    raise SolverError("z3 reported sat but produced no model")
-                return tuple(values)
-        raise ValueError("cannot sample a point from an empty set")

@@ -6,8 +6,8 @@ package is the layer that answers the question.  It is **zero-dependency,
 disabled by default, and pay-for-what-you-use**:
 
 * :mod:`repro.telemetry.trace` — a hierarchical span tracer (context-manager
-  and decorator API, thread-aware, process-aware via explicit serialization
-  across the ``ProcessPoolExecutor`` boundary);
+  API, thread-aware, process-aware via explicit serialization across the
+  ``ProcessPoolExecutor`` boundary);
 * :mod:`repro.telemetry.metrics` — the power-of-two latency histogram the
   server keeps (work counts live with their owners:
   :class:`~repro.presburger.opcache.OpCacheStats` for the Presburger layer,
@@ -33,17 +33,17 @@ check)::
 Instrumentation sites throughout the stack (frontend lexer/parser/def-use/
 extraction, the checker traversal, the Presburger operation cache and omega
 core, the batch executor and the scenario engine) bind the process-wide
-:data:`TRACER` singleton at import time and guard on a single ``.enabled``
-attribute load, so the whole layer costs <2% when off
-(gated by ``benchmarks/bench_verifier.py`` and the telemetry unit tests).
+:data:`TRACER` singleton at import time, call ``TRACER.span`` /
+``TRACER.event`` directly and guard on a single ``.enabled`` attribute
+load, so the whole layer costs <2% when off (gated by
+``benchmarks/bench_verifier.py`` and the telemetry unit tests).
 
 See ``docs/observability.md`` for the full tour.
 """
 
 from __future__ import annotations
 
-import functools
-from typing import Any, Callable, Iterable, List, Optional
+from typing import Any, Iterable, List
 
 from .trace import TRACER, Span, SpanRecord, Tracer
 from .metrics import Histogram
@@ -73,10 +73,6 @@ __all__ = [
     "SlowRequestRing",
     "enable",
     "disable",
-    "is_tracing",
-    "span",
-    "event",
-    "traced",
     "spans",
     "ingest_spans",
     "reset",
@@ -104,54 +100,6 @@ def enable() -> None:
 def disable() -> None:
     """Switch span recording off (recorded spans are kept)."""
     TRACER.enabled = False
-
-
-def is_tracing() -> bool:
-    """Whether span recording is currently active."""
-    return TRACER.enabled
-
-
-def span(name: str, category: str = "", **args: Any):
-    """A context manager timing the enclosed block on the global tracer.
-
-    Returns a shared no-op object while tracing is disabled, so the call is
-    safe (and cheap) to leave in warm paths unconditionally::
-
-        with telemetry.span("frontend.parse", "frontend", chars=len(text)):
-            program = parse_program(text)
-    """
-    return TRACER.span(name, category, **args)
-
-
-def event(name: str, category: str = "", **args: Any) -> None:
-    """Record an instant event on the global tracer (no-op when disabled)."""
-    TRACER.event(name, category, **args)
-
-
-def traced(name: Optional[str] = None, category: str = "") -> Callable:
-    """Decorator form of :func:`span`: times every call of the function.
-
-    The span is named after the function unless *name* is given; when
-    tracing is disabled the only residual cost is one attribute check per
-    call::
-
-        @telemetry.traced(category="frontend")
-        def build_addg(program): ...
-    """
-
-    def decorate(function: Callable) -> Callable:
-        span_name = name or function.__qualname__
-
-        @functools.wraps(function)
-        def wrapper(*args: Any, **kwargs: Any):
-            if not TRACER.enabled:
-                return function(*args, **kwargs)
-            with TRACER.span(span_name, category):
-                return function(*args, **kwargs)
-
-        return wrapper
-
-    return decorate
 
 
 def spans() -> List[SpanRecord]:

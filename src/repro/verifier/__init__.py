@@ -16,9 +16,8 @@ stages instead of one kwargs-heavy call:
   (per-output verdicts, diagnostics, final stats) for the CLI and the
   service layer.
 
-``repro.checker.check_equivalence`` / ``check_addgs`` remain as one-shot
-shims over a throwaway :class:`Verifier`; see ``docs/api.md`` for the
-migration table.
+``repro.checker.check_equivalence`` remains as a one-shot shim over a
+throwaway :class:`Verifier`; see ``docs/api.md`` for the migration table.
 """
 
 from .events import CallbackObserver, CheckObserver

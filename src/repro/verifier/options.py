@@ -38,7 +38,7 @@ OPTIONS_FINGERPRINT_VERSION = 2
 
 #: The selectable decision-procedure backends (see :mod:`repro.solvers`),
 #: the one list the CLI choices and :func:`repro.solvers.get_backend` follow.
-BACKEND_NAMES = ("omega", "smtlib", "z3", "crosscheck")
+BACKEND_NAMES = ("omega", "smtlib", "crosscheck")
 
 OperatorDecls = Tuple[Tuple[str, str], ...]
 
@@ -115,9 +115,8 @@ class CheckOptions:
     backend:
         The decision-procedure backend answering the Presburger queries:
         ``"omega"`` (default, the paper's core), ``"smtlib"`` (external
-        SMT solver via SMT-LIB2 text), ``"z3"`` (in-process, optional
-        module) or ``"crosscheck"`` (omega *and* the enumeration partner
-        on every query, hard error on divergence).  Participates in
+        SMT solver via SMT-LIB2 text) or ``"crosscheck"`` (omega *and* the
+        enumeration partner on every query, hard error on divergence).  Participates in
         :meth:`fingerprint` — a verdict computed by one backend must never
         be served for another.
     smt_solver:

@@ -13,12 +13,8 @@ exposes it as explicit stages instead of one kwargs-heavy function call:
   two compiled programs under a :class:`~repro.verifier.options.CheckOptions`
   value, streaming milestones to registered
   :class:`~repro.verifier.events.CheckObserver` values;
-* :meth:`Verifier.check_addgs` enters the pipeline after extraction, for
-  callers that build ADDGs themselves (ablation benchmarks).
-
-:func:`repro.checker.api.check_equivalence` and
-:func:`~repro.checker.api.check_addgs` remain as thin one-shot shims over a
-throwaway session.
+:func:`repro.checker.api.check_equivalence` remains as a thin one-shot shim
+over a throwaway session.
 """
 
 from __future__ import annotations
@@ -316,32 +312,6 @@ class Verifier:
         )
         broadcast.on_failure_report(report)
         return report
-
-    def check_addgs(
-        self,
-        original: ADDG,
-        transformed: ADDG,
-        options: Optional[CheckOptions] = None,
-        observer: Optional[CheckObserver] = None,
-    ) -> EquivalenceResult:
-        """Check two already-extracted ADDGs (enter the pipeline after the frontend)."""
-        resolved = options if options is not None else self.options
-        broadcast = self._broadcast(observer)
-        if not TRACER.enabled:
-            result = _traverse_with_backend(original, transformed, resolved, broadcast)
-            broadcast.on_stats(result.stats)
-            return result
-        mark = TRACER.mark()
-        with TRACER.span("verifier.check_addgs", "verifier") as check_span, TRACER.span(
-            "engine.traverse", "engine"
-        ):
-            request = current_request()
-            if request is not None:
-                check_span.set(request=request)
-            result = _traverse_with_backend(original, transformed, resolved, broadcast)
-        result.stats.phase_seconds = aggregate_phase_seconds(TRACER.records_since(mark))
-        broadcast.on_stats(result.stats)
-        return result
 
     # ------------------------------------------------------------------ #
     def _broadcast(self, observer: Optional[CheckObserver]) -> _Broadcast:

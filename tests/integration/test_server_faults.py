@@ -140,6 +140,20 @@ class TestMalformedFrames:
         assert stats["rejected"] == 1
         assert stats["errors"] == 0
 
+    def test_removed_z3_backend_is_invalid_request(self, server):
+        payload = make_job().to_dict()
+        payload["options"] = {**payload["options"], "backend": "z3"}
+        with raw_connection(server.address) as sock:
+            sock.sendall(
+                protocol.encode_frame(protocol.request_frame("check", {"job": payload}, id=9))
+            )
+            response = read_frame(sock)
+            assert response["id"] == 9
+            assert response["error"]["code"] == protocol.ERROR_INVALID_REQUEST
+            assert "unknown backend 'z3'" in response["error"]["message"]
+            sock.sendall(protocol.encode_frame(protocol.request_frame("ping", id=10)))
+            assert read_frame(sock)["result"]["pong"] is True
+
     @pytest.mark.parametrize(
         "timeout", ["soon", -1, float("inf"), 1e12], ids=["str", "negative", "inf", "1e12"]
     )

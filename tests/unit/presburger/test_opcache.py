@@ -29,7 +29,7 @@ def fresh_cache():
     opcache.reset()
     yield
     opcache.reset()
-    opcache.configure(maxsize=opcache.DEFAULT_SIZE)
+    opcache.cache().maxsize = opcache.DEFAULT_SIZE
 
 
 MAP_SOURCES = [
@@ -244,11 +244,17 @@ class TestInterning:
 
 class TestCacheMechanics:
     def test_lru_respects_maxsize(self):
-        opcache.configure(maxsize=4)
+        opcache.cache().maxsize = 4
         for i in range(32):
             parse_set(f"{{ [k] : 0 <= k < {i + 1} }}").is_empty()
         assert len(opcache.cache()) <= 4
         assert opcache.stats().evictions > 0
+
+    def test_cache_is_bounded_by_the_fixed_default_size(self):
+        assert opcache.DEFAULT_SIZE == 8192
+        assert opcache.cache().maxsize == opcache.DEFAULT_SIZE
+        opcache.reset()
+        assert opcache.cache().maxsize == opcache.DEFAULT_SIZE
 
     def test_disable_switch_stops_hits(self):
         relation = parse_map(MAP_SOURCES[0])
@@ -259,10 +265,6 @@ class TestCacheMechanics:
             relation.inverse()
         delta = opcache.snapshot().delta(before)
         assert delta.hits == 0 and delta.misses == 0
-
-    def test_env_style_configure_rejects_bad_size(self):
-        with pytest.raises(ValueError):
-            opcache.configure(maxsize=0)
 
     def test_compose_arity_error_names_both_spaces(self):
         left = parse_map("{ [i, j] -> [i, j] : 0 <= i < 4 and 0 <= j < 4 }")

@@ -106,6 +106,13 @@ class TestOptionsPlumbing:
         with pytest.raises(ValueError):
             CheckOptions(backend="simplex")
 
+    def test_removed_z3_backend_name_rejected(self):
+        assert BACKEND_NAMES == ("omega", "smtlib", "crosscheck")
+        with pytest.raises(ValueError, match="unknown backend 'z3'"):
+            CheckOptions(backend="z3")
+        with pytest.raises(ValueError, match="unknown backend 'z3'"):
+            get_backend("z3")
+
     def test_backend_in_fingerprint(self):
         default = CheckOptions()
         assert default.fingerprint() != CheckOptions(backend="smtlib").fingerprint()

@@ -65,10 +65,15 @@ class TestScripts:
         assert "(set-option :produce-models true)" in script
         assert "(get-value (x0))" in script
 
-    def test_commands_false_omits_check_sat(self):
-        script = feasibility_script(conjunct_of("{ [i] : 0 <= i < 8 }"), commands=False)
-        assert "(check-sat)" not in script
-        assert "(assert " in script
+    def test_every_script_is_one_complete_query(self):
+        a = parse_set("{ [i] : 0 <= i < 4 ; [i] : 6 <= i < 8 }").conjuncts
+        b = parse_set("{ [i] : 2 <= i < 7 }").conjuncts
+        scripts = [feasibility_script(a[0])] + subset_scripts(a, b) + disjoint_scripts(a, b)
+        for script in scripts:
+            lines = script.rstrip().splitlines()
+            assert lines[0] == "(set-logic LIA)"
+            assert lines[-1] == "(check-sat)"
+            assert script.count("(check-sat)") == 1
 
     def test_subset_one_script_per_left_conjunct(self):
         a = parse_set("{ [i] : 0 <= i < 4 ; [i] : 6 <= i < 8 }").conjuncts

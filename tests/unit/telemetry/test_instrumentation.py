@@ -75,19 +75,22 @@ class TestVerifierTelemetry:
         Verifier().check(ORIGINAL, TRANSFORMED, observer=observer)
         assert seen == [{}]
 
-    def test_check_addgs_also_traces(self):
-        from repro.addg import build_addg
-        from repro.lang import parse_program
-
+    def test_check_of_prepaid_compiled_programs_traces_only_the_traversal(self):
+        compiler = Verifier()
+        original = compiler.compile(ORIGINAL)
+        transformed = compiler.compile(TRANSFORMED)
+        for compiled in (original, transformed):
+            assert compiled.addg is not None
+            assert compiled.dataflow_issues == ()
         telemetry.enable()
-        original = build_addg(parse_program(ORIGINAL))
-        transformed = build_addg(parse_program(TRANSFORMED))
         telemetry.reset()  # keep only the check's spans
-        result = Verifier().check_addgs(original, transformed)
+        result = Verifier().check(original, transformed)
         assert result.equivalent
-        names = {record.name for record in telemetry.spans()}
-        assert "verifier.check_addgs" in names
-        assert result.stats.phase_seconds.get("engine", 0) >= 0
+        by_name = {record.name: record for record in telemetry.spans()}
+        assert by_name["engine.traverse"].parent_id == by_name["verifier.check"].span_id
+        assert not any(name.startswith("frontend.") for name in by_name)
+        assert "engine" in result.stats.phase_seconds
+        assert "frontend" not in result.stats.phase_seconds
 
 
 def _jobs(count):

@@ -109,28 +109,19 @@ class TestDisabledMode:
         TRACER.event("ignored")
         assert TRACER.records() == []
 
-    def test_decorator_passes_through_when_disabled(self):
-        calls = []
-
-        @telemetry.traced(category="frontend")
-        def work(x):
-            calls.append(x)
-            return x * 2
-
-        assert work(21) == 42
-        assert calls == [21]
-        assert TRACER.records() == []
-
-    def test_decorator_records_when_enabled(self):
-        @telemetry.traced("custom-name", category="frontend")
-        def work():
-            return 7
-
+    def test_disable_stops_recording_and_keeps_what_was_recorded(self):
         telemetry.enable()
-        assert work() == 7
-        (record,) = TRACER.records()
-        assert record.name == "custom-name"
+        with TRACER.span("kept", "frontend"):
+            pass
+        telemetry.disable()
+        with TRACER.span("dropped", "frontend"):
+            pass
+        TRACER.event("dropped-event")
+        (record,) = telemetry.spans()
+        assert record.name == "kept"
         assert record.category == "frontend"
+        telemetry.reset()
+        assert telemetry.spans() == []
 
 
 class TestCollection:

@@ -167,23 +167,45 @@ class TestMain:
     @pytest.mark.parametrize(
         "flags",
         [
-            ["--backend", "z3"],
             ["--backend", "smtlib", "--smt-solver", "nosuchsolver"],
             ["--backend", "smtlib"],
         ],
-        ids=["no-z3-module", "no-such-binary", "no-solver-on-path"],
+        ids=["no-such-binary", "no-solver-on-path"],
     )
     def test_unavailable_backend_is_a_usage_error(
         self, fig1_files, tmp_path, capsys, monkeypatch, subcommand, flags
     ):
         """A backend that cannot run here is `error: ...` and exit 2, not a traceback."""
-        monkeypatch.setitem(sys.modules, "z3", None)  # as if z3-solver were absent
         monkeypatch.setenv("PATH", str(tmp_path))  # no solver binary to find
         status = main([subcommand, "--quiet", *flags, fig1_files["a"], fig1_files["c"]])
         assert status == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("subcommand", ["check", "diagnose"])
+    def test_removed_z3_backend_is_an_invalid_choice(self, fig1_files, capsys, subcommand):
+        with pytest.raises(SystemExit) as excinfo:
+            main([subcommand, "--quiet", "--backend", "z3", fig1_files["a"], fig1_files["c"]])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'z3'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "entry", [{"backend": "z3"}, {"options": {"backend": "z3"}}], ids=["flat", "options"]
+    )
+    def test_job_file_naming_removed_z3_backend_is_malformed(self, tmp_path, capsys, entry):
+        source = "f(int a[], int b[])\n{\n    b[0] = a[0];\n}\n"
+        job_file = tmp_path / "jobs.json"
+        job_file.write_text(
+            json.dumps([{"original_source": source, "transformed_source": source, **entry}])
+        )
+        status = main(["batch", "--jobs", str(job_file), "--no-cache", "--report", "-", "--quiet"])
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: job #0 in {str(job_file)!r} is malformed: ")
+        assert "unknown backend 'z3'" in err
 
     def test_declare_op_and_correspond_options(self, fig1_files):
         status = main([

@@ -8,8 +8,7 @@ session mechanics on small programs.
 
 import pytest
 
-from repro.addg import build_addg
-from repro.checker import DiagnosticKind, check_addgs, check_equivalence
+from repro.checker import DiagnosticKind, check_equivalence
 from repro.lang import parse_program
 from repro.verifier import CallbackObserver, CheckObserver, CheckOptions, CompiledProgram, Verifier
 
@@ -156,10 +155,19 @@ class TestCheck:
         assert result.outputs == []
         assert result.stats.engine_seconds == 0.0
 
-    def test_check_addgs_entry_point(self):
-        original = build_addg(parse_program(ORIGINAL))
-        transformed = build_addg(parse_program(TRANSFORMED_EQ))
-        assert Verifier().check_addgs(original, transformed).equivalent
+    def test_prepaid_compiled_programs_pay_only_the_traversal(self):
+        compiler = Verifier()
+        original = compiler.compile(ORIGINAL)
+        transformed = compiler.compile(TRANSFORMED_EQ)
+        for compiled in (original, transformed):
+            assert compiled.addg is not None
+            assert compiled.dataflow_issues == ()
+        warm = Verifier().check(original, transformed)
+        cold = Verifier().check(ORIGINAL, TRANSFORMED_EQ)
+        assert warm.equivalent and cold.equivalent
+        assert warm.stats.frontend_seconds < warm.stats.engine_seconds
+        assert warm.stats.compare_calls == cold.stats.compare_calls
+        assert warm.stats.paths_checked == cold.stats.paths_checked
 
     def test_stats_split_sums_to_elapsed(self):
         result = Verifier().check(ORIGINAL, TRANSFORMED_EQ)
@@ -276,14 +284,11 @@ class TestShims:
         )
         assert result.equivalent
 
-    def test_check_addgs_missing_output_reports(self):
-        # Satellite regression: an output array missing on one side must
-        # produce a non-equivalent OutputReport, not only a diagnostic.
-        original = build_addg(parse_program(ORIGINAL))
-        other = build_addg(
-            parse_program(TRANSFORMED_EQ.replace("B[", "D[").replace("int B[]", "int D[]"))
-        )
-        result = check_addgs(original, other)
+    def test_check_equivalence_missing_output_reports(self):
+        # An output array missing on one side must produce a non-equivalent
+        # OutputReport, not only a diagnostic.
+        other = TRANSFORMED_EQ.replace("B[", "D[").replace("int B[]", "int D[]")
+        result = check_equivalence(ORIGINAL, other)
         assert not result.equivalent
         assert {r.array for r in result.outputs} == {"B", "D"}
         assert all(not r.equivalent for r in result.outputs)

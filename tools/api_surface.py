@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Dump (or check) the public API surface of the repro packages.
 
-The surface is every name exported through ``__all__`` of
-``repro.verifier``, ``repro.checker`` and ``repro.service``, with the
-parameter lists of functions, class constructors, public methods and
-properties.  Annotations and default *values* are deliberately omitted (only
+The surface is every name exported through ``__all__`` of the modules in
+:data:`MODULES` (``repro.verifier``, ``repro.checker``, ``repro.service``,
+``repro.scenarios``, ``repro.diagnostics``, ``repro.telemetry``,
+``repro.server``, ``repro.solvers``, ``repro.presburger`` and
+``repro.presburger.opcache``), with the parameter lists of functions, class
+constructors, public methods and properties.  Annotations and default *values* are deliberately omitted (only
 the presence of a default is recorded, as ``=…``) so the rendering is stable
 across Python versions.
 
@@ -37,6 +39,8 @@ MODULES = (
     "repro.telemetry",
     "repro.server",
     "repro.solvers",
+    "repro.presburger",
+    "repro.presburger.opcache",
 )
 
 SNAPSHOT_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "api_surface.txt")
