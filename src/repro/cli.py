@@ -976,12 +976,10 @@ def _run_jobs(args: argparse.Namespace, jobs, format_line, cache_dir=None, on_ro
         executor = BatchExecutor(cache=cache, workers=args.workers, timeout=args.timeout)
         opcache_before = opcache.snapshot()
         results = executor.run(jobs, progress=progress)
-        # Pool workers keep their own opcaches and ship their deltas home
-        # only under --trace/--metrics; report a serial run's delta alone so
-        # the summary does not depend on the telemetry flags.
-        opcache_delta = opcache.stats().delta(opcache_before) if args.workers <= 1 else None
         summary = aggregate_results(
-            results, cache.stats if cache is not None else None, opcache_stats=opcache_delta
+            results,
+            cache.stats if cache is not None else None,
+            opcache_stats=opcache.stats().delta(opcache_before),
         )
 
     if report is not None:

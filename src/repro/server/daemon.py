@@ -309,10 +309,13 @@ class VerificationServer:
         traced = method == "check" and bool(params.get("trace"))
         if traced:
             self._begin_request_trace()
-        mark = TRACER.mark() if traced else 0
         started = time.perf_counter()
         error_code: Optional[str] = None
-        with TRACER.span("server.request", "server", method=method, request=request_id):
+        # Collected in this request's own task: concurrent requests on the
+        # loop thread never see each other's spans.
+        with TRACER.collect() as request_spans, TRACER.span(
+            "server.request", "server", method=method, request=request_id
+        ):
             try:
                 response = await self._dispatch(ctx, request_id, method, params)
             except protocol.ProtocolError as error:
@@ -335,7 +338,9 @@ class VerificationServer:
         wall = time.perf_counter() - started
         self.request_latency.observe(wall)
         if traced:
-            self._finish_request_trace(mark, request_id, response)
+            self._finish_request_trace(request_spans, response)
+        else:
+            TRACER.ingest(request_spans)
         if error_code is not None:
             self._log_event(
                 "request_rejected",
@@ -370,32 +375,23 @@ class VerificationServer:
             TRACER.enabled = True
             self._owns_tracer = True
 
-    def _finish_request_trace(self, mark: int, request_id: Any, response: Dict[str, Any]) -> None:
-        """Append this request's event-loop spans to the response and clean up.
+    def _finish_request_trace(self, request_spans: List[Any], response: Dict[str, Any]) -> None:
+        """Append this request's own spans to the response and clean up.
 
-        The pool already attached the worker thread's spans (filtered by
-        thread id); here the root ``server.request`` span — identified by
-        its ``request`` arg, since concurrent requests interleave on the
-        loop thread — joins them, then the traced-inflight accounting winds
-        down (possibly disabling and clearing the tracer we enabled).
+        The pool already attached the spans of the worker thread that ran
+        the check; the request's root ``server.request`` span joins them,
+        then the traced-inflight accounting winds down (possibly disabling
+        and clearing the tracer we enabled).
         """
-        try:
-            own_tid = threading.get_ident()
-            root_spans = [
-                record.to_dict()
-                for record in TRACER.records_since(mark)
-                if record.tid == own_tid and record.args.get("request") == request_id
-            ]
-        finally:
-            self._traced_inflight -= 1
-            if self._traced_inflight == 0 and self._owns_tracer:
-                TRACER.enabled = False
-                self._owns_tracer = False
-                TRACER.clear()
+        self._traced_inflight -= 1
+        if self._traced_inflight == 0 and self._owns_tracer:
+            TRACER.enabled = False
+            self._owns_tracer = False
+            TRACER.clear()
         result = response.get("result") if response.get("ok") else None
         if isinstance(result, dict):
             trace_block = result.setdefault("trace", {})
-            trace_block.setdefault("spans", []).extend(root_spans)
+            trace_block.setdefault("spans", []).extend(record.to_dict() for record in request_spans)
             trace_block["pid"] = os.getpid()
 
     # ------------------------------------------------------------------ #
@@ -495,7 +491,7 @@ class VerificationServer:
         try:
             outcome = await self.dispatcher.run(
                 job,
-                collect_spans=trace_requested,
+                ship=trace_requested,
                 request_id=request_id,
                 fingerprint=fingerprint,
             )

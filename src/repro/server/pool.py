@@ -53,7 +53,7 @@ from ..service.executor import (
 )
 from ..service.fingerprint import job_fingerprint
 from ..service.job import JobResult, JobStatus, VerificationJob
-from ..telemetry import TRACER, request_scope
+from ..telemetry import request_scope
 from ..verifier import CompiledProgram, Verifier
 from ..lang import parse_program
 
@@ -259,7 +259,7 @@ class WarmVerifierPool:
         self,
         job: VerificationJob,
         timeout: Optional[float] = None,
-        collect_spans: bool = False,
+        ship: bool = False,
         request_id: Optional[Any] = None,
         fingerprint: Optional[str] = None,
     ) -> JobResult:
@@ -274,12 +274,11 @@ class WarmVerifierPool:
         *request_id* (the JSON-RPC id of the server request this job serves)
         is bound as the thread's request scope, so the ``verifier.check``
         root span — and any other request-aware instrumentation — tags
-        itself with it.  With *collect_spans* the finished spans this thread
-        recorded during the check are attached to the transient
-        ``outcome.telemetry`` field, for the daemon to ship back to the
-        client.  The collection filters by thread id rather than draining
-        the tracer, so concurrent traced requests on other workers never
-        steal (or lose) each other's spans.
+        itself with it.  With *ship* the spans this thread finished during
+        the check travel on the transient ``outcome.telemetry`` field (see
+        :func:`~repro.service.executor.execute_job`), for the daemon to ship
+        back to the client; concurrent requests on other workers collect
+        their own.
         """
         job = self.prepare_job(job, timeout)
         if fingerprint is None:
@@ -298,17 +297,7 @@ class WarmVerifierPool:
                 transformed = self.compiled.get_or_compile(job.transformed_source)
                 return Verifier().check(original, transformed, options=job.options)
 
-        mark = TRACER.mark() if collect_spans and TRACER.enabled else None
-        outcome = execute_job(job, None, fingerprint, run=warm_run)
-        if mark is not None:
-            tid = threading.get_ident()
-            outcome.telemetry = {
-                "spans": [
-                    record.to_dict()
-                    for record in TRACER.records_since(mark)
-                    if record.tid == tid
-                ]
-            }
+        outcome = execute_job(job, None, fingerprint, ship, run=warm_run)
         self.stats.inc("checks_executed")
         if outcome.status == JobStatus.TIMEOUT:
             self.stats.inc("timeouts")
@@ -325,14 +314,12 @@ class WarmVerifierPool:
         self,
         job: VerificationJob,
         timeout: Optional[float] = None,
-        collect_spans: bool = False,
+        ship: bool = False,
         request_id: Optional[Any] = None,
         fingerprint: Optional[str] = None,
     ):
         """Queue *job* on the worker threads; returns a concurrent future."""
-        return self._threads.submit(
-            self.run_job, job, timeout, collect_spans, request_id, fingerprint
-        )
+        return self._threads.submit(self.run_job, job, timeout, ship, request_id, fingerprint)
 
     # ------------------------------------------------------------------ #
     def reset(self) -> None:
@@ -402,7 +389,7 @@ class JobDispatcher:
         self,
         job: VerificationJob,
         timeout: Optional[float] = None,
-        collect_spans: bool = False,
+        ship: bool = False,
         request_id: Optional[Any] = None,
         fingerprint: Optional[str] = None,
     ) -> JobResult:
@@ -421,7 +408,7 @@ class JobDispatcher:
 
         async def lead() -> JobResult:
             return await asyncio.wrap_future(
-                self.pool.submit(job, timeout, collect_spans, request_id, fingerprint)
+                self.pool.submit(job, timeout, ship, request_id, fingerprint)
             )
 
         task = loop.create_task(lead())

@@ -27,10 +27,10 @@ and :class:`~repro.solvers.BackendDisagreement` from a cross-checked run,
 which is recorded as an ``error`` result carrying the serialized query.
 
 Each worker process keeps its own Presburger operation cache
-(:mod:`repro.presburger.opcache`) warm across the jobs it executes; the
-per-job share of that activity travels back inside the job's
-:class:`~repro.checker.result.CheckStats` and is aggregated by
-:mod:`repro.service.report`.
+(:mod:`repro.presburger.opcache`) warm across the jobs it executes; every
+job ships its share of that activity (and, while tracing, its spans) home
+through :func:`execute_job`, and the parent merges it, so a pooled batch
+counts the same Presburger work as a serial one.
 """
 
 from __future__ import annotations
@@ -136,13 +136,14 @@ def follower_result(job: VerificationJob, outcome: JobResult) -> JobResult:
     )
 
 
-def _worker_init(collect_telemetry: bool, persist_path: Optional[str]) -> None:
+def _worker_init(trace: bool, persist_path: Optional[str]) -> None:
     """Pool-worker initializer: start every worker from a clean tracer.
 
     With the ``fork`` start method a worker inherits the parent's record
     buffer (and its ``pid`` stamp); shipping those inherited spans home again
     would duplicate them, so the buffers are cleared — and re-stamped with
-    the worker's own pid — before the first job runs.
+    the worker's own pid — before the first job runs.  The worker traces
+    exactly when the parent does (*trace*).
 
     The worker also (re-)attaches the persistent op-cache the parent has
     attached at *persist_path* (``None``: none): with ``fork`` the inherited
@@ -151,7 +152,7 @@ def _worker_init(collect_telemetry: bool, persist_path: Optional[str]) -> None:
     state through its own connection (WAL keeps concurrent workers safe).
     """
     _TRACER.clear()
-    _TRACER.enabled = collect_telemetry
+    _TRACER.enabled = trace
     if persist_path and opcache.persistent_store() is None:
         opcache.attach_persistent(persist_path)
     else:
@@ -162,36 +163,37 @@ def execute_job(
     job: VerificationJob,
     timeout: Optional[float] = None,
     fingerprint: str = "",
-    collect_telemetry: bool = False,
+    ship: bool = False,
     run: Optional[Callable[[], Any]] = None,
 ) -> JobResult:
-    """Execute one job in the current process, capturing failure and timeout.
+    """Execute one job in the current thread, capturing failure and timeout.
 
     *timeout* is the fallback budget; a job whose
     :class:`~repro.verifier.options.CheckOptions` carry their own ``timeout``
-    overrides it (:func:`job_budget`).  With *collect_telemetry* (set by the pool path of the
-    executor while tracing is on in the parent) the job's spans and its
-    :class:`~repro.presburger.opcache.OpCacheStats` delta are drained into
-    ``JobResult.telemetry`` for the parent process to ingest.  *run*
-    replaces ``job.run`` as the zero-argument check body — the verification
-    server passes a warm-session closure here so the status/timeout/error
-    capture stays identical between the cold and the warm paths.
+    overrides it (:func:`job_budget`).  *run* replaces ``job.run`` as the
+    zero-argument check body — the verification server passes a
+    warm-session closure here so the status/timeout/error capture stays
+    identical between the cold and the warm paths.
+
+    While tracing, the job runs under a ``service.job`` span.  With *ship*
+    the job's telemetry is packed into ``JobResult.telemetry`` for another
+    process instead of staying here: the spans this thread finished during
+    the job (:meth:`~repro.telemetry.Tracer.collect`) and the job's
+    :class:`~repro.presburger.opcache.OpCacheStats` delta.  This is the one
+    place that packs it: batch pool workers always ship, and the server
+    ships for a traced request (and forwards only the spans, since its
+    process-wide delta also counts concurrent checks).
     """
     timeout = job_budget(job, timeout)
-    if not (collect_telemetry or _TRACER.enabled):
+    if not ship:
         return _execute_job_body(job, timeout, fingerprint, run)
-    mark = _TRACER.mark()
     opcache_before = opcache.snapshot()
-    with _TRACER.span("service.job", "service", job=job.name) as span:
+    with _TRACER.collect() as spans:
         outcome = _execute_job_body(job, timeout, fingerprint, run)
-        span.set(status=outcome.status)
-    if collect_telemetry:
-        # Ship this job's share, so the worker's span buffer does not grow
-        # across jobs and each job carries exactly its own increments.
-        outcome.telemetry = {
-            "spans": [record.to_dict() for record in _TRACER.drain_since(mark)],
-            "opcache": opcache.stats().delta(opcache_before).as_dict(),
-        }
+    outcome.telemetry = {
+        "spans": [record.to_dict() for record in spans],
+        "opcache": opcache.stats().delta(opcache_before).as_dict(),
+    }
     return outcome
 
 
@@ -214,25 +216,29 @@ def _execute_job_body(
             **fields,
         )
 
-    try:
-        result = call_with_timeout(run if run is not None else job.run, timeout)
-    except JobTimeoutError:
-        return finish(JobStatus.TIMEOUT, error=f"job exceeded the {timeout:g} s budget")
-    except BackendDisagreement as error:
-        # A cross-check divergence is a BaseException so the checker's broad
-        # recovery paths cannot swallow it; it surfaces here as a hard ERROR
-        # with the serialized query attached for offline replay
-        # (repro.solvers.replay_query).
-        return finish(
-            JobStatus.ERROR,
-            error=f"BackendDisagreement: {error}",
-            metadata={**job.metadata, "backend_disagreement": error.to_dict()},
-        )
-    except Exception as error:
-        return finish(
-            JobStatus.ERROR, error=f"{type(error).__name__}: {error}\n{traceback.format_exc()}"
-        )
-    return finish(JobStatus.OK, equivalent=result.equivalent, result=result)
+    with _TRACER.span("service.job", "service", job=job.name) as span:
+        try:
+            result = call_with_timeout(run if run is not None else job.run, timeout)
+        except JobTimeoutError:
+            outcome = finish(JobStatus.TIMEOUT, error=f"job exceeded the {timeout:g} s budget")
+        except BackendDisagreement as error:
+            # A cross-check divergence is a BaseException so the checker's broad
+            # recovery paths cannot swallow it; it surfaces here as a hard ERROR
+            # with the serialized query attached for offline replay
+            # (repro.solvers.replay_query).
+            outcome = finish(
+                JobStatus.ERROR,
+                error=f"BackendDisagreement: {error}",
+                metadata={**job.metadata, "backend_disagreement": error.to_dict()},
+            )
+        except Exception as error:
+            outcome = finish(
+                JobStatus.ERROR, error=f"{type(error).__name__}: {error}\n{traceback.format_exc()}"
+            )
+        else:
+            outcome = finish(JobStatus.OK, equivalent=result.equivalent, result=result)
+        span.set(status=outcome.status)
+    return outcome
 
 
 class BatchExecutor:
@@ -347,16 +353,15 @@ class BatchExecutor:
         results: List[Optional[JobResult]],
         progress: Optional[Callable[[JobResult], None]],
     ) -> None:
-        collect = _TRACER.enabled
         store = opcache.persistent_store()
         with ProcessPoolExecutor(
             max_workers=self.workers,
             initializer=_worker_init,
-            initargs=(collect, store.path if store is not None else None),
+            initargs=(_TRACER.enabled, store.path if store is not None else None),
         ) as pool:
             future_index = {
                 pool.submit(
-                    execute_job, jobs[index], self.timeout, fingerprints[index], collect
+                    execute_job, jobs[index], self.timeout, fingerprints[index], True
                 ): index
                 for index in pending
             }

@@ -142,8 +142,8 @@ class JobResult:
     result: Optional[EquivalenceResult] = None
     error: Optional[str] = None
     metadata: Dict[str, Any] = field(default_factory=dict)
-    # Spans and the opcache counter delta drained by the worker that
-    # executed the job, shipped home for the parent process to ingest.  Transient: the executor consumes (and
+    # The job's spans and opcache counter delta, packed by execute_job(ship=True)
+    # for another process.  Transient: the executor or the daemon consumes (and
     # clears) it, and it never appears in ``to_dict`` / the JSONL reports.
     telemetry: Optional[Dict[str, Any]] = None
 

@@ -103,7 +103,7 @@ def disable() -> None:
 
 
 def spans() -> List[SpanRecord]:
-    """Every finished span recorded so far (a snapshot)."""
+    """Every finished span in the process buffer (a snapshot; see ``TRACER.collect``)."""
     return TRACER.records()
 
 

@@ -17,16 +17,19 @@ Design constraints, in priority order:
    manager without allocating.  The budget — enforced by
    ``tests/unit/telemetry/test_overhead.py`` and the ``bench_verifier``
    gate — is <2% on an end-to-end check.
-2. **Thread-aware.**  Span stacks are per-thread (``threading.local``), so
-   concurrent checks on different threads nest correctly; the shared record
-   buffer is guarded by a lock taken only when tracing is on.
+2. **Thread- and task-aware.**  The open span and the open span collector
+   (:meth:`Tracer.collect`) live in :class:`contextvars.ContextVar` values,
+   so concurrent checks on different threads, and concurrent requests on
+   one event loop, each nest under their own parents and gather exactly
+   their own spans; the shared buffer's lock is taken only when tracing is
+   on.
 3. **Process-aware by explicit serialization.**  There is no magic shared
-   buffer across a ``ProcessPoolExecutor`` boundary: a worker drains its
-   finished spans into plain dicts (:meth:`Tracer.drain_since` +
-   :meth:`SpanRecord.to_dict`) that travel home inside the
-   :class:`~repro.service.job.JobResult`, and the parent re-ingests them
-   (:meth:`Tracer.ingest`) with their original ``pid``/``tid`` intact, so
-   the exported trace shows one track per worker process.
+   buffer across a ``ProcessPoolExecutor`` boundary: a worker collects each
+   job's spans into plain dicts (:meth:`SpanRecord.to_dict`) that travel
+   home inside the :class:`~repro.service.job.JobResult`, and the parent
+   re-ingests them (:meth:`Tracer.ingest`) with their original
+   ``pid``/``tid`` intact, so the exported trace shows one track per
+   worker process.
 
 Timestamps are wall-clock epoch microseconds (``time.time_ns``), which are
 comparable across processes; durations are measured with
@@ -35,12 +38,18 @@ comparable across processes; durations are measured with
 
 from __future__ import annotations
 
+import contextlib
 import os
 import threading
 import time
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from contextvars import ContextVar
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 __all__ = ["SpanRecord", "Span", "Tracer", "TRACER"]
+
+# The innermost open span and span collector of this thread or asyncio task.
+_PARENT: ContextVar[Optional[int]] = ContextVar("repro_span_parent", default=None)
+_COLLECTOR: ContextVar[Optional[List["SpanRecord"]]] = ContextVar("repro_span_collector", default=None)
 
 
 class SpanRecord:
@@ -112,7 +121,7 @@ class SpanRecord:
 class Span:
     """A live span: a context manager that records itself on exit."""
 
-    __slots__ = ("_tracer", "name", "category", "args", "span_id", "parent_id", "_start_us", "_start_ns")
+    __slots__ = ("_tracer", "name", "category", "args", "span_id", "parent_id", "_token", "_start_us", "_start_ns")
 
     def __init__(self, tracer: "Tracer", name: str, category: str, args: Optional[Dict[str, Any]]):
         self._tracer = tracer
@@ -121,6 +130,7 @@ class Span:
         self.args = args
         self.span_id = 0
         self.parent_id: Optional[int] = None
+        self._token: Any = None
         self._start_us = 0
         self._start_ns = 0
 
@@ -132,21 +142,17 @@ class Span:
         return self
 
     def __enter__(self) -> "Span":
-        tracer = self._tracer
-        stack = tracer._stack()
-        self.parent_id = stack[-1] if stack else None
-        self.span_id = tracer._next_id()
-        stack.append(self.span_id)
+        self.parent_id = _PARENT.get()
+        self.span_id = self._tracer._next_id()
+        self._token = _PARENT.set(self.span_id)
         self._start_us = time.time_ns() // 1000
         self._start_ns = time.perf_counter_ns()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         duration_us = (time.perf_counter_ns() - self._start_ns) // 1000
+        _PARENT.reset(self._token)
         tracer = self._tracer
-        stack = tracer._stack()
-        if stack and stack[-1] == self.span_id:
-            stack.pop()
         if exc_type is not None:
             self.set(error=exc_type.__name__)
         tracer._record(
@@ -196,7 +202,6 @@ class Tracer:
         self.pid = os.getpid()
         self._records: List[SpanRecord] = []
         self._lock = threading.Lock()
-        self._local = threading.local()
         self._id_lock = threading.Lock()
         self._id_counter = 0
 
@@ -213,7 +218,6 @@ class Tracer:
         """Record an instant (zero-duration) event at the current position."""
         if not self.enabled:
             return
-        stack = self._stack()
         self._record(
             SpanRecord(
                 name=name,
@@ -223,16 +227,10 @@ class Tracer:
                 pid=self.pid,
                 tid=threading.get_ident(),
                 span_id=self._next_id(),
-                parent_id=stack[-1] if stack else None,
+                parent_id=_PARENT.get(),
                 args=args or None,
             )
         )
-
-    def _stack(self) -> List[int]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
 
     def _next_id(self) -> int:
         with self._id_lock:
@@ -240,36 +238,33 @@ class Tracer:
             return self._id_counter
 
     def _record(self, record: SpanRecord) -> None:
-        with self._lock:
-            self._records.append(record)
+        collector = _COLLECTOR.get()
+        if collector is not None:
+            collector.append(record)
+        else:
+            with self._lock:
+                self._records.append(record)
 
     # ------------------------------------------------------------------ #
     # Collection
     # ------------------------------------------------------------------ #
-    def mark(self) -> int:
-        """A position in the record buffer; pair with :meth:`records_since`."""
-        with self._lock:
-            return len(self._records)
+    @contextlib.contextmanager
+    def collect(self) -> Iterator[List[SpanRecord]]:
+        """Yield the list that takes the spans this thread or task finishes.
 
-    def records_since(self, mark: int) -> List[SpanRecord]:
-        """The finished spans recorded after *mark* (buffer unchanged)."""
-        with self._lock:
-            return list(self._records[mark:])
-
-    def drain_since(self, mark: int) -> List[SpanRecord]:
-        """Remove and return the spans recorded after *mark*.
-
-        Used at the ``ProcessPoolExecutor`` boundary: a worker drains the
-        spans of each finished job into its result, keeping the worker's
-        buffer from growing across the jobs it executes.
+        Spans of other threads and tasks (even one started inside the block)
+        are not gathered.  Nothing is passed on at exit: the owner hands the
+        spans to :meth:`ingest`, ships them to another process, or drops them.
         """
-        with self._lock:
-            drained = self._records[mark:]
-            del self._records[mark:]
-            return drained
+        collected: List[SpanRecord] = []
+        token = _COLLECTOR.set(collected)
+        try:
+            yield collected
+        finally:
+            _COLLECTOR.reset(token)
 
     def records(self) -> List[SpanRecord]:
-        """A snapshot of every finished span recorded so far."""
+        """A snapshot of the process buffer (spans held by no collector)."""
         with self._lock:
             return list(self._records)
 
@@ -280,19 +275,23 @@ class Tracer:
         self.pid = os.getpid()
 
     def ingest(self, records: Sequence[Any]) -> int:
-        """Merge spans serialised by another process into this buffer.
+        """Keep *records* here: in the innermost open collector, else the buffer.
 
         Accepts :class:`SpanRecord` values or their :meth:`~SpanRecord.to_dict`
-        forms; the original ``pid``/``tid``/span identifiers are preserved so
-        the exported trace keeps one track per worker.  Returns the number of
-        spans ingested.
+        forms (spans shipped by another process); the original
+        ``pid``/``tid``/span identifiers are preserved so the exported trace
+        keeps one track per worker.  Returns the number of spans ingested.
         """
         converted = [
             record if isinstance(record, SpanRecord) else SpanRecord.from_dict(record)
             for record in records
         ]
-        with self._lock:
-            self._records.extend(converted)
+        collector = _COLLECTOR.get()
+        if collector is not None:
+            collector.extend(converted)
+        else:
+            with self._lock:
+                self._records.extend(converted)
         return len(converted)
 
 

@@ -189,7 +189,8 @@ class Verifier:
         ``stats.engine_seconds`` (``elapsed_seconds`` is their sum).
 
         While :mod:`repro.telemetry` tracing is enabled the check additionally
-        fills ``stats.phase_seconds`` from its recorded spans before
+        fills ``stats.phase_seconds`` from the spans it recorded itself (in
+        this thread, see :meth:`~repro.telemetry.Tracer.collect`) before
         :meth:`~repro.verifier.events.CheckObserver.on_stats` is broadcast.
         """
         resolved = options if options is not None else self.options
@@ -198,16 +199,18 @@ class Verifier:
             result = self._check_impl(original, transformed, resolved, broadcast)
             broadcast.on_stats(result.stats)
             return result
-        mark = TRACER.mark()
-        with TRACER.span("verifier.check", "verifier") as check_span:
-            # When the check runs under a server request, tag the root span
-            # with the request id so a merged cross-process trace can be
-            # joined back to the daemon's request log (repro.telemetry.live).
-            request = current_request()
-            if request is not None:
-                check_span.set(request=request)
-            result = self._check_impl(original, transformed, resolved, broadcast)
-        result.stats.phase_seconds = aggregate_phase_seconds(TRACER.records_since(mark))
+        try:
+            with TRACER.collect() as spans, TRACER.span("verifier.check", "verifier") as check_span:
+                # When the check runs under a server request, tag the root span
+                # with the request id so a merged cross-process trace can be
+                # joined back to the daemon's request log (repro.telemetry.live).
+                request = current_request()
+                if request is not None:
+                    check_span.set(request=request)
+                result = self._check_impl(original, transformed, resolved, broadcast)
+        finally:
+            TRACER.ingest(spans)
+        result.stats.phase_seconds = aggregate_phase_seconds(spans)
         broadcast.on_stats(result.stats)
         return result
 

@@ -13,6 +13,7 @@ import importlib.util
 import json
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -277,6 +278,50 @@ class TestTracePropagation:
             assert trace and trace["spans"]
             root = [s for s in trace["spans"] if s["name"] == "server.request"]
             assert len(root) == 1
+
+    def test_concurrent_traced_requests_ship_only_their_own_spans(self):
+        # Two connections whose ids run in step (round r is request r + 1 on
+        # both): only per-request collection, not the id, keeps them apart.
+        rounds = 3
+        barrier = threading.Barrier(2, timeout=30)
+
+        def one_client(index):
+            outcomes = []
+            with ServerClient(handle.address) as client:
+                for round_ in range(rounds):
+                    size = 8 + 2 * (round_ * 2 + index)  # a fresh job per request
+                    job = VerificationJob(
+                        name=f"client{index}-round{round_}",
+                        original_source=ORIGINAL.replace("#define N 8", f"#define N {size}"),
+                        transformed_source=TRANSFORMED.replace("#define N 8", f"#define N {size}"),
+                    )
+                    barrier.wait()
+                    outcomes.append((job.name, client.check_job(job, trace=True)))
+            return outcomes
+
+        with ServerThread(ServerConfig(port=0, workers=2)) as handle:
+            with ThreadPoolExecutor(max_workers=2) as clients:
+                per_client = list(clients.map(one_client, range(2)))
+        for round_ in range(rounds):
+            shipped = []
+            for outcomes in per_client:
+                name, outcome = outcomes[round_]
+                assert outcome.status == JobStatus.OK
+                spans = outcome.telemetry["spans"]
+                (root,) = [span for span in spans if span["name"] == "server.request"]
+                (check,) = [span for span in spans if span["name"] == "verifier.check"]
+                (job_span,) = [span for span in spans if span["name"] == "service.job"]
+                assert root["parent"] is None
+                assert root["args"]["request"] == check["args"]["request"] == round_ + 1
+                assert job_span["args"]["job"] == name
+                ids = {(span["pid"], span["id"]) for span in spans}
+                # every span hangs off a span of this same response
+                assert all(
+                    span["parent"] is None or (span["pid"], span["parent"]) in ids
+                    for span in spans
+                )
+                shipped.append(ids)
+            assert not shipped[0] & shipped[1]
 
 
 class TestServerStatsThreadSafety:

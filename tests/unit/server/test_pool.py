@@ -186,7 +186,7 @@ def run_pair_through_dispatcher(job_a, request_a, job_b, request_b, outcome_for=
     executions = []
     gate = threading.Event()
 
-    def fake_run_job(job, timeout=None, collect_spans=False, request_id=None, fingerprint=None):
+    def fake_run_job(job, timeout=None, ship=False, request_id=None, fingerprint=None):
         executions.append((job.name, timeout))
         assert gate.wait(10), "gate never opened"
         if outcome_for is not None:

@@ -1,5 +1,6 @@
 """Unit tests: the span tracer — nesting, threads, serialization, no-op mode."""
 
+import asyncio
 import os
 import threading
 
@@ -125,27 +126,100 @@ class TestDisabledMode:
 
 
 class TestCollection:
-    def test_mark_and_records_since(self):
+    def test_collector_takes_the_spans_instead_of_the_buffer(self):
         telemetry.enable()
         with TRACER.span("before"):
             pass
-        mark = TRACER.mark()
-        with TRACER.span("after"):
-            pass
-        since = TRACER.records_since(mark)
-        assert [record.name for record in since] == ["after"]
-        assert len(TRACER.records()) == 2  # buffer unchanged
+        with TRACER.collect() as collected:
+            with TRACER.span("inside"):
+                TRACER.event("tick")
+        assert [record.name for record in collected] == ["tick", "inside"]
+        assert [record.name for record in TRACER.records()] == ["before"]
 
-    def test_drain_since_removes_the_tail(self):
+    def test_innermost_collector_takes_the_spans(self):
         telemetry.enable()
-        with TRACER.span("keep"):
-            pass
-        mark = TRACER.mark()
-        with TRACER.span("ship"):
-            pass
-        drained = TRACER.drain_since(mark)
-        assert [record.name for record in drained] == ["ship"]
-        assert [record.name for record in TRACER.records()] == ["keep"]
+        with TRACER.collect() as outer:
+            with TRACER.span("outer-span"):
+                pass
+            with TRACER.collect() as inner:
+                with TRACER.span("inner-span"):
+                    pass
+            with TRACER.span("outer-again"):
+                pass
+        assert [record.name for record in inner] == ["inner-span"]
+        assert [record.name for record in outer] == ["outer-span", "outer-again"]
+        assert TRACER.records() == []
+
+    def test_threads_collect_only_their_own_spans(self):
+        telemetry.enable()
+        barrier = threading.Barrier(2, timeout=10)
+        collected = {}
+
+        def work(name):
+            with TRACER.collect() as spans:
+                barrier.wait()  # both collectors are open at once
+                with TRACER.span(name):
+                    barrier.wait()
+            collected[name] = [record.name for record in spans]
+
+        threads = [threading.Thread(target=work, args=(name,)) for name in ("a", "b")]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+            assert not thread.is_alive()
+        assert collected == {"a": ["a"], "b": ["b"]}
+        assert TRACER.records() == []
+
+    def test_asyncio_tasks_collect_and_nest_only_their_own_spans(self):
+        telemetry.enable()
+
+        async def work(name):
+            with TRACER.collect() as spans:
+                with TRACER.span(name):
+                    await asyncio.sleep(0)  # let the other task interleave
+                TRACER.event(f"{name}-done")
+            return spans
+
+        async def main():
+            return await asyncio.gather(work("a"), work("b"))
+
+        collected = asyncio.run(main())
+        assert [[record.name for record in spans] for spans in collected] == [
+            ["a", "a-done"],
+            ["b", "b-done"],
+        ]
+        # Both spans are roots, and so are the events after them: the open
+        # span of one task is never the parent of another task's span.
+        assert all(record.parent_id is None for spans in collected for record in spans)
+        assert TRACER.records() == []
+
+    def test_thread_started_inside_a_collector_records_to_the_buffer(self):
+        telemetry.enable()
+
+        def work():
+            with TRACER.span("foreign"):
+                pass
+
+        with TRACER.collect() as collected:
+            thread = threading.Thread(target=work)
+            thread.start()
+            thread.join(10)
+        assert not thread.is_alive()
+        assert collected == []
+        assert [record.name for record in TRACER.records()] == ["foreign"]
+
+    def test_ingest_lands_in_the_enclosing_collector_or_the_buffer(self):
+        telemetry.enable()
+        with TRACER.collect() as outer:
+            with TRACER.collect() as inner:
+                with TRACER.span("kept"):
+                    pass
+            assert TRACER.ingest(inner) == 1
+        assert [record.name for record in outer] == ["kept"]
+        assert TRACER.records() == []
+        assert TRACER.ingest([record.to_dict() for record in outer]) == 1
+        assert [record.name for record in TRACER.records()] == ["kept"]
 
     def test_serialization_round_trip_preserves_identity(self):
         telemetry.enable()

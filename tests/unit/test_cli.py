@@ -261,6 +261,24 @@ class TestMain:
         finally:
             opcache.reset()
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_untraced_batch_summary_carries_the_full_opcache_block(self, workers, tmp_path, capsys):
+        from repro.presburger import opcache
+
+        opcache.reset()  # cold, so the batch interns and computes
+        report = tmp_path / "report.jsonl"
+        argv = ["batch", "--kernel", "fir", "--kernel", "sad", "--workers", workers, "--no-cache"]
+        assert main(argv + ["--report", str(report), "--quiet"]) == 0
+        opcache_line = next(
+            line for line in capsys.readouterr().out.splitlines() if line.startswith("opcache")
+        )
+        assert "eviction(s)" in opcache_line
+        summary = [json.loads(line) for line in report.read_text().splitlines()][-1]
+        assert summary["type"] == "summary"
+        block = summary["opcache"]
+        assert {"evictions", "intern_misses", "per_op"} <= set(block)
+        assert block["per_op"] and block["intern_misses"] > 0
+
 
 class TestTelemetryFlags:
     def test_check_trace_and_metrics_files(self, fig1_files, tmp_path, capsys):
