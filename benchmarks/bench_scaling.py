@@ -4,9 +4,9 @@ Section 6.2 argues that the traversal is linear in the size of the larger
 ADDG thanks to the tabling of established equivalences, and that the integer
 set/relation operations stay cheap because the formulae remain small.  This
 harness sweeps the number of stages of generated programs (which grows the
-ADDG linearly), the length of associative chains of reads of one array
-(commutative matching), times the check, and compares tabling on vs off on a
-program with heavily shared sub-ADDGs.
+ADDG linearly), the length of associative chains of reads of one array and
+the size of a k×k convolution (commutative matching), times the check, and
+compares tabling on vs off on a program with heavily shared sub-ADDGs.
 """
 
 import random
@@ -18,13 +18,14 @@ from repro.lang import ProgramBuilder, parse_program
 from repro.presburger import opcache
 from repro.transforms import apply_random_transforms, loop_reversal, loop_split
 from repro.verifier import Verifier
-from repro.workloads import CHAIN_SHAPES, RandomProgramGenerator, chain_source
+from repro.workloads import CHAIN_SHAPES, RandomProgramGenerator, chain_source, conv_source
 
 from conftest import run_once
 
 STAGE_SWEEP = [2, 4, 6, 8]
 BREADTH_SWEEP = [2, 4, 8, 16]
 CHAIN_SWEEP = [10, 20, 40, 80]
+CONV_SWEEP = [3, 5, 7]
 
 
 def _prepaid(original, transformed):
@@ -97,6 +98,37 @@ def bench_e9_scaling_with_chain_length(benchmark, shape, length, paper_threshold
     result = run_once(benchmark, check_equivalence, original, transformed, rounds=1)
     assert result.equivalent
     assert result.stats.compare_calls == length + 1
+    assert result.stats.elapsed_seconds < paper_threshold_seconds
+    benchmark.extra_info["compare_calls"] = result.stats.compare_calls
+
+
+def _conv_check(k: int):
+    """A k×k convolution's flat sum against its row-temporary rewrite."""
+    return parse_program(conv_source(k)), parse_program(conv_source(k, transformed=True))
+
+
+def conv_sweep() -> dict:
+    """``compare_calls`` of a k×k convolution against its rewrite, per k.
+
+    The k² products pair by their operand keys: one compare per product
+    plus one per factor, so every entry is ``3*k*k + 1``; trial-comparing
+    every pair of products would cost 244, 1876 and 7204 at k = 3, 5, 7.
+    """
+    sweep = {}
+    for k in CONV_SWEEP:
+        result = check_equivalence(*_conv_check(k))
+        assert result.equivalent, k
+        sweep[str(k)] = result.stats.compare_calls
+    return sweep
+
+
+@pytest.mark.parametrize("k", CONV_SWEEP)
+def bench_e9_scaling_with_conv_size(benchmark, k, paper_threshold_seconds):
+    """Convolution series: k² products against their row-temporary rewrite."""
+    original, transformed = _conv_check(k)
+    result = run_once(benchmark, check_equivalence, original, transformed, rounds=1)
+    assert result.equivalent
+    assert result.stats.compare_calls == 3 * k * k + 1
     assert result.stats.elapsed_seconds < paper_threshold_seconds
     benchmark.extra_info["compare_calls"] = result.stats.compare_calls
 

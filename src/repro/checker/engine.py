@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Deque, Dict, FrozenSet, List, Optional, Sequence, Set as PySet, Tuple
+from typing import Callable, Deque, Dict, FrozenSet, List, Optional, Sequence, Set as PySet, Tuple
 
 from ..presburger import Map, Set, SpaceMismatchError, opcache
 from ..presburger.errors import PresburgerError
@@ -779,23 +779,42 @@ class Engine:
         """Pair the operands of a commutative operator (Section 5.2, "matching").
 
         Operands are grouped by a coarse signature (constant value, input
-        array, operator, recurrence array); the group sizes must agree.  A
-        group of several reads of one input array is first paired by key:
-        each read's key is its dependency mapping's :func:`_map_key` (already
-        restricted to the common output domain).  Two input leaves are
-        compatible exactly when their mappings are equal, which is an
-        equivalence relation, and equal keys mean identical conjuncts, hence
-        equal mappings.  So pairing equal keys greedily never loses a
-        complete matching, and the chain ``A[k+0] + ... + A[k+n-1]`` against
-        any permutation costs n compares where trial-comparing every pair
-        would cost n².  Each key pair is still confirmed through
-        :meth:`compare`, so tabling and the leaf counters keep their
-        meaning.  Reads without a key partner (equal mappings written
-        differently, or genuine mismatches) and all other groups are paired
-        by trial-comparing every pair and taking a maximum bipartite
-        matching.  Unpaired operands stay in their
-        original order, so the diagnostics of Section 6.1 name the same
-        failing operands whichever way they were paired.
+        array, operator, recurrence array); the group sizes must agree.
+        Groups of several terms are first paired by key (:meth:`_pair_by_key`),
+        each key pair confirmed by one trial :meth:`compare`; the leftovers are
+        paired by trial-comparing every pair and taking a maximum bipartite
+        matching.
+
+        *Reads of one input array* are keyed by their dependency mapping's
+        :func:`_map_key` (already restricted to the common output domain).
+        Two input leaves are compatible exactly when their mappings are
+        equal, which is an equivalence relation, and equal keys mean
+        identical conjuncts, hence equal mappings.  So pairing equal keys
+        greedily never loses a complete matching, and the chain
+        ``A[k+0] + ... + A[k+n-1]`` against any permutation costs n compares
+        where trial-comparing every pair would cost n².
+
+        *Operator terms* are keyed by :meth:`_operand_key` (``None`` unless
+        every operand is an input read or a constant), so the nine
+        ``k[c]*img[...]`` products of a 3x3 convolution cost nine compares.
+        Here the greedy argument does not carry over: :meth:`compare` on
+        operator subtrees is a sufficient check and need not be transitive,
+        so a confirmed key pair may take the partner that a complete matching
+        needs.  Completeness rule: when key pairing plus the leftover matrix
+        is not a complete matching, the full matrix is rerun over the whole
+        group before anything is reported.  A complete matching through the
+        keys pairs every operand by a successful :meth:`compare`, so it is
+        sound, and it is also a complete matching of the full matrix.  An op
+        group therefore fails exactly when the full matrix, the same one an
+        unkeyed check runs, has no complete matching: the verdict never
+        depends on the keys, and a failing group reports the failing
+        operands of that full matrix.  An equivalent group pays for the rerun
+        only when a confirmed key pair took a partner that the complete
+        matching needs, which no registry kernel does.
+
+        Unpaired operands stay in their original order, so the diagnostics
+        of Section 6.1 name the same failing operands whichever way they
+        were paired.
         """
         if len(terms1) != len(terms2):
             self._diag(
@@ -837,11 +856,17 @@ class Engine:
                     failing_pairs.append((group1[0], group2[0]))
                 continue
             if signature[0] == "input":
-                group1, group2 = self._pair_by_key(group1, group2, depth)
-            compatibility = [
-                [self.compare(a, b, True, depth + 1) for b in group2] for a in group1
-            ]
-            matching = _maximum_matching(compatibility)
+                group1, group2 = self._pair_by_key(group1, group2, lambda t: _map_key(t.rel), depth)
+                matching = self._trial_matching(group1, group2, depth)
+            else:
+                leftover1, leftover2 = self._pair_by_key(group1, group2, self._operand_key, depth)
+                matching = self._trial_matching(leftover1, leftover2, depth)
+                if len(matching) == len(leftover1):
+                    continue
+                if len(leftover1) < len(group1):
+                    # Completeness rule: key pairs may have taken the
+                    # partners a complete matching needs.
+                    matching = self._trial_matching(group1, group2, depth)
             if len(matching) == len(group1):
                 continue
             ok = False
@@ -855,29 +880,73 @@ class Engine:
             self._report_matching_failures(failing_pairs)
         return ok
 
-    def _pair_by_key(
+    def _trial_matching(
         self, group1: List[Term], group2: List[Term], depth: int
+    ) -> List[Tuple[int, int]]:
+        """Trial-compare every pair and return a maximum bipartite matching."""
+        compatibility = [
+            [self.compare(a, b, True, depth + 1) for b in group2] for a in group1
+        ]
+        return _maximum_matching(compatibility)
+
+    def _pair_by_key(
+        self,
+        group1: List[Term],
+        group2: List[Term],
+        key: Callable[[Term], Optional[Tuple]],
+        depth: int,
     ) -> Tuple[List[Term], List[Term]]:
-        """Pair reads of one input array whose mappings have equal keys.
+        """Pair the terms of two operand groups whose keys are equal.
 
         Each term of *group1*, in order, takes the first unused term of
         *group2* with the same key (the column Kuhn's algorithm would pick
-        first).  Returns the unpaired terms of both groups in their original
-        order.
+        first), confirmed by one trial :meth:`compare`.  A term whose key is
+        ``None`` stays unpaired.  Returns the unpaired terms of both groups
+        in their original order.
         """
         buckets: Dict[Tuple, Deque[int]] = {}
         for index, term in enumerate(group2):
-            buckets.setdefault(_map_key(term.rel), deque()).append(index)
+            term_key = key(term)
+            if term_key is not None:
+                buckets.setdefault(term_key, deque()).append(index)
         paired: PySet[int] = set()
         unpaired1: List[Term] = []
         for term in group1:
-            bucket = buckets.get(_map_key(term.rel))
+            bucket = buckets.get(key(term))
             if bucket and self.compare(term, group2[bucket[0]], True, depth + 1):
                 paired.add(bucket.popleft())
             else:
                 unpaired1.append(term)
         unpaired2 = [term for index, term in enumerate(group2) if index not in paired]
         return unpaired1, unpaired2
+
+    def _operand_key(self, term: Term) -> Optional[Tuple]:
+        """Shallow key of an operator term whose operands are input reads or constants.
+
+        The key is the operator plus, per operand, ``("input", array, key of
+        the output-input mapping)`` or ``("const", value)``, sorted when the
+        operator is commutative.  The composition is the one
+        :meth:`_operand_term` makes when the pair is compared, so the
+        operation cache serves it the second time.  Any other term (an
+        operand that is an operator or an intermediate array, or a term that
+        is not an operator) has no key: ``None``.
+        """
+        node = term.node
+        if node is None:
+            return None
+        addg = self.addg(term.side)
+        operands = []
+        for child in node.operands:
+            if isinstance(child, ConstNode):
+                operands.append(("const", child.value))
+            elif isinstance(child, ReadNode) and addg.is_input(child.array):
+                relation = term.rel.compose(child.dependency)
+                operands.append(("input", child.array, _map_key(relation)))
+            else:
+                return None
+        if self.properties(node.op).commutative:
+            operands.sort()
+        return (node.op, tuple(operands))
 
     @staticmethod
     def _describe_group(groups: Dict[Tuple, List[Term]]) -> List[str]:

@@ -470,25 +470,29 @@ class VerificationServer:
             )
         trace_requested = bool(params.get("trace"))
         # Settle the job's options once — backend default, the budget capped
-        # by --max-timeout — and fingerprint once, on the event loop: the
-        # accepted log event, the dispatcher's dedup key and the pool's cache
-        # front all reuse both (hashing two whole programs costs ~1 ms —
-        # recomputing it per layer was the bulk of the observability overhead).
+        # by --max-timeout — and fingerprint once: the accepted log event, the
+        # dispatcher's dedup key and the pool's cache front all reuse both
+        # (hashing two whole programs costs ~1 ms — recomputing it per layer
+        # was the bulk of the observability overhead).  Fingerprinting parses
+        # both programs, so it runs off the event loop, where a large program
+        # would stall every other connection; the copied context keeps its
+        # spans in this request's collector.  The request counts against the
+        # client's budget from here on.
         job = self.pool.prepare_job(job, timeout, cap=self.config.max_timeout)
-        fingerprint = job_fingerprint(job)
-        if self.request_log is not None and self.request_log.enabled_for("debug"):
-            self._log_event(
-                "request_accepted",
-                request=request_id,
-                peer=ctx.peer,
-                method="check",
-                job=job.name,
-                fingerprint=fingerprint,
-                trace=trace_requested or None,
-            )
         ctx.inflight += 1
-        started = time.perf_counter()
         try:
+            fingerprint = await asyncio.to_thread(job_fingerprint, job)
+            if self.request_log is not None and self.request_log.enabled_for("debug"):
+                self._log_event(
+                    "request_accepted",
+                    request=request_id,
+                    peer=ctx.peer,
+                    method="check",
+                    job=job.name,
+                    fingerprint=fingerprint,
+                    trace=trace_requested or None,
+                )
+            started = time.perf_counter()
             outcome = await self.dispatcher.run(
                 job,
                 ship=trace_requested,

@@ -1,6 +1,6 @@
 """Workloads: the paper's Fig. 1 example, DSP kernels, chains, and a random generator."""
 
-from .chains import CHAIN_SHAPES, chain_source
+from .chains import CHAIN_SHAPES, chain_source, conv_source
 from .fig1 import (
     FIG1_SOURCES,
     fig1_program,
@@ -21,6 +21,7 @@ __all__ = [
     "SMALL_KERNEL_PARAMS",
     "RandomProgramGenerator",
     "chain_source",
+    "conv_source",
     "fig1_original",
     "fig1_program",
     "fig1_ver1",

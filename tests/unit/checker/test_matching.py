@@ -1,9 +1,12 @@
-"""Commutative matching (Section 5.2): reads of one input array pair by key.
+"""Commutative matching (Section 5.2): operands pair by key.
 
 Pairing the reads ``A[k+0] .. A[k+n-1]`` of a chain against any permutation
 must cost one compare per operand (Section 6.2's linear-cost claim), pair
 duplicate operands as a multiset, and still fall back to trial comparison
-when two equal mappings are written differently.
+when two equal mappings are written differently.  Operator operands whose
+own operands are input reads or constants pair by a shallow operand key; a
+key pairing that cannot be completed falls back to the full matrix, so keys
+never change a verdict or a diagnostic.
 """
 
 import pytest
@@ -11,9 +14,9 @@ import pytest
 from repro.addg import build_addg
 from repro.checker import DiagnosticKind, check_equivalence
 from repro.checker.engine import Engine, Term, _map_key
-from repro.lang import parse_program
+from repro.lang import parse_program, program_to_text
 from repro.presburger import parse_map
-from repro.workloads import CHAIN_SHAPES, chain_source
+from repro.workloads import CHAIN_SHAPES, chain_source, kernel_pair
 
 
 def _sum(offsets):
@@ -112,3 +115,153 @@ class TestKeyFallback:
         [diagnostic] = engine.diagnostics
         assert diagnostic.kind == DiagnosticKind.MAPPING_MISMATCH
         assert engine.stats.leaf_comparisons == 2
+
+
+def _conv2d_mutant():
+    """The conv2d kernel pair with one coefficient index of the rewrite swapped."""
+    pair = kernel_pair("conv2d")
+    text = program_to_text(pair.transformed)
+    assert text.count("k[4] * img[i][j]") == 1
+    return pair.original, parse_program(text.replace("k[4] * img[i][j]", "k[3] * img[i][j]"))
+
+
+def _diagnostics(result):
+    return [diagnostic.to_dict() for diagnostic in result.diagnostics]
+
+
+def _collide(monkeypatch):
+    """Give every operator term the same key, so key pairs are arbitrary."""
+    monkeypatch.setattr(
+        Engine, "_operand_key", lambda self, term: ("collision",) if term.kind == Term.OP else None
+    )
+
+
+class TestOperatorKeys:
+    def test_conv2d_products_pair_by_operand_key(self):
+        pair = kernel_pair("conv2d")
+        result = check_equivalence(pair.original, pair.transformed)
+        assert result.equivalent
+        # One compare for the output, then per product one for the product
+        # and one for each of its two factors: 1 + 9 * 3.
+        assert result.stats.compare_calls == 28
+        assert result.stats.leaf_comparisons == 18
+
+    def test_commutative_key_ignores_operand_order(self):
+        source = (
+            "f(int A[], int B[], int C[]) { int k; for(k=0;k<8;k++) "
+            "s1: C[k] = A[k]*B[k+1] + B[k+1]*A[k]; }"
+        )
+        addg = build_addg(parse_program(source))
+        engine = Engine(addg, addg)
+        relation = parse_map("{ [w0] -> [w0] : 0 <= w0 < 8 }")
+        first, second = (
+            Term(Term.OP, 0, relation, (), node=product)
+            for product in addg.statement("s1").rhs.operands
+        )
+        assert engine._operand_key(first) == engine._operand_key(second) is not None
+
+    def test_an_intermediate_operand_has_no_key_and_pairs_through_the_matrix(self, monkeypatch):
+        original = """
+        f(int A[], int B[], int C[])
+        {
+            int k, t[8];
+            for (k = 0; k < 8; k++)
+        s1:     t[k] = A[k] + B[k];
+            for (k = 0; k < 8; k++)
+        s2:     C[k] = t[k] * A[k] + t[k] * B[k + 1];
+        }
+        """
+        transformed = """
+        f(int A[], int B[], int C[])
+        {
+            int k, t[8];
+            for (k = 0; k < 8; k++)
+        d1:     t[k] = B[k] + A[k];
+            for (k = 7; k >= 0; k--)
+        d2:     C[k] = B[k + 1] * t[k] + A[k] * t[k];
+        }
+        """
+        keys, matrices = [], []
+        operand_key, trial_matching = Engine._operand_key, Engine._trial_matching
+
+        def recording_key(self, term):
+            keys.append(operand_key(self, term))
+            return keys[-1]
+
+        def recording_matching(self, group1, group2, depth):
+            matrices.append((len(group1), len(group2)))
+            return trial_matching(self, group1, group2, depth)
+
+        monkeypatch.setattr(Engine, "_operand_key", recording_key)
+        monkeypatch.setattr(Engine, "_trial_matching", recording_matching)
+        result = check(original, transformed)
+        assert result.equivalent
+        assert keys and all(key is None for key in keys)
+        # The two products go through one 2x2 trial matrix, and only once.
+        assert matrices == [(2, 2)]
+        assert result.stats.compare_calls == 11
+
+
+class TestForcedKeyCollision:
+    """Arbitrary key pairs must be rescued by the full-matrix rerun."""
+
+    def test_conv2d_stays_equivalent(self, monkeypatch):
+        _collide(monkeypatch)
+        pair = kernel_pair("conv2d")
+        assert check_equivalence(pair.original, pair.transformed).equivalent
+
+    def test_broken_conv2d_keeps_its_verdict_and_diagnostics(self, monkeypatch):
+        original, mutant = _conv2d_mutant()
+        plain = check_equivalence(original, mutant)
+        _collide(monkeypatch)
+        colliding = check_equivalence(original, mutant)
+        assert not plain.equivalent and not colliding.equivalent
+        assert plain.diagnostics
+        assert _diagnostics(colliding) == _diagnostics(plain)
+
+
+class TestCompletenessRule:
+    """A confirmed key pair that takes a needed partner triggers the rerun."""
+
+    @pytest.fixture()
+    def engine(self):
+        source = (
+            "f(int A[], int B[], int C[]) { int k; for(k=0;k<8;k++) "
+            "s1: C[k] = A[k]*B[k] + A[k+1]*B[k+1]; }"
+        )
+        addg = build_addg(parse_program(source))
+        return Engine(addg, addg)
+
+    @staticmethod
+    def _products(engine, side):
+        node = engine.addg(side).statement("s1").rhs.operands[0]
+        relation = parse_map("{ [w0] -> [w0] : 0 <= w0 < 8 }")
+        return [Term(Term.OP, side, relation, (("stmt", "s1"),), node=node) for _ in range(2)]
+
+    def _match(self, engine, monkeypatch, compatible):
+        a1, a2 = self._products(engine, 0)
+        b1, b2 = self._products(engine, 1)
+        names = {id(a1): "a1", id(a2): "a2", id(b1): "b1", id(b2): "b2"}
+        asked = []
+
+        def compare(first, second, trial=False, depth=0):
+            asked.append(names[id(first)] + names[id(second)])
+            return asked[-1] in compatible
+
+        monkeypatch.setattr(engine, "compare", compare)
+        monkeypatch.setattr(engine, "_operand_key", lambda term: ("same",))
+        return engine._match_terms([a1, a2], [b1, b2], False, 0), asked
+
+    def test_a_wrong_key_pair_is_undone_by_the_full_matrix(self, engine, monkeypatch):
+        # a1 fits both, a2 only b1: the key pair a1-b1 strands a2.
+        matched, asked = self._match(engine, monkeypatch, {"a1b1", "a1b2", "a2b1"})
+        assert matched
+        assert engine.diagnostics == []
+        assert asked == ["a1b1", "a2b2", "a2b2", "a1b1", "a1b2", "a2b1", "a2b2"]
+
+    def test_a_failure_is_reported_from_the_full_matrix(self, engine, monkeypatch):
+        matched, asked = self._match(engine, monkeypatch, {"a1b1", "a1b2"})
+        assert not matched
+        assert asked[-4:] == ["a1b1", "a1b2", "a2b1", "a2b2"]
+        [diagnostic] = engine.diagnostics
+        assert diagnostic.kind == DiagnosticKind.MATCHING_FAILURE

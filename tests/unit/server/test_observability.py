@@ -13,11 +13,13 @@ import importlib.util
 import json
 import os
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro import telemetry
+from repro.server import daemon
 from repro.server import ServerClient, ServerConfig, ServerThread
 from repro.server.pool import ServerStats
 from repro.service import JobStatus, VerificationJob
@@ -322,6 +324,53 @@ class TestTracePropagation:
                 )
                 shipped.append(ids)
             assert not shipped[0] & shipped[1]
+
+
+class TestFingerprintOffTheLoop:
+    """The check fingerprint parses both programs; it must not block the loop."""
+
+    def test_a_slow_fingerprint_does_not_stall_other_connections(self, monkeypatch):
+        fingerprint = daemon.job_fingerprint
+        sleeping = threading.Event()
+        slept_from = []
+
+        def slow_fingerprint(job):
+            slept_from.append(time.perf_counter())
+            sleeping.set()
+            time.sleep(0.3)
+            return fingerprint(job)
+
+        monkeypatch.setattr(daemon, "job_fingerprint", slow_fingerprint)
+
+        def check():
+            with ServerClient(handle.address) as client:
+                return client.check_job(make_job())
+
+        with ServerThread(ServerConfig(port=0)) as handle:
+            with ThreadPoolExecutor(max_workers=1) as pending:
+                outcome = pending.submit(check)
+                assert sleeping.wait(timeout=30)
+                with ServerClient(handle.address) as client:
+                    client.stats()
+                answered = time.perf_counter()
+                assert outcome.result(timeout=30).status == JobStatus.OK
+        # Measured from the moment the fingerprint started sleeping: a loop
+        # blocked by it could not answer before the sleep ended.
+        assert answered - slept_from[0] < 0.3
+
+    def test_traced_request_still_collects_the_fingerprint_parse(self):
+        with ServerThread(ServerConfig(port=0)) as handle:
+            with ServerClient(handle.address) as client:
+                outcome = client.check_job(make_job(), trace=True)
+        spans = outcome.telemetry["spans"]
+        (root,) = [span for span in spans if span["name"] == "server.request"]
+        fingerprint_parses = [
+            span
+            for span in spans
+            if span["name"] == "frontend.parse_program" and span["parent"] == root["id"]
+        ]
+        assert len(fingerprint_parses) == 2  # the original and the transformed program
+        assert all(span["tid"] != root["tid"] for span in fingerprint_parses)
 
 
 class TestServerStatsThreadSafety:

@@ -9,9 +9,10 @@ PR that moves the numbers:
   ablation of ``benchmarks/bench_presburger.py``;
 * ``BENCH_verifier.json`` — the session-reuse variant corpus of
   ``benchmarks/bench_verifier.py`` (seed 7, 12 variants), plus the
-  ``compare_calls`` of the chain-against-its-reversal sweep of
-  ``benchmarks/bench_scaling.py`` (n = 10 to 80), which pins commutative
-  matching to linear cost;
+  ``compare_calls`` of the chain-against-its-reversal sweep (n = 10 to 80)
+  and of the k×k convolution sweep (k = 3, 5, 7) of
+  ``benchmarks/bench_scaling.py``, which pin commutative matching of input
+  reads and of operator terms to linear cost;
 * ``BENCH_service.json`` — a serial batch over the built-in corpus
   (generated + buggy pairs, seed 0);
 * ``BENCH_solvers.json`` — the decision-backend comparison of
@@ -123,7 +124,7 @@ def snapshot_presburger() -> dict:
 
 
 def snapshot_verifier() -> dict:
-    """The session-reuse corpus, then the commutative-chain sweep."""
+    """The session-reuse corpus, then the commutative-chain and convolution sweeps."""
     import bench_scaling
     from repro.lang import program_to_text
     from repro.presburger import opcache
@@ -147,6 +148,9 @@ def snapshot_verifier() -> dict:
     started = time.perf_counter()
     chain_sweep = bench_scaling.chain_sweep()
     chain_sweep_seconds = time.perf_counter() - started
+    started = time.perf_counter()
+    conv_sweep = bench_scaling.conv_sweep()
+    conv_sweep_seconds = time.perf_counter() - started
 
     return {
         "deterministic": {
@@ -161,11 +165,13 @@ def snapshot_verifier() -> dict:
             "compile_hits": verifier.compile_hits,
             "compile_misses": verifier.compile_misses,
             "chain_sweep_compare_calls": chain_sweep,
+            "conv_sweep_compare_calls": conv_sweep,
         },
         "timing": {
             "total_seconds": round(total_seconds, 6),
             "mean_seconds_per_check": round(total_seconds / len(results), 6),
             "chain_sweep_seconds": round(chain_sweep_seconds, 6),
+            "conv_sweep_seconds": round(conv_sweep_seconds, 6),
         },
     }
 
