@@ -15,6 +15,7 @@ import sys
 
 from repro.addg import addg_to_dot, build_addg
 from repro.checker import check_equivalence
+from repro.analysis import ProgramGeometry
 from repro.workloads import fig1_program
 
 
@@ -26,7 +27,7 @@ def main() -> None:
     print()
     print("ADDG inventory (Fig. 2):")
     for name, program in versions.items():
-        addg = build_addg(program)
+        addg = build_addg(ProgramGeometry(program))
         operators = ", ".join(op.name for op in addg.operator_nodes())
         print(
             f"  version ({name}): {len(addg.statements)} statements, "
@@ -62,7 +63,7 @@ def main() -> None:
     for name in ("a", "d"):
         path = f"fig1_{name}.dot"
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(addg_to_dot(build_addg(versions[name]), f"fig1_{name}"))
+            handle.write(addg_to_dot(build_addg(ProgramGeometry(versions[name])), f"fig1_{name}"))
         print(f"wrote {path}")
 
 

@@ -2,17 +2,16 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Tuple
 
-from ..analysis.access import defined_set, dependency_map, write_access_map
-from ..analysis.domains import StatementContext, statement_contexts
+from ..analysis.access import dependency_map
+from ..analysis.domains import ProgramGeometry, StatementContext
 from ..lang.ast import (
     ArrayRef,
     BinOp,
     Call,
     Expr,
     IntConst,
-    Program,
     UnaryOp,
     VarRef,
 )
@@ -62,27 +61,22 @@ def build_expr_node(
     raise ProgramClassError(f"unsupported expression node {type(expr).__name__} in data position")
 
 
-def build_addg(program: Program, validate: bool = True) -> ADDG:
-    """Extract the ADDG of *program*.
+def build_addg(geometry: ProgramGeometry, validate: bool = True) -> ADDG:
+    """Extract the ADDG of the program whose geometric analysis is *geometry*.
 
+    The statement nodes share the geometry's statement contexts (and so their
+    write maps and defined sets), and the ADDG reads its written sets from it.
     When *validate* is true (the default) the program is first checked against
     the allowed program class and a :class:`ProgramClassError` is raised for
     violations; the geometric data-flow prerequisites (single assignment,
     def-use order) are checked separately by :func:`repro.analysis.check_dataflow`
     as in the verification scheme of Fig. 6.
     """
-    with TRACER.span("frontend.extract", "frontend", program=program.name):
-        return _build_addg(program, validate)
-
-
-def _build_addg(program: Program, validate: bool) -> ADDG:
-    if validate:
-        require_program_class(program)
-    contexts = statement_contexts(program)
-    statements: List[StatementNode] = []
-    for context in contexts:
-        rhs = build_expr_node(context.assignment.rhs, context)
-        write_map = write_access_map(context)
-        written = defined_set(context)
-        statements.append(StatementNode(context, rhs, write_map, written))
-    return ADDG(program, statements)
+    with TRACER.span("frontend.extract", "frontend", program=geometry.program.name):
+        if validate:
+            require_program_class(geometry.program)
+        statements = [
+            StatementNode(context, build_expr_node(context.assignment.rhs, context))
+            for context in geometry.contexts
+        ]
+        return ADDG(geometry, statements)

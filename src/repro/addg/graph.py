@@ -21,11 +21,11 @@ export is derived from this structure on demand.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set as PySet, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set as PySet, Tuple
 
 from ..presburger import Map, Set
-from ..lang.ast import ArrayRef, Expr, Program
-from ..analysis.domains import StatementContext
+from ..lang.ast import ArrayRef
+from ..analysis.domains import ProgramGeometry, StatementContext
 
 __all__ = ["ExprNode", "OpNode", "ReadNode", "ConstNode", "StatementNode", "ADDG"]
 
@@ -103,13 +103,21 @@ class ConstNode(ExprNode):
 class StatementNode:
     """One assignment statement of the program inside the ADDG."""
 
-    __slots__ = ("context", "rhs", "write_map", "written")
+    __slots__ = ("context", "rhs")
 
-    def __init__(self, context: StatementContext, rhs: ExprNode, write_map: Map, written: Set):
+    def __init__(self, context: StatementContext, rhs: ExprNode):
         self.context = context
         self.rhs = rhs
-        self.write_map = write_map
-        self.written = written
+
+    @property
+    def write_map(self) -> Map:
+        """The statement's write access map (owned by its context)."""
+        return self.context.write_map
+
+    @property
+    def written(self) -> Set:
+        """The elements the statement writes (owned by its context)."""
+        return self.context.defined
 
     @property
     def label(self) -> str:
@@ -121,28 +129,10 @@ class StatementNode:
 
     def reads(self) -> List[ReadNode]:
         """All read nodes of the right-hand side, left to right."""
-        result: List[ReadNode] = []
-
-        def visit(node: ExprNode) -> None:
-            if isinstance(node, ReadNode):
-                result.append(node)
-            for child in node.children():
-                visit(child)
-
-        visit(self.rhs)
-        return result
+        return [node for node in _preorder(self.rhs) if isinstance(node, ReadNode)]
 
     def operator_nodes(self) -> List[OpNode]:
-        result: List[OpNode] = []
-
-        def visit(node: ExprNode) -> None:
-            if isinstance(node, OpNode):
-                result.append(node)
-            for child in node.children():
-                visit(child)
-
-        visit(self.rhs)
-        return result
+        return [node for node in _preorder(self.rhs) if isinstance(node, OpNode)]
 
     def __repr__(self) -> str:
         return f"StatementNode({self.label!r}: {self.target!r} <- ...)"
@@ -153,9 +143,10 @@ class ADDG:
 
     _cyclic_cache: Optional[Tuple[str, ...]]
 
-    def __init__(self, program: Program, statements: Sequence[StatementNode]):
+    def __init__(self, geometry: ProgramGeometry, statements: Sequence[StatementNode]):
         self._cyclic_cache = None
-        self.program = program
+        self.geometry = geometry
+        program = self.program = geometry.program
         self.statements: List[StatementNode] = list(statements)
         self.definitions: Dict[str, List[StatementNode]] = {}
         for statement in self.statements:
@@ -218,14 +209,11 @@ class ADDG:
         return cyclic
 
     def written_set(self, array: str) -> Set:
-        """The union of elements of *array* written by the program."""
-        writers = self.defining_statements(array)
-        if not writers:
+        """The union of elements of *array* written by the program (from its geometry)."""
+        written = self.geometry.written_set(array)
+        if written is None:
             raise KeyError(f"array {array!r} is never written")
-        result = writers[0].written
-        for writer in writers[1:]:
-            result = result.union(writer.written.rename(result.names))
-        return result
+        return written
 
     # ------------------------------------------------------------------ #
     # Fig. 2-style inventory (used by tests, examples and benchmarks)
@@ -277,6 +265,12 @@ class ADDG:
             f"ADDG({self.program.name!r}: {len(self.statements)} statement(s), "
             f"{self.node_count()} node(s), {self.edge_count()} edge(s))"
         )
+
+
+def _preorder(node: ExprNode) -> Iterator[ExprNode]:
+    yield node
+    for child in node.children():
+        yield from _preorder(child)
 
 
 def _node_display_name(node: ExprNode) -> str:

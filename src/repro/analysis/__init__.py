@@ -1,32 +1,22 @@
 """Geometric program analysis: domains, access maps, dependency mappings, data-flow checks."""
 
-from .access import (
-    access_map,
-    defined_set,
-    dependency_map,
-    element_dim_names,
-    write_access_map,
-)
+from .access import dependency_map, element_dim_names
 from .dataflow import (
     check_coverage,
     check_dataflow,
     check_def_use_order,
     check_single_assignment,
-    written_set_by_array,
 )
-from .domains import StatementContext, statement_contexts
+from .domains import ProgramGeometry, StatementContext, statement_contexts
 
 __all__ = [
+    "ProgramGeometry",
     "StatementContext",
-    "access_map",
     "check_coverage",
     "check_dataflow",
     "check_def_use_order",
     "check_single_assignment",
-    "defined_set",
     "dependency_map",
     "element_dim_names",
     "statement_contexts",
-    "write_access_map",
-    "written_set_by_array",
 ]

@@ -1,67 +1,29 @@
-"""Array access maps and dependency mappings.
+"""Element spaces and dependency mappings.
 
-Given a :class:`~repro.analysis.domains.StatementContext`, this module builds
-
-* the **write access map** of the statement (iteration vector -> written
-  element),
-* **read access maps** for each array reference in the right-hand side,
-* the **defined set** (the elements of the target array written by the
-  statement), and
-* the paper's **dependency mappings**: relations from elements of the defined
-  array to the elements of an operand array read to compute them
-  (Section 3.2, e.g. ``M_buf,A2 = {[x] -> [y] : x = 2k-2 and y = k-1 and k in D}``).
+The access maps and defined sets of a statement are owned by its
+:class:`~repro.analysis.domains.StatementContext`; this module builds the
+paper's **dependency mappings** from them: relations from elements of the
+defined array to the elements of an operand array read to compute them
+(Section 3.2, e.g. ``M_buf,A2 = {[x] -> [y] : x = 2k-2 and y = k-1 and k in D}``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from ..presburger import AffineConstraint, LinExpr, Map, Set, eq_
+from ..presburger import AffineConstraint, LinExpr, Map, eq_
 from ..lang.ast import ArrayRef
 from ..lang.affine import expr_to_affine
-from .domains import StatementContext
 
-__all__ = [
-    "element_dim_names",
-    "access_map",
-    "write_access_map",
-    "defined_set",
-    "dependency_map",
-]
+if TYPE_CHECKING:
+    from .domains import StatementContext
+
+__all__ = ["element_dim_names", "dependency_map"]
 
 
 def element_dim_names(array: str, rank: int, prefix: str = "e") -> Tuple[str, ...]:
     """Canonical dimension names for the element space of an array."""
     return tuple(f"{prefix}{index}" for index in range(rank))
-
-
-def _iteration_dim_names(context: StatementContext) -> Tuple[str, ...]:
-    return context.iterators
-
-
-def access_map(context: StatementContext, ref: ArrayRef, prefix: str = "e") -> Map:
-    """The access map of *ref* inside *context*: iteration vector -> element.
-
-    The map is restricted to the statement's iteration domain.
-    """
-    iterators = _iteration_dim_names(context)
-    rank = len(ref.indices)
-    out_names = element_dim_names(ref.name, rank, prefix)
-    constraints: List[AffineConstraint] = []
-    for out_name, index_expr in zip(out_names, ref.indices):
-        constraints.append(eq_(LinExpr.var(out_name), expr_to_affine(index_expr)))
-    relation = Map.build(iterators, out_names, constraints)
-    return relation.restrict_domain(context.domain)
-
-
-def write_access_map(context: StatementContext) -> Map:
-    """The access map of the statement's assignment target."""
-    return access_map(context, context.assignment.target, prefix="w")
-
-
-def defined_set(context: StatementContext) -> Set:
-    """The set of elements of the target array written by the statement."""
-    return write_access_map(context).range()
 
 
 def dependency_map(context: StatementContext, ref: ArrayRef) -> Map:
@@ -72,7 +34,7 @@ def dependency_map(context: StatementContext, ref: ArrayRef) -> Map:
     with the iteration vector as existential dimensions (the construction of
     Section 3.2 of the paper).
     """
-    iterators = list(_iteration_dim_names(context))
+    iterators = list(context.iterators)
     target = context.assignment.target
     in_names = element_dim_names(target.name, len(target.indices), prefix="x")
     out_names = element_dim_names(ref.name, len(ref.indices), prefix="y")

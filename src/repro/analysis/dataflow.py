@@ -4,7 +4,8 @@ The verification scheme of Fig. 6 of the paper runs a *def-use checker* on
 both programs before equivalence checking, because the sufficient condition
 assumes the code is correctly scheduled ("all the reads for values follow
 their writes").  This module implements that prerequisite with standard array
-data-flow analysis on the statement contexts:
+data-flow analysis on a program's :class:`~repro.analysis.domains.ProgramGeometry`,
+reading the access maps, defined sets and written sets it owns:
 
 * :func:`check_single_assignment` — every array element is written at most
   once (the dynamic single-assignment property of the program class);
@@ -22,57 +23,35 @@ data-flow analysis on the statement contexts:
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
-from ..presburger import AffineConstraint, LinExpr, Map, Set, eq_, lt_
-from ..lang.ast import ArrayRef, Program, array_reads
-from .access import access_map, defined_set, write_access_map
-from .domains import StatementContext, statement_contexts
+from ..presburger import AffineConstraint, LinExpr, Map, eq_, lt_
+from ..lang.ast import ArrayRef, array_reads
+from .domains import ProgramGeometry, StatementContext
 
 __all__ = [
     "check_single_assignment",
     "check_coverage",
     "check_def_use_order",
     "check_dataflow",
-    "written_set_by_array",
 ]
-
-
-def written_set_by_array(contexts: Sequence[StatementContext]) -> Dict[str, Set]:
-    """The union of written elements per array over all statements."""
-    result: Dict[str, Set] = {}
-    for context in contexts:
-        elements = defined_set(context)
-        name = context.target_array
-        if name in result:
-            result[name] = result[name].union(elements)
-        else:
-            result[name] = elements
-    return result
 
 
 # --------------------------------------------------------------------------- #
 # Single assignment
 # --------------------------------------------------------------------------- #
-def check_single_assignment(program: Program, contexts: Optional[Sequence[StatementContext]] = None) -> List[str]:
+def check_single_assignment(geometry: ProgramGeometry) -> List[str]:
     """Verify the dynamic single-assignment property at the element level."""
-    contexts = list(contexts) if contexts is not None else statement_contexts(program)
     issues: List[str] = []
-    by_array: Dict[str, List[StatementContext]] = {}
-    for context in contexts:
-        by_array.setdefault(context.target_array, []).append(context)
-
-    for array, writers in by_array.items():
-        write_maps = [write_access_map(writer) for writer in writers]
-        defined = [write_map.range() for write_map in write_maps]
+    for array, writers in geometry.writers.items():
         for index, writer in enumerate(writers):
-            if not write_maps[index].is_injective():
+            if not writer.write_map.is_injective():
                 issues.append(
                     f"statement {writer.label!r} writes some element of {array!r} "
                     "in more than one iteration (single-assignment violation)"
                 )
-            for offset, other in enumerate(writers[index + 1 :], start=index + 1):
-                if not defined[index].is_disjoint(defined[offset]):
+            for other in writers[index + 1 :]:
+                if not writer.defined.is_disjoint(other.defined):
                     issues.append(
                         f"statements {writer.label!r} and {other.label!r} both write "
                         f"some element of {array!r} (single-assignment violation)"
@@ -83,21 +62,18 @@ def check_single_assignment(program: Program, contexts: Optional[Sequence[Statem
 # --------------------------------------------------------------------------- #
 # Coverage (no reads of undefined elements)
 # --------------------------------------------------------------------------- #
-def check_coverage(program: Program, contexts: Optional[Sequence[StatementContext]] = None) -> List[str]:
+def check_coverage(geometry: ProgramGeometry) -> List[str]:
     """Verify that every read of a non-input array reads a written element."""
-    contexts = list(contexts) if contexts is not None else statement_contexts(program)
     issues: List[str] = []
-    inputs = set(program.input_arrays())
-    written = written_set_by_array(contexts)
-
-    for context in contexts:
+    inputs = set(geometry.program.input_arrays())
+    for context in geometry.contexts:
         for ref in array_reads(context.assignment.rhs):
             if ref.name in inputs:
                 continue
-            read_elements = access_map(context, ref).range()
+            read_elements = context.read_map(ref).range()
             if read_elements.is_empty():
                 continue
-            available = written.get(ref.name)
+            available = geometry.written_set(ref.name)
             if available is None:
                 issues.append(
                     f"statement {context.label!r} reads {ref.name!r} which is never written"
@@ -170,7 +146,7 @@ def _order_violation(conflict: Map, writer_time: Sequence[LinExpr], reader_time:
 
 
 def _order_violations(
-    program: Program, contexts: Optional[Sequence[StatementContext]] = None
+    geometry: ProgramGeometry,
 ) -> Iterator[Tuple[StatementContext, ArrayRef, StatementContext, Map]]:
     """Yield ``(reader, ref, writer, violation)`` for every misordered pair.
 
@@ -178,14 +154,11 @@ def _order_violations(
     iterations of *ref* that touch the same element without the read
     executing after the write.
     """
-    contexts = list(contexts) if contexts is not None else statement_contexts(program)
-    inputs = set(program.input_arrays())
-    writers_by_array: Dict[str, List[StatementContext]] = {}
-    for context in contexts:
-        writers_by_array.setdefault(context.target_array, []).append(context)
+    contexts = geometry.contexts
+    inputs = set(geometry.program.input_arrays())
+    writers_by_array = geometry.writers
 
     length = max((len(c.schedule) for c in contexts), default=0)
-    write_maps = {c: write_access_map(c) for c in contexts}
     writer_times = {c: _timestamps(c, length, "w") for c in contexts}
     reader_times = {c: _timestamps(c, length, "r") for c in contexts}
 
@@ -193,10 +166,10 @@ def _order_violations(
         for ref in array_reads(reader.assignment.rhs):
             if ref.name in inputs or ref.name not in writers_by_array:
                 continue
-            read_inverse = access_map(reader, ref).inverse()
+            read_inverse = reader.read_map(ref).inverse()
             for writer in writers_by_array[ref.name]:
                 # conflict: writer iteration -> reader iteration touching the same element
-                conflict = write_maps[writer].compose(read_inverse)
+                conflict = writer.write_map.compose(read_inverse)
                 if conflict.is_empty():
                     continue
                 violation = _order_violation(conflict, writer_times[writer], reader_times[reader])
@@ -204,7 +177,7 @@ def _order_violations(
                     yield reader, ref, writer, violation
 
 
-def check_def_use_order(program: Program, contexts: Optional[Sequence[StatementContext]] = None) -> List[str]:
+def check_def_use_order(geometry: ProgramGeometry) -> List[str]:
     """Verify that every read of a written element executes after its write.
 
     For each (writer statement, reader reference) pair on the same array, the
@@ -218,15 +191,14 @@ def check_def_use_order(program: Program, contexts: Optional[Sequence[StatementC
     return [
         f"statement {reader.label!r} reads elements of {ref.name!r} before "
         f"statement {writer.label!r} writes them (violating instances: {violation})"
-        for reader, ref, writer, violation in _order_violations(program, contexts)
+        for reader, ref, writer, violation in _order_violations(geometry)
     ]
 
 
-def check_dataflow(program: Program) -> List[str]:
+def check_dataflow(geometry: ProgramGeometry) -> List[str]:
     """Run all data-flow prerequisites of the verification scheme (Fig. 6)."""
-    contexts = statement_contexts(program)
-    issues: List[str] = []
-    issues.extend(check_single_assignment(program, contexts))
-    issues.extend(check_coverage(program, contexts))
-    issues.extend(check_def_use_order(program, contexts))
-    return issues
+    return (
+        check_single_assignment(geometry)
+        + check_coverage(geometry)
+        + check_def_use_order(geometry)
+    )

@@ -9,28 +9,35 @@ For every assignment statement the geometric analysis computes
   static statement positions and loop "time" expressions) used by the
   def-use order checker.
 
-These are bundled in :class:`StatementContext`, the unit the ADDG extractor
-and the dependency-mapping construction work from.
+These are bundled in :class:`StatementContext`, which also owns the
+statement's access maps and defined set; a :class:`ProgramGeometry` holds a
+program's contexts and per-array written sets.  Each is derived once, on first
+use, and shared by the def-use checks, the ADDG extractor and the traversal.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..presburger import AffineConstraint, LinExpr, Set
-from ..lang.ast import Assignment, ForLoop, IfThenElse, Program, Statement
+from ..presburger import AffineConstraint, LinExpr, Map, Set, eq_
+from ..lang.ast import ArrayRef, Assignment, ForLoop, IfThenElse, Program, Statement
 from ..lang.affine import (
     condition_to_pieces,
     expr_to_affine,
     loop_constraints,
     negated_condition_pieces,
 )
+from .access import element_dim_names
 
-__all__ = ["StatementContext", "statement_contexts"]
+__all__ = ["ProgramGeometry", "StatementContext", "statement_contexts"]
 
 
 class StatementContext:
-    """An assignment statement together with its geometric context."""
+    """An assignment statement together with its geometric context.
+
+    The access maps and the defined set are built on first use and kept.  Two
+    threads racing on a cold accessor build equal values; one assignment wins.
+    """
 
     def __init__(
         self,
@@ -47,16 +54,89 @@ class StatementContext:
         self.domain = domain
         self.schedule = schedule
         self.position = position
+        self._write_map: Optional[Map] = None
+        self._defined: Optional[Set] = None
+        self._read_maps: Dict[ArrayRef, Map] = {}
 
     @property
     def target_array(self) -> str:
         return self.assignment.target.name
+
+    @property
+    def write_map(self) -> Map:
+        """The access map of the assignment target: iteration vector -> written element."""
+        if self._write_map is None:
+            self._write_map = self._access_map(self.assignment.target, "w")
+        return self._write_map
+
+    @property
+    def defined(self) -> Set:
+        """The elements of the target array written by the statement."""
+        if self._defined is None:
+            self._defined = self.write_map.range()
+        return self._defined
+
+    def read_map(self, ref: ArrayRef) -> Map:
+        """The access map of the right-hand-side reference *ref*: iteration vector -> read element."""
+        found = self._read_maps.get(ref)
+        if found is None:
+            found = self._read_maps[ref] = self._access_map(ref, "e")
+        return found
+
+    def _access_map(self, ref: ArrayRef, prefix: str) -> Map:
+        """The access map of *ref*, restricted to the iteration domain."""
+        out_names = element_dim_names(ref.name, len(ref.indices), prefix)
+        constraints = [
+            eq_(LinExpr.var(name), expr_to_affine(index))
+            for name, index in zip(out_names, ref.indices)
+        ]
+        return Map.build(self.iterators, out_names, constraints).restrict_domain(self.domain)
 
     def __repr__(self) -> str:
         return (
             f"StatementContext({self.label!r}, target={self.target_array!r}, "
             f"iterators={list(self.iterators)})"
         )
+
+
+class ProgramGeometry:
+    """One program's statement contexts and per-array written sets, derived on first use.
+
+    As for :class:`StatementContext`, racing threads build equal values.
+    """
+
+    def __init__(self, program: Program):
+        self.program = program
+        self._contexts: Optional[Tuple[StatementContext, ...]] = None
+        self._writers: Optional[Dict[str, List[StatementContext]]] = None
+        self._written: Dict[str, Set] = {}
+
+    @property
+    def contexts(self) -> Tuple[StatementContext, ...]:
+        """The :class:`StatementContext` of every assignment, in program order."""
+        if self._contexts is None:
+            self._contexts = tuple(statement_contexts(self.program))
+        return self._contexts
+
+    @property
+    def writers(self) -> Dict[str, List[StatementContext]]:
+        """The contexts grouped by target array (arrays in first-write order)."""
+        if self._writers is None:
+            writers: Dict[str, List[StatementContext]] = {}
+            for context in self.contexts:
+                writers.setdefault(context.target_array, []).append(context)
+            self._writers = writers
+        return self._writers
+
+    def written_set(self, array: str) -> Optional[Set]:
+        """The elements of *array* written by the program (``None`` if it is never written)."""
+        written = self._written.get(array)
+        if written is None:
+            for writer in self.writers.get(array, ()):
+                written = writer.defined if written is None else written.union(writer.defined)
+            if written is not None:
+                self._written[array] = written
+        return written
 
 
 def statement_contexts(program: Program) -> List[StatementContext]:
@@ -79,7 +159,6 @@ def statement_contexts(program: Program) -> List[StatementContext]:
     ) -> None:
         for position, statement in enumerate(statements):
             if isinstance(statement, Assignment):
-                domain = Set.empty(tuple(iterators)) if iterators else Set.empty(())
                 built = None
                 for piece in pieces:
                     piece_set = Set.build(tuple(iterators), piece, exists=tuple(existentials))

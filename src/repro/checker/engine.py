@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Callable, Deque, Dict, FrozenSet, List, Optional, Sequence, Set as PySet, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Set as PySet, Tuple
 
 from ..presburger import Map, Set, SpaceMismatchError, opcache
 from ..presburger.errors import PresburgerError
@@ -41,6 +41,12 @@ __all__ = ["Term", "Engine"]
 
 # Path entries are ("array", name) or ("stmt", label) pairs.
 PathEntry = Tuple[str, str]
+
+# Depth caps of the traversal: past each, the engine records an UNSUPPORTED
+# diagnostic and gives up on that branch.
+MAX_COMPARE_DEPTH = 400  # nested compare() calls
+MAX_RESOLVE_DEPTH = 120  # intermediate-variable reductions along one resolution
+MAX_FLATTEN_DEPTH = 80  # associative-chain expansion while flattening
 
 
 class Term:
@@ -116,8 +122,6 @@ class Engine:
         method: str = "extended",
         correspondences: Sequence[Tuple[str, str]] = (),
         tabling: bool = True,
-        max_depth: int = 400,
-        max_resolve_depth: int = 120,
     ):
         if method not in ("basic", "extended"):
             raise ValueError(f"unknown method {method!r} (expected 'basic' or 'extended')")
@@ -126,8 +130,6 @@ class Engine:
         self.method = method
         self.correspondences = {tuple(pair) for pair in correspondences}
         self.tabling_enabled = tabling
-        self.max_depth = max_depth
-        self.max_resolve_depth = max_resolve_depth
 
         self.diagnostics: List[Diagnostic] = []
         self.stats = CheckStats()
@@ -250,11 +252,11 @@ class Engine:
             if allowance <= 0:
                 return [term], True
             allowance -= 1
-        if depth > self.max_resolve_depth:
+        if depth > MAX_RESOLVE_DEPTH:
             self._diag(
                 Diagnostic(
                     DiagnosticKind.UNSUPPORTED,
-                    f"intermediate-variable reduction exceeded depth {self.max_resolve_depth} "
+                    f"intermediate-variable reduction exceeded depth {MAX_RESOLVE_DEPTH} "
                     f"while reducing array {term.array!r} (possible copy cycle)",
                 )
             )
@@ -267,7 +269,6 @@ class Engine:
 
         pieces: List[Term] = []
         ok = True
-        covered: Optional[Set] = None
         for statement in addg.defining_statements(term.array or ""):
             try:
                 restricted = term.rel.restrict_range(statement.written.rename(term.rel.out_names))
@@ -281,23 +282,13 @@ class Engine:
                 return [], False
             if restricted.is_empty():
                 continue
-            covered = statement.written if covered is None else covered.union(statement.written)
             child = self._statement_entry_term(term, statement, restricted)
             sub_pieces, sub_ok = self._resolve(child, depth + 1, allowance)
             pieces.extend(sub_pieces)
             ok = ok and sub_ok
 
-        total_written: Optional[Set] = None
-        for statement in addg.defining_statements(term.array or ""):
-            total_written = (
-                statement.written
-                if total_written is None
-                else total_written.union(statement.written)
-            )
-        if total_written is None:
-            uncovered = needed
-        else:
-            uncovered = needed.subtract(total_written.rename(needed.names))
+        written = addg.geometry.written_set(term.array or "")
+        uncovered = needed if written is None else needed.subtract(written.rename(needed.names))
         if not uncovered.is_empty():
             side_name = "original" if term.side == 0 else "transformed"
             affected = term.rel.restrict_range(uncovered.rename(term.rel.out_names)).domain()
@@ -325,11 +316,11 @@ class Engine:
     def compare(self, first: Term, second: Term, trial: bool = False, depth: int = 0) -> bool:
         """Check the sufficient condition for the two terms (memoized)."""
         self.stats.compare_calls += 1
-        if depth > self.max_depth:
+        if depth > MAX_COMPARE_DEPTH:
             self._diag(
                 Diagnostic(
                     DiagnosticKind.UNSUPPORTED,
-                    f"traversal exceeded the maximum depth of {self.max_depth}",
+                    f"traversal exceeded the maximum depth of {MAX_COMPARE_DEPTH}",
                 )
             )
             return False
@@ -696,7 +687,7 @@ class Engine:
         ]
 
     def _expand_chain_element(self, term: Term, op: str, depth: int) -> List[Tuple[Set, List[Term]]]:
-        if depth > 80:
+        if depth > MAX_FLATTEN_DEPTH:
             self._diag(
                 Diagnostic(
                     DiagnosticKind.UNSUPPORTED,

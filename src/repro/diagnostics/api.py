@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from ..addg import ADDG, build_addg
+from ..analysis import ProgramGeometry
 from ..checker.result import EquivalenceResult
 from ..lang import Program, parse_program
 from ..transforms import TransformStep
@@ -130,7 +131,7 @@ def build_failure_report(
 
 def _safe_addg(program: Program, side: str, notes: List[str]) -> Optional[ADDG]:
     try:
-        return build_addg(program)
+        return build_addg(ProgramGeometry(program))
     except Exception as error:  # extraction can fail outside the allowed class
         notes.append(f"cannot extract the {side} ADDG for dependency paths: {error}")
         return None

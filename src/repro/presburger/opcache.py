@@ -75,6 +75,7 @@ __all__ = [
 
 DEFAULT_SIZE = 8192
 _INTERN_POOL_SIZE = 16384
+_MISSING = object()
 
 
 @dataclass
@@ -225,10 +226,14 @@ class OpCache:
             return compute()
         full_key = (op, key)
         entries = self._entries
-        if full_key in entries:
-            entries.move_to_end(full_key)
+        found = entries.get(full_key, _MISSING)
+        if found is not _MISSING:
+            try:
+                entries.move_to_end(full_key)
+            except KeyError:
+                pass  # another thread evicted it since the get; the value is still good
             self.stats.record(op, hit=True)
-            return entries[full_key]
+            return found
         store = self._persist
         if store is not None:
             found = store.load(op, key)
@@ -237,10 +242,7 @@ class OpCache:
                 # into the memory tier so repeats stay identity-fast.
                 self.stats.record(op, hit=True)
                 self.stats.disk_hits += 1
-                entries[full_key] = found
-                if len(entries) > self.maxsize:
-                    entries.popitem(last=False)
-                    self.stats.evictions += 1
+                self._insert(full_key, found)
                 return found
             self.stats.disk_misses += 1
             if store.errors:
@@ -256,11 +258,16 @@ class OpCache:
                 self.stats.disk_writes += 1
             elif store.errors:
                 self.stats.disk_errors = store.errors
-        entries[full_key] = result
+        self._insert(full_key, result)
+        return result
+
+    def _insert(self, full_key: Hashable, value: Any) -> None:
+        """Store *value* and evict the least recently used entry past :attr:`maxsize`."""
+        entries = self._entries
+        entries[full_key] = value
         if len(entries) > self.maxsize:
             entries.popitem(last=False)
             self.stats.evictions += 1
-        return result
 
     # ----------------------------- interning ---------------------------- #
     def intern_conjunct(self, conjunct):

@@ -370,7 +370,7 @@ def compose_random_pipeline(
     Returns the final program and the trace of the applied steps (possibly
     fewer than *steps* when the program runs out of applicable targets).
     """
-    from ..analysis import check_dataflow
+    from ..analysis import ProgramGeometry, check_dataflow
 
     probe_list = list(probes) if probes is not None else default_probes()
     allowed_names = set(allowed) if allowed is not None else None
@@ -390,7 +390,7 @@ def compose_random_pipeline(
         # values produced by later iterations of the first half) are not legal
         # for every program; keep only candidates that still satisfy the
         # def-use prerequisites, so the produced variant is really equivalent.
-        if probe.guarded and check_dataflow(candidate):
+        if probe.guarded and check_dataflow(ProgramGeometry(candidate)):
             continue
         current = candidate
         if step.snapshot_source is None:

@@ -24,7 +24,7 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..addg import ADDG, build_addg
-from ..analysis import check_dataflow
+from ..analysis import ProgramGeometry, check_dataflow
 from ..lang import Program, parse_program, program_to_text
 from ..presburger import Map
 from ..checker.engine import Engine
@@ -65,13 +65,17 @@ class CompiledProgram:
     report (:attr:`dataflow_issues`) and the extracted ADDG (:attr:`addg`)
     are computed on first use and cached, so a precondition-failing check
     never pays for extraction and a ``check_preconditions=False`` check never
-    pays for the def-use analysis.
+    pays for the def-use analysis.  Both are computed from one
+    :class:`~repro.analysis.ProgramGeometry` (:attr:`geometry`): the
+    statement contexts, access maps and written sets are derived once per
+    program and shared by the def-use checks, extraction and traversal.
     """
 
-    __slots__ = ("program", "_dataflow_issues", "_addg", "_fingerprint")
+    __slots__ = ("program", "geometry", "_dataflow_issues", "_addg", "_fingerprint")
 
     def __init__(self, program: Program):
         self.program = program
+        self.geometry = ProgramGeometry(program)
         self._dataflow_issues: Optional[Tuple[str, ...]] = None
         self._addg: Optional[ADDG] = None
         self._fingerprint: Optional[str] = None
@@ -81,14 +85,14 @@ class CompiledProgram:
         """Def-use / single-assignment prerequisite violations (Fig. 6), if any."""
         if self._dataflow_issues is None:
             with TRACER.span("frontend.defuse", "frontend"):
-                self._dataflow_issues = tuple(str(issue) for issue in check_dataflow(self.program))
+                self._dataflow_issues = tuple(str(issue) for issue in check_dataflow(self.geometry))
         return self._dataflow_issues
 
     @property
     def addg(self) -> ADDG:
         """The extracted array data dependence graph (built once, cached)."""
         if self._addg is None:
-            self._addg = build_addg(self.program)
+            self._addg = build_addg(self.geometry)
         return self._addg
 
     @property

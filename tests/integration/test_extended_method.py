@@ -12,7 +12,7 @@ algebraic laws are available.
 import pytest
 
 from repro.addg import build_addg
-from repro.analysis import dependency_map, statement_contexts
+from repro.analysis import ProgramGeometry, dependency_map, statement_contexts
 from repro.checker import check_equivalence, default_registry
 from repro.lang.ast import array_reads
 from repro.presburger import Map, parse_map
@@ -30,7 +30,7 @@ def output_input_relation(program, input_array):
     algebraic transformations).
     """
     contexts = {c.label: c for c in statement_contexts(program)}
-    addg = build_addg(program)
+    addg = build_addg(ProgramGeometry(program))
     total = None
 
     def walk(array, relation):

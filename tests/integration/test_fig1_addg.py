@@ -3,7 +3,7 @@
 import pytest
 
 from repro.addg import build_addg
-from repro.analysis import dependency_map, statement_contexts
+from repro.analysis import ProgramGeometry, dependency_map, statement_contexts
 from repro.lang.ast import array_reads
 from repro.presburger import parse_map
 from repro.workloads import fig1_program
@@ -11,7 +11,7 @@ from repro.workloads import fig1_program
 
 @pytest.fixture(scope="module")
 def addgs():
-    return {name: build_addg(fig1_program(name, 1024)) for name in "abcd"}
+    return {name: build_addg(ProgramGeometry(fig1_program(name, 1024))) for name in "abcd"}
 
 
 class TestFig2Structure:

@@ -16,7 +16,7 @@ kernels.
 import pytest
 
 from repro.addg import build_addg
-from repro.analysis import check_def_use_order, dependency_map, statement_contexts
+from repro.analysis import ProgramGeometry, check_def_use_order, dependency_map, statement_contexts
 from repro.checker import check_equivalence
 from repro.lang import parse_program
 from repro.lang.ast import array_reads
@@ -30,7 +30,7 @@ class TestCycleDetection:
     def test_cyclic_arrays_of_recurrence_kernels(self):
         for name in RECURRENCE_KERNELS:
             pair = kernel_pair(name)
-            addg = build_addg(pair.original)
+            addg = build_addg(ProgramGeometry(pair.original))
             assert "acc" in addg.cyclic_arrays(), name
 
 
@@ -62,7 +62,7 @@ class TestRecurrenceWellFoundedness:
     @pytest.mark.parametrize("name", RECURRENCE_KERNELS)
     def test_recurrence_kernels_read_only_earlier_values(self, name, side):
         program = getattr(kernel_pair(name), side)
-        assert check_def_use_order(program) == []
+        assert check_def_use_order(ProgramGeometry(program)) == []
 
     def test_recurrence_reading_a_later_element_is_flagged(self):
         program = parse_program(
@@ -80,7 +80,7 @@ class TestRecurrenceWellFoundedness:
             }
             """
         )
-        issues = check_def_use_order(program)
+        issues = check_def_use_order(ProgramGeometry(program))
         assert any("p2" in issue and "acc" in issue for issue in issues)
 
 

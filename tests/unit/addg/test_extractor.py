@@ -4,11 +4,12 @@ import pytest
 
 from repro.addg import NEGATE_OP, OpNode, ReadNode, ConstNode, build_addg
 from repro.lang import ProgramClassError, parse_program
+from repro.analysis import ProgramGeometry
 from repro.presburger import parse_map
 
 
 def single_statement_addg(source):
-    addg = build_addg(parse_program(source))
+    addg = build_addg(ProgramGeometry(parse_program(source)))
     assert len(addg.statements) >= 1
     return addg
 
@@ -71,8 +72,10 @@ class TestValidationHook:
     def test_out_of_class_program_rejected(self):
         with pytest.raises(ProgramClassError):
             build_addg(
-                parse_program(
-                    "f(int A[], int B[], int C[]) { int k; for(k=0;k<4;k++) s1: C[k] = A[B[k]]; }"
+                ProgramGeometry(
+                    parse_program(
+                        "f(int A[], int B[], int C[]) { int k; for(k=0;k<4;k++) s1: C[k] = A[B[k]]; }"
+                    )
                 )
             )
 
@@ -82,14 +85,14 @@ class TestValidationHook:
         program = parse_program(
             "f(int A[], int C[]) { int k; for(k=0;k<4;k++) s1: C[k] = A[k]; }"
         )
-        addg = build_addg(program, validate=False)
+        addg = build_addg(ProgramGeometry(program), validate=False)
         assert len(addg.statements) == 1
 
     def test_scalar_data_operand_rejected(self):
         with pytest.raises(ProgramClassError):
             build_addg(
-                parse_program(
-                    "f(int A[], int C[]) { int k, x; for(k=0;k<4;k++) s1: C[k] = x; }"
+                ProgramGeometry(
+                    parse_program("f(int A[], int C[]) { int k, x; for(k=0;k<4;k++) s1: C[k] = x; }")
                 ),
                 validate=False,
             )
@@ -100,7 +103,7 @@ class TestDotExport:
         from repro.addg import addg_to_dot
         from repro.workloads import fig1_program
 
-        addg = build_addg(fig1_program("a", 64))
+        addg = build_addg(ProgramGeometry(fig1_program("a", 64)))
         dot = addg_to_dot(addg, "fig1a")
         assert dot.startswith("digraph fig1a {")
         for array in ("A", "B", "C", "tmp", "buf"):
@@ -113,6 +116,6 @@ class TestDotExport:
         from repro.addg import addg_to_dot
         from repro.workloads import fig1_program
 
-        dot = addg_to_dot(build_addg(fig1_program("a", 64)))
+        dot = addg_to_dot(build_addg(ProgramGeometry(fig1_program("a", 64))))
         assert "peripheries=2" in dot  # inputs
         assert "penwidth=2" in dot  # outputs

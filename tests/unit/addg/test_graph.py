@@ -4,6 +4,7 @@ import pytest
 
 from repro.addg import ADDG, ConstNode, OpNode, ReadNode, build_addg
 from repro.lang import parse_program
+from repro.analysis import ProgramGeometry
 from repro.workloads import fig1_program, kernel_pair
 
 
@@ -11,7 +12,7 @@ class TestFig2Inventory:
     """The ADDGs of Fig. 1 must have the node/edge structure shown in Fig. 2."""
 
     def setup_method(self):
-        self.addgs = {v: build_addg(fig1_program(v, 1024)) for v in "abcd"}
+        self.addgs = {v: build_addg(ProgramGeometry(fig1_program(v, 1024))) for v in "abcd"}
 
     def test_array_nodes(self):
         assert set(self.addgs["a"].array_nodes()) == {"A", "B", "C", "tmp", "buf"}
@@ -49,19 +50,19 @@ class TestFig2Inventory:
 
 class TestStructure:
     def test_defining_statements(self):
-        addg = build_addg(fig1_program("b", 64))
+        addg = build_addg(ProgramGeometry(fig1_program("b", 64)))
         defs_c = [s.label for s in addg.defining_statements("C")]
         assert defs_c == ["t3", "t4"]
         assert addg.defining_statements("A") == []
 
     def test_statement_lookup(self):
-        addg = build_addg(fig1_program("a", 64))
+        addg = build_addg(ProgramGeometry(fig1_program("a", 64)))
         assert addg.statement("s2").target == "buf"
         with pytest.raises(KeyError):
             addg.statement("nope")
 
     def test_written_set_union(self):
-        addg = build_addg(fig1_program("c", 64))
+        addg = build_addg(ProgramGeometry(fig1_program("c", 64)))
         written = addg.written_set("buf")
         # u1 writes [0, 64), u2 writes even elements of [64, 126]
         assert written.contains([0]) and written.contains([63])
@@ -71,30 +72,30 @@ class TestStructure:
             addg.written_set("A")
 
     def test_reads_and_operator_nodes_of_statement(self):
-        addg = build_addg(fig1_program("b", 64))
+        addg = build_addg(ProgramGeometry(fig1_program("b", 64)))
         t4 = addg.statement("t4")
         reads = t4.reads()
         assert [r.array for r in reads] == ["B", "B", "buf"]
         assert len(t4.operator_nodes()) == 2
 
     def test_read_nodes_carry_dependency_maps(self):
-        addg = build_addg(fig1_program("a", 64))
+        addg = build_addg(ProgramGeometry(fig1_program("a", 64)))
         s3 = addg.statement("s3")
         buf_read = s3.reads()[1]
         assert buf_read.dependency.contains([5], [10])
 
     def test_const_nodes(self):
         addg = build_addg(
-            parse_program("f(int A[], int C[]) { int k; for(k=0;k<4;k++) s1: C[k] = 2 * A[k] + 1; }")
+            ProgramGeometry(parse_program("f(int A[], int C[]) { int k; for(k=0;k<4;k++) s1: C[k] = 2 * A[k] + 1; }"))
         )
         statement = addg.statement("s1")
         consts = [n for n in _walk(statement.rhs) if isinstance(n, ConstNode)]
         assert sorted(c.value for c in consts) == [1, 2]
 
     def test_cyclic_arrays_detection(self):
-        addg = build_addg(kernel_pair("prefix_sum", n=8).original)
+        addg = build_addg(ProgramGeometry(kernel_pair("prefix_sum", n=8).original))
         assert addg.cyclic_arrays() == ("acc",)
-        addg = build_addg(fig1_program("a", 64))
+        addg = build_addg(ProgramGeometry(fig1_program("a", 64)))
         assert addg.cyclic_arrays() == ()
 
 

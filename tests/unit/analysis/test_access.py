@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import access_map, defined_set, dependency_map, statement_contexts, write_access_map
+from repro.analysis import dependency_map, statement_contexts
 from repro.lang import parse_program
 from repro.lang.ast import array_reads
 from repro.presburger import parse_map, parse_set
@@ -57,7 +57,7 @@ class TestAccessMaps:
             "f(int A[], int C[]) { int k; for(k=1;k<=4;k++) s1: C[2*k - 2] = A[k]; }"
         )
         s1 = context(program, "s1")
-        write = write_access_map(s1)
+        write = s1.write_map
         assert sorted(write.pairs()) == [((k,), (2 * k - 2,)) for k in range(1, 5)]
 
     def test_defined_set(self):
@@ -65,7 +65,7 @@ class TestAccessMaps:
             "f(int A[], int C[]) { int k; for(k=1;k<=4;k++) s1: C[2*k - 2] = A[k]; }"
         )
         s1 = context(program, "s1")
-        assert sorted(defined_set(s1).points()) == [(0,), (2,), (4,), (6,)]
+        assert sorted(s1.defined.points()) == [(0,), (2,), (4,), (6,)]
 
     def test_read_access_map_restricted_to_domain(self):
         program = parse_program(
@@ -79,7 +79,7 @@ class TestAccessMaps:
             """
         )
         s1 = context(program, "s1")
-        read = access_map(s1, array_reads(s1.assignment.rhs)[0])
+        read = s1.read_map(array_reads(s1.assignment.rhs)[0])
         assert sorted(read.pairs()) == [((0,), (5,)), ((1,), (6,)), ((2,), (7,))]
 
     def test_multidimensional_access(self):

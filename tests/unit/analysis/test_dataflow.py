@@ -5,11 +5,11 @@ import random
 import pytest
 
 from repro.analysis import (
+    ProgramGeometry,
     check_coverage,
     check_dataflow,
     check_def_use_order,
     check_single_assignment,
-    written_set_by_array,
     statement_contexts,
 )
 from repro.analysis.dataflow import _order_violations
@@ -23,13 +23,13 @@ from repro.workloads import FIG1_SOURCES, SMALL_KERNEL_PARAMS, fig1_program, ker
 class TestSingleAssignment:
     def test_fig1_versions_are_single_assignment(self):
         for version in "abcd":
-            assert check_single_assignment(fig1_program(version, 64)) == []
+            assert check_single_assignment(ProgramGeometry(fig1_program(version, 64))) == []
 
     def test_same_statement_overwrite_detected(self):
         program = parse_program(
             "f(int A[], int C[]) { int k; for(k=0;k<8;k++) s1: C[0] = A[k]; }"
         )
-        issues = check_single_assignment(program)
+        issues = check_single_assignment(ProgramGeometry(program))
         assert any("single-assignment" in issue for issue in issues)
 
     def test_two_statements_overlapping_writes_detected(self):
@@ -44,7 +44,7 @@ class TestSingleAssignment:
             }
             """
         )
-        issues = check_single_assignment(program)
+        issues = check_single_assignment(ProgramGeometry(program))
         assert any("s1" in issue and "s2" in issue for issue in issues)
 
     def test_disjoint_piecewise_writes_accepted(self):
@@ -59,12 +59,12 @@ class TestSingleAssignment:
             }
             """
         )
-        assert check_single_assignment(program) == []
+        assert check_single_assignment(ProgramGeometry(program)) == []
 
 
 class TestCoverage:
     def test_reading_written_elements_is_fine(self):
-        assert check_coverage(fig1_program("a", 64)) == []
+        assert check_coverage(ProgramGeometry(fig1_program("a", 64))) == []
 
     def test_reading_never_written_array(self):
         program = parse_program(
@@ -76,7 +76,7 @@ class TestCoverage:
             }
             """
         )
-        issues = check_coverage(program)
+        issues = check_coverage(ProgramGeometry(program))
         assert any("never written" in issue for issue in issues)
 
     def test_reading_beyond_written_range(self):
@@ -91,14 +91,14 @@ class TestCoverage:
             }
             """
         )
-        issues = check_coverage(program)
+        issues = check_coverage(ProgramGeometry(program))
         assert any("undefined elements" in issue for issue in issues)
 
     def test_inputs_never_flagged(self):
         program = parse_program(
             "f(int A[], int C[]) { int k; for(k=0;k<4;k++) s1: C[k] = A[k + 100]; }"
         )
-        assert check_coverage(program) == []
+        assert check_coverage(ProgramGeometry(program)) == []
 
 
 USE_BEFORE_DEF_ACROSS_LOOPS = """
@@ -202,30 +202,30 @@ s3:     C[k] = t[k];
 class TestDefUseOrder:
     def test_fig1_versions_pass(self):
         for version in "abcd":
-            assert check_def_use_order(fig1_program(version, 64)) == []
+            assert check_def_use_order(ProgramGeometry(fig1_program(version, 64))) == []
 
     def test_recurrence_kernels_pass(self):
         pair = kernel_pair("prefix_sum", n=16)
-        assert check_def_use_order(pair.original) == []
-        assert check_def_use_order(pair.transformed) == []
+        assert check_def_use_order(ProgramGeometry(pair.original)) == []
+        assert check_def_use_order(ProgramGeometry(pair.transformed)) == []
 
     def test_use_before_def_across_loops(self):
         program = parse_program(USE_BEFORE_DEF_ACROSS_LOOPS)
-        issues = check_def_use_order(program)
+        issues = check_def_use_order(ProgramGeometry(program))
         assert any("before" in issue for issue in issues)
 
     def test_forward_recurrence_reading_future_value(self):
         program = parse_program(FORWARD_RECURRENCE)
-        issues = check_def_use_order(program)
+        issues = check_def_use_order(ProgramGeometry(program))
         assert issues
 
     def test_same_iteration_write_then_read_is_fine(self):
         program = parse_program(SAME_ITERATION_WRITE_THEN_READ)
-        assert check_def_use_order(program) == []
+        assert check_def_use_order(ProgramGeometry(program)) == []
 
     def test_same_iteration_read_then_write_is_flagged(self):
         program = parse_program(SAME_ITERATION_READ_THEN_WRITE)
-        assert check_def_use_order(program)
+        assert check_def_use_order(ProgramGeometry(program))
 
 
 class TestDefUseOrderLevels:
@@ -233,28 +233,28 @@ class TestDefUseOrderLevels:
 
     def test_self_read_is_flagged_at_the_all_equal_level(self):
         program = parse_program(SELF_READ)
-        assert check_def_use_order(program)
-        [(reader, ref, writer, violation)] = list(_order_violations(program))
+        assert check_def_use_order(ProgramGeometry(program))
+        [(reader, ref, writer, violation)] = list(_order_violations(ProgramGeometry(program)))
         assert (reader.label, ref.name, writer.label) == ("s1", "t", "s1")
         assert set(violation.pairs()) == {((k,), (k,)) for k in range(8)}
 
     def test_downward_recurrence_is_clean(self):
-        assert check_def_use_order(parse_program(DOWNWARD_RECURRENCE)) == []
+        assert check_def_use_order(ProgramGeometry(parse_program(DOWNWARD_RECURRENCE))) == []
 
     def test_downward_loop_reading_a_later_iteration_is_flagged(self):
         program = parse_program(DOWNWARD_LOOP_READING_AHEAD)
-        assert check_def_use_order(program)
-        [(_, _, _, violation)] = list(_order_violations(program))
+        assert check_def_use_order(ProgramGeometry(program))
+        [(_, _, _, violation)] = list(_order_violations(ProgramGeometry(program)))
         assert set(violation.pairs()) == {((k - 1,), (k,)) for k in range(1, 8)}
 
     def test_imperfect_nest_with_padded_schedules_is_clean(self):
         program = parse_program(IMPERFECT_NEST)
         lengths = {len(context.schedule) for context in statement_contexts(program)}
         assert len(lengths) > 1
-        assert check_def_use_order(program) == []
+        assert check_def_use_order(ProgramGeometry(program)) == []
 
     def test_else_branch_reading_the_then_branch_is_clean(self):
-        assert check_def_use_order(parse_program(BRANCHES_FOUR_APART)) == []
+        assert check_def_use_order(ProgramGeometry(parse_program(BRANCHES_FOUR_APART))) == []
 
 
 # --------------------------------------------------------------------------- #
@@ -308,7 +308,7 @@ def _enumerated_violations(program):
 
 def _computed_violations(program):
     found = {}
-    for reader, ref, writer, violation in _order_violations(program):
+    for reader, ref, writer, violation in _order_violations(ProgramGeometry(program)):
         position = next(i for i, r in enumerate(array_reads(reader.assignment.rhs)) if r is ref)
         found[(reader.label, position, writer.label)] = set(violation.pairs())
     return found
@@ -345,21 +345,23 @@ class TestDefUseOrderOracle:
     @pytest.mark.parametrize("program", [p for _, p in ORACLE_PROGRAMS], ids=[n for n, _ in ORACLE_PROGRAMS])
     def test_violations_match_enumeration(self, program):
         expected = _enumerated_violations(program)
-        assert bool(check_def_use_order(program)) == bool(expected)
+        assert bool(check_def_use_order(ProgramGeometry(program))) == bool(expected)
         assert _computed_violations(program) == expected
 
     def test_corpus_has_flagged_and_clean_programs(self):
-        flagged = [name for name, program in ORACLE_PROGRAMS if check_def_use_order(program)]
+        flagged = [name for name, program in ORACLE_PROGRAMS if check_def_use_order(ProgramGeometry(program))]
         assert 0 < len(flagged) < len(ORACLE_PROGRAMS)
 
 
 class TestDataflowDriver:
     def test_all_fig1_versions_pass_all_checks(self):
         for version in "abcd":
-            assert check_dataflow(fig1_program(version, 64)) == []
+            assert check_dataflow(ProgramGeometry(fig1_program(version, 64))) == []
 
-    def test_written_set_by_array(self):
-        contexts = statement_contexts(fig1_program("a", 64))
-        written = written_set_by_array(contexts)
-        assert set(written) == {"tmp", "buf", "C"}
-        assert written["C"].count() == 64
+    def test_written_set_per_array(self):
+        geometry = ProgramGeometry(fig1_program("a", 64))
+        assert list(geometry.writers) == ["tmp", "buf", "C"]
+        assert geometry.written_set("A") is None
+        assert geometry.written_set("C").count() == 64
+        # derived once per program: a second lookup returns the same object
+        assert geometry.written_set("buf") is geometry.written_set("buf")

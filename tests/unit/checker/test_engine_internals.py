@@ -6,13 +6,14 @@ from repro.addg import build_addg
 from repro.checker import default_registry
 from repro.checker.engine import Engine, Term, _maximum_matching
 from repro.presburger import Map, parse_map, parse_set
+from repro.analysis import ProgramGeometry
 from repro.workloads import fig1_program
 
 
 @pytest.fixture()
 def engine():
-    original = build_addg(fig1_program("a", 64))
-    transformed = build_addg(fig1_program("c", 64))
+    original = build_addg(ProgramGeometry(fig1_program("a", 64)))
+    transformed = build_addg(ProgramGeometry(fig1_program("c", 64)))
     return Engine(original, transformed, registry=default_registry())
 
 
@@ -119,17 +120,17 @@ class TestResolution:
 
 class TestEngineConfiguration:
     def test_invalid_method_rejected(self):
-        addg = build_addg(fig1_program("a", 16))
+        addg = build_addg(ProgramGeometry(fig1_program("a", 16)))
         with pytest.raises(ValueError):
             Engine(addg, addg, method="fancy")
 
     def test_basic_method_ignores_registry(self):
-        addg = build_addg(fig1_program("a", 16))
+        addg = build_addg(ProgramGeometry(fig1_program("a", 16)))
         engine = Engine(addg, addg, method="basic")
         assert not engine.properties("+").is_algebraic
 
     def test_extended_method_uses_registry(self):
-        addg = build_addg(fig1_program("a", 16))
+        addg = build_addg(ProgramGeometry(fig1_program("a", 16)))
         engine = Engine(addg, addg, method="extended")
         assert engine.properties("+").associative and engine.properties("+").commutative
         assert not engine.properties("-").is_algebraic

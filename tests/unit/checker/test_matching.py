@@ -16,6 +16,7 @@ from repro.checker import DiagnosticKind, check_equivalence
 from repro.checker.engine import Engine, Term, _map_key
 from repro.lang import parse_program, program_to_text
 from repro.presburger import parse_map
+from repro.analysis import ProgramGeometry
 from repro.workloads import CHAIN_SHAPES, chain_source, kernel_pair
 
 
@@ -85,7 +86,7 @@ class TestKeyFallback:
     @pytest.fixture()
     def engine(self):
         source = "f(int A[], int C[]) { int k; for(k=0;k<8;k++) s1: C[k] = A[k] + A[k+1]; }"
-        addg = build_addg(parse_program(source))
+        addg = build_addg(ProgramGeometry(parse_program(source)))
         return Engine(addg, addg)
 
     @staticmethod
@@ -151,7 +152,7 @@ class TestOperatorKeys:
             "f(int A[], int B[], int C[]) { int k; for(k=0;k<8;k++) "
             "s1: C[k] = A[k]*B[k+1] + B[k+1]*A[k]; }"
         )
-        addg = build_addg(parse_program(source))
+        addg = build_addg(ProgramGeometry(parse_program(source)))
         engine = Engine(addg, addg)
         relation = parse_map("{ [w0] -> [w0] : 0 <= w0 < 8 }")
         first, second = (
@@ -229,7 +230,7 @@ class TestCompletenessRule:
             "f(int A[], int B[], int C[]) { int k; for(k=0;k<8;k++) "
             "s1: C[k] = A[k]*B[k] + A[k+1]*B[k+1]; }"
         )
-        addg = build_addg(parse_program(source))
+        addg = build_addg(ProgramGeometry(parse_program(source)))
         return Engine(addg, addg)
 
     @staticmethod

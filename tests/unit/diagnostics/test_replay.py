@@ -2,6 +2,7 @@
 
 from repro.addg import build_addg
 from repro.diagnostics import dependency_path, divergent_cells, replay_divergence
+from repro.analysis import ProgramGeometry
 from repro.lang import parse_program
 
 ORIGINAL = """
@@ -142,15 +143,15 @@ class TestDivergentCells:
 
 class TestDependencyPath:
     def test_walks_through_the_intermediate_to_the_input(self):
-        addg = build_addg(parse_program(ORIGINAL))
+        addg = build_addg(ProgramGeometry(parse_program(ORIGINAL)))
         path = dependency_path(addg, "C", (3,))
         assert path == ("C[3]", "s2", "tmp[3]", "s1", "A[3]")
 
     def test_stops_at_the_input_array(self):
-        addg = build_addg(parse_program(EQUIVALENT))
+        addg = build_addg(ProgramGeometry(parse_program(EQUIVALENT)))
         path = dependency_path(addg, "C", (0,))
         assert path == ("C[0]", "t1", "A[0]")
 
     def test_cell_outside_every_domain_has_a_bare_path(self):
-        addg = build_addg(parse_program(ORIGINAL))
+        addg = build_addg(ProgramGeometry(parse_program(ORIGINAL)))
         assert dependency_path(addg, "C", (99,)) == ("C[99]",)

@@ -8,6 +8,9 @@ its configured bound.  The tests run each operation twice — once against the
 warm global cache, once inside ``opcache.disabled()`` — and compare.
 """
 
+import sys
+import threading
+
 import pytest
 
 from repro.checker import check_equivalence
@@ -284,6 +287,34 @@ class TestCacheMechanics:
             one_dim.compose(identity)
         message = str(excinfo.value)
         assert "[a, b]" in message and "[k]" in message
+
+
+class TestConcurrentMemoization:
+    def test_two_threads_racing_hits_against_evictions(self):
+        """A key evicted by another thread between lookup and LRU bump is still a hit."""
+        cache = opcache.OpCache(maxsize=2)
+        errors = []
+
+        def worker(stride):
+            try:
+                for step in range(50000):
+                    key = (step * stride) % 4
+                    assert cache.memoized("op", key, lambda: key) == key
+            except Exception as error:  # noqa: BLE001 - collected and asserted below
+                errors.append(error)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(stride,)) for stride in (1, 2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(previous)
+        assert errors == []
+        assert len(cache) <= 2
 
 
 class TestCheckerIntegration:

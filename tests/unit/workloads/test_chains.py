@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import check_dataflow
+from repro.analysis import ProgramGeometry, check_dataflow
 from repro.lang import outputs_equal, parse_program, random_input_provider, run_program
 from repro.workloads import conv_source
 
@@ -12,7 +12,7 @@ class TestConvSource:
     def test_rewrite_computes_the_same_outputs(self, k):
         original = parse_program(conv_source(k, domain=4))
         transformed = parse_program(conv_source(k, transformed=True, domain=4))
-        assert check_dataflow(original) == [] and check_dataflow(transformed) == []
+        assert check_dataflow(ProgramGeometry(original)) == [] and check_dataflow(ProgramGeometry(transformed)) == []
         for seed in (0, 1):
             provider = random_input_provider(seed)
             assert outputs_equal(run_program(original, provider), run_program(transformed, provider))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import check_dataflow
+from repro.analysis import ProgramGeometry, check_dataflow
 from repro.lang import check_program_class, outputs_equal, random_input_provider, run_program
 from repro.workloads import GeneratedPair, RandomProgramGenerator
 
@@ -13,7 +13,7 @@ class TestGeneration:
         generator = RandomProgramGenerator(seed=seed, stages=4, size=24)
         program = generator.generate()
         assert check_program_class(program) == []
-        assert check_dataflow(program) == []
+        assert check_dataflow(ProgramGeometry(program)) == []
         assert program.output_arrays() == ("out",)
 
     def test_generation_is_deterministic(self):

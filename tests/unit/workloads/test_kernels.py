@@ -3,7 +3,7 @@
 import pytest
 
 from repro.lang import check_program_class, outputs_equal, random_input_provider, run_program
-from repro.analysis import check_dataflow
+from repro.analysis import ProgramGeometry, check_dataflow
 from repro.workloads import KERNEL_REGISTRY, KernelPair, kernel_names, kernel_pair
 
 SMALL_SIZES = {
@@ -49,8 +49,8 @@ class TestKernelPairs:
 
     def test_dataflow_prerequisites_hold(self, name):
         pair = kernel_pair(name, **SMALL_SIZES[name])
-        assert check_dataflow(pair.original) == []
-        assert check_dataflow(pair.transformed) == []
+        assert check_dataflow(ProgramGeometry(pair.original)) == []
+        assert check_dataflow(ProgramGeometry(pair.transformed)) == []
 
     def test_interpreter_agreement_on_random_inputs(self, name):
         pair = kernel_pair(name, **SMALL_SIZES[name])

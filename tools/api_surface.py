@@ -2,8 +2,9 @@
 """Dump (or check) the public API surface of the repro packages.
 
 The surface is every name exported through ``__all__`` of the modules in
-:data:`MODULES` (``repro.verifier``, ``repro.checker``, ``repro.service``,
-``repro.scenarios``, ``repro.diagnostics``, ``repro.telemetry``,
+:data:`MODULES` (``repro.analysis``, ``repro.addg``, ``repro.verifier``,
+``repro.checker``, ``repro.service``, ``repro.scenarios``,
+``repro.diagnostics``, ``repro.telemetry``,
 ``repro.server``, ``repro.solvers``, ``repro.presburger`` and
 ``repro.presburger.opcache``), with the parameter lists of functions, class
 constructors, public methods and properties.  Annotations and default *values* are deliberately omitted (only
@@ -31,6 +32,8 @@ import os
 import sys
 
 MODULES = (
+    "repro.analysis",
+    "repro.addg",
     "repro.verifier",
     "repro.checker",
     "repro.service",

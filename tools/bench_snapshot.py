@@ -12,7 +12,10 @@ PR that moves the numbers:
   ``compare_calls`` of the chain-against-its-reversal sweep (n = 10 to 80)
   and of the k×k convolution sweep (k = 3, 5, 7) of
   ``benchmarks/bench_scaling.py``, which pin commutative matching of input
-  reads and of operator terms to linear cost;
+  reads and of operator terms to linear cost, and the operation-cache
+  lookups of each registry kernel's frontend (compile, def-use checks and
+  ADDG extraction of both sides, from a cold cache), which pin each
+  program's geometry to one derivation;
 * ``BENCH_service.json`` — a serial batch over the built-in corpus
   (generated + buggy pairs, seed 0);
 * ``BENCH_solvers.json`` — the decision-backend comparison of
@@ -151,6 +154,7 @@ def snapshot_verifier() -> dict:
     started = time.perf_counter()
     conv_sweep = bench_scaling.conv_sweep()
     conv_sweep_seconds = time.perf_counter() - started
+    frontend_lookups = _frontend_opcache_lookups()
 
     return {
         "deterministic": {
@@ -166,6 +170,7 @@ def snapshot_verifier() -> dict:
             "compile_misses": verifier.compile_misses,
             "chain_sweep_compare_calls": chain_sweep,
             "conv_sweep_compare_calls": conv_sweep,
+            "frontend_opcache_lookups": frontend_lookups,
         },
         "timing": {
             "total_seconds": round(total_seconds, 6),
@@ -174,6 +179,32 @@ def snapshot_verifier() -> dict:
             "conv_sweep_seconds": round(conv_sweep_seconds, 6),
         },
     }
+
+
+def _frontend_opcache_lookups() -> dict:
+    """Operation-cache hits plus misses of each registry kernel pair's frontend.
+
+    Per kernel, from a cold cache: compile both sides, then their def-use
+    report and their ADDG.  Deriving a statement's maps or a written set a
+    second time shows up here as extra lookups.
+    """
+    from repro.presburger import opcache
+    from repro.verifier import Verifier
+    from repro.workloads import SMALL_KERNEL_PARAMS, kernel_names, kernel_pair
+
+    lookups = {}
+    for name in kernel_names():
+        pair = kernel_pair(name, **SMALL_KERNEL_PARAMS[name])
+        opcache.reset()
+        before = opcache.snapshot()
+        verifier = Verifier()
+        for program in (pair.original, pair.transformed):
+            compiled = verifier.compile(program)
+            compiled.dataflow_issues
+            compiled.addg
+        delta = opcache.snapshot().delta(before)
+        lookups[name] = delta.hits + delta.misses
+    return lookups
 
 
 def snapshot_service() -> dict:
