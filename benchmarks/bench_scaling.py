@@ -29,15 +29,13 @@ CONV_SWEEP = [3, 5, 7]
 
 
 def _prepaid(original, transformed):
-    """A session and both sides compiled, with ADDG and def-use report prepaid.
+    """A session and both sides compiled (geometry, def-use report and ADDG).
 
     Checking the returned compiled programs pays only the synchronized
     traversal, so the series time the engine alone.
     """
     verifier = Verifier()
     compiled = [verifier.compile(program) for program in (original, transformed)]
-    for program in compiled:
-        program.dataflow_issues, program.addg  # prepay both lazy frontend stages
     return verifier, compiled[0], compiled[1]
 
 

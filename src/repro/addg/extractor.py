@@ -16,7 +16,6 @@ from ..lang.ast import (
     VarRef,
 )
 from ..lang.errors import ProgramClassError
-from ..lang.validate import require_program_class
 from ..telemetry import TRACER
 from .graph import ADDG, ConstNode, ExprNode, OpNode, ReadNode, StatementNode
 
@@ -61,20 +60,17 @@ def build_expr_node(
     raise ProgramClassError(f"unsupported expression node {type(expr).__name__} in data position")
 
 
-def build_addg(geometry: ProgramGeometry, validate: bool = True) -> ADDG:
+def build_addg(geometry: ProgramGeometry) -> ADDG:
     """Extract the ADDG of the program whose geometric analysis is *geometry*.
 
     The statement nodes share the geometry's statement contexts (and so their
     write maps and defined sets), and the ADDG reads its written sets from it.
-    When *validate* is true (the default) the program is first checked against
-    the allowed program class and a :class:`ProgramClassError` is raised for
-    violations; the geometric data-flow prerequisites (single assignment,
+    Building the geometry already checked the program against the allowed
+    program class; the geometric data-flow prerequisites (single assignment,
     def-use order) are checked separately by :func:`repro.analysis.check_dataflow`
     as in the verification scheme of Fig. 6.
     """
     with TRACER.span("frontend.extract", "frontend", program=geometry.program.name):
-        if validate:
-            require_program_class(geometry.program)
         statements = [
             StatementNode(context, build_expr_node(context.assignment.rhs, context))
             for context in geometry.contexts

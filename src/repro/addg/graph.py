@@ -21,7 +21,7 @@ export is derived from this structure on demand.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Set as PySet, Tuple
+from typing import Dict, Iterator, List, Sequence, Set as PySet, Tuple
 
 from ..presburger import Map, Set
 from ..lang.ast import ArrayRef
@@ -139,12 +139,20 @@ class StatementNode:
 
 
 class ADDG:
-    """The array data dependence graph of one program function."""
+    """The array data dependence graph of one program function (immutable once built)."""
 
-    _cyclic_cache: Optional[Tuple[str, ...]]
+    __slots__ = (
+        "geometry",
+        "program",
+        "statements",
+        "definitions",
+        "inputs",
+        "outputs",
+        "intermediates",
+        "cyclic_arrays",
+    )
 
     def __init__(self, geometry: ProgramGeometry, statements: Sequence[StatementNode]):
-        self._cyclic_cache = None
         self.geometry = geometry
         program = self.program = geometry.program
         self.statements: List[StatementNode] = list(statements)
@@ -157,6 +165,10 @@ class ADDG:
         self.intermediates: Tuple[str, ...] = tuple(
             name for name in written if name not in self.outputs
         )
+        #: Arrays whose values (transitively) depend on other elements of
+        #: themselves: the recurrences of the program (cycles in the ADDG), which
+        #: the checker treats specially (Section 5.2's closing remark on cycles).
+        self.cyclic_arrays: Tuple[str, ...] = _cyclic_arrays(self.statements)
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -176,37 +188,6 @@ class ADDG:
 
     def is_output(self, array: str) -> bool:
         return array in self.outputs
-
-    def cyclic_arrays(self) -> Tuple[str, ...]:
-        """Arrays whose values (transitively) depend on other elements of themselves.
-
-        These are the recurrences of the program (cycles in the ADDG); the
-        checker treats them specially (Section 5.2's closing remark on cycles).
-        The result is cached after the first call.
-        """
-        cached = getattr(self, "_cyclic_cache", None)
-        if cached is not None:
-            return cached
-        reads_of: Dict[str, PySet[str]] = {}
-        for statement in self.statements:
-            targets = reads_of.setdefault(statement.target, set())
-            for read in statement.reads():
-                targets.add(read.array)
-
-        def reachable_from(start: str) -> PySet[str]:
-            seen: PySet[str] = set()
-            frontier = [start]
-            while frontier:
-                current = frontier.pop()
-                for nxt in reads_of.get(current, ()):
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        frontier.append(nxt)
-            return seen
-
-        cyclic = tuple(sorted(name for name in reads_of if name in reachable_from(name)))
-        self._cyclic_cache = cyclic
-        return cyclic
 
     def written_set(self, array: str) -> Set:
         """The union of elements of *array* written by the program (from its geometry)."""
@@ -265,6 +246,28 @@ class ADDG:
             f"ADDG({self.program.name!r}: {len(self.statements)} statement(s), "
             f"{self.node_count()} node(s), {self.edge_count()} edge(s))"
         )
+
+
+def _cyclic_arrays(statements: Sequence[StatementNode]) -> Tuple[str, ...]:
+    """The arrays that reach themselves along the read edges of *statements*, sorted."""
+    reads_of: Dict[str, PySet[str]] = {}
+    for statement in statements:
+        targets = reads_of.setdefault(statement.target, set())
+        for read in statement.reads():
+            targets.add(read.array)
+
+    def reachable_from(start: str) -> PySet[str]:
+        seen: PySet[str] = set()
+        frontier = [start]
+        while frontier:
+            current = frontier.pop()
+            for nxt in reads_of.get(current, ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+        return seen
+
+    return tuple(sorted(name for name in reads_of if name in reachable_from(name)))
 
 
 def _preorder(node: ExprNode) -> Iterator[ExprNode]:

@@ -11,22 +11,25 @@ For every assignment statement the geometric analysis computes
 
 These are bundled in :class:`StatementContext`, which also owns the
 statement's access maps and defined set; a :class:`ProgramGeometry` holds a
-program's contexts and per-array written sets.  Each is derived once, on first
-use, and shared by the def-use checks, the ADDG extractor and the traversal.
+program's contexts and per-array written sets.  Both derive everything in
+their constructors and are immutable once built, so the def-use checks, the
+ADDG extractor and the traversal share them, across threads too.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 from ..presburger import AffineConstraint, LinExpr, Map, Set, eq_
-from ..lang.ast import ArrayRef, Assignment, ForLoop, IfThenElse, Program, Statement
+from ..lang.ast import ArrayRef, Assignment, ForLoop, IfThenElse, Program, Statement, array_reads
 from ..lang.affine import (
     condition_to_pieces,
     expr_to_affine,
     loop_constraints,
     negated_condition_pieces,
 )
+from ..lang.validate import require_program_class
+from ..telemetry import TRACER
 from .access import element_dim_names
 
 __all__ = ["ProgramGeometry", "StatementContext", "statement_contexts"]
@@ -35,9 +38,22 @@ __all__ = ["ProgramGeometry", "StatementContext", "statement_contexts"]
 class StatementContext:
     """An assignment statement together with its geometric context.
 
-    The access maps and the defined set are built on first use and kept.  Two
-    threads racing on a cold accessor build equal values; one assignment wins.
+    The constructor builds the write map, the defined set and the read map of
+    every right-hand-side reference to an array not in *inputs*; nothing is
+    filled in later.
     """
+
+    __slots__ = (
+        "assignment",
+        "label",
+        "iterators",
+        "domain",
+        "schedule",
+        "position",
+        "write_map",
+        "defined",
+        "read_maps",
+    )
 
     def __init__(
         self,
@@ -47,6 +63,7 @@ class StatementContext:
         domain: Set,
         schedule: Tuple[LinExpr, ...],
         position: int,
+        inputs: AbstractSet[str],
     ):
         self.assignment = assignment
         self.label = label
@@ -54,34 +71,27 @@ class StatementContext:
         self.domain = domain
         self.schedule = schedule
         self.position = position
-        self._write_map: Optional[Map] = None
-        self._defined: Optional[Set] = None
-        self._read_maps: Dict[ArrayRef, Map] = {}
+        #: The access map of the assignment target: iteration vector -> written element.
+        self.write_map: Map = self._access_map(assignment.target, "w")
+        #: The elements of the target array written by the statement.
+        self.defined: Set = self.write_map.range()
+        #: The access maps of the reads of non-input arrays: iteration vector -> read element.
+        self.read_maps: Dict[ArrayRef, Map] = {}
+        for ref in array_reads(assignment.rhs):
+            if ref.name not in inputs and ref not in self.read_maps:
+                self.read_maps[ref] = self._access_map(ref, "e")
 
     @property
     def target_array(self) -> str:
         return self.assignment.target.name
 
-    @property
-    def write_map(self) -> Map:
-        """The access map of the assignment target: iteration vector -> written element."""
-        if self._write_map is None:
-            self._write_map = self._access_map(self.assignment.target, "w")
-        return self._write_map
-
-    @property
-    def defined(self) -> Set:
-        """The elements of the target array written by the statement."""
-        if self._defined is None:
-            self._defined = self.write_map.range()
-        return self._defined
-
     def read_map(self, ref: ArrayRef) -> Map:
-        """The access map of the right-hand-side reference *ref*: iteration vector -> read element."""
-        found = self._read_maps.get(ref)
-        if found is None:
-            found = self._read_maps[ref] = self._access_map(ref, "e")
-        return found
+        """The access map of the right-hand-side reference *ref*: iteration vector -> read element.
+
+        A read of an input array has no precomputed map; it is built on each call.
+        """
+        found = self.read_maps.get(ref)
+        return found if found is not None else self._access_map(ref, "e")
 
     def _access_map(self, ref: ArrayRef, prefix: str) -> Map:
         """The access map of *ref*, restricted to the iteration domain."""
@@ -100,48 +110,42 @@ class StatementContext:
 
 
 class ProgramGeometry:
-    """One program's statement contexts and per-array written sets, derived on first use.
+    """One program's statement contexts and per-array written sets.
 
-    As for :class:`StatementContext`, racing threads build equal values.
+    The constructor first checks the program against the allowed class
+    (raising :class:`~repro.lang.errors.ProgramClassError`), so an
+    out-of-class program is reported as such before any geometry is derived.
     """
 
+    __slots__ = ("program", "contexts", "writers", "written")
+
     def __init__(self, program: Program):
-        self.program = program
-        self._contexts: Optional[Tuple[StatementContext, ...]] = None
-        self._writers: Optional[Dict[str, List[StatementContext]]] = None
-        self._written: Dict[str, Set] = {}
-
-    @property
-    def contexts(self) -> Tuple[StatementContext, ...]:
-        """The :class:`StatementContext` of every assignment, in program order."""
-        if self._contexts is None:
-            self._contexts = tuple(statement_contexts(self.program))
-        return self._contexts
-
-    @property
-    def writers(self) -> Dict[str, List[StatementContext]]:
-        """The contexts grouped by target array (arrays in first-write order)."""
-        if self._writers is None:
-            writers: Dict[str, List[StatementContext]] = {}
+        with TRACER.span("frontend.geometry", "frontend", program=program.name):
+            require_program_class(program)
+            self.program = program
+            #: The :class:`StatementContext` of every assignment, in program order.
+            self.contexts: Tuple[StatementContext, ...] = tuple(statement_contexts(program))
+            #: The contexts grouped by target array (arrays in first-write order).
+            self.writers: Dict[str, List[StatementContext]] = {}
             for context in self.contexts:
-                writers.setdefault(context.target_array, []).append(context)
-            self._writers = writers
-        return self._writers
+                self.writers.setdefault(context.target_array, []).append(context)
+            #: The elements of each written array written by the program.
+            self.written: Dict[str, Set] = {}
+            for array, group in self.writers.items():
+                written = group[0].defined
+                for writer in group[1:]:
+                    written = written.union(writer.defined)
+                self.written[array] = written
 
     def written_set(self, array: str) -> Optional[Set]:
         """The elements of *array* written by the program (``None`` if it is never written)."""
-        written = self._written.get(array)
-        if written is None:
-            for writer in self.writers.get(array, ()):
-                written = writer.defined if written is None else written.union(writer.defined)
-            if written is not None:
-                self._written[array] = written
-        return written
+        return self.written.get(array)
 
 
 def statement_contexts(program: Program) -> List[StatementContext]:
     """Compute the :class:`StatementContext` of every assignment in *program*."""
     contexts: List[StatementContext] = []
+    inputs = frozenset(program.input_arrays())
     fresh_counter = [0]
 
     def fresh_label(assignment: Assignment) -> str:
@@ -173,6 +177,7 @@ def statement_contexts(program: Program) -> List[StatementContext]:
                         domain,
                         schedule,
                         position,
+                        inputs,
                     )
                 )
             elif isinstance(statement, ForLoop):

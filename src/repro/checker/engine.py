@@ -140,7 +140,7 @@ class Engine:
         self._assumption_uses: PySet[int] = set()
         self._suppress = 0
         self._correspondence_obligations: PySet[Tuple[str, str]] = set()
-        self._cyclic = (set(original.cyclic_arrays()), set(transformed.cyclic_arrays()))
+        self._cyclic = (set(original.cyclic_arrays), set(transformed.cyclic_arrays))
         # Baseline of the process-wide Presburger operation-cache counters so
         # this run's share can be reported as a delta (the cache is shared
         # across engines in the process, like the paper's tabling is shared

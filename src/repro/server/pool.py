@@ -121,10 +121,8 @@ class CompiledStore:
 
     Keys are the SHA-256 of the *raw* source text: computing the key never
     parses, so a hit skips the frontend entirely.  The stored
-    :class:`CompiledProgram` values are shared across worker threads — their
-    lazy ``addg`` / ``dataflow_issues`` properties may race benignly (two
-    threads computing the same value; last write wins, both results are
-    equal) but never corrupt, as each assigns a fully-built object.
+    :class:`CompiledProgram` values are shared across worker threads; each is
+    fully built before it is published and never changes afterwards.
     """
 
     def __init__(self, max_entries: int = 512):
@@ -149,9 +147,9 @@ class CompiledStore:
                 self.hits += 1
                 return cached
             self.misses += 1
-        # Parse outside the lock: compilation is the expensive part and two
+        # Compile outside the lock: the frontend is the expensive part and two
         # threads racing on the same new program is rarer than one thread
-        # blocking every other on a big parse.
+        # blocking every other on a big program.  The loser's copy is dropped.
         compiled = CompiledProgram(parse_program(source))
         with self._lock:
             winner = self._entries.setdefault(key, compiled)

@@ -19,7 +19,6 @@ over a throwaway session.
 
 from __future__ import annotations
 
-import hashlib
 import time
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -61,55 +60,34 @@ def normalized_program_text(program: Program) -> str:
 class CompiledProgram:
     """The frontend artifacts of one program, reusable across many checks.
 
-    Holds the parsed :class:`~repro.lang.ast.Program` eagerly; the def-use
-    report (:attr:`dataflow_issues`) and the extracted ADDG (:attr:`addg`)
-    are computed on first use and cached, so a precondition-failing check
-    never pays for extraction and a ``check_preconditions=False`` check never
-    pays for the def-use analysis.  Both are computed from one
-    :class:`~repro.analysis.ProgramGeometry` (:attr:`geometry`): the
-    statement contexts, access maps and written sets are derived once per
-    program and shared by the def-use checks, extraction and traversal.
+    The constructor runs the frontend of Fig. 6 on the parsed
+    :class:`~repro.lang.ast.Program`: the geometric analysis
+    (:attr:`geometry`, a :class:`~repro.analysis.ProgramGeometry`, which first
+    checks the program class), the def-use report (:attr:`dataflow_issues`)
+    and the extracted ADDG (:attr:`addg`).  The def-use checks, extraction and
+    traversal share the geometry's statement contexts, access maps and written
+    sets.  Nothing is filled in later, so a compiled program can be shared
+    across threads.
     """
 
-    __slots__ = ("program", "geometry", "_dataflow_issues", "_addg", "_fingerprint")
+    __slots__ = ("program", "geometry", "dataflow_issues", "addg")
 
     def __init__(self, program: Program):
         self.program = program
         self.geometry = ProgramGeometry(program)
-        self._dataflow_issues: Optional[Tuple[str, ...]] = None
-        self._addg: Optional[ADDG] = None
-        self._fingerprint: Optional[str] = None
-
-    @property
-    def dataflow_issues(self) -> Tuple[str, ...]:
-        """Def-use / single-assignment prerequisite violations (Fig. 6), if any."""
-        if self._dataflow_issues is None:
-            with TRACER.span("frontend.defuse", "frontend"):
-                self._dataflow_issues = tuple(str(issue) for issue in check_dataflow(self.geometry))
-        return self._dataflow_issues
-
-    @property
-    def addg(self) -> ADDG:
-        """The extracted array data dependence graph (built once, cached)."""
-        if self._addg is None:
-            self._addg = build_addg(self.geometry)
-        return self._addg
-
-    @property
-    def fingerprint(self) -> str:
-        """SHA-256 of the normalised source text (identifies the program)."""
-        if self._fingerprint is None:
-            text = normalized_program_text(self.program)
-            self._fingerprint = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        return self._fingerprint
+        with TRACER.span("frontend.defuse", "frontend"):
+            #: Def-use / single-assignment prerequisite violations (Fig. 6), if any.
+            self.dataflow_issues = tuple(str(issue) for issue in check_dataflow(self.geometry))
+        #: The extracted array data dependence graph.
+        self.addg: ADDG = build_addg(self.geometry)
 
     @property
     def outputs(self) -> Tuple[str, ...]:
         """The output arrays of the program (via the extracted ADDG)."""
-        return tuple(self.addg.outputs)
+        return self.addg.outputs
 
     def __repr__(self) -> str:
-        return f"CompiledProgram({self.fingerprint[:12]})"
+        return f"CompiledProgram({self.program.name!r})"
 
 
 class Verifier:
@@ -155,7 +133,9 @@ class Verifier:
 
         Accepts mini-C source text, a parsed :class:`~repro.lang.ast.Program`
         or an existing :class:`CompiledProgram` (returned as-is).  Source
-        text is keyed by its exact text; ``Program`` values by identity.
+        text is keyed by its exact text; ``Program`` values by identity.  A
+        program outside the allowed class raises
+        :class:`~repro.lang.errors.ProgramClassError` here.
         """
         if isinstance(source, CompiledProgram):
             return source
@@ -314,8 +294,8 @@ class Verifier:
             trials=replay_trials,
             base_seed=replay_seed,
             witness_seed=witness_seed,
-            original_addg=_addg_if_built(original_compiled),
-            transformed_addg=_addg_if_built(transformed_compiled),
+            original_addg=original_compiled.addg,
+            transformed_addg=transformed_compiled.addg,
         )
         broadcast.on_failure_report(report)
         return report
@@ -326,14 +306,6 @@ class Verifier:
         if observer is not None:
             observers.append(observer)
         return _Broadcast(observers)
-
-
-def _addg_if_built(compiled: CompiledProgram) -> Optional[ADDG]:
-    """The compiled ADDG, or ``None`` when extraction fails (handled downstream)."""
-    try:
-        return compiled.addg
-    except Exception:
-        return None
 
 
 def _traverse_with_backend(

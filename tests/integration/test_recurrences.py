@@ -31,7 +31,7 @@ class TestCycleDetection:
         for name in RECURRENCE_KERNELS:
             pair = kernel_pair(name)
             addg = build_addg(ProgramGeometry(pair.original))
-            assert "acc" in addg.cyclic_arrays(), name
+            assert "acc" in addg.cyclic_arrays, name
 
 
 class TestRecurrenceWellFoundedness:

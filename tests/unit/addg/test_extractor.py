@@ -79,22 +79,21 @@ class TestValidationHook:
                 )
             )
 
-    def test_validation_can_be_skipped(self):
-        # Still fails later only if the construction itself needs affine indices;
-        # for a program that is in the class, validate=False behaves identically.
+    def test_class_is_checked_before_the_loop_bounds_are_read(self):
+        # A non-affine bound would make the geometric analysis fail with a bare
+        # NotAffineError; the class check runs first and reports the program.
         program = parse_program(
-            "f(int A[], int C[]) { int k; for(k=0;k<4;k++) s1: C[k] = A[k]; }"
+            "f(int A[], int C[][8]) { int i, j; for(i=0;i<4;i++) for(j=0;j<i*i;j++) s1: C[i][j] = A[j]; }"
         )
-        addg = build_addg(ProgramGeometry(program), validate=False)
-        assert len(addg.statements) == 1
+        with pytest.raises(ProgramClassError, match="loop bound: not affine"):
+            ProgramGeometry(program)
 
     def test_scalar_data_operand_rejected(self):
         with pytest.raises(ProgramClassError):
             build_addg(
                 ProgramGeometry(
                     parse_program("f(int A[], int C[]) { int k, x; for(k=0;k<4;k++) s1: C[k] = x; }")
-                ),
-                validate=False,
+                )
             )
 
 

@@ -94,9 +94,9 @@ class TestStructure:
 
     def test_cyclic_arrays_detection(self):
         addg = build_addg(ProgramGeometry(kernel_pair("prefix_sum", n=8).original))
-        assert addg.cyclic_arrays() == ("acc",)
+        assert addg.cyclic_arrays == ("acc",)
         addg = build_addg(ProgramGeometry(fig1_program("a", 64)))
-        assert addg.cyclic_arrays() == ()
+        assert addg.cyclic_arrays == ()
 
 
 def _walk(node):

@@ -8,7 +8,30 @@ import sys
 import pytest
 
 from repro.cli import build_arg_parser, build_cli_parser, main
+from repro.lang.errors import LangError, ProgramClassError
+from repro.verifier import CheckOptions, Verifier
 from repro.workloads import FIG1_SOURCES
+
+
+NON_AFFINE_BOUND = """f(int A[], int C[][16])
+{
+    int i, j;
+    for (i = 0; i < 4; i++)
+        for (j = 0; j < i*i; j++)
+            s1: C[i][j] = A[j];
+}
+"""
+
+# s1 reads t before s2 writes it: a def-use violation, still in the program class.
+USE_BEFORE_DEF = """f(int A[], int C[])
+{
+    int k, t[8];
+    for (k = 0; k < 8; k++)
+        s1: C[k] = t[k];
+    for (k = 0; k < 8; k++)
+        s2: t[k] = A[k];
+}
+"""
 
 
 @pytest.fixture
@@ -162,6 +185,40 @@ class TestMain:
         path.write_text(source)
         assert main([str(path), str(path)]) == 2
         assert "non-linear" in capsys.readouterr().err
+
+    def test_non_affine_loop_bound_gets_the_program_class_report(self, tmp_path, capsys):
+        """The class check runs before the geometric analysis reads the bound,
+        with or without the def-use prerequisites."""
+        path = tmp_path / "square.c"
+        path.write_text(NON_AFFINE_BOUND)
+        reports = []
+        for flags in ([], ["--no-preconditions"]):
+            assert main(["check"] + flags + [str(path), str(path)]) == 2
+            reports.append(capsys.readouterr().err)
+        assert reports[0] == reports[1]
+        assert reports[0].startswith("error: program 'f' is outside the allowed program class:")
+        assert "loop bound: not affine" in reports[0]
+
+    @pytest.mark.parametrize("check_preconditions", [True, False])
+    def test_non_affine_loop_bound_raises_program_class_error(self, check_preconditions):
+        options = CheckOptions(check_preconditions=check_preconditions)
+        with pytest.raises(LangError) as raised:
+            Verifier(options).check(NON_AFFINE_BOUND, NON_AFFINE_BOUND)
+        assert type(raised.value) is ProgramClassError
+
+    def test_no_preconditions_skips_the_def_use_diagnostics(self, tmp_path, capsys):
+        path = tmp_path / "use_before_def.c"
+        path.write_text(USE_BEFORE_DEF)
+        assert main(["check", str(path), str(path)]) == 1
+        out = capsys.readouterr().out
+        assert out.count("[precondition]") == 2
+        assert "def-use prerequisites" in out
+
+        assert main(["check", "--no-preconditions", str(path), str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "[precondition]" not in out
+        assert "output C: ok" in out
+        assert "1 path(s)" in out
 
     @pytest.mark.parametrize("subcommand", ["check", "diagnose"])
     @pytest.mark.parametrize(

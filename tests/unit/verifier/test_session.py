@@ -10,7 +10,14 @@ import pytest
 
 from repro.checker import DiagnosticKind, check_equivalence
 from repro.lang import parse_program
-from repro.verifier import CallbackObserver, CheckObserver, CheckOptions, CompiledProgram, Verifier
+from repro.verifier import (
+    CallbackObserver,
+    CheckObserver,
+    CheckOptions,
+    CompiledProgram,
+    Verifier,
+    normalized_program_text,
+)
 
 ORIGINAL = """
 #define N 8
@@ -112,10 +119,11 @@ class TestCompile:
         compiled = Verifier().compile(NOT_SINGLE_ASSIGNMENT)
         assert compiled.dataflow_issues
 
-    def test_fingerprint_ignores_whitespace(self):
+    def test_normalized_text_ignores_whitespace(self):
         reformatted = ORIGINAL.replace("    ", "  ")
         verifier = Verifier()
-        assert verifier.compile(ORIGINAL).fingerprint == verifier.compile(reformatted).fingerprint
+        texts = [normalized_program_text(verifier.compile(s).program) for s in (ORIGINAL, reformatted)]
+        assert texts[0] == texts[1]
 
 
 class TestCheck:

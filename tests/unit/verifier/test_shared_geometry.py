@@ -5,8 +5,8 @@ access maps, defined sets and per-array written sets once
 (:class:`~repro.analysis.ProgramGeometry`); the def-use checks, the ADDG
 extractor and the traversal all read the same objects.  These tests pin that
 sharing: derivation counts over the kernel registry, object identity between
-the ADDG and the contexts, and equal results when two threads race on the
-same cold compiled pair.
+the ADDG and the contexts, no attribute added or rebound by a check, and equal
+results when threads share one compiled pair.
 """
 
 import collections
@@ -16,8 +16,10 @@ import threading
 import pytest
 
 from repro.analysis import domains
+from repro.lang import parse_program, program_to_text
 from repro.lang.ast import array_reads
 from repro.presburger import Map, Set
+from repro.server import CompiledStore
 from repro.verifier import CompiledProgram, Verifier
 from repro.workloads import SMALL_KERNEL_PARAMS, fig1_program, kernel_names, kernel_pair
 
@@ -142,3 +144,77 @@ def test_two_threads_on_one_cold_compiled_pair(name):
     for compiled in shared:
         for statement in compiled.addg.statements:
             assert statement.write_map is statement.context.write_map
+
+
+def _attributes(obj):
+    """The instance attributes of *obj* by name, slots included."""
+    names = set(getattr(obj, "__dict__", ()))
+    for cls in type(obj).__mro__:
+        names.update(getattr(cls, "__slots__", ()))
+    return {name: getattr(obj, name) for name in names if hasattr(obj, name)}
+
+
+def _artifacts(compiled):
+    """Every attribute reachable from *compiled*'s frontend objects, and every dict entry of one.
+
+    Keys are paths; values are the objects themselves, kept alive so that a
+    later ``is`` comparison cannot be fooled by a reused ``id``.
+    """
+    owners = [("compiled", compiled), ("geometry", compiled.geometry), ("addg", compiled.addg)]
+    owners += [(("context", index), context) for index, context in enumerate(compiled.geometry.contexts)]
+    found = {}
+    for owner, obj in owners:
+        for name, value in _attributes(obj).items():
+            found[(owner, name)] = value
+            if isinstance(value, dict):
+                for key, item in value.items():
+                    found[(owner, name, key)] = item
+    return found
+
+
+@pytest.mark.parametrize("name", ["fig1-buggy"] + kernel_names())
+def test_check_and_diagnose_add_or_rebind_nothing(name):
+    compiled = [CompiledProgram(program) for program in _programs(name)]
+    before = [_artifacts(side) for side in compiled]
+
+    verifier = Verifier()
+    result = verifier.check(*compiled)
+    verifier.diagnose(*compiled, result=result)
+    verifier.diagnose(*compiled)
+
+    for side, recorded in zip(compiled, before):
+        after = _artifacts(side)
+        assert after.keys() == recorded.keys()
+        rebound = [path for path, value in after.items() if value is not recorded[path]]
+        assert rebound == []
+
+
+@pytest.mark.parametrize("name", ["fig1-buggy"] + kernel_names())
+def test_store_threads_share_the_one_published_compiled_pair(name):
+    sources = [program_to_text(program) for program in _programs(name)]
+    serial_pair = [CompiledProgram(parse_program(source)) for source in sources]
+    expected = _summary(Verifier().check(*serial_pair), serial_pair)
+
+    store = CompiledStore()
+    held, results, errors = [None] * 3, [None] * 3, []
+    start = threading.Barrier(3)
+
+    def worker(slot):
+        try:
+            start.wait()
+            held[slot] = [store.get_or_compile(source) for source in sources]
+            results[slot] = _summary(Verifier().check(*held[slot]), held[slot])
+        except Exception as error:  # noqa: BLE001 - collected and asserted below
+            errors.append(error)
+
+    threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(3)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+
+    assert errors == []
+    assert results == [expected] * 3
+    published = [store.get_or_compile(source) for source in sources]
+    for pair in held:
+        assert all(mine is one for mine, one in zip(pair, published))

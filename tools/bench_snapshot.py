@@ -184,9 +184,9 @@ def snapshot_verifier() -> dict:
 def _frontend_opcache_lookups() -> dict:
     """Operation-cache hits plus misses of each registry kernel pair's frontend.
 
-    Per kernel, from a cold cache: compile both sides, then their def-use
-    report and their ADDG.  Deriving a statement's maps or a written set a
-    second time shows up here as extra lookups.
+    Per kernel, from a cold cache: compile both sides (geometry, def-use
+    report and ADDG).  Deriving a statement's maps or a written set a second
+    time shows up here as extra lookups.
     """
     from repro.presburger import opcache
     from repro.verifier import Verifier
@@ -199,9 +199,7 @@ def _frontend_opcache_lookups() -> dict:
         before = opcache.snapshot()
         verifier = Verifier()
         for program in (pair.original, pair.transformed):
-            compiled = verifier.compile(program)
-            compiled.dataflow_issues
-            compiled.addg
+            verifier.compile(program)
         delta = opcache.snapshot().delta(before)
         lookups[name] = delta.hits + delta.misses
     return lookups
