@@ -15,9 +15,7 @@ Usage::
     repro-eqcheck check original.c transformed.c --server 127.0.0.1:8571
     repro-eqcheck batch --kernel all --server 127.0.0.1:8571
     repro-eqcheck stats 127.0.0.1:8571
-    repro-eqcheck stats --prom --watch 5
-
-    repro-eqcheck original.c transformed.c          # legacy spelling of `check`
+    repro-eqcheck stats --prom
 
 ``check`` accepts the original and the transformed function in the mini-C
 subset and runs them through a :class:`repro.verifier.Verifier` session: the
@@ -86,9 +84,7 @@ from .lang import LangError, parse_program
 from .verifier import CheckObserver, CheckOptions, Verifier
 from .verifier.options import BACKEND_NAMES, is_budget
 
-__all__ = ["main", "build_arg_parser", "build_cli_parser", "checker_options_from_args"]
-
-_SUBCOMMANDS = ("check", "diagnose", "batch", "fuzz", "serve", "stats")
+__all__ = ["main", "build_cli_parser", "checker_options_from_args"]
 
 _DESCRIPTION = (
     "Functional equivalence checker for array-intensive programs related by "
@@ -106,6 +102,32 @@ def _seconds(text: str) -> float:
     raise argparse.ArgumentTypeError(
         f"expected a finite, non-negative number of seconds, got {text!r}"
     )
+
+
+def _count(minimum: int) -> Callable[[str], int]:
+    """argparse type of an integer flag that is at least *minimum*."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+        return value
+
+    return parse
+
+
+def _probability(text: str) -> float:
+    """argparse type of a probability flag: a number in [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = None
+    if value is None or not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"expected a probability in [0, 1], got {text!r}")
+    return value
 
 
 def _add_checker_option_arguments(parser: argparse.ArgumentParser) -> None:
@@ -228,13 +250,6 @@ def _add_diagnose_arguments(parser: argparse.ArgumentParser) -> None:
     _add_checker_option_arguments(parser)
     _add_telemetry_arguments(parser)
     parser.add_argument(
-        "--trials",
-        type=int,
-        default=3,
-        metavar="N",
-        help="seeded random inputs the witness replay executes (default: 3)",
-    )
-    parser.add_argument(
         "--seed", type=int, default=0, help="base seed of the replay inputs (default: 0)"
     )
     parser.add_argument(
@@ -248,19 +263,12 @@ def _add_diagnose_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_run_arguments(
-    parser: argparse.ArgumentParser,
-    report: str,
-    workers_for: str,
-    noun: str,
-    after_report: Callable[[], None],
-    after_timeout: Callable[[], None] = lambda: None,
+    parser: argparse.ArgumentParser, report: str, workers_for: str, noun: str
 ) -> None:
     """The --report/--workers/--timeout/--quiet arguments of batch and fuzz.
 
     *report* is the default report path, *workers_for* what the worker
-    processes run and *noun* what one progress line reports.  The command's
-    own arguments go in through *after_report* and *after_timeout*, which
-    keeps each ``--help`` in its established order.
+    processes run and *noun* what one progress line reports.
     """
     parser.add_argument(
         "--report",
@@ -268,10 +276,9 @@ def _add_run_arguments(
         default=report,
         help=f"JSONL report path (default: {report}; '-' to skip the file)",
     )
-    after_report()
     parser.add_argument(
         "--workers",
-        type=int,
+        type=_count(1),
         default=1,
         metavar="N",
         help=f"worker processes for {workers_for} (default: 1 = serial)",
@@ -283,7 +290,6 @@ def _add_run_arguments(
         metavar="SECONDS",
         help="per-job wall-clock budget (default: unlimited)",
     )
-    after_timeout()
     parser.add_argument(
         "--quiet", action="store_true", help=f"print only the summary (no per-{noun} lines)"
     )
@@ -305,36 +311,33 @@ def _add_batch_arguments(parser: argparse.ArgumentParser) -> None:
     )
     source.add_argument(
         "--generated",
-        type=int,
+        type=_count(0),
         default=0,
         metavar="N",
         help="include N randomly generated equivalence-preserving pairs",
     )
     source.add_argument(
         "--buggy",
-        type=int,
+        type=_count(0),
         default=0,
         metavar="N",
         help="include N generated pairs with one injected error (expected not equivalent)",
     )
     source.add_argument("--seed", type=int, default=0, help="base seed of the generated pairs")
-    source.add_argument("--stages", type=int, default=3, help="stages per generated program")
-    source.add_argument("--size", type=int, default=24, help="domain size of generated programs")
+    source.add_argument("--stages", type=_count(1), default=3, help="stages per generated program")
+    source.add_argument("--size", type=_count(1), default=24, help="domain size of generated programs")
     source.add_argument(
-        "--transform-steps", type=int, default=3, help="transformation steps per generated pair"
+        "--transform-steps", type=_count(0), default=3, help="transformation steps per generated pair"
     )
     _add_checker_option_arguments(parser)
-
-    def cache_arguments() -> None:
-        parser.add_argument(
-            "--cache-dir",
-            metavar="DIR",
-            default=".eqcheck_cache",
-            help="result cache directory (default: .eqcheck_cache)",
-        )
-        parser.add_argument("--no-cache", action="store_true", help="disable the result cache")
-
-    _add_run_arguments(parser, "eqcheck_report.jsonl", "cache misses", "job", cache_arguments)
+    _add_run_arguments(parser, "eqcheck_report.jsonl", "cache misses", "job")
+    parser.add_argument(
+        "--cache-dir",
+        metavar="DIR",
+        default=".eqcheck_cache",
+        help="result cache directory (default: .eqcheck_cache)",
+    )
+    parser.add_argument("--no-cache", action="store_true", help="disable the result cache")
     parser.add_argument(
         "--server",
         metavar="ADDR",
@@ -353,7 +356,7 @@ def _add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--port",
-        type=int,
+        type=_count(0),
         default=8571,
         metavar="PORT",
         help="TCP port (default: 8571; 0 binds an ephemeral port, printed on startup)",
@@ -371,7 +374,7 @@ def _add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--workers",
-        type=int,
+        type=_count(1),
         default=1,
         metavar="N",
         help="verifier worker threads; each holds one warm session (default: 1)",
@@ -396,28 +399,6 @@ def _add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="SECONDS",
         help="ceiling on every budget, a job's own included (default: none)",
-    )
-    parser.add_argument(
-        "--max-inflight",
-        type=int,
-        default=16,
-        metavar="N",
-        help="per-connection in-flight request budget; excess is rejected "
-        "with a rate_limited error (default: 16)",
-    )
-    parser.add_argument(
-        "--drain-seconds",
-        type=float,
-        default=30.0,
-        metavar="SECONDS",
-        help="grace period for in-flight jobs on shutdown (default: 30)",
-    )
-    parser.add_argument(
-        "--compiled-entries",
-        type=int,
-        default=512,
-        metavar="N",
-        help="shared compiled-artifact store capacity (default: 512)",
     )
     parser.add_argument(
         "--backend",
@@ -456,28 +437,13 @@ def _add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         "connect/disconnect and non-check requests)",
     )
     observability.add_argument(
-        "--log-max-bytes",
-        type=int,
-        default=32 * 1024 * 1024,
-        metavar="N",
-        help="rotate the request log (FILE -> FILE.1) when it would exceed "
-        "N bytes (default: 32 MiB)",
-    )
-    observability.add_argument(
         "--slow-threshold",
-        type=float,
+        type=_seconds,
         default=None,
         metavar="SECONDS",
         help="capture a self-contained record of every check slower than "
         "SECONDS into the in-memory slow ring (0 captures everything; "
         "default: disabled)",
-    )
-    observability.add_argument(
-        "--slow-capacity",
-        type=int,
-        default=32,
-        metavar="N",
-        help="slow-request ring size; oldest records are evicted (default: 32)",
     )
 
 
@@ -504,13 +470,6 @@ def _add_stats_arguments(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="also fetch and print the captured slow-request records",
     )
-    parser.add_argument(
-        "--watch",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="refresh every SECONDS over one connection until interrupted",
-    )
 
 
 def _add_fuzz_arguments(parser: argparse.ArgumentParser) -> None:
@@ -518,7 +477,7 @@ def _add_fuzz_arguments(parser: argparse.ArgumentParser) -> None:
     corpus.add_argument("--seed", type=int, default=0, help="corpus seed (default: 0)")
     corpus.add_argument(
         "--pairs",
-        type=int,
+        type=_count(1),
         default=20,
         metavar="N",
         help="number of scenarios; each yields one equivalent pair and, at "
@@ -526,83 +485,50 @@ def _add_fuzz_arguments(parser: argparse.ArgumentParser) -> None:
     )
     corpus.add_argument(
         "--max-depth",
-        type=int,
+        type=_count(1),
         default=4,
         metavar="K",
         help="maximum composed-transformation pipeline depth (default: 4)",
     )
     corpus.add_argument(
         "--mutation-rate",
-        type=float,
+        type=_probability,
         default=0.35,
         metavar="P",
         help="probability of pairing a scenario with a known-buggy twin (default: 0.35)",
     )
     corpus.add_argument(
-        "--size", type=int, default=20, help="domain size of generated base programs (default: 20)"
-    )
-    corpus.add_argument(
-        "--kernel-fraction",
-        type=float,
-        default=0.2,
-        metavar="P",
-        help="fraction of scenarios drawn from the (shrunken) DSP kernel suite (default: 0.2)",
-    )
-    corpus.add_argument(
-        "--oracle-trials",
-        type=int,
-        default=3,
-        metavar="N",
-        help="random inputs the differential oracle executes per pair (default: 3)",
+        "--size", type=_count(1), default=20, help="domain size of generated base programs (default: 20)"
     )
     _add_checker_option_arguments(parser)
-
-    def corpus_out_argument() -> None:
-        parser.add_argument(
-            "--corpus-out",
-            metavar="FILE",
-            default=None,
-            help="also persist the labelled scenario corpus (sources, traces, oracle verdicts) "
-            "as JSONL",
-        )
-
-    def gate_arguments() -> None:
-        parser.add_argument(
-            "--no-diagnose",
-            action="store_true",
-            help="skip the witness diagnosis of non-equivalent pairs (and its report blocks)",
-        )
-        parser.add_argument(
-            "--strict",
-            action="store_true",
-            help="also fail on incompleteness (equivalent pairs the checker cannot prove)",
-        )
-        parser.add_argument(
-            "--smoke",
-            action="store_true",
-            help="small fixed-size CI corpus (overrides --pairs/--size/--max-depth)",
-        )
-
-    _add_run_arguments(
-        parser,
-        "fuzz_report.jsonl",
-        "the verification batch",
-        "pair",
-        corpus_out_argument,
-        gate_arguments,
+    _add_run_arguments(parser, "fuzz_report.jsonl", "the verification batch", "pair")
+    parser.add_argument(
+        "--corpus-out",
+        metavar="FILE",
+        default=None,
+        help="also persist the labelled scenario corpus (sources, traces, oracle verdicts) "
+        "as JSONL",
+    )
+    parser.add_argument(
+        "--no-diagnose",
+        action="store_true",
+        help="skip the witness diagnosis of non-equivalent pairs (and its report blocks)",
+    )
+    parser.add_argument(
+        "--strict",
+        action="store_true",
+        help="also fail on incompleteness (equivalent pairs the checker cannot prove)",
+    )
+    parser.add_argument(
+        "--smoke",
+        action="store_true",
+        help="small fixed-size CI corpus (overrides --pairs/--size/--max-depth)",
     )
     _add_telemetry_arguments(parser)
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
-    """The single-pair parser (the legacy no-subcommand CLI, same as ``check``)."""
-    parser = argparse.ArgumentParser(prog="repro-eqcheck", description=_DESCRIPTION)
-    _add_check_arguments(parser)
-    return parser
-
-
 def build_cli_parser() -> argparse.ArgumentParser:
-    """The full subcommand CLI (``check`` / ``batch``)."""
+    """The subcommand CLI: ``check``, ``diagnose``, ``batch``, ``fuzz``, ``serve``, ``stats``."""
     parser = argparse.ArgumentParser(prog="repro-eqcheck", description=_DESCRIPTION)
     subparsers = parser.add_subparsers(dest="command", required=True)
     check = subparsers.add_parser(
@@ -885,7 +811,6 @@ def _run_diagnose(args: argparse.Namespace) -> int:
         report = verifier.diagnose(
             *programs,
             observer=observer,
-            replay_trials=args.trials,
             replay_seed=args.seed,
         )
     except (LangError, SolverUnavailableError) as error:
@@ -1137,8 +1062,6 @@ def _run_fuzz(args: argparse.Namespace) -> int:
         max_depth=args.max_depth,
         mutation_rate=args.mutation_rate,
         size=args.size,
-        kernel_fraction=args.kernel_fraction,
-        oracle_trials=args.oracle_trials,
         oracle_seed=args.seed,
     )
     if not args.quiet:
@@ -1189,7 +1112,7 @@ def _run_fuzz(args: argparse.Namespace) -> int:
             report = attach_failure_report(
                 outcome,
                 jobs_by_name.get(outcome.name),
-                trials=args.oracle_trials,
+                trials=spec.oracle_trials,
                 base_seed=args.seed,
                 verifier=diagnosis_session,
             )
@@ -1247,22 +1170,17 @@ def _run_serve(args: argparse.Namespace) -> int:
         host=None if args.no_tcp else args.host,
         port=args.port,
         unix_socket=args.unix_socket,
-        workers=max(1, args.workers),
+        workers=args.workers,
         cache_dir=args.cache_dir,
         no_cache=args.no_cache,
-        compiled_entries=args.compiled_entries,
         default_timeout=args.timeout,
         max_timeout=args.max_timeout,
-        max_inflight_per_client=args.max_inflight,
-        drain_seconds=args.drain_seconds,
         backend=args.backend,
         smt_solver=args.smt_solver,
         persist_dir=args.persist_dir,
         log_path=args.log_path,
         log_level=args.log_level,
-        log_max_bytes=args.log_max_bytes,
         slow_threshold=args.slow_threshold,
-        slow_capacity=max(1, args.slow_capacity),
     )
 
     def ready(server) -> None:
@@ -1283,21 +1201,24 @@ def _run_serve(args: argparse.Namespace) -> int:
 def _run_stats(args: argparse.Namespace) -> int:
     """The `stats` subcommand: fetch and render a live server's snapshot."""
     import json
-    import time
 
     from .server import ServerClient, ServerError
     from .service.report import format_server_snapshot
 
-    def render(client) -> None:
-        if args.prom:
-            envelope = client.stats(format="prometheus")
-            sys.stdout.write(envelope.get("text") or "")
-            sys.stdout.flush()
-            return
-        snapshot = client.stats(slow=args.slow)
-        if args.json:
-            print(json.dumps(snapshot, sort_keys=True, default=str))
-            return
+    try:
+        with ServerClient(args.server) as client:
+            if args.prom:
+                snapshot = client.stats(format="prometheus")
+            else:
+                snapshot = client.stats(slow=args.slow)
+    except (ServerError, ValueError, OSError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    if args.prom:
+        sys.stdout.write(snapshot.get("text") or "")
+    elif args.json:
+        print(json.dumps(snapshot, sort_keys=True, default=str))
+    else:
         print(format_server_snapshot(snapshot))
         if args.slow:
             records = (snapshot.get("slow") or {}).get("records") or []
@@ -1305,20 +1226,6 @@ def _run_stats(args: argparse.Namespace) -> int:
                 print("slow requests: none captured")
             for record in records:
                 print(json.dumps(record, sort_keys=True, default=str))
-
-    try:
-        with ServerClient(args.server) as client:
-            while True:
-                render(client)
-                if not args.watch:
-                    break
-                time.sleep(max(0.1, args.watch))
-                print(f"--- {time.strftime('%H:%M:%S')} ---")
-    except KeyboardInterrupt:
-        return 0
-    except (ServerError, ValueError, OSError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     return 0
 
 
@@ -1400,22 +1307,14 @@ def _run_with_persistence(args: argparse.Namespace, runner) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = list(argv) if argv is not None else sys.argv[1:]
-    # Bare --help (and an empty command line) go to the subcommand parser so
-    # `batch` stays discoverable; anything else that does not name a
-    # subcommand is the legacy spelling `repro-eqcheck original.c transformed.c`.
-    if not argv or argv[0] in _SUBCOMMANDS or argv[0] in ("-h", "--help"):
-        args = build_cli_parser().parse_args(argv)
-        if args.command == "serve":
-            return _run_serve(args)
-        if args.command == "stats":
-            return _run_stats(args)
-        runner = {"batch": _run_batch, "fuzz": _run_fuzz, "diagnose": _run_diagnose}.get(
-            args.command, _run_check
-        )
-    else:
-        args = build_arg_parser().parse_args(argv)
-        runner = _run_check
+    args = build_cli_parser().parse_args(argv)
+    if args.command == "serve":
+        return _run_serve(args)
+    if args.command == "stats":
+        return _run_stats(args)
+    runner = {"batch": _run_batch, "fuzz": _run_fuzz, "diagnose": _run_diagnose}.get(
+        args.command, _run_check
+    )
     return _run_with_persistence(args, runner)
 
 

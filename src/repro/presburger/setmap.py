@@ -984,6 +984,12 @@ class Map:
                 used_eqs = []
                 break
             out_exprs.append(expr_text)
+        # The image form drops the output names, so a constraint it does not
+        # absorb may not mention them.
+        out_cols = range(self.n_in, self.n_in + self.n_out)
+        leftover = [eq for index, eq in enumerate(conjunct.eqs) if ("eq", index) not in used_eqs]
+        if any(vec[col] for vec in leftover + list(conjunct.ineqs) for col in out_cols):
+            out_exprs = []
         if out_exprs:
             body = _render_conjunct_body(conjunct, names, skip=used_eqs)
             head = f"{in_part} -> [{', '.join(out_exprs)}]"

@@ -15,17 +15,17 @@ bound addresses are in :attr:`addresses`).  ``serve_forever()`` parks until
 :meth:`initiate_shutdown` is called — by the ``shutdown`` RPC, by ``SIGTERM``
 / ``SIGINT`` (installed by :func:`run_server`), or by a test.  Shutdown is a
 *drain*: listeners close immediately, requests already in flight run to
-completion (bounded by ``config.drain_seconds``), every connection receives
+completion (bounded by :data:`DRAIN_SECONDS`), every connection receives
 its remaining responses, new requests are answered with a structured
 ``shutting_down`` error, and only then does the loop exit.
 
 Per-client budgets
 ------------------
 
-Each connection may have at most ``config.max_inflight_per_client`` checks
+Each connection may have at most :data:`MAX_INFLIGHT_PER_CLIENT` checks
 in flight; excess requests are rejected immediately with ``rate_limited``
 (not queued — a client that wants backpressure gets it by bounding its own
-pipeline).  Frames above ``config.max_frame_bytes`` terminate the connection
+pipeline).  Frames above :data:`protocol.MAX_FRAME_BYTES` terminate the connection
 after a ``frame_too_large`` error, because a byte stream past an oversized
 frame is no longer self-synchronising.
 
@@ -61,24 +61,30 @@ from .pool import JobDispatcher, WarmVerifierPool
 
 __all__ = ["ServerConfig", "VerificationServer", "ServerThread", "run_server"]
 
+#: Grace period, in seconds, for in-flight checks once shutdown begins.
+DRAIN_SECONDS = 30.0
+#: Checks one connection may have in flight; excess is ``rate_limited``.
+MAX_INFLIGHT_PER_CLIENT = 16
+#: Memory-tier capacity of the verdict cache.
+CACHE_MEMORY_ENTRIES = 4096
+#: Size at which the request log rotates (FILE -> FILE.1).
+LOG_MAX_BYTES = 32 * 1024 * 1024
+#: Slow-request records kept; the oldest is evicted first.
+SLOW_CAPACITY = 32
+
 
 @dataclass
 class ServerConfig:
-    """Everything a daemon instance can be tuned with."""
+    """What one ``repro-eqcheck serve`` sets: each field is one of its flags."""
 
     host: Optional[str] = "127.0.0.1"
     port: int = 8571
     unix_socket: Optional[str] = None
     workers: int = 1
     cache_dir: Optional[str] = None
-    cache_memory_entries: int = 4096
     no_cache: bool = False
-    compiled_entries: int = 512
     default_timeout: Optional[float] = None
     max_timeout: Optional[float] = None
-    max_frame_bytes: int = protocol.MAX_FRAME_BYTES
-    max_inflight_per_client: int = 16
-    drain_seconds: float = 30.0
     # Decision-backend default applied to requests that do not choose one
     # (see WarmVerifierPool.prepare_job); None honours each job's options.
     backend: Optional[str] = None
@@ -90,15 +96,13 @@ class ServerConfig:
     # structured JSONL request log and the bounded slow-request capture.
     log_path: Optional[str] = None
     log_level: str = "info"
-    log_max_bytes: int = 32 * 1024 * 1024
     slow_threshold: Optional[float] = None
-    slow_capacity: int = 32
 
     def build_cache(self) -> Optional[ResultCache]:
         """The verdict cache this config describes (memory-only by default)."""
         if self.no_cache:
             return None
-        return ResultCache(self.cache_dir, memory_entries=self.cache_memory_entries)
+        return ResultCache(self.cache_dir, memory_entries=CACHE_MEMORY_ENTRIES)
 
 
 class _ClientContext:
@@ -122,7 +126,6 @@ class VerificationServer:
         self.pool = pool or WarmVerifierPool(
             workers=self.config.workers,
             cache=self.config.build_cache(),
-            compiled_entries=self.config.compiled_entries,
             default_timeout=self.config.default_timeout,
             backend=self.config.backend,
             smt_solver=self.config.smt_solver,
@@ -139,12 +142,12 @@ class VerificationServer:
             RequestLogger(
                 self.config.log_path,
                 level=self.config.log_level,
-                max_bytes=self.config.log_max_bytes,
+                max_bytes=LOG_MAX_BYTES,
             )
             if self.config.log_path
             else None
         )
-        self.slow_requests = SlowRequestRing(self.config.slow_capacity)
+        self.slow_requests = SlowRequestRing(SLOW_CAPACITY)
         # Always-on request/check latency histograms, observable through
         # `stats` on any daemon, telemetry flags or not.  Observed only from
         # the event-loop thread, so no lock is needed.
@@ -162,7 +165,7 @@ class VerificationServer:
     async def start(self) -> None:
         """Bind the configured listeners; fills :attr:`addresses`."""
         self._shutdown_event = asyncio.Event()
-        limit = self.config.max_frame_bytes + 2
+        limit = protocol.MAX_FRAME_BYTES + 2
         if self.config.host is not None:
             server = await asyncio.start_server(
                 self._handle_client, host=self.config.host, port=self.config.port, limit=limit
@@ -202,13 +205,13 @@ class VerificationServer:
         # bytes may still sit in the socket buffer, not yet turned into a
         # request task.  Give open connections one short read-grace so those
         # frames surface before the task wait below concludes.
-        if self._connections and self.config.drain_seconds > 0:
-            await asyncio.sleep(min(0.25, self.config.drain_seconds))
+        if self._connections:
+            await asyncio.sleep(min(0.25, DRAIN_SECONDS))
         # Re-snapshot until quiet: a frame already buffered on an open
         # connection can spawn a request task *after* draining began (it is
         # answered with a shutting_down error) and must still be awaited.
         loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.config.drain_seconds
+        deadline = loop.time() + DRAIN_SECONDS
         while True:
             pending = {task for task in self._request_tasks if not task.done()}
             if not pending:
@@ -258,7 +261,7 @@ class VerificationServer:
                         protocol.error_response(
                             None,
                             protocol.ERROR_FRAME_TOO_LARGE,
-                            f"frame exceeds the {self.config.max_frame_bytes} byte limit",
+                            f"frame exceeds the {protocol.MAX_FRAME_BYTES} byte limit",
                         ),
                     )
                     break
@@ -296,7 +299,7 @@ class VerificationServer:
         self.pool.stats.inc("requests")
         request_id: Any = None
         try:
-            payload = protocol.decode_frame(line, self.config.max_frame_bytes)
+            payload = protocol.decode_frame(line, protocol.MAX_FRAME_BYTES)
             request_id = payload.get("id")
             request_id, method, params = protocol.validate_request(payload)
         except protocol.ProtocolError as error:
@@ -444,12 +447,12 @@ class VerificationServer:
             raise protocol.ProtocolError(
                 protocol.ERROR_SHUTTING_DOWN, "server is draining; not accepting new checks"
             )
-        if ctx.inflight >= self.config.max_inflight_per_client:
+        if ctx.inflight >= MAX_INFLIGHT_PER_CLIENT:
             # Counted as `rejected` by the ProtocolError handler upstream.
             raise protocol.ProtocolError(
                 protocol.ERROR_RATE_LIMITED,
                 f"client budget exceeded: {ctx.inflight} checks already in flight "
-                f"(limit {self.config.max_inflight_per_client})",
+                f"(limit {MAX_INFLIGHT_PER_CLIENT})",
             )
         job_payload = params.get("job")
         if not isinstance(job_payload, dict):

@@ -189,8 +189,6 @@ class WarmVerifierPool:
     cache:
         The content-addressed verdict cache consulted before (and filled
         after) every executed check; ``None`` disables verdict caching.
-    compiled_entries:
-        Bound of the shared :class:`CompiledStore`.
     default_timeout:
         Wall-clock budget applied to jobs that carry none of their own.
 
@@ -203,14 +201,13 @@ class WarmVerifierPool:
         self,
         workers: int = 1,
         cache: Optional[ResultCache] = None,
-        compiled_entries: int = 512,
         default_timeout: Optional[float] = None,
         backend: Optional[str] = None,
         smt_solver: Optional[str] = None,
     ):
         self.workers = max(1, int(workers))
         self.cache = cache
-        self.compiled = CompiledStore(compiled_entries)
+        self.compiled = CompiledStore()
         self.default_timeout = default_timeout
         self.backend = backend
         self.smt_solver = smt_solver

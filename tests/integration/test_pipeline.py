@@ -103,7 +103,7 @@ class TestCommandLineFlow(object):
             path = tmp_path / f"{version}.c"
             path.write_text(program_to_text(text))
             paths[version] = str(path)
-        status = main([paths["a"], paths["d"]])
+        status = main(["check", paths["a"], paths["d"]])
         captured = capsys.readouterr().out
         assert status == 1
         assert "mapping-mismatch" in captured

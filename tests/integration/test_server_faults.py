@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from repro.server import ServerClient, ServerConfig, ServerError, ServerThread, protocol
+from repro.server import ServerClient, ServerConfig, ServerError, ServerThread, daemon, protocol
 from repro.service import CheckOptions, JobStatus, VerificationJob
 
 ORIGINAL = """
@@ -170,9 +170,9 @@ class TestMalformedFrames:
 
 class TestOversizedFrames:
     @pytest.fixture()
-    def small_frame_server(self):
-        config = ServerConfig(port=0, workers=1, max_frame_bytes=4096)
-        with ServerThread(config) as handle:
+    def small_frame_server(self, monkeypatch):
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 4096)
+        with ServerThread(ServerConfig(port=0, workers=1)) as handle:
             yield handle
 
     def test_oversized_frame_errors_and_closes_this_connection(self, small_frame_server):
@@ -294,9 +294,9 @@ class TestBudgets:
             if opcache.persistent_store() is not before:
                 opcache.detach_persistent()
 
-    def test_per_client_inflight_budget_rejects_excess(self):
-        config = ServerConfig(port=0, workers=1, max_inflight_per_client=0)
-        with ServerThread(config) as handle:
+    def test_per_client_inflight_budget_rejects_excess(self, monkeypatch):
+        monkeypatch.setattr(daemon, "MAX_INFLIGHT_PER_CLIENT", 0)
+        with ServerThread(ServerConfig(port=0, workers=1)) as handle:
             with pytest.raises(ServerError) as excinfo:
                 with ServerClient(handle.address) as client:
                     client.check_job(make_job())

@@ -1,5 +1,7 @@
 """Unit tests for Set and Map (the user-facing Presburger API)."""
 
+import re
+
 import pytest
 
 from repro.presburger import (
@@ -14,6 +16,11 @@ from repro.presburger import (
     parse_map,
     parse_set,
 )
+
+
+def _names(text):
+    """The dimension names a rendered constraint or header mentions."""
+    return set(re.findall(r"[A-Za-z_]\w*'?", text)) - {"and"}
 
 
 def interval(name, low, high):
@@ -205,6 +212,25 @@ class TestMapProperties:
     def test_str_shows_image_form(self):
         m = parse_map("{ [k] -> [2k] : 0 <= k < 4 }")
         assert "2*k" in str(m)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{ [k] -> [2k] : 0 <= k < 4 }",
+            "{ [k] -> [j] : j = k and 0 <= k <= 7 and 0 <= j <= 7 }",
+            "{ [k] -> [k] : 0 <= k <= 7 }",
+            "{ [i, j] -> [a, b] : a = i and b = j and 0 <= j <= i < 4 and a + b <= 5 }",
+            "{ [i] -> [o] : 0 <= i < 8 and 0 <= o < 8 }",
+        ],
+    )
+    def test_str_names_every_body_variable_in_the_header(self, text):
+        """The image form hides the output names, so it is used only when the
+        body no longer mentions them."""
+        rendered = str(parse_map(text))
+        assert rendered.startswith("{ ") and rendered.endswith(" }")
+        for piece in rendered[2:-2].split("; "):
+            head, _, body = piece.partition(" : ")
+            assert _names(body) <= _names(head), rendered
 
 
 def _power(relation, steps):

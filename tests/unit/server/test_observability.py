@@ -64,14 +64,14 @@ def make_job(name="pair"):
 
 
 @pytest.fixture
-def observed_server(tmp_path):
+def observed_server(tmp_path, monkeypatch):
+    monkeypatch.setattr(daemon, "SLOW_CAPACITY", 4)
     log_path = str(tmp_path / "requests.jsonl")
     config = ServerConfig(
         port=0,
         log_path=log_path,
         log_level="debug",
         slow_threshold=0.0,
-        slow_capacity=4,
     )
     with ServerThread(config) as handle:
         yield handle, log_path

@@ -1,13 +1,18 @@
 """Unit tests for the command-line driver."""
 
+import argparse
+import dataclasses
 import json
 import os
+import re
+import signal
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
-from repro.cli import build_arg_parser, build_cli_parser, main
+from repro.cli import build_cli_parser, main
 from repro.lang.errors import LangError, ProgramClassError
 from repro.verifier import CheckOptions, Verifier
 from repro.workloads import FIG1_SOURCES
@@ -52,13 +57,19 @@ def fig1_files(tmp_path):
 
 class TestArgumentParser:
     def test_defaults(self):
-        args = build_arg_parser().parse_args(["orig.c", "trans.c"])
+        args = build_cli_parser().parse_args(["check", "orig.c", "trans.c"])
         assert args.method == "extended"
         assert not args.quiet
 
     def test_method_choice_validated(self):
         with pytest.raises(SystemExit):
-            build_arg_parser().parse_args(["a.c", "b.c", "--method", "wrong"])
+            build_cli_parser().parse_args(["check", "a.c", "b.c", "--method", "wrong"])
+
+    def test_pair_without_a_subcommand_is_an_invalid_choice(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["a.c", "b.c"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'a.c'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command",
@@ -73,6 +84,32 @@ class TestArgumentParser:
             build_cli_parser().parse_args(command + ["--timeout", value])
         assert excinfo.value.code == 2
         assert "finite, non-negative number of seconds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fuzz", "--pairs", "-1"], "expected an integer >= 1, got '-1'"),
+            (["fuzz", "--pairs", "0"], "expected an integer >= 1, got '0'"),
+            (["fuzz", "--max-depth", "0"], "expected an integer >= 1, got '0'"),
+            (["fuzz", "--size", "two"], "expected an integer >= 1, got 'two'"),
+            (["batch", "--workers", "-2"], "expected an integer >= 1, got '-2'"),
+            (["batch", "--generated", "-1"], "expected an integer >= 0, got '-1'"),
+            (["batch", "--stages", "0"], "expected an integer >= 1, got '0'"),
+            (["serve", "--workers", "0"], "expected an integer >= 1, got '0'"),
+            (["serve", "--port", "-1"], "expected an integer >= 0, got '-1'"),
+            (["fuzz", "--mutation-rate", "7"], "expected a probability in [0, 1], got '7'"),
+            (["fuzz", "--mutation-rate", "nan"], "expected a probability in [0, 1], got 'nan'"),
+            (["serve", "--slow-threshold", "nan"], "finite, non-negative number of seconds"),
+            (["serve", "--slow-threshold", "-1"], "finite, non-negative number of seconds"),
+        ],
+    )
+    def test_out_of_range_number_is_a_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert message in err
 
     @pytest.mark.parametrize(
         "command, report",
@@ -101,46 +138,44 @@ class TestArgumentParser:
 
 class TestMain:
     def test_equivalent_pair_exits_zero(self, fig1_files, capsys):
-        status = main([fig1_files["a"], fig1_files["c"]])
+        status = main(["check", fig1_files["a"], fig1_files["c"]])
         assert status == 0
         out = capsys.readouterr().out
         assert "EQUIVALENT" in out
 
     def test_inequivalent_pair_exits_one(self, fig1_files, capsys):
-        status = main([fig1_files["a"], fig1_files["d"]])
+        status = main(["check", fig1_files["a"], fig1_files["d"]])
         assert status == 1
         out = capsys.readouterr().out
         assert "NOT PROVEN EQUIVALENT" in out
         assert "mapping" in out
 
     def test_quiet_mode(self, fig1_files, capsys):
-        status = main(["--quiet", fig1_files["a"], fig1_files["b"]])
+        status = main(["check", "--quiet", fig1_files["a"], fig1_files["b"]])
         assert status == 0
         assert capsys.readouterr().out.strip() == "Equivalent"
 
     def test_basic_method_fails_on_algebraic_pair(self, fig1_files):
-        assert main(["--quiet", "--method", "basic", fig1_files["a"], fig1_files["c"]]) == 1
-        assert main(["--quiet", "--method", "basic", fig1_files["a"], fig1_files["b"]]) == 0
+        assert main(["check", "--quiet", "--method", "basic", fig1_files["a"], fig1_files["c"]]) == 1
+        assert main(["check", "--quiet", "--method", "basic", fig1_files["a"], fig1_files["b"]]) == 0
 
     def test_focused_output_option(self, fig1_files):
-        assert main(["--quiet", "--output", "C", fig1_files["a"], fig1_files["b"]]) == 0
+        assert main(["check", "--quiet", "--output", "C", fig1_files["a"], fig1_files["b"]]) == 0
 
     def test_dump_addg(self, fig1_files, tmp_path):
         orig_dot = str(tmp_path / "orig.dot")
         trans_dot = str(tmp_path / "trans.dot")
-        status = main(["--quiet", "--dump-addg", orig_dot, trans_dot, fig1_files["a"], fig1_files["b"]])
+        status = main(["check", "--quiet", "--dump-addg", orig_dot, trans_dot, fig1_files["a"], fig1_files["b"]])
         assert status == 0
         assert os.path.exists(orig_dot) and os.path.exists(trans_dot)
         assert "digraph" in open(orig_dot).read()
 
     def test_missing_file_reports_error(self, capsys):
-        status = main(["/nonexistent/a.c", "/nonexistent/b.c"])
+        status = main(["check", "/nonexistent/a.c", "/nonexistent/b.c"])
         assert status == 2
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "subcommand", [[], ["check"], ["diagnose"]], ids=["default", "check", "diagnose"]
-    )
+    @pytest.mark.parametrize("subcommand", [["check"], ["diagnose"]], ids=["check", "diagnose"])
     @pytest.mark.parametrize(
         "body",
         ["b[0] = ;", "b[0] = " + "(" * 400 + "a[0]" + ")" * 400 + ";"],
@@ -183,7 +218,7 @@ class TestMain:
         )
         path = tmp_path / "nonaffine.c"
         path.write_text(source)
-        assert main([str(path), str(path)]) == 2
+        assert main(["check", str(path), str(path)]) == 2
         assert "non-linear" in capsys.readouterr().err
 
     def test_non_affine_loop_bound_gets_the_program_class_report(self, tmp_path, capsys):
@@ -266,7 +301,7 @@ class TestMain:
 
     def test_declare_op_and_correspond_options(self, fig1_files):
         status = main([
-            "--quiet",
+            "check", "--quiet",
             "--declare-op", "foo:AC",
             "--correspond", "tmp=tmp",
             fig1_files["a"], fig1_files["b"],
@@ -275,7 +310,7 @@ class TestMain:
 
     def test_bad_correspond_syntax(self, fig1_files):
         with pytest.raises(SystemExit):
-            main(["--correspond", "broken", fig1_files["a"], fig1_files["b"]])
+            main(["check", "--correspond", "broken", fig1_files["a"], fig1_files["b"]])
 
     @pytest.mark.parametrize(
         "flags",
@@ -337,6 +372,128 @@ class TestMain:
         assert block["per_op"] and block["intern_misses"] > 0
 
 
+def _report_rows(path):
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    return [row for row in rows if row["type"] == "result"], rows[-1]
+
+
+class TestCorpusAndAblationFlags:
+    def test_no_tabling_turns_table_hits_off(self, tmp_path):
+        hits = []
+        for flags in ([], ["--no-tabling"]):
+            report = tmp_path / "report.jsonl"
+            argv = ["batch", "--kernel", "wavelet_lift", "--no-cache", "--quiet"]
+            assert main(argv + flags + ["--report", str(report)]) == 0
+            (row,), _ = _report_rows(report)
+            hits.append(row["result"]["stats"]["table_hits"])
+        assert hits == [6, 0]
+
+    @pytest.mark.parametrize("stages", [2, 4])
+    def test_stages_shapes_every_generated_program(self, tmp_path, stages):
+        report = tmp_path / "report.jsonl"
+        argv = ["batch", "--generated", "2", "--buggy", "1", "--size", "12"]
+        argv += ["--transform-steps", "1", "--stages", str(stages), "--no-cache", "--quiet"]
+        assert main(argv + ["--report", str(report)]) == 0
+        rows, _ = _report_rows(report)
+        assert len(rows) == 3
+        assert [row["metadata"]["stages"] for row in rows] == [stages] * 3
+
+    def test_strict_fails_on_incompleteness(self, tmp_path):
+        report = tmp_path / "report.jsonl"
+        argv = ["fuzz", "--pairs", "6", "--size", "12", "--method", "basic", "--no-diagnose"]
+        argv += ["--quiet", "--report", str(report)]
+        assert main(argv) == 0
+        _, summary = _report_rows(report)
+        assert summary["scenarios"]["incompleteness"] == ["scenario/0001"]
+        assert main(argv + ["--strict"]) == 1
+
+
+class TestServeFlags:
+    @pytest.fixture
+    def served_config(self, monkeypatch):
+        """Run ``main(["serve", ...])`` without binding; return its ServerConfig."""
+        import repro.server
+
+        configs = []
+        monkeypatch.setattr(
+            repro.server, "run_server", lambda config, ready=None: configs.append(config)
+        )
+
+        def serve(*flags):
+            assert main(["serve", *flags]) == 0
+            (config,) = configs
+            configs.clear()
+            return config
+
+        return serve
+
+    def test_defaults_bind_loopback_tcp_only(self, served_config):
+        config = served_config()
+        assert (config.host, config.port, config.unix_socket) == ("127.0.0.1", 8571, None)
+        assert config.max_timeout is None
+
+    def test_every_config_field_is_set_by_a_flag(self, served_config, tmp_path):
+        from repro.server import ServerConfig
+
+        config = served_config(
+            "--host", "0.0.0.0", "--port", "0", "--unix-socket", str(tmp_path / "s.sock"),
+            "--workers", "3", "--cache-dir", str(tmp_path / "cache"), "--no-cache",
+            "--timeout", "5", "--max-timeout", "9", "--backend", "crosscheck",
+            "--smt-solver", "cvc5", "--persist-dir", str(tmp_path / "persist"),
+            "--log", str(tmp_path / "log.jsonl"), "--log-level", "debug",
+            "--slow-threshold", "0.5",
+        )
+        default = ServerConfig()
+        unset = [
+            field.name
+            for field in dataclasses.fields(ServerConfig)
+            if getattr(config, field.name) == getattr(default, field.name)
+        ]
+        assert unset == []
+        assert config.host == "0.0.0.0"
+        assert config.unix_socket == str(tmp_path / "s.sock")
+        assert (config.default_timeout, config.max_timeout) == (5.0, 9.0)
+
+    def test_no_tcp_drops_the_tcp_listener(self, served_config, tmp_path):
+        path = str(tmp_path / "s.sock")
+        config = served_config("--no-tcp", "--unix-socket", path)
+        assert (config.host, config.unix_socket) == (None, path)
+
+    def test_no_tcp_without_unix_socket_is_a_usage_error(self, served_config, capsys):
+        assert main(["serve", "--no-tcp"]) == 2
+        assert capsys.readouterr().err == "error: --no-tcp requires --unix-socket\n"
+
+    def test_unix_socket_only_daemon_answers_and_drains(self):
+        from repro.server import ServerClient
+
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(__file__))), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        # A short directory: unix socket paths are limited to ~100 bytes.
+        with tempfile.TemporaryDirectory(prefix="eqsock-") as directory:
+            path = os.path.join(directory, "s.sock")
+            process = subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "serve", "--no-tcp", "--unix-socket", path],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                env=env,
+                text=True,
+            )
+            try:
+                assert process.stdout.readline() == f"listening on unix:{path}\n"
+                with ServerClient(f"unix:{path}") as client:
+                    assert client.ping()["pong"] is True
+                process.send_signal(signal.SIGTERM)
+                assert process.wait(timeout=30) == 0
+                assert process.stdout.read() == ""
+            finally:
+                if process.poll() is None:
+                    process.kill()
+                    process.wait(timeout=10)
+                process.stdout.close()
+                process.stderr.close()
+
+
 class TestTelemetryFlags:
     def test_check_trace_and_metrics_files(self, fig1_files, tmp_path, capsys):
         import json
@@ -393,12 +550,6 @@ class TestTelemetryFlags:
         assert TRACER.enabled is False
         assert TRACER.records() == []
 
-    def test_legacy_invocation_accepts_trace_flag(self, fig1_files, tmp_path):
-        trace_path = tmp_path / "legacy.json"
-        assert main(["--quiet", "--trace", str(trace_path),
-                     fig1_files["a"], fig1_files["b"]]) == 0
-        assert trace_path.exists()
-
     def test_no_flags_produces_no_files(self, fig1_files, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["check", "--quiet", fig1_files["a"], fig1_files["b"]]) == 0
@@ -427,3 +578,34 @@ class TestImportWeight:
         )
         proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ))
         assert proc.returncode == 0
+
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+
+def test_every_flag_is_exercised():
+    """Every option of every subcommand appears in a test or in a CI step."""
+    texts = []
+    for directory, _, files in os.walk(os.path.join(REPO_ROOT, "tests")):
+        for name in files:
+            if name.endswith(".py"):
+                with open(os.path.join(directory, name), encoding="utf-8") as handle:
+                    texts.append(handle.read())
+    with open(os.path.join(REPO_ROOT, ".github", "workflows", "ci.yml"), encoding="utf-8") as handle:
+        texts.append(handle.read())
+    corpus = "\n".join(texts)
+
+    parser = build_cli_parser()
+    (subcommands,) = [
+        action for action in parser._actions if isinstance(action, argparse._SubParsersAction)
+    ]
+    unexercised = []
+    for command, subparser in subcommands.choices.items():
+        for action in subparser._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            for flag in action.option_strings:
+                # Whole-flag match: `--log` must not count a `--log-level` use.
+                if not re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", corpus):
+                    unexercised.append(f"{command} {flag}")
+    assert unexercised == []
