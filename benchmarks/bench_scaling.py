@@ -24,7 +24,7 @@ from conftest import run_once
 
 STAGE_SWEEP = [2, 4, 6, 8]
 BREADTH_SWEEP = [2, 4, 8, 16]
-CHAIN_SWEEP = [10, 20, 40, 80]
+CHAIN_SWEEP = [10, 20, 40, 80, 160]
 CONV_SWEEP = [3, 5, 7]
 
 
@@ -76,7 +76,10 @@ def chain_sweep() -> dict:
 
     The reads pair by their dependency-mapping keys, one compare each, so
     every entry is ``length + 1``; trial-comparing every pair of reads
-    would cost ``length**2 + 1``.
+    would cost ``length**2 + 1``.  Flattening has no depth cap, so the
+    160-read chains (and the 160 temporaries of the pipeline) check like the
+    short ones; the traversal's one depth limit is the interpreter's
+    recursion limit.
     """
     sweep = {}
     for shape in CHAIN_SHAPES:
@@ -100,32 +103,43 @@ def bench_e9_scaling_with_chain_length(benchmark, shape, length, paper_threshold
     benchmark.extra_info["compare_calls"] = result.stats.compare_calls
 
 
-def _conv_check(k: int):
-    """A k×k convolution's flat sum against its row-temporary rewrite."""
-    return parse_program(conv_source(k)), parse_program(conv_source(k, transformed=True))
+def _conv_check(k: int, broken: bool = False):
+    """A k×k convolution's flat sum against its row-temporary rewrite.
+
+    When *broken*, one tap of the rewrite reads the wrong coefficient
+    (``* w[0]`` becomes ``* w[1]``).
+    """
+    transformed = conv_source(k, transformed=True)
+    if broken:
+        transformed = transformed.replace("* w[0]", "* w[1]")
+    return parse_program(conv_source(k)), parse_program(transformed)
 
 
-def conv_sweep() -> dict:
+def conv_sweep(broken: bool = False) -> dict:
     """``compare_calls`` of a k×k convolution against its rewrite, per k.
 
     The k² products pair by their operand keys: one compare per product
     plus one per factor, so every entry is ``3*k*k + 1``; trial-comparing
     every pair of products would cost 244, 1876 and 7204 at k = 3, 5, 7.
+    One wrong tap (*broken*) costs the same: every product has a key, so
+    the failing group is not rerun through the full matrix, which would
+    cost 255, 1903 and 7255.
     """
     sweep = {}
     for k in CONV_SWEEP:
-        result = check_equivalence(*_conv_check(k))
-        assert result.equivalent, k
+        result = check_equivalence(*_conv_check(k, broken))
+        assert result.equivalent is not broken, k
         sweep[str(k)] = result.stats.compare_calls
     return sweep
 
 
+@pytest.mark.parametrize("broken", [False, True], ids=["equivalent", "one-wrong-tap"])
 @pytest.mark.parametrize("k", CONV_SWEEP)
-def bench_e9_scaling_with_conv_size(benchmark, k, paper_threshold_seconds):
+def bench_e9_scaling_with_conv_size(benchmark, k, broken, paper_threshold_seconds):
     """Convolution series: k² products against their row-temporary rewrite."""
-    original, transformed = _conv_check(k)
+    original, transformed = _conv_check(k, broken)
     result = run_once(benchmark, check_equivalence, original, transformed, rounds=1)
-    assert result.equivalent
+    assert result.equivalent is not broken
     assert result.stats.compare_calls == 3 * k * k + 1
     assert result.stats.elapsed_seconds < paper_threshold_seconds
     benchmark.extra_info["compare_calls"] = result.stats.compare_calls

@@ -20,15 +20,22 @@ This module implements the method of Section 5 of the paper:
 * structured **error diagnostics** (Section 6.1) with the mismatching
   mappings, the statements involved and suspect variables.
 
+The traversal recurses through compares, intermediate-variable reductions
+and associative chains, and its one depth limit is the interpreter's
+recursion limit: :meth:`Engine.discharge` turns a :class:`RecursionError`
+into one UNSUPPORTED diagnostic for the obligation that hit it.  How deep an
+input gets before that depends on how deep the caller's stack already is.
+
 The engine works on two extracted :class:`~repro.addg.graph.ADDG` values; the
 public entry point is :func:`repro.checker.api.check_equivalence`.
 """
 
 from __future__ import annotations
 
+import sys
 import time
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Set as PySet, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Set as PySet, Tuple
 
 from ..presburger import Map, Set, SpaceMismatchError, opcache
 from ..presburger.errors import PresburgerError
@@ -41,12 +48,6 @@ __all__ = ["Term", "Engine"]
 
 # Path entries are ("array", name) or ("stmt", label) pairs.
 PathEntry = Tuple[str, str]
-
-# Depth caps of the traversal: past each, the engine records an UNSUPPORTED
-# diagnostic and gives up on that branch.
-MAX_COMPARE_DEPTH = 400  # nested compare() calls
-MAX_RESOLVE_DEPTH = 120  # intermediate-variable reductions along one resolution
-MAX_FLATTEN_DEPTH = 80  # associative-chain expansion while flattening
 
 
 class Term:
@@ -141,21 +142,16 @@ class Engine:
         self._suppress = 0
         self._correspondence_obligations: PySet[Tuple[str, str]] = set()
         self._cyclic = (set(original.cyclic_arrays), set(transformed.cyclic_arrays))
-        # Baseline of the process-wide Presburger operation-cache counters so
-        # this run's share can be reported as a delta (the cache is shared
-        # across engines in the process, like the paper's tabling is shared
-        # across outputs of one check).
-        self._opcache_baseline = opcache.snapshot()
 
-    def record_opcache_stats(self) -> None:
-        """Store this run's Presburger cache/intern activity into :attr:`stats`.
+    def record_opcache_stats(self, baseline: opcache.OpCacheStats) -> None:
+        """Store the check's Presburger cache/intern activity into :attr:`stats`.
 
         Called once per :meth:`repro.verifier.Verifier.check` traversal, after
-        it finished; the counters are deltas against the engine's
-        construction-time snapshot, so concurrent warm state contributed by
-        earlier checks in the same process is not double counted.
+        it finished, with the operation-cache snapshot the check took on
+        entry: the counters cover the frontend and the traversal, and warm
+        state left by earlier checks in the process is not double counted.
         """
-        delta = opcache.snapshot().delta(self._opcache_baseline)
+        delta = opcache.snapshot().delta(baseline)
         self.stats.opcache_hits = delta.hits
         self.stats.opcache_misses = delta.misses
         self.stats.intern_hits = delta.intern_hits
@@ -232,7 +228,7 @@ class Engine:
         """True for array terms that belong to a data-flow cycle (recurrence)."""
         return term.kind == Term.ARRAY and term.array in self._cyclic[term.side]
 
-    def _resolve(self, term: Term, depth: int = 0, allowance: int = 0) -> Tuple[List[Term], bool]:
+    def _resolve(self, term: Term, allowance: int = 0) -> Tuple[List[Term], bool]:
         """Reduce *term* through intermediate-variable definitions.
 
         Returns ``(pieces, ok)`` where the pieces partition the output
@@ -252,15 +248,6 @@ class Engine:
             if allowance <= 0:
                 return [term], True
             allowance -= 1
-        if depth > MAX_RESOLVE_DEPTH:
-            self._diag(
-                Diagnostic(
-                    DiagnosticKind.UNSUPPORTED,
-                    f"intermediate-variable reduction exceeded depth {MAX_RESOLVE_DEPTH} "
-                    f"while reducing array {term.array!r} (possible copy cycle)",
-                )
-            )
-            return [], False
 
         addg = self.addg(term.side)
         needed = term.rel.range()
@@ -283,7 +270,7 @@ class Engine:
             if restricted.is_empty():
                 continue
             child = self._statement_entry_term(term, statement, restricted)
-            sub_pieces, sub_ok = self._resolve(child, depth + 1, allowance)
+            sub_pieces, sub_ok = self._resolve(child, allowance)
             pieces.extend(sub_pieces)
             ok = ok and sub_ok
 
@@ -313,18 +300,34 @@ class Engine:
     # ------------------------------------------------------------------ #
     # The synchronized comparison
     # ------------------------------------------------------------------ #
-    def compare(self, first: Term, second: Term, trial: bool = False, depth: int = 0) -> bool:
-        """Check the sufficient condition for the two terms (memoized)."""
-        self.stats.compare_calls += 1
-        if depth > MAX_COMPARE_DEPTH:
+    def discharge(self, first: Term, second: Term) -> bool:
+        """Compare the root terms of one obligation: an output or a declared correspondence.
+
+        A :class:`RecursionError` unwinds every open compare, each restoring
+        ``_suppress`` and the assumption stack, and fails only this
+        obligation, with one UNSUPPORTED diagnostic.
+        """
+        try:
+            return self.compare(first, second)
+        except RecursionError:
             self._diag(
                 Diagnostic(
                     DiagnosticKind.UNSUPPORTED,
-                    f"traversal exceeded the maximum depth of {MAX_COMPARE_DEPTH}",
+                    "the traversal exceeded the interpreter's recursion limit "
+                    f"({sys.getrecursionlimit()} frames)",
                 )
             )
             return False
 
+    def compare(self, first: Term, second: Term) -> bool:
+        """Check the sufficient condition for the two terms (memoized).
+
+        The compare is a *trial* while ``_suppress`` is positive (see
+        :meth:`_trial_compare`): it reports no diagnostics, and a failed
+        trial is not tabled, since matching asks it of pairs that need not
+        correspond.
+        """
+        self.stats.compare_calls += 1
         key: Optional[Tuple] = None
         if self.tabling_enabled:
             key = (self._term_key(first), self._term_key(second))
@@ -336,23 +339,25 @@ class Engine:
 
         entry_assumptions = len(self._assumptions)
         uses_before = set(self._assumption_uses)
-        if trial:
-            self._suppress += 1
-        try:
-            result = self._compare_inner(first, second, trial, depth)
-        finally:
-            if trial:
-                self._suppress -= 1
+        result = self._compare_inner(first, second)
 
         if self.tabling_enabled and key is not None:
             new_uses = self._assumption_uses - uses_before
             independent = all(index >= entry_assumptions for index in new_uses)
-            if independent and (result or not trial):
+            if independent and (result or self._suppress == 0):
                 self._table[key] = result
                 self.stats.table_entries = len(self._table)
         return result
 
-    def _compare_inner(self, first: Term, second: Term, trial: bool, depth: int) -> bool:
+    def _trial_compare(self, first: Term, second: Term) -> bool:
+        """A :meth:`compare` whose diagnostics are suppressed, as matching asks it."""
+        self._suppress += 1
+        try:
+            return self.compare(first, second)
+        finally:
+            self._suppress -= 1
+
+    def _compare_inner(self, first: Term, second: Term) -> bool:
         domain1 = first.rel.domain()
         domain2 = second.rel.domain()
         if domain1.is_empty() and domain2.is_empty():
@@ -425,10 +430,10 @@ class Engine:
                             continue
                 self._assumptions.append((first.array or "", second.array or "", correspondence))
                 try:
-                    return self._compare_after_reduction(first, second, trial, depth)
+                    return self._compare_after_reduction(first, second)
                 finally:
                     self._assumptions.pop()
-        return self._compare_after_reduction(first, second, trial, depth)
+        return self._compare_after_reduction(first, second)
 
     def _array_under_comparison(self, term: Term) -> bool:
         """True when the term's array is currently on the assumption stack (a cycle)."""
@@ -441,18 +446,16 @@ class Engine:
         except (SpaceMismatchError, PresburgerError):
             return None
 
-    def _compare_after_reduction(self, first: Term, second: Term, trial: bool, depth: int) -> bool:
+    def _compare_after_reduction(self, first: Term, second: Term) -> bool:
         # One level of recurrence expansion is allowed here: the enclosing
         # compare() has just installed (or found) the inductive assumption for
         # this array pair, so unfolding one step is exactly the induction step.
         pieces1, ok1 = self._resolve(first, allowance=1)
         pieces2, ok2 = self._resolve(second, allowance=1)
-        compared = self._compare_piecewise(pieces1, pieces2, trial, depth)
+        compared = self._compare_piecewise(pieces1, pieces2)
         return ok1 and ok2 and compared
 
-    def _compare_piecewise(
-        self, pieces1: Sequence[Term], pieces2: Sequence[Term], trial: bool, depth: int
-    ) -> bool:
+    def _compare_piecewise(self, pieces1: Sequence[Term], pieces2: Sequence[Term]) -> bool:
         ok = True
         for piece1 in pieces1:
             domain1 = piece1.rel.domain()
@@ -465,13 +468,13 @@ class Engine:
                     continue
                 restricted1 = self._restrict(piece1, common)
                 restricted2 = self._restrict(piece2, common)
-                if not self._compare_resolved(restricted1, restricted2, trial, depth):
+                if not self._compare_resolved(restricted1, restricted2):
                     ok = False
         return ok
 
-    def _compare_resolved(self, first: Term, second: Term, trial: bool, depth: int) -> bool:
+    def _compare_resolved(self, first: Term, second: Term) -> bool:
         if first.kind == Term.CONST and second.kind == Term.CONST:
-            return self._compare_inner(first, second, trial, depth)
+            return self._compare_inner(first, second)
         input1 = self._is_input_term(first)
         input2 = self._is_input_term(second)
         if input1 and input2:
@@ -481,16 +484,16 @@ class Engine:
         if array1 and array2:
             # Both sides stopped at recurrence arrays: go through the full
             # comparison (assumption / induction logic) for the pair.
-            return self._compare_inner(first, second, trial, depth)
+            return self._compare_inner(first, second)
         if array1 or array2:
             # Only one side is an unexpanded recurrence array (the other side
             # inlined the definition differently); force one expansion step so
             # the structural comparison can proceed.
             pieces1, ok1 = (self._resolve(first, allowance=1) if array1 else ([first], True))
             pieces2, ok2 = (self._resolve(second, allowance=1) if array2 else ([second], True))
-            return ok1 and ok2 and self._compare_piecewise(pieces1, pieces2, trial, depth + 1)
+            return ok1 and ok2 and self._compare_piecewise(pieces1, pieces2)
         if first.kind == Term.OP and second.kind == Term.OP:
-            return self._compare_ops(first, second, trial, depth)
+            return self._compare_ops(first, second)
         # Mixed kinds after full resolution: a genuine structural mismatch.
         self._diag(
             Diagnostic(
@@ -598,7 +601,7 @@ class Engine:
     # ------------------------------------------------------------------ #
     # Operators: positional, flattening, matching
     # ------------------------------------------------------------------ #
-    def _compare_ops(self, first: Term, second: Term, trial: bool, depth: int) -> bool:
+    def _compare_ops(self, first: Term, second: Term) -> bool:
         node1, node2 = first.node, second.node
         assert node1 is not None and node2 is not None
         if node1.op != node2.op:
@@ -621,43 +624,34 @@ class Engine:
             self.stats.flatten_operations += 1
             flattened1 = self._flatten(first, node1.op)
             flattened2 = self._flatten(second, node2.op)
-            return self._compare_flattened(flattened1, flattened2, properties, trial, depth)
-        if properties.commutative:
-            operands1 = [self._operand_term(first, child) for child in node1.operands]
-            operands2 = [self._operand_term(second, child) for child in node2.operands]
-            if len(operands1) != len(operands2):
-                self._diag_operand_count(first, second, len(operands1), len(operands2))
-                return False
-            self.stats.matching_operations += 1
-            return self._match_terms(operands1, operands2, trial, depth)
-
-        # No algebraic laws: synchronized positional traversal (basic method).
+            return self._compare_flattened(flattened1, flattened2, properties)
         operands1 = [self._operand_term(first, child) for child in node1.operands]
         operands2 = [self._operand_term(second, child) for child in node2.operands]
         if len(operands1) != len(operands2):
-            self._diag_operand_count(first, second, len(operands1), len(operands2))
+            self._diag(
+                Diagnostic(
+                    DiagnosticKind.OPERAND_COUNT_MISMATCH,
+                    f"operator has {len(operands1)} operand(s) in the original program but "
+                    f"{len(operands2)} in the transformed program",
+                    original_path=first.path_text(),
+                    transformed_path=second.path_text(),
+                    original_statements=first.path_statements(),
+                    transformed_statements=second.path_statements(),
+                )
+            )
             return False
+        if properties.commutative:
+            self.stats.matching_operations += 1
+            return self._match_terms(operands1, operands2)
+        # No algebraic laws: synchronized positional traversal (basic method).
         ok = True
         for child1, child2 in zip(operands1, operands2):
-            if not self.compare(child1, child2, trial, depth + 1):
+            if not self.compare(child1, child2):
                 ok = False
         return ok
 
-    def _diag_operand_count(self, first: Term, second: Term, count1: int, count2: int) -> None:
-        self._diag(
-            Diagnostic(
-                DiagnosticKind.OPERAND_COUNT_MISMATCH,
-                f"operator has {count1} operand(s) in the original program but {count2} in the "
-                "transformed program",
-                original_path=first.path_text(),
-                transformed_path=second.path_text(),
-                original_statements=first.path_statements(),
-                transformed_statements=second.path_statements(),
-            )
-        )
-
     # ---------------------------- flattening ---------------------------- #
-    def _flatten(self, term: Term, op: str, depth: int = 0) -> List[Tuple[Set, List[Term]]]:
+    def _flatten(self, term: Term, op: str) -> List[Tuple[Set, List[Term]]]:
         """Collect the operand terms of the maximal *op*-chain rooted at *term*.
 
         Intermediate variables encountered inside the chain are reduced on the
@@ -670,7 +664,7 @@ class Engine:
         results: List[Tuple[Set, List[Term]]] = [(term.rel.domain(), [])]
         for child in term.node.operands:
             child_term = self._operand_term(term, child)
-            expanded = self._expand_chain_element(child_term, op, depth)
+            expanded = self._expand_chain_element(child_term, op)
             merged: List[Tuple[Set, List[Term]]] = []
             for domain_acc, terms_acc in results:
                 for domain_new, terms_new in expanded:
@@ -686,15 +680,7 @@ class Engine:
             for domain, terms in results
         ]
 
-    def _expand_chain_element(self, term: Term, op: str, depth: int) -> List[Tuple[Set, List[Term]]]:
-        if depth > MAX_FLATTEN_DEPTH:
-            self._diag(
-                Diagnostic(
-                    DiagnosticKind.UNSUPPORTED,
-                    "flattening exceeded the maximum associative-chain depth",
-                )
-            )
-            return [(term.rel.domain(), [term])]
+    def _expand_chain_element(self, term: Term, op: str) -> List[Tuple[Set, List[Term]]]:
         if term.kind == Term.ARRAY and self._array_under_comparison(term):
             # Do not unroll a recurrence through flattening: keep the
             # recursive operand as a chain element so that it is discharged by
@@ -710,7 +696,7 @@ class Engine:
                 and piece.node.op == op
                 and self.properties(op).associative
             ):
-                expanded.extend(self._flatten(piece, op, depth + 1))
+                expanded.extend(self._flatten(piece, op))
             else:
                 expanded.append((piece.rel.domain(), [piece]))
         return expanded
@@ -720,8 +706,6 @@ class Engine:
         flattened1: Sequence[Tuple[Set, List[Term]]],
         flattened2: Sequence[Tuple[Set, List[Term]]],
         properties: OperatorProperties,
-        trial: bool,
-        depth: int,
     ) -> bool:
         ok = True
         for domain1, terms1 in flattened1:
@@ -735,7 +719,7 @@ class Engine:
                 restricted2 = [self._restrict(t, common) for t in terms2]
                 if properties.commutative:
                     self.stats.matching_operations += 1
-                    if not self._match_terms(restricted1, restricted2, trial, depth):
+                    if not self._match_terms(restricted1, restricted2):
                         ok = False
                 else:
                     if len(restricted1) != len(restricted2):
@@ -750,7 +734,7 @@ class Engine:
                         ok = False
                         continue
                     for element1, element2 in zip(restricted1, restricted2):
-                        if not self.compare(element1, element2, trial, depth + 1):
+                        if not self.compare(element1, element2):
                             ok = False
         return ok
 
@@ -766,46 +750,48 @@ class Engine:
         assert term.node is not None
         return ("op", term.node.op)
 
-    def _match_terms(self, terms1: List[Term], terms2: List[Term], trial: bool, depth: int) -> bool:
+    def _match_terms(self, terms1: List[Term], terms2: List[Term]) -> bool:
         """Pair the operands of a commutative operator (Section 5.2, "matching").
 
         Operands are grouped by a coarse signature (constant value, input
-        array, operator, recurrence array); the group sizes must agree.
-        Groups of several terms are first paired by key (:meth:`_pair_by_key`),
-        each key pair confirmed by one trial :meth:`compare`; the leftovers are
-        paired by trial-comparing every pair and taking a maximum bipartite
-        matching.
+        array, operator, recurrence array); the group sizes must agree.  In a
+        group of several terms, :meth:`_pair_by_key` first pairs the terms
+        whose :meth:`_match_key` is equal, each key pair confirmed by one
+        trial compare; the leftovers are paired by trial-comparing every pair
+        and taking a maximum bipartite matching.  So the chain
+        ``A[k+0] + ... + A[k+n-1]`` against any permutation costs n compares,
+        and the nine ``w[c]*img[...]`` products of a 3x3 convolution cost
+        nine, where trial-comparing every pair would cost n² and 81.
 
-        *Reads of one input array* are keyed by their dependency mapping's
-        :func:`_map_key` (already restricted to the common output domain).
-        Two input leaves are compatible exactly when their mappings are
-        equal, which is an equivalence relation, and equal keys mean
-        identical conjuncts, hence equal mappings.  So pairing equal keys
-        greedily never loses a complete matching, and the chain
-        ``A[k+0] + ... + A[k+n-1]`` against any permutation costs n compares
-        where trial-comparing every pair would cost n².
+        Key pairs plus a maximum matching of the leftovers form a maximal
+        matching: two unmatched compatible terms would both be leftovers.
+        When every term of the group is keyed, it is also a maximum one.
+        Keyed terms are input reads, compatible exactly when their mappings
+        are equal, and operators whose operands are input reads or constants,
+        compatible exactly when their operators agree and their operands pair
+        by mapping equality.  Mapping equality is an equivalence relation, so
+        compatibility is one too: the compatibility graph is a disjoint union
+        of complete bipartite blocks, in which any maximal matching is
+        maximum.  Domains keep this, because :meth:`compare` first requires
+        equal output domains, itself an equivalence relation.  Constant
+        operands compare by value, again an equivalence relation.  A
+        non-commutative operator pairs its operands position by position, so
+        its compatibility is a conjunction of equivalence relations, which is
+        one.
 
-        *Operator terms* are keyed by :meth:`_operand_key` (``None`` unless
-        every operand is an input read or a constant), so the nine
-        ``k[c]*img[...]`` products of a 3x3 convolution cost nine compares.
-        Here the greedy argument does not carry over: :meth:`compare` on
-        operator subtrees is a sufficient check and need not be transitive,
-        so a confirmed key pair may take the partner that a complete matching
-        needs.  Completeness rule: when key pairing plus the leftover matrix
-        is not a complete matching, the full matrix is rerun over the whole
-        group before anything is reported.  A complete matching through the
-        keys pairs every operand by a successful :meth:`compare`, so it is
-        sound, and it is also a complete matching of the full matrix.  An op
-        group therefore fails exactly when the full matrix, the same one an
-        unkeyed check runs, has no complete matching: the verdict never
-        depends on the keys, and a failing group reports the failing
-        operands of that full matrix.  An equivalent group pays for the rerun
-        only when a confirmed key pair took a partner that the complete
-        matching needs, which no registry kernel does.
+        A group that holds an unkeyed term (an operator over an intermediate
+        array or another operator, a recurrence array, a constant) lacks this
+        structure: :meth:`compare` on such subtrees is a sufficient check and
+        need not be transitive, so a confirmed key pair may take the partner
+        that a complete matching needs.  Completeness rule: when such a group
+        has no complete matching through key pairs plus the leftover matrix,
+        the full matrix is rerun over the whole group before anything is
+        reported.  Either way a group fails exactly when the full matrix, the
+        one an unkeyed check runs, has no complete matching, so the verdict
+        never depends on the keys.
 
         Unpaired operands stay in their original order, so the diagnostics
-        of Section 6.1 name the same failing operands whichever way they
-        were paired.
+        of Section 6.1 name the failing operands in program order.
         """
         if len(terms1) != len(terms2):
             self._diag(
@@ -842,74 +828,78 @@ class Engine:
         for signature, group1 in groups1.items():
             group2 = groups2[signature]
             if len(group1) == 1:
-                if not self.compare(group1[0], group2[0], trial, depth + 1):
+                if not self.compare(group1[0], group2[0]):
                     ok = False
                     failing_pairs.append((group1[0], group2[0]))
                 continue
-            if signature[0] == "input":
-                group1, group2 = self._pair_by_key(group1, group2, lambda t: _map_key(t.rel), depth)
-                matching = self._trial_matching(group1, group2, depth)
-            else:
-                leftover1, leftover2 = self._pair_by_key(group1, group2, self._operand_key, depth)
-                matching = self._trial_matching(leftover1, leftover2, depth)
-                if len(matching) == len(leftover1):
-                    continue
-                if len(leftover1) < len(group1):
-                    # Completeness rule: key pairs may have taken the
-                    # partners a complete matching needs.
-                    matching = self._trial_matching(group1, group2, depth)
-            if len(matching) == len(group1):
+            leftover1, leftover2, keyed = self._pair_by_key(group1, group2)
+            matching = self._trial_matching(leftover1, leftover2)
+            if len(matching) < len(leftover1) and not keyed and len(leftover1) < len(group1):
+                # Completeness rule: key pairs may have taken the partners a
+                # complete matching needs.
+                leftover1, leftover2 = group1, group2
+                matching = self._trial_matching(group1, group2)
+            if len(matching) == len(leftover1):
                 continue
             ok = False
             matched_rows = {i for i, _ in matching}
             matched_cols = {j for _, j in matching}
-            unmatched1 = [group1[i] for i in range(len(group1)) if i not in matched_rows]
-            unmatched2 = [group2[j] for j in range(len(group2)) if j not in matched_cols]
+            unmatched1 = [term for i, term in enumerate(leftover1) if i not in matched_rows]
+            unmatched2 = [term for j, term in enumerate(leftover2) if j not in matched_cols]
             failing_pairs.extend(zip(unmatched1, unmatched2))
 
-        if failing_pairs and not trial:
+        if failing_pairs and self._suppress == 0:
             self._report_matching_failures(failing_pairs)
         return ok
 
-    def _trial_matching(
-        self, group1: List[Term], group2: List[Term], depth: int
-    ) -> List[Tuple[int, int]]:
+    def _trial_matching(self, group1: List[Term], group2: List[Term]) -> List[Tuple[int, int]]:
         """Trial-compare every pair and return a maximum bipartite matching."""
-        compatibility = [
-            [self.compare(a, b, True, depth + 1) for b in group2] for a in group1
-        ]
+        compatibility = [[self._trial_compare(a, b) for b in group2] for a in group1]
         return _maximum_matching(compatibility)
 
     def _pair_by_key(
-        self,
-        group1: List[Term],
-        group2: List[Term],
-        key: Callable[[Term], Optional[Tuple]],
-        depth: int,
-    ) -> Tuple[List[Term], List[Term]]:
-        """Pair the terms of two operand groups whose keys are equal.
+        self, group1: List[Term], group2: List[Term]
+    ) -> Tuple[List[Term], List[Term], bool]:
+        """Pair the terms of two operand groups whose :meth:`_match_key` is equal.
 
         Each term of *group1*, in order, takes the first unused term of
         *group2* with the same key (the column Kuhn's algorithm would pick
-        first), confirmed by one trial :meth:`compare`.  A term whose key is
-        ``None`` stays unpaired.  Returns the unpaired terms of both groups
-        in their original order.
+        first), confirmed by one trial compare.  A term whose key is ``None``
+        stays unpaired.  Returns the unpaired terms of both groups in their
+        original order, and whether every term of both groups has a key.
         """
+        keys2 = [self._match_key(term) for term in group2]
+        keyed = all(key is not None for key in keys2)
         buckets: Dict[Tuple, Deque[int]] = {}
-        for index, term in enumerate(group2):
-            term_key = key(term)
-            if term_key is not None:
-                buckets.setdefault(term_key, deque()).append(index)
+        for index, key in enumerate(keys2):
+            if key is not None:
+                buckets.setdefault(key, deque()).append(index)
         paired: PySet[int] = set()
         unpaired1: List[Term] = []
         for term in group1:
-            bucket = buckets.get(key(term))
-            if bucket and self.compare(term, group2[bucket[0]], True, depth + 1):
+            key = self._match_key(term)
+            keyed = keyed and key is not None
+            bucket = buckets.get(key)
+            if bucket and self._trial_compare(term, group2[bucket[0]]):
                 paired.add(bucket.popleft())
             else:
                 unpaired1.append(term)
         unpaired2 = [term for index, term in enumerate(group2) if index not in paired]
-        return unpaired1, unpaired2
+        return unpaired1, unpaired2, keyed
+
+    def _match_key(self, term: Term) -> Optional[Tuple]:
+        """The key :meth:`_pair_by_key` pairs *term* by, or ``None``.
+
+        An input read is keyed by its mapping's :func:`_map_key` (already
+        restricted to the common output domain): equal keys mean identical
+        conjuncts, hence equal mappings.  An operator is keyed by
+        :meth:`_operand_key`.  Any other term has no key.
+        """
+        if self._is_input_term(term):
+            return _map_key(term.rel)
+        if term.kind == Term.OP:
+            return self._operand_key(term)
+        return None
 
     def _operand_key(self, term: Term) -> Optional[Tuple]:
         """Shallow key of an operator term whose operands are input reads or constants.
@@ -918,13 +908,12 @@ class Engine:
         the output-input mapping)`` or ``("const", value)``, sorted when the
         operator is commutative.  The composition is the one
         :meth:`_operand_term` makes when the pair is compared, so the
-        operation cache serves it the second time.  Any other term (an
-        operand that is an operator or an intermediate array, or a term that
-        is not an operator) has no key: ``None``.
+        operation cache serves it the second time.  An operator with an
+        operand that is an operator or an intermediate array has no key:
+        ``None``.
         """
         node = term.node
-        if node is None:
-            return None
+        assert node is not None
         addg = self.addg(term.side)
         operands = []
         for child in node.operands:

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from ..addg import ADDG, build_addg
 from ..analysis import ProgramGeometry, check_dataflow
 from ..lang import Program, parse_program, program_to_text
-from ..presburger import Map
+from ..presburger import Map, opcache
 from ..checker.engine import Engine
 from ..checker.result import (
     CheckStats,
@@ -205,7 +205,12 @@ class Verifier:
         resolved: CheckOptions,
         broadcast: _Broadcast,
     ) -> EquivalenceResult:
-        """The check pipeline body; the caller broadcasts ``on_stats``."""
+        """The check pipeline body; the caller broadcasts ``on_stats``.
+
+        The operation-cache counters in the result's stats cover the whole
+        check, frontend included, from the one snapshot taken here.
+        """
+        opcache_baseline = opcache.snapshot()
         frontend_started = time.perf_counter()
         original_compiled = self.compile(original)
         transformed_compiled = self.compile(transformed)
@@ -225,10 +230,14 @@ class Verifier:
                     )
             if precondition_diagnostics:
                 frontend = time.perf_counter() - frontend_started
+                delta = opcache.snapshot().delta(opcache_baseline)
                 stats = CheckStats(
                     elapsed_seconds=frontend,
                     frontend_seconds=frontend,
                     engine_seconds=0.0,
+                    opcache_hits=delta.hits,
+                    opcache_misses=delta.misses,
+                    intern_hits=delta.intern_hits,
                     backend=resolved.backend,
                 )
                 for diagnostic in precondition_diagnostics:
@@ -245,8 +254,20 @@ class Verifier:
         transformed_addg = transformed_compiled.addg
         frontend = time.perf_counter() - frontend_started
 
-        with TRACER.span("engine.traverse", "engine"):
-            result = _traverse_with_backend(original_addg, transformed_addg, resolved, broadcast)
+        # ``omega`` (the default) installs no backend and the Presburger
+        # decisions run inline; any other backend answers them for the
+        # traversal, and its per-kind query counts land in the stats.
+        from ..solvers import use_backend
+
+        with TRACER.span("engine.traverse", "engine"), use_backend(
+            resolved.backend, resolved.smt_solver
+        ) as backend:
+            result = _traverse(
+                original_addg, transformed_addg, resolved, broadcast, opcache_baseline
+            )
+        result.stats.backend = resolved.backend
+        if backend is not None:
+            result.stats.solver_queries = dict(backend.query_counts)
         result.stats.frontend_seconds = frontend
         result.stats.elapsed_seconds = frontend + result.stats.engine_seconds
         return result
@@ -308,41 +329,18 @@ class Verifier:
         return _Broadcast(observers)
 
 
-def _traverse_with_backend(
-    original: ADDG,
-    transformed: ADDG,
-    resolved: CheckOptions,
-    broadcast: _Broadcast,
-) -> EquivalenceResult:
-    """Run the traversal under the options' decision backend.
-
-    ``omega`` (the default) installs nothing — the inline Presburger path
-    runs exactly as before the backend layer existed.  Any other backend is
-    activated on the context-local hook for the duration of the traversal,
-    and its per-kind query counters land in ``stats.solver_queries``.  A
-    :class:`~repro.solvers.BackendDisagreement` raised mid-traversal
-    propagates (it is a ``BaseException``) with the hook already reset.
-    """
-    from ..solvers import use_backend
-
-    with use_backend(resolved.backend, resolved.smt_solver) as backend:
-        result = _traverse(original, transformed, resolved, broadcast)
-    result.stats.backend = resolved.backend
-    if backend is not None:
-        result.stats.solver_queries = dict(backend.query_counts)
-    return result
-
-
 def _traverse(
     original: ADDG,
     transformed: ADDG,
     options: CheckOptions,
     observer: CheckObserver,
+    opcache_baseline: opcache.OpCacheStats,
 ) -> EquivalenceResult:
     """The synchronized-traversal stage: one engine run over a pair of ADDGs.
 
     Fills ``stats.engine_seconds`` (and ``elapsed_seconds``, assuming no
-    frontend ran; :meth:`Verifier.check` overwrites it with the full sum).
+    frontend ran; :meth:`Verifier.check` overwrites it with the full sum),
+    and the operation-cache counters as a delta against *opcache_baseline*.
     """
     started = time.perf_counter()
     engine = Engine(
@@ -427,7 +425,7 @@ def _traverse(
             identity = Map.identity(common.names, domain=common)
             term1 = engine.output_term(0, name, identity)
             term2 = engine.output_term(1, name, identity)
-            ok = engine.compare(term1, term2)
+            ok = engine.discharge(term1, term2)
             new_diagnostics = engine.diagnostics[diagnostics_before:]
             output_ok = ok and not new_diagnostics
             overall = overall and output_ok
@@ -479,7 +477,7 @@ def _traverse(
             # not be usable as a cut point (that would be circular).
             engine.correspondences.discard((name1, name2))
             try:
-                ok = engine.compare(term1, term2)
+                ok = engine.discharge(term1, term2)
             finally:
                 engine.correspondences.add((name1, name2))
             new_diagnostics = engine.diagnostics[diagnostics_before:]
@@ -490,7 +488,7 @@ def _traverse(
 
     engine.apply_suspect_heuristic()
     flush_diagnostics()
-    engine.record_opcache_stats()
+    engine.record_opcache_stats(opcache_baseline)
     engine.stats.original_addg_size = original.size()
     engine.stats.transformed_addg_size = transformed.size()
     engine.stats.engine_seconds = time.perf_counter() - started

@@ -4,9 +4,10 @@ Pairing the reads ``A[k+0] .. A[k+n-1]`` of a chain against any permutation
 must cost one compare per operand (Section 6.2's linear-cost claim), pair
 duplicate operands as a multiset, and still fall back to trial comparison
 when two equal mappings are written differently.  Operator operands whose
-own operands are input reads or constants pair by a shallow operand key; a
-key pairing that cannot be completed falls back to the full matrix, so keys
-never change a verdict or a diagnostic.
+own operands are input reads or constants pair by a shallow operand key.  A
+failing group whose terms all have keys is not rerun; a key pairing that
+cannot be completed in a group with an unkeyed term falls back to the full
+matrix, so keys never change a verdict.
 """
 
 import pytest
@@ -17,7 +18,7 @@ from repro.checker.engine import Engine, Term, _map_key
 from repro.lang import parse_program, program_to_text
 from repro.presburger import parse_map
 from repro.analysis import ProgramGeometry
-from repro.workloads import CHAIN_SHAPES, chain_source, kernel_pair
+from repro.workloads import CHAIN_SHAPES, chain_source, conv_source, kernel_pair
 
 
 def _sum(offsets):
@@ -101,7 +102,7 @@ class TestKeyFallback:
         assert redundant.is_equal(shifted) and _map_key(redundant) != _map_key(shifted)
         terms1 = [self._read(0, plain), self._read(0, shifted)]
         terms2 = [self._read(1, redundant), self._read(1, plain)]
-        assert engine._match_terms(terms1, terms2, False, 0)
+        assert engine._match_terms(terms1, terms2)
         assert engine.diagnostics == []
         # One key pair (the A[k] reads) plus a 1x1 trial matrix for the rest.
         assert engine.stats.compare_calls == 2
@@ -112,7 +113,7 @@ class TestKeyFallback:
         shifted_twice = parse_map("{ [w0] -> [w0 + 2] : 0 <= w0 < 8 }")
         terms1 = [self._read(0, plain), self._read(0, shifted)]
         terms2 = [self._read(1, shifted_twice), self._read(1, plain)]
-        assert not engine._match_terms(terms1, terms2, False, 0)
+        assert not engine._match_terms(terms1, terms2)
         [diagnostic] = engine.diagnostics
         assert diagnostic.kind == DiagnosticKind.MAPPING_MISMATCH
         assert engine.stats.leaf_comparisons == 2
@@ -189,9 +190,9 @@ class TestOperatorKeys:
             keys.append(operand_key(self, term))
             return keys[-1]
 
-        def recording_matching(self, group1, group2, depth):
+        def recording_matching(self, group1, group2):
             matrices.append((len(group1), len(group2)))
-            return trial_matching(self, group1, group2, depth)
+            return trial_matching(self, group1, group2)
 
         monkeypatch.setattr(Engine, "_operand_key", recording_key)
         monkeypatch.setattr(Engine, "_trial_matching", recording_matching)
@@ -222,7 +223,7 @@ class TestForcedKeyCollision:
 
 
 class TestCompletenessRule:
-    """A confirmed key pair that takes a needed partner triggers the rerun."""
+    """In a group with an unkeyed term, a key pair that takes a needed partner triggers the rerun."""
 
     @pytest.fixture()
     def engine(self):
@@ -245,20 +246,21 @@ class TestCompletenessRule:
         names = {id(a1): "a1", id(a2): "a2", id(b1): "b1", id(b2): "b2"}
         asked = []
 
-        def compare(first, second, trial=False, depth=0):
+        def compare(first, second):
             asked.append(names[id(first)] + names[id(second)])
             return asked[-1] in compatible
 
         monkeypatch.setattr(engine, "compare", compare)
-        monkeypatch.setattr(engine, "_operand_key", lambda term: ("same",))
-        return engine._match_terms([a1, a2], [b1, b2], False, 0), asked
+        # b2 has no key, so the group may need the rerun.
+        monkeypatch.setattr(engine, "_match_key", lambda term: None if term is b2 else ("same",))
+        return engine._match_terms([a1, a2], [b1, b2]), asked
 
     def test_a_wrong_key_pair_is_undone_by_the_full_matrix(self, engine, monkeypatch):
         # a1 fits both, a2 only b1: the key pair a1-b1 strands a2.
         matched, asked = self._match(engine, monkeypatch, {"a1b1", "a1b2", "a2b1"})
         assert matched
         assert engine.diagnostics == []
-        assert asked == ["a1b1", "a2b2", "a2b2", "a1b1", "a1b2", "a2b1", "a2b2"]
+        assert asked == ["a1b1", "a2b2", "a1b1", "a1b2", "a2b1", "a2b2"]
 
     def test_a_failure_is_reported_from_the_full_matrix(self, engine, monkeypatch):
         matched, asked = self._match(engine, monkeypatch, {"a1b1", "a1b2"})
@@ -266,3 +268,31 @@ class TestCompletenessRule:
         assert asked[-4:] == ["a1b1", "a1b2", "a2b1", "a2b2"]
         [diagnostic] = engine.diagnostics
         assert diagnostic.kind == DiagnosticKind.MATCHING_FAILURE
+
+
+class TestKeyedGroupIsNotRerun:
+    """A failing group whose terms all have keys costs what the equivalent group costs."""
+
+    @pytest.mark.parametrize(
+        "wrong",
+        [("* w[0]", "* w[1]"), ("img[i + 0][j + 0]", "img[i + 0][j + 1]")],
+        ids=["coefficient", "pixel"],
+    )
+    def test_one_wrong_tap_costs_the_correct_pairs_compares(self, wrong):
+        transformed = conv_source(3, transformed=True)
+        assert transformed.count(wrong[0]) == 1
+        result = check(conv_source(3), transformed.replace(*wrong))
+        assert not result.equivalent
+        assert result.stats.compare_calls == 28
+        assert result.stats.leaf_comparisons == 18
+        # The one unpaired product of each side, as the full matrix names it.
+        [diagnostic] = result.diagnostics
+        assert diagnostic.kind == DiagnosticKind.MATCHING_FAILURE
+        assert diagnostic.message == (
+            "no valid pairing found for operand operator '*' (statement s0) of the original "
+            "program against operand operator '*' (statement d0) of the transformed program"
+        )
+        assert diagnostic.original_path == ("out", "s0")
+        assert diagnostic.transformed_path == ("out", "d3", "row0", "d0")
+        assert diagnostic.suspect_arrays == ("row0",)
+        assert diagnostic.suspect_statements == ("d0", "d3")

@@ -13,7 +13,7 @@ import threading
 
 import pytest
 
-from repro.checker import check_equivalence
+from repro.checker import DiagnosticKind, check_equivalence
 from repro.presburger import (
     Conjunct,
     LinExpr,
@@ -23,6 +23,7 @@ from repro.presburger import (
     parse_map,
     parse_set,
 )
+from repro.verifier import Verifier
 from repro.workloads.fig1 import fig1_original, fig1_ver1
 
 
@@ -331,6 +332,37 @@ class TestCheckerIntegration:
         assert data["opcache_hits"] == result.stats.opcache_hits
         restored = type(result.stats).from_dict(data)
         assert restored == result.stats
+
+    @staticmethod
+    def _check_and_process_delta(original, transformed):
+        opcache.reset()
+        before = opcache.snapshot()
+        result = Verifier().check(original, transformed)
+        delta = opcache.snapshot().delta(before)
+        counters = (result.stats.opcache_hits, result.stats.opcache_misses, result.stats.intern_hits)
+        return result, counters, (delta.hits, delta.misses, delta.intern_hits)
+
+    def test_check_counters_cover_the_frontend(self):
+        """The check's counters are all the process did for it, compile included."""
+        result, counters, process = self._check_and_process_delta(fig1_original(), fig1_ver1())
+        assert result.equivalent
+        assert counters == process
+
+    def test_a_precondition_failure_fills_the_counters(self):
+        use_before_def = """
+        f(int A[], int C[])
+        {
+            int k, t[8];
+            for (k = 0; k < 8; k++)
+        s1:     C[k] = t[k];
+            for (k = 0; k < 8; k++)
+        s2:     t[k] = A[k];
+        }
+        """
+        result, counters, process = self._check_and_process_delta(use_before_def, use_before_def)
+        assert {d.kind for d in result.diagnostics} == {DiagnosticKind.PRECONDITION}
+        assert result.stats.opcache_misses > 0
+        assert counters == process
 
     def test_verdict_is_cache_independent(self):
         cached = check_equivalence(fig1_original(), fig1_ver1())

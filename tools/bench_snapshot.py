@@ -9,10 +9,11 @@ PR that moves the numbers:
   ablation of ``benchmarks/bench_presburger.py``;
 * ``BENCH_verifier.json`` — the session-reuse variant corpus of
   ``benchmarks/bench_verifier.py`` (seed 7, 12 variants), plus the
-  ``compare_calls`` of the chain-against-its-reversal sweep (n = 10 to 80)
-  and of the k×k convolution sweep (k = 3, 5, 7) of
-  ``benchmarks/bench_scaling.py``, which pin commutative matching of input
-  reads and of operator terms to linear cost, and the operation-cache
+  ``compare_calls`` of the chain-against-its-reversal sweep (n = 10 to 160)
+  and of the k×k convolution sweep (k = 3, 5, 7, correct and with one
+  wrong tap) of ``benchmarks/bench_scaling.py``, which pin commutative
+  matching of input reads and of operator terms to linear cost on the
+  success and the failure path, and the operation-cache
   lookups of each registry kernel's frontend (compile, def-use checks and
   ADDG extraction of both sides, from a cold cache), which pin each
   program's geometry to one derivation;
@@ -153,6 +154,7 @@ def snapshot_verifier() -> dict:
     chain_sweep_seconds = time.perf_counter() - started
     started = time.perf_counter()
     conv_sweep = bench_scaling.conv_sweep()
+    conv_sweep_broken = bench_scaling.conv_sweep(broken=True)
     conv_sweep_seconds = time.perf_counter() - started
     frontend_lookups = _frontend_opcache_lookups()
 
@@ -170,6 +172,7 @@ def snapshot_verifier() -> dict:
             "compile_misses": verifier.compile_misses,
             "chain_sweep_compare_calls": chain_sweep,
             "conv_sweep_compare_calls": conv_sweep,
+            "conv_sweep_broken_compare_calls": conv_sweep_broken,
             "frontend_opcache_lookups": frontend_lookups,
         },
         "timing": {
