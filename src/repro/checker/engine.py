@@ -138,7 +138,9 @@ class Engine:
 
         self._table: Dict[Tuple, bool] = {}
         self._assumptions: List[Tuple[str, str, Map]] = []
-        self._assumption_uses: PySet[int] = set()
+        # The lowest assumption-stack position a discharge used inside the
+        # innermost open compare (its entry depth when none below it was).
+        self._assumption_mark = 0
         self._suppress = 0
         self._correspondence_obligations: PySet[Tuple[str, str]] = set()
         self._cyclic = (set(original.cyclic_arrays), set(transformed.cyclic_arrays))
@@ -337,16 +339,21 @@ class Engine:
                     _TRACER.event("engine.table_hit", "engine", output=self.current_output)
                 return self._table[key]
 
+        # A result is tabled only when no discharge in its subtree used an
+        # assumption pushed outside it: otherwise it holds only under that
+        # inductive hypothesis.
         entry_assumptions = len(self._assumptions)
-        uses_before = set(self._assumption_uses)
-        result = self._compare_inner(first, second)
+        outer_mark = self._assumption_mark
+        self._assumption_mark = entry_assumptions
+        try:
+            result = self._compare_inner(first, second)
+            independent = self._assumption_mark >= entry_assumptions
+        finally:
+            self._assumption_mark = min(outer_mark, self._assumption_mark)
 
-        if self.tabling_enabled and key is not None:
-            new_uses = self._assumption_uses - uses_before
-            independent = all(index >= entry_assumptions for index in new_uses)
-            if independent and (result or self._suppress == 0):
-                self._table[key] = result
-                self.stats.table_entries = len(self._table)
+        if key is not None and independent and (result or self._suppress == 0):
+            self._table[key] = result
+            self.stats.table_entries = len(self._table)
         return result
 
     def _trial_compare(self, first: Term, second: Term) -> bool:
@@ -423,7 +430,7 @@ class Engine:
                     if name1 == first.array and name2 == second.array:
                         try:
                             if correspondence.is_subset(previous):
-                                self._assumption_uses.add(index)
+                                self._assumption_mark = min(self._assumption_mark, index)
                                 self.stats.assumption_uses += 1
                                 return True
                         except SpaceMismatchError:

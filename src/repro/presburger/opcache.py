@@ -84,8 +84,9 @@ class OpCacheStats:
 
     ``hits``/``misses`` count memoized-operation lookups; ``per_op`` breaks
     them down by operation name (``"compose"``, ``"inverse"``, ``"ui"`` for
-    union-intersect, ``"us"`` for union-subtract, ``"project"``,
-    ``"restrict"``, ``"simplify"``, ``"feasible"``, ``"lexmin"``).
+    union-intersect, ``"us"`` for union-subtract, ``"subset"`` for the
+    union containment test, ``"project"``, ``"restrict"``, ``"simplify"``,
+    ``"feasible"``, ``"lexmin"``).
     ``intern_hits``/``intern_misses`` count intern-pool lookups (a hit means
     an already-canonical object was reused).
 

@@ -72,7 +72,7 @@ CACHE_FORMAT_VERSION = 1
 #: memory-only.
 PERSISTABLE_OPS = frozenset(
     {
-        "simplify", "feasible", "ui", "us", "project", "restrict",
+        "simplify", "feasible", "subset", "ui", "us", "project", "restrict",
         "compose", "inverse", "lexmin", "smt.query",
     }
 )

@@ -134,11 +134,22 @@ def _union_intersect(a: Sequence[Conjunct], b: Sequence[Conjunct]) -> Tuple[Conj
 def _union_subtract(a: Sequence[Conjunct], b: Sequence[Conjunct]) -> Tuple[Conjunct, ...]:
     """Subtraction of unions of conjuncts (memoized).
 
-    Backs ``subtract``, ``is_subset`` and therefore ``is_equal`` on both
-    :class:`Set` and :class:`Map` — the single hottest entry point of the
-    checker's equality tests.
+    Backs ``subtract`` (and so ``complement``) on both :class:`Set` and
+    :class:`Map`; the yes/no containment tests use :func:`_union_is_subset`,
+    which never builds the difference.
     """
     return _opcache.memoized("us", (tuple(a), tuple(b)), lambda: _union_subtract_uncached(a, b))
+
+
+def _union_is_subset(a: Sequence[Conjunct], b: Sequence[Conjunct]) -> bool:
+    """Whether union *a* lies inside union *b*, i.e. ``a - b`` is empty (memoized).
+
+    Backs ``is_subset`` and therefore ``is_equal`` on both :class:`Set` and
+    :class:`Map` — the checker's equality tests and the inductive-assumption
+    test of recurrences.  The difference is never built: see
+    :func:`_union_is_subset_uncached`.
+    """
+    return _opcache.memoized("subset", (tuple(a), tuple(b)), lambda: _union_is_subset_uncached(a, b))
 
 
 def _project(conjuncts: Tuple[Conjunct, ...], cols: Tuple[int, ...]) -> Tuple[Conjunct, ...]:
@@ -179,19 +190,60 @@ def _restrict(relation: "Map", set_conjuncts: Tuple[Conjunct, ...], at_input: bo
     )
 
 
-def _union_subtract_uncached(a: Sequence[Conjunct], b: Sequence[Conjunct]) -> Tuple[Conjunct, ...]:
-    pieces: List[Conjunct] = list(a)
+def _unshared(a: Sequence[Conjunct], b: Sequence[Conjunct]) -> List[Conjunct]:
+    """The conjuncts of *a* that do not also occur in *b*.
+
+    A conjunct of *a* equal to one of *b* (``==`` compares the normalized
+    constraint system) contributes nothing to ``a - b``: every piece it
+    leaves after the earlier conjuncts of *b* lies inside it, and so dies
+    against its own negation.
+    """
+    shared = set(b)
+    return [piece for piece in a if piece not in shared]
+
+
+def _subtract_each(pieces: List[Conjunct], b: Sequence[Conjunct]) -> List[Conjunct]:
+    """*pieces* minus each conjunct of *b* in turn, cleaned after every step."""
     for other in b:
-        negations = omega.complement(other)
-        pieces = [
-            omega.conjunct_intersect(piece, negation)
-            for piece in pieces
-            for negation in negations
-        ]
-        pieces = list(_clean(pieces))
         if not pieces:
             break
-    return tuple(pieces)
+        negations = omega.complement(other)
+        pieces = list(
+            _clean(
+                omega.conjunct_intersect(piece, negation)
+                for piece in pieces
+                for negation in negations
+            )
+        )
+    return pieces
+
+
+def _union_subtract_uncached(a: Sequence[Conjunct], b: Sequence[Conjunct]) -> Tuple[Conjunct, ...]:
+    return tuple(_subtract_each(_unshared(a, b), b))
+
+
+def _union_is_subset_uncached(a: Sequence[Conjunct], b: Sequence[Conjunct]) -> bool:
+    """Decide ``a - b`` empty, stopping at the first witness piece.
+
+    Conjuncts shared by *a* and *b* are dropped, every conjunct of *b* but
+    the last is subtracted as in :func:`_union_subtract_uncached`, and the
+    last one is only asked whether some ``piece and negation`` is feasible,
+    with no simplification or cleaning of those final pieces.  The
+    negations are tried in reverse :func:`omega.complement` order —
+    divisibility and equality negations before inequality ones — because a
+    containment that fails usually fails on a pinned coordinate.
+    """
+    pieces = _unshared(a, b)
+    if not b:
+        return not any(omega.is_feasible(piece) for piece in pieces)
+    pieces = _subtract_each(pieces, b[:-1])
+    if not pieces:
+        return True
+    return not any(
+        omega.is_feasible(omega.conjunct_intersect(piece, negation))
+        for negation in reversed(omega.complement(b[-1]))
+        for piece in pieces
+    )
 
 
 #: How far a 1-D feasibility scan may walk above the rational lower bound
@@ -427,7 +479,7 @@ class Set:
         backend = _hooks.active_backend()
         if backend is not None:
             return backend.is_subset(self.conjuncts, other.conjuncts)
-        return not _union_subtract(self.conjuncts, other.conjuncts)
+        return _union_is_subset(self.conjuncts, other.conjuncts)
 
     def is_equal(self, other: "Set") -> bool:
         backend = _hooks.active_backend()
@@ -721,7 +773,7 @@ class Map:
         backend = _hooks.active_backend()
         if backend is not None:
             return backend.is_subset(self.conjuncts, other.conjuncts)
-        return not _union_subtract(self.conjuncts, other.conjuncts)
+        return _union_is_subset(self.conjuncts, other.conjuncts)
 
     def is_equal(self, other: "Map") -> bool:
         backend = _hooks.active_backend()

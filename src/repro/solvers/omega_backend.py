@@ -1,11 +1,12 @@
 """The omega core wrapped as a :class:`SolverBackend` (the default).
 
 This backend delegates to the *same* memoized helpers the inline Presburger
-path uses (``_union_subtract`` / ``_union_intersect`` /
-``omega.is_feasible`` and the default sampling body), so activating it
-changes nothing about any verdict, any cache key, or any operation-cache
-traffic beyond the query counters — ``--backend omega`` is byte-identical
-to the pre-backend code path by construction.
+path uses (``_union_is_subset`` for the containment and equality tests,
+``_union_intersect`` for disjointness, ``omega.is_feasible`` and the default
+sampling body), so activating it changes nothing about any verdict, any
+cache key, or any operation-cache traffic beyond the query counters —
+``--backend omega`` is byte-identical to the inline code path by
+construction.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from ..presburger.conjunct import Conjunct
 # The memoized union helpers are deliberately the private spellings from
 # setmap: reusing them (rather than re-deriving the algorithms) is what makes
 # "OmegaBackend == inline path" true by construction.
-from ..presburger.setmap import _union_intersect, _union_subtract
+from ..presburger.setmap import _union_intersect, _union_is_subset
 
 from .base import SolverBackend
 
@@ -36,12 +37,12 @@ class OmegaBackend(SolverBackend):
 
     def is_subset(self, a: Sequence[Conjunct], b: Sequence[Conjunct]) -> bool:
         self._count("is_subset")
-        return not _union_subtract(tuple(a), tuple(b))
+        return _union_is_subset(tuple(a), tuple(b))
 
     def is_equal(self, a: Sequence[Conjunct], b: Sequence[Conjunct]) -> bool:
         self._count("is_equal")
         a, b = tuple(a), tuple(b)
-        return not _union_subtract(a, b) and not _union_subtract(b, a)
+        return _union_is_subset(a, b) and _union_is_subset(b, a)
 
     def is_disjoint(self, a: Sequence[Conjunct], b: Sequence[Conjunct]) -> bool:
         self._count("is_disjoint")

@@ -111,4 +111,5 @@ class TestOverflow:
         )
         assert engine._suppress == 0
         assert engine._assumptions == []
+        assert engine._assumption_mark == 0
         _assert_one_overflow(engine.diagnostics)

@@ -5,6 +5,7 @@ import pytest
 from repro.addg import build_addg
 from repro.checker import default_registry
 from repro.checker.engine import Engine, Term, _maximum_matching
+from repro.lang import parse_program
 from repro.presburger import Map, parse_map, parse_set
 from repro.analysis import ProgramGeometry
 from repro.workloads import fig1_program
@@ -134,3 +135,46 @@ class TestEngineConfiguration:
         engine = Engine(addg, addg, method="extended")
         assert engine.properties("+").associative and engine.properties("+").commutative
         assert not engine.properties("-").is_algebraic
+
+
+class TestTablingUnderAssumptions:
+    """A result that holds only under an outer inductive assumption is never tabled."""
+
+    TWO_READS_RECURRENCE = """
+    #define N 16
+    f(int x[], int y[]) {
+        int i, acc[N];
+        for (i = 0; i < N; i++) {
+            if (i == 0)
+    p1:         acc[i] = x[i];
+            else
+    p2:         acc[i] = acc[i-1] - acc[i-1];
+    p3:     y[i] = acc[i];
+        }
+    }
+    """
+
+    def test_second_sibling_discharging_through_the_same_assumption_is_not_tabled(self):
+        addg = build_addg(ProgramGeometry(parse_program(self.TWO_READS_RECURRENCE)))
+        engine = Engine(addg, addg)
+        # Record the compares that discharge directly against the assumption
+        # stack: their subtree asks no further compare.
+        discharged = []
+        inner = engine._compare_inner
+
+        def recording(first, second):
+            uses, calls = engine.stats.assumption_uses, engine.stats.compare_calls
+            result = inner(first, second)
+            if engine.stats.assumption_uses > uses and engine.stats.compare_calls == calls:
+                discharged.append((engine._term_key(first), engine._term_key(second)))
+            return result
+
+        engine._compare_inner = recording
+        domain = addg.written_set("y")
+        identity = Map.identity(domain.names, domain=domain)
+        assert engine.discharge(engine.output_term(0, "y", identity), engine.output_term(1, "y", identity))
+        # The two operands of p2 are equal terms, each discharged through
+        # the one assumption on (acc, acc) pushed above them.
+        assert len(discharged) == 2 and discharged[0] == discharged[1]
+        assert discharged[0] not in engine._table
+        assert engine._assumption_mark == 0

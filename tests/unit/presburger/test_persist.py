@@ -263,6 +263,20 @@ class TestCacheIntegration:
             assert domain.conjuncts == relation.domain().conjuncts
             assert restricted.conjuncts == relation.restrict_domain(window).conjuncts
 
+    def test_containment_is_served_from_disk(self, attached):
+        assert "subset" in PERSISTABLE_OPS
+        small = parse_map("{ [k] -> [k + 1] : 0 <= k < 16 }")
+        large = parse_map("{ [k] -> [k + 1] : 0 <= k < 32 }")
+        assert small.is_subset(large) and not large.is_subset(small)
+
+        opcache.reset()  # drop the in-memory tier, keep the disk tier
+        before = opcache.snapshot()
+        assert small.is_subset(large) and not large.is_subset(small)
+        delta = opcache.snapshot().delta(before)
+        assert delta.per_op == {"subset": (2, 0)}
+        assert delta.disk_hits == 2
+        assert delta.feasibility_checks == 0
+
     def test_nonpersistable_ops_stay_memory_only(self, attached):
         opcache.memoized("transient.op", "k", lambda: 3)
         stats = opcache.stats()

@@ -16,7 +16,9 @@ PR that moves the numbers:
   success and the failure path, and the operation-cache
   lookups of each registry kernel's frontend (compile, def-use checks and
   ADDG extraction of both sides, from a cold cache), which pin each
-  program's geometry to one derivation;
+  program's geometry to one derivation, and each registry kernel's cold
+  Presburger work (``feasibility_checks`` and ``simplify`` misses of one
+  check at registry size), which pins the cost of the set operations;
 * ``BENCH_service.json`` — a serial batch over the built-in corpus
   (generated + buggy pairs, seed 0);
 * ``BENCH_solvers.json`` — the decision-backend comparison of
@@ -157,6 +159,7 @@ def snapshot_verifier() -> dict:
     conv_sweep_broken = bench_scaling.conv_sweep(broken=True)
     conv_sweep_seconds = time.perf_counter() - started
     frontend_lookups = _frontend_opcache_lookups()
+    presburger_work = _registry_presburger_work()
 
     return {
         "deterministic": {
@@ -174,6 +177,7 @@ def snapshot_verifier() -> dict:
             "conv_sweep_compare_calls": conv_sweep,
             "conv_sweep_broken_compare_calls": conv_sweep_broken,
             "frontend_opcache_lookups": frontend_lookups,
+            "registry_presburger_work": presburger_work,
         },
         "timing": {
             "total_seconds": round(total_seconds, 6),
@@ -206,6 +210,31 @@ def _frontend_opcache_lookups() -> dict:
         delta = opcache.snapshot().delta(before)
         lookups[name] = delta.hits + delta.misses
     return lookups
+
+
+def _registry_presburger_work() -> dict:
+    """The omega core's work in one cold check of each registry kernel pair.
+
+    Per kernel, at registry size, from a cold cache in a fresh session:
+    the integer-feasibility decisions and the ``simplify`` misses of the
+    whole check (frontend and traversal).
+    """
+    from repro.presburger import opcache
+    from repro.verifier import Verifier
+    from repro.workloads import kernel_names, kernel_pair
+
+    work = {}
+    for name in kernel_names():
+        pair = kernel_pair(name)
+        opcache.reset()
+        before = opcache.snapshot()
+        Verifier().check(pair.original, pair.transformed)
+        delta = opcache.snapshot().delta(before)
+        work[name] = {
+            "feasibility_checks": delta.feasibility_checks,
+            "simplify_misses": delta.per_op.get("simplify", (0, 0))[1],
+        }
+    return work
 
 
 def snapshot_service() -> dict:
