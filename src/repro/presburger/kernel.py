@@ -22,9 +22,6 @@ step:
 * ``drop_rows`` / ``substitute_drop`` — fused column elimination: apply a
   unit-coefficient substitution and remove the column in a single
   comprehension instead of substitute → construct → drop → construct.
-* ``feasible_many`` — batched feasibility over all conjuncts of one
-  ``Set``: one work-counter increment, one normalisation sweep (near-free for
-  ``_normed`` members) and the recursion only for the hard remainder.
 
 ``tests/unit/presburger/test_kernel.py`` checks every routine against a
 brute-force integer-point oracle that shares no code with this module or
@@ -42,7 +39,6 @@ from . import opcache as _opcache
 __all__ = [
     "KERNEL_VERSION",
     "drop_rows",
-    "feasible_many",
     "fingerprint",
     "fm_combine",
     "normalize_conjunct",
@@ -223,45 +219,3 @@ def substitute_drop(rows: Sequence[Vector], eq: Vector, col: int) -> List[Vector
                 )
             )
     return out
-
-
-# --------------------------------------------------------------------------- #
-# Batched feasibility
-# --------------------------------------------------------------------------- #
-def feasible_many(conjuncts: Sequence[Conjunct]) -> List[bool]:
-    """Integer feasibility of every conjunct of one ``Set`` in one pass.
-
-    One batched work-counter increment, one normalisation sweep (a no-op for
-    ``_normed`` members, i.e. the common case of freshly simplified
-    conjuncts) and the elimination recursion only for the hard remainder.
-    Same verdicts as mapping :func:`repro.presburger.omega.is_feasible`.
-    """
-    from . import omega as _omega
-
-    _opcache._CACHE.stats.feasibility_checks += len(conjuncts)
-    results: List[bool] = []
-    for conjunct in conjuncts:
-        if conjunct.is_universe():
-            results.append(True)
-            continue
-        normalized = _omega.normalize(conjunct)
-        if normalized is None:
-            results.append(False)
-            continue
-        if normalized.is_universe():
-            results.append(True)
-            continue
-        if normalized.const_col == 0:
-            results.append(
-                all(v[-1] == 0 for v in normalized.eqs)
-                and all(v[-1] >= 0 for v in normalized.ineqs)
-            )
-            continue
-        col = _omega._choose_elimination_col(normalized)
-        results.append(
-            any(
-                _omega.is_feasible(piece)
-                for piece in _omega.eliminate_col(normalized, col)
-            )
-        )
-    return results

@@ -96,10 +96,11 @@ class OpCacheStats:
     since the caller got a cached result either way.
 
     ``fm_eliminations``/``dark_shadow_splinters``/``feasibility_checks``
-    count the omega core's work (:mod:`repro.presburger.omega` and
-    :func:`repro.presburger.kernel.feasible_many`): variable eliminations,
-    dark-shadow splinters and integer-feasibility decisions, whether or not
-    the operation that asked for them was memoized.
+    count the omega core's work (:mod:`repro.presburger.omega`): variable
+    eliminations, dark-shadow splinters and integer-feasibility decisions
+    (one per :func:`~repro.presburger.omega.is_feasible` call, recursive
+    calls included), whether or not the operation that asked for them was
+    memoized; feasibility itself is memoized per conjunct.
     """
 
     hits: int = 0

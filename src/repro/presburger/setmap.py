@@ -9,21 +9,22 @@ restriction, and point enumeration for bounded sets.
 
 All operations are exact over the integers.  Dimension *names* are cosmetic
 (used for parsing and pretty-printing); all binary operations match
-dimensions positionally and only require equal arities.
+dimensions positionally and only require equal arities.  The union algebra
+the two classes have in common is written once, as functions both class
+bodies bind by name.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .conjunct import Conjunct, Vector
 from .constraints import AffineConstraint
 from .errors import SpaceMismatchError, UnboundedSetError, UnsupportedOperationError
 from .linexpr import LinExpr
 from . import hooks as _hooks
-from . import kernel as _kernel
 from . import omega
 from . import opcache as _opcache
 
@@ -51,46 +52,6 @@ def _cached_feasible(conjunct: Conjunct) -> bool:
     return _opcache.memoized("feasible", conjunct, lambda: omega.is_feasible(conjunct))
 
 
-def _cached_feasible_many(conjuncts: Sequence[Conjunct]) -> List[bool]:
-    """Feasibility of several conjuncts, batched through the flat kernel.
-
-    The memoization accounting is identical to calling
-    :func:`_cached_feasible` in a loop (each conjunct records exactly one
-    hit or miss, duplicates hit); only the *computation* of the misses is
-    handed to :func:`repro.presburger.kernel.feasible_many` as one batch,
-    which shares the metrics increment and the normalisation sweep across
-    the whole union.
-    """
-    if len(conjuncts) < 2:
-        return [_cached_feasible(conjunct) for conjunct in conjuncts]
-    cache = _opcache.cache()
-    if not cache.enabled:
-        return _kernel.feasible_many(conjuncts)
-    # Peek (without recording) to find the conjuncts that need computing,
-    # batch-compute those, then replay through memoized() so hit/miss
-    # accounting and storage behave exactly as the one-at-a-time path.
-    entries = cache._entries
-    misses = {}
-    for conjunct in conjuncts:
-        if ("feasible", conjunct) not in entries and conjunct not in misses:
-            misses[conjunct] = None
-    if misses:
-        pending = list(misses)
-        for conjunct, verdict in zip(pending, _kernel.feasible_many(pending)):
-            misses[conjunct] = verdict
-
-    def lookup(conjunct: Conjunct) -> bool:
-        verdict = misses.get(conjunct)
-        # A server worker thread can evict an entry between the peek and the
-        # replay; recompute rather than fail in that (rare) case.
-        return omega.is_feasible(conjunct) if verdict is None else verdict
-
-    return [
-        _opcache.memoized("feasible", conjunct, lambda c=conjunct: lookup(c))
-        for conjunct in conjuncts
-    ]
-
-
 def _clean(conjuncts: Iterable[Conjunct]) -> Tuple[Conjunct, ...]:
     """Simplify, drop infeasible conjuncts and deduplicate syntactically.
 
@@ -98,22 +59,14 @@ def _clean(conjuncts: Iterable[Conjunct]) -> Tuple[Conjunct, ...]:
     through here, which makes it the natural interning choke point: the
     surviving conjuncts are canonical (hash-consed) instances, so the
     dedup below and all later equality / cache-key computations are cheap.
-    Feasibility of the whole union is decided in one batched kernel call.
+    Feasibility is memoized per conjunct, like simplification.
     """
-    simplified_union: List[Conjunct] = []
+    seen = {}
     for conjunct in conjuncts:
         simplified = _cached_simplify(conjunct)
-        if simplified is not None:
-            simplified_union.append(simplified)
-    seen = {}
-    for simplified, feasible in zip(
-        simplified_union, _cached_feasible_many(simplified_union)
-    ):
-        if not feasible:
+        if simplified is None or not _cached_feasible(simplified):
             continue
-        key = simplified.normalized_key()
-        if key not in seen:
-            seen[key] = simplified
+        seen.setdefault(simplified.normalized_key(), simplified)
     return tuple(seen.values())
 
 
@@ -253,6 +206,29 @@ def _union_is_subset_uncached(a: Sequence[Conjunct], b: Sequence[Conjunct]) -> b
 _LEXMIN_SCAN_LIMIT = 4096
 
 
+def _bounds_1d(conjunct: Conjunct) -> Tuple[Optional[int], Optional[int]]:
+    """Integer bounds ``(lower, upper)`` on column 0 read off *conjunct*'s rows.
+
+    Only column 0 and the constant of each row are read, so every other
+    column must already be eliminated (e.g. by a real shadow); ``None``
+    marks a side no row bounds.
+    """
+    lower: Optional[int] = None
+    upper: Optional[int] = None
+    rows = conjunct.ineqs + conjunct.eqs + tuple(tuple(-x for x in eq) for eq in conjunct.eqs)
+    for vec in rows:
+        coefficient, constant = vec[0], vec[-1]
+        if coefficient > 0:
+            # a*x + c >= 0  =>  x >= ceil(-c/a)
+            bound = (-constant + coefficient - 1) // coefficient
+            lower = bound if lower is None else max(lower, bound)
+        elif coefficient < 0:
+            # a*x + c >= 0, a < 0  =>  x <= floor(c/-a)
+            bound = constant // (-coefficient)
+            upper = bound if upper is None else min(upper, bound)
+    return lower, upper
+
+
 def _min_value_1d(pieces: Sequence[Conjunct]) -> Optional[int]:
     """The smallest integer of a union of 1-public-dimension conjuncts.
 
@@ -269,19 +245,7 @@ def _min_value_1d(pieces: Sequence[Conjunct]) -> Optional[int]:
         # Bound the public dimension by rationally eliminating the divs.
         div_cols = list(range(normalized.n_vars, normalized.const_col))
         shadow = omega.real_shadow_eliminate(normalized, div_cols) if div_cols else normalized
-        lower: Optional[int] = None
-        upper: Optional[int] = None
-        bounded_source = shadow.ineqs + tuple(shadow.eqs) + tuple(
-            tuple(-x for x in eq) for eq in shadow.eqs
-        )
-        for vec in bounded_source:
-            coefficient, constant = vec[0], vec[-1]
-            if coefficient > 0:
-                bound = (-constant + coefficient - 1) // coefficient
-                lower = bound if lower is None else max(lower, bound)
-            elif coefficient < 0:
-                bound = constant // (-coefficient)
-                upper = bound if upper is None else min(upper, bound)
+        lower, upper = _bounds_1d(shadow)
         if lower is None:
             if omega.is_feasible(normalized):
                 raise UnboundedSetError("set is unbounded below; lexmin does not exist")
@@ -363,16 +327,123 @@ def _render_affine(names: Sequence[str], coeffs: Sequence[int], const: int) -> s
     return str(expr)
 
 
-def _render_conjunct_body(conjunct: Conjunct, names: Sequence[str], skip: Sequence[int] = ()) -> str:
-    all_names = list(names) + [f"e{i}" for i in range(conjunct.n_div)]
-    parts: List[str] = []
-    for index, vec in enumerate(conjunct.eqs):
-        if ("eq", index) in skip:
-            continue
-        parts.append(f"{_render_affine(all_names, vec[:-1], vec[-1])} = 0")
-    for vec in conjunct.ineqs:
-        parts.append(f"{_render_affine(all_names, vec[:-1], vec[-1])} >= 0")
+def _render_body(names: Sequence[str], n_div: int, eqs: Iterable[Vector], ineqs: Iterable[Vector]) -> str:
+    all_names = list(names) + [f"e{i}" for i in range(n_div)]
+    parts = [f"{_render_affine(all_names, vec[:-1], vec[-1])} = 0" for vec in eqs]
+    parts += [f"{_render_affine(all_names, vec[:-1], vec[-1])} >= 0" for vec in ineqs]
     return " and ".join(parts) if parts else "true"
+
+
+# --------------------------------------------------------------------------- #
+# The union algebra shared by Set and Map
+# --------------------------------------------------------------------------- #
+# A Set and a Map are both a union of conjuncts over a space: ``_space()`` is
+# ``(names,)`` for a Set and ``(in_names, out_names)`` for a Map, and binary
+# operations match dimensions positionally.  The functions below are that
+# algebra, written once over ``relation.conjuncts``; each class body binds
+# them by name (``intersect = _intersect``), so they are ordinary entries of
+# ``vars(Set)``/``vars(Map)`` and take ``self`` like any method.
+def _init_conjuncts(self, conjuncts: Iterable[Conjunct], clean: bool) -> None:
+    conjuncts = tuple(conjuncts)
+    width = sum(map(len, self._space()))
+    for conjunct in conjuncts:
+        if conjunct.n_vars != width:
+            raise SpaceMismatchError(
+                f"conjunct has {conjunct.n_vars} dims, {type(self).__name__.lower()} has {width}"
+            )
+    self.conjuncts = _clean(conjuncts) if clean else conjuncts
+
+
+def _with_conjuncts(self, conjuncts: Tuple[Conjunct, ...]):
+    """A relation over *self*'s space holding the already clean *conjuncts*."""
+    return type(self)(*self._space(), conjuncts, _clean_input=False)
+
+
+def _require_compatible(self, other) -> None:
+    kind = type(self).__name__
+    if not isinstance(other, type(self)):
+        raise TypeError(f"expected {kind}, got {type(other).__name__}")
+    mine, theirs = list(map(len, self._space())), list(map(len, other._space()))
+    if mine != theirs:
+        raise SpaceMismatchError(
+            f"{kind.lower()} arities differ: {'->'.join(map(str, mine))} vs {'->'.join(map(str, theirs))}"
+        )
+
+
+def _holds_at(self, values: List[int]) -> bool:
+    """Whether the point *values* (all public dimensions) lies in *self*."""
+    backend = _hooks.active_backend()
+    feasible = omega.is_feasible if backend is None else backend.is_feasible
+    return any(feasible(conjunct.substitute_vars(values)) for conjunct in self.conjuncts)
+
+
+def _is_empty(self) -> bool:
+    return not self.conjuncts
+
+
+def _intersect(self, other):
+    _require_compatible(self, other)
+    return _with_conjuncts(self, _union_intersect(self.conjuncts, other.conjuncts))
+
+
+def _union(self, other):
+    _require_compatible(self, other)
+    return _with_conjuncts(self, _clean(self.conjuncts + other.conjuncts))
+
+
+def _subtract(self, other):
+    _require_compatible(self, other)
+    return _with_conjuncts(self, _union_subtract(self.conjuncts, other.conjuncts))
+
+
+def _is_subset(self, other) -> bool:
+    _require_compatible(self, other)
+    backend = _hooks.active_backend()
+    if backend is not None:
+        return backend.is_subset(self.conjuncts, other.conjuncts)
+    return _union_is_subset(self.conjuncts, other.conjuncts)
+
+
+def _is_equal(self, other) -> bool:
+    backend = _hooks.active_backend()
+    if backend is not None:
+        _require_compatible(self, other)
+        return backend.is_equal(self.conjuncts, other.conjuncts)
+    return self.is_subset(other) and other.is_subset(self)
+
+
+def _is_disjoint(self, other) -> bool:
+    _require_compatible(self, other)
+    backend = _hooks.active_backend()
+    if backend is not None:
+        return backend.is_disjoint(self.conjuncts, other.conjuncts)
+    return not _union_intersect(self.conjuncts, other.conjuncts)
+
+
+def _and(self, other):
+    return self.intersect(other)
+
+
+def _or(self, other):
+    return self.union(other)
+
+
+def _sub(self, other):
+    return self.subtract(other)
+
+
+def _eq(self, other: object) -> bool:
+    if not isinstance(other, type(self)):
+        return NotImplemented
+    return self.is_equal(other)
+
+
+def _hash(self) -> int:  # relations are immutable; hash on the syntactic form
+    return hash(self._space() + (tuple(sorted(c.normalized_key() for c in self.conjuncts)),))
+
+
+def _bool(self) -> bool:
+    return not self.is_empty()
 
 
 # --------------------------------------------------------------------------- #
@@ -385,13 +456,10 @@ class Set:
 
     def __init__(self, names: Sequence[str], conjuncts: Iterable[Conjunct] = (), *, _clean_input: bool = True):
         self.names: Tuple[str, ...] = tuple(names)
-        conjuncts = tuple(conjuncts)
-        for conjunct in conjuncts:
-            if conjunct.n_vars != len(self.names):
-                raise SpaceMismatchError(
-                    f"conjunct has {conjunct.n_vars} dims, set has {len(self.names)}"
-                )
-        self.conjuncts: Tuple[Conjunct, ...] = _clean(conjuncts) if _clean_input else conjuncts
+        _init_conjuncts(self, conjuncts, _clean_input)
+
+    def _space(self) -> Tuple[Tuple[str, ...]]:
+        return (self.names,)
 
     # -------------------------- constructors -------------------------- #
     @staticmethod
@@ -434,8 +502,7 @@ class Set:
     def arity(self) -> int:
         return len(self.names)
 
-    def is_empty(self) -> bool:
-        return not self.conjuncts
+    is_empty = _is_empty
 
     def is_universe(self) -> bool:
         return any(c.is_universe() for c in self.conjuncts)
@@ -444,56 +511,18 @@ class Set:
         """Membership test for a concrete integer point."""
         if len(point) != self.arity:
             raise SpaceMismatchError("point arity does not match set arity")
-        values = [int(x) for x in point]
-        backend = _hooks.active_backend()
-        feasible = omega.is_feasible if backend is None else backend.is_feasible
-        for conjunct in self.conjuncts:
-            if feasible(conjunct.substitute_vars(values)):
-                return True
-        return False
-
-    def _require_compatible(self, other: "Set") -> None:
-        if not isinstance(other, Set):
-            raise TypeError(f"expected Set, got {type(other).__name__}")
-        if other.arity != self.arity:
-            raise SpaceMismatchError(f"set arities differ: {self.arity} vs {other.arity}")
+        return _holds_at(self, [int(x) for x in point])
 
     # --------------------------- operations --------------------------- #
-    def intersect(self, other: "Set") -> "Set":
-        self._require_compatible(other)
-        return Set(self.names, _union_intersect(self.conjuncts, other.conjuncts), _clean_input=False)
-
-    def union(self, other: "Set") -> "Set":
-        self._require_compatible(other)
-        return Set(self.names, _clean(self.conjuncts + other.conjuncts), _clean_input=False)
-
-    def subtract(self, other: "Set") -> "Set":
-        self._require_compatible(other)
-        return Set(self.names, _union_subtract(self.conjuncts, other.conjuncts), _clean_input=False)
+    intersect = _intersect
+    union = _union
+    subtract = _subtract
+    is_subset = _is_subset
+    is_equal = _is_equal
+    is_disjoint = _is_disjoint
 
     def complement(self) -> "Set":
         return Set.universe(self.names).subtract(self)
-
-    def is_subset(self, other: "Set") -> bool:
-        self._require_compatible(other)
-        backend = _hooks.active_backend()
-        if backend is not None:
-            return backend.is_subset(self.conjuncts, other.conjuncts)
-        return _union_is_subset(self.conjuncts, other.conjuncts)
-
-    def is_equal(self, other: "Set") -> bool:
-        backend = _hooks.active_backend()
-        if backend is not None:
-            self._require_compatible(other)
-            return backend.is_equal(self.conjuncts, other.conjuncts)
-        return self.is_subset(other) and other.is_subset(self)
-
-    def is_disjoint(self, other: "Set") -> bool:
-        self._require_compatible(other)
-        backend = _hooks.active_backend()
-        if backend is not None:
-            return backend.is_disjoint(self.conjuncts, other.conjuncts)
-        return not _union_intersect(self.conjuncts, other.conjuncts)
 
     def project_out(self, names: Sequence[str]) -> "Set":
         """Existentially project away the named dimensions (memoized)."""
@@ -529,20 +558,7 @@ class Set:
         upper: Optional[int] = None
         for conjunct in self.conjuncts:
             other_cols = [c for c in range(conjunct.const_col) if c != target]
-            shadow = omega.real_shadow_eliminate(conjunct, other_cols)
-            conj_lower: Optional[int] = None
-            conj_upper: Optional[int] = None
-            for ineq in shadow.ineqs:
-                coefficient = ineq[0]
-                constant = ineq[-1]
-                if coefficient > 0:
-                    # a*x + c >= 0  =>  x >= ceil(-c/a)
-                    bound = (-constant + coefficient - 1) // coefficient
-                    conj_lower = bound if conj_lower is None else max(conj_lower, bound)
-                elif coefficient < 0:
-                    # a*x + c >= 0, a < 0  =>  x <= floor(c/-a)
-                    bound = constant // (-coefficient)
-                    conj_upper = bound if conj_upper is None else min(conj_upper, bound)
+            conj_lower, conj_upper = _bounds_1d(omega.real_shadow_eliminate(conjunct, other_cols))
             if conj_lower is None or conj_upper is None:
                 raise UnboundedSetError(f"dimension {name!r} is unbounded")
             lower = conj_lower if lower is None else min(lower, conj_lower)
@@ -629,25 +645,12 @@ class Set:
             return points[rng.randrange(len(points))]
 
     # --------------------------- dunder api ---------------------------- #
-    def __and__(self, other: "Set") -> "Set":
-        return self.intersect(other)
-
-    def __or__(self, other: "Set") -> "Set":
-        return self.union(other)
-
-    def __sub__(self, other: "Set") -> "Set":
-        return self.subtract(other)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Set):
-            return NotImplemented
-        return self.is_equal(other)
-
-    def __hash__(self) -> int:  # sets are mutable-free; hash on syntactic form
-        return hash((self.names, tuple(sorted(c.normalized_key() for c in self.conjuncts))))
-
-    def __bool__(self) -> bool:
-        return not self.is_empty()
+    __and__ = _and
+    __or__ = _or
+    __sub__ = _sub
+    __eq__ = _eq
+    __hash__ = _hash
+    __bool__ = _bool
 
     def __str__(self) -> str:
         if self.is_empty():
@@ -655,7 +658,7 @@ class Set:
         pieces = []
         header = "[" + ", ".join(self.names) + "]"
         for conjunct in self.conjuncts:
-            body = _render_conjunct_body(conjunct, self.names)
+            body = _render_body(self.names, conjunct.n_div, conjunct.eqs, conjunct.ineqs)
             pieces.append(f"{header} : {body}" if body != "true" else header)
         return "{ " + "; ".join(pieces) + " }"
 
@@ -681,14 +684,10 @@ class Map:
     ):
         self.in_names: Tuple[str, ...] = tuple(in_names)
         self.out_names: Tuple[str, ...] = tuple(out_names)
-        conjuncts = tuple(conjuncts)
-        width = len(self.in_names) + len(self.out_names)
-        for conjunct in conjuncts:
-            if conjunct.n_vars != width:
-                raise SpaceMismatchError(
-                    f"conjunct has {conjunct.n_vars} dims, map has {width}"
-                )
-        self.conjuncts: Tuple[Conjunct, ...] = _clean(conjuncts) if _clean_input else conjuncts
+        _init_conjuncts(self, conjuncts, _clean_input)
+
+    def _space(self) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+        return (self.in_names, self.out_names)
 
     # -------------------------- constructors -------------------------- #
     @staticmethod
@@ -733,61 +732,21 @@ class Map:
     def n_out(self) -> int:
         return len(self.out_names)
 
-    def is_empty(self) -> bool:
-        return not self.conjuncts
+    is_empty = _is_empty
 
     def contains(self, in_point: Sequence[int], out_point: Sequence[int]) -> bool:
         values = [int(x) for x in in_point] + [int(x) for x in out_point]
         if len(values) != self.n_in + self.n_out:
             raise SpaceMismatchError("point arity does not match map arity")
-        backend = _hooks.active_backend()
-        feasible = omega.is_feasible if backend is None else backend.is_feasible
-        for conjunct in self.conjuncts:
-            if feasible(conjunct.substitute_vars(values)):
-                return True
-        return False
-
-    def _require_compatible(self, other: "Map") -> None:
-        if not isinstance(other, Map):
-            raise TypeError(f"expected Map, got {type(other).__name__}")
-        if other.n_in != self.n_in or other.n_out != self.n_out:
-            raise SpaceMismatchError(
-                f"map arities differ: {self.n_in}->{self.n_out} vs {other.n_in}->{other.n_out}"
-            )
+        return _holds_at(self, values)
 
     # --------------------------- operations --------------------------- #
-    def intersect(self, other: "Map") -> "Map":
-        self._require_compatible(other)
-        return Map(self.in_names, self.out_names, _union_intersect(self.conjuncts, other.conjuncts), _clean_input=False)
-
-    def union(self, other: "Map") -> "Map":
-        self._require_compatible(other)
-        return Map(self.in_names, self.out_names, _clean(self.conjuncts + other.conjuncts), _clean_input=False)
-
-    def subtract(self, other: "Map") -> "Map":
-        self._require_compatible(other)
-        return Map(self.in_names, self.out_names, _union_subtract(self.conjuncts, other.conjuncts), _clean_input=False)
-
-    def is_subset(self, other: "Map") -> bool:
-        self._require_compatible(other)
-        backend = _hooks.active_backend()
-        if backend is not None:
-            return backend.is_subset(self.conjuncts, other.conjuncts)
-        return _union_is_subset(self.conjuncts, other.conjuncts)
-
-    def is_equal(self, other: "Map") -> bool:
-        backend = _hooks.active_backend()
-        if backend is not None:
-            self._require_compatible(other)
-            return backend.is_equal(self.conjuncts, other.conjuncts)
-        return self.is_subset(other) and other.is_subset(self)
-
-    def is_disjoint(self, other: "Map") -> bool:
-        self._require_compatible(other)
-        backend = _hooks.active_backend()
-        if backend is not None:
-            return backend.is_disjoint(self.conjuncts, other.conjuncts)
-        return not _union_intersect(self.conjuncts, other.conjuncts)
+    intersect = _intersect
+    union = _union
+    subtract = _subtract
+    is_subset = _is_subset
+    is_equal = _is_equal
+    is_disjoint = _is_disjoint
 
     def as_set(self) -> Set:
         """The map viewed as a set over the concatenated (in, out) dimensions."""
@@ -819,13 +778,10 @@ class Map:
         )
 
     def _inverse_uncached(self) -> "Map":
-        width = self.n_in + self.n_out
+        n_in, width = self.n_in, self.n_in + self.n_out
 
         def swap(vec: Vector) -> Vector:
-            ins = vec[: self.n_in]
-            outs = vec[self.n_in : width]
-            rest = vec[width:]
-            return outs + ins + rest
+            return vec[n_in:width] + vec[:n_in] + vec[width:]
 
         conjuncts = [
             Conjunct(width, c.n_div, [swap(v) for v in c.eqs], [swap(v) for v in c.ineqs])
@@ -850,66 +806,27 @@ class Map:
                 f"[{', '.join(other.in_names)}] -> [{', '.join(other.out_names)}] "
                 f"has {other.n_in} dimension(s)"
             )
-        return _opcache.memoized(
-            "compose",
-            (
-                self.in_names,
-                self.out_names,
-                self.conjuncts,
-                other.in_names,
-                other.out_names,
-                other.conjuncts,
-            ),
-            lambda: self._compose_uncached(other),
-        )
+        key = (self.in_names, self.out_names, self.conjuncts, other.in_names, other.out_names, other.conjuncts)
+        return _opcache.memoized("compose", key, lambda: self._compose_uncached(other))
 
     def _compose_uncached(self, other: "Map") -> "Map":
         n_x, n_y, n_z = self.n_in, self.n_out, other.n_out
-        width = n_x + n_z
         pieces: List[Conjunct] = []
         for left in self.conjuncts:
             for right in other.conjuncts:
-                n_div = left.n_div + right.n_div + n_y
-                eqs: List[Vector] = []
-                ineqs: List[Vector] = []
-
+                # Columns of a piece: x | z | left divs | right divs | y | constant
+                # (the joined tuple y becomes existential).
                 def lift_left(vec: Vector) -> Vector:
-                    x = vec[:n_x]
                     y = vec[n_x : n_x + n_y]
-                    divs = vec[n_x + n_y : -1]
-                    constant = vec[-1]
-                    return (
-                        x
-                        + (0,) * n_z
-                        + divs
-                        + (0,) * right.n_div
-                        + y
-                        + (constant,)
-                    )
+                    return vec[:n_x] + (0,) * n_z + vec[n_x + n_y : -1] + (0,) * right.n_div + y + vec[-1:]
 
                 def lift_right(vec: Vector) -> Vector:
-                    y = vec[:n_y]
                     z = vec[n_y : n_y + n_z]
-                    divs = vec[n_y + n_z : -1]
-                    constant = vec[-1]
-                    return (
-                        (0,) * n_x
-                        + z
-                        + (0,) * left.n_div
-                        + divs
-                        + y
-                        + (constant,)
-                    )
+                    return (0,) * n_x + z + (0,) * left.n_div + vec[n_y + n_z : -1] + vec[:n_y] + vec[-1:]
 
-                for vec in left.eqs:
-                    eqs.append(lift_left(vec))
-                for vec in left.ineqs:
-                    ineqs.append(lift_left(vec))
-                for vec in right.eqs:
-                    eqs.append(lift_right(vec))
-                for vec in right.ineqs:
-                    ineqs.append(lift_right(vec))
-                pieces.append(Conjunct(width, n_div, eqs, ineqs))
+                eqs = [lift_left(v) for v in left.eqs] + [lift_right(v) for v in right.eqs]
+                ineqs = [lift_left(v) for v in left.ineqs] + [lift_right(v) for v in right.ineqs]
+                pieces.append(Conjunct(n_x + n_z, left.n_div + right.n_div + n_y, eqs, ineqs))
         return Map(self.in_names, other.out_names, pieces)
 
     def apply(self, domain_set: Set) -> Set:
@@ -943,23 +860,19 @@ class Map:
         )
 
     def _lift_set_conjunct(self, conjunct: Conjunct, *, at_input: bool) -> Conjunct:
-        width = self.n_in + self.n_out
+        n_vars = conjunct.n_vars
 
-        def lift(vec: Vector) -> Vector:
-            dims = vec[: conjunct.n_vars]
-            divs = vec[conjunct.n_vars : -1]
-            constant = vec[-1]
+        def lift(vec: Vector) -> Vector:  # dims | divs and constant
             if at_input:
-                return dims + (0,) * self.n_out + divs + (constant,)
-            return (0,) * self.n_in + dims + divs + (constant,)
+                return vec[:n_vars] + (0,) * self.n_out + vec[n_vars:]
+            return (0,) * self.n_in + vec
 
+        width = self.n_in + self.n_out
         return Conjunct(width, conjunct.n_div, [lift(v) for v in conjunct.eqs], [lift(v) for v in conjunct.ineqs])
 
     def is_single_valued(self) -> bool:
         """True when every input tuple is related to at most one output tuple."""
-        pairs = self.inverse().compose(self)
-        identity = Map.identity(self.out_names)
-        return pairs.is_subset(Map(identity.in_names, identity.out_names, identity.conjuncts, _clean_input=False))
+        return self.inverse().compose(self).is_subset(Map.identity(self.out_names))
 
     def is_injective(self) -> bool:
         """True when no two input tuples map to the same output tuple."""
@@ -978,27 +891,12 @@ class Map:
             yield point[: self.n_in], point[self.n_in :]
 
     # --------------------------- dunder api ---------------------------- #
-    def __and__(self, other: "Map") -> "Map":
-        return self.intersect(other)
-
-    def __or__(self, other: "Map") -> "Map":
-        return self.union(other)
-
-    def __sub__(self, other: "Map") -> "Map":
-        return self.subtract(other)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Map):
-            return NotImplemented
-        return self.is_equal(other)
-
-    def __hash__(self) -> int:
-        return hash(
-            (self.in_names, self.out_names, tuple(sorted(c.normalized_key() for c in self.conjuncts)))
-        )
-
-    def __bool__(self) -> bool:
-        return not self.is_empty()
+    __and__ = _and
+    __or__ = _or
+    __sub__ = _sub
+    __eq__ = _eq
+    __hash__ = _hash
+    __bool__ = _bool
 
     def __str__(self) -> str:
         if self.is_empty():
@@ -1012,43 +910,58 @@ class Map:
         """Render one conjunct, preferring the ``[in] -> [f(in)]`` image form."""
         names = self._wrapped_names()
         in_part = "[" + ", ".join(self.in_names) + "]"
-        out_exprs: List[str] = []
-        used_eqs: List[Tuple[str, int]] = []
-        for out_index in range(self.n_out):
-            col = self.n_in + out_index
-            expr_text = None
-            for eq_index, eq in enumerate(conjunct.eqs):
-                if abs(eq[col]) != 1:
-                    continue
-                if any(eq[self.n_in + j] != 0 for j in range(self.n_out) if j != out_index):
-                    continue
-                if any(eq[conjunct.n_vars + d] != 0 for d in range(conjunct.n_div)):
-                    continue
-                sign = -eq[col]
-                coeffs = {
-                    self.in_names[i]: sign * eq[i] for i in range(self.n_in) if eq[i] != 0
-                }
-                expr_text = str(LinExpr(coeffs, sign * eq[-1]))
-                used_eqs.append(("eq", eq_index))
-                break
-            if expr_text is None:
-                out_exprs = []
-                used_eqs = []
-                break
-            out_exprs.append(expr_text)
-        # The image form drops the output names, so a constraint it does not
-        # absorb may not mention them.
-        out_cols = range(self.n_in, self.n_in + self.n_out)
-        leftover = [eq for index, eq in enumerate(conjunct.eqs) if ("eq", index) not in used_eqs]
-        if any(vec[col] for vec in leftover + list(conjunct.ineqs) for col in out_cols):
-            out_exprs = []
-        if out_exprs:
-            body = _render_conjunct_body(conjunct, names, skip=used_eqs)
-            head = f"{in_part} -> [{', '.join(out_exprs)}]"
-        else:
-            body = _render_conjunct_body(conjunct, names)
+        image = self._image_form(conjunct)
+        if image is None:
             head = f"{in_part} -> [{', '.join(names[self.n_in:])}]"
+            body = _render_body(names, conjunct.n_div, conjunct.eqs, conjunct.ineqs)
+        else:
+            out_exprs, eqs, ineqs = image
+            head = f"{in_part} -> [{', '.join(out_exprs)}]"
+            body = _render_body(names, conjunct.n_div, eqs, ineqs)
         return f"{head} : {body}" if body != "true" else head
+
+    def _image_form(self, conjunct: Conjunct) -> Optional[Tuple[List[str], List[Vector], List[Vector]]]:
+        """The output expressions and the remaining rows of the image form.
+
+        Every output needs an equality that defines it from the inputs alone
+        (a unit coefficient, no other output, no div); ``None`` otherwise.
+        The image drops the output names, so those equalities are
+        substituted into the remaining rows, and rows that then repeat (an
+        equality also up to sign) or hold trivially (``0 = 0``, ``c >= 0``)
+        are dropped.  This is plain row arithmetic: rendering does no
+        Presburger work.
+        """
+        n_in = self.n_in
+        defining: Dict[int, int] = {}  # output column -> index of its equality
+        for col in range(n_in, conjunct.n_vars):
+            for index, eq in enumerate(conjunct.eqs):
+                if abs(eq[col]) == 1 and not any(eq[c] for c in range(n_in, len(eq) - 1) if c != col):
+                    defining[col] = index
+                    break
+            else:
+                return None
+        out_exprs = []
+        for col, index in defining.items():
+            eq = conjunct.eqs[index]
+            sign = -eq[col]
+            coeffs = {self.in_names[i]: sign * eq[i] for i in range(n_in) if eq[i] != 0}
+            out_exprs.append(str(LinExpr(coeffs, sign * eq[-1])))
+
+        def substituted(vec: Vector) -> Vector:
+            for col, index in defining.items():
+                if vec[col]:
+                    eq = conjunct.eqs[index]
+                    scale = vec[col] * eq[col]
+                    vec = tuple(v - scale * e for v, e in zip(vec, eq))
+            return vec
+
+        used = set(defining.values())
+        eqs: Dict[Vector, None] = {}
+        for vec in (substituted(v) for index, v in enumerate(conjunct.eqs) if index not in used):
+            if any(vec) and tuple(-x for x in vec) not in eqs:
+                eqs.setdefault(vec)
+        ineqs = dict.fromkeys(vec for vec in map(substituted, conjunct.ineqs) if any(vec[:-1]) or vec[-1] < 0)
+        return out_exprs, list(eqs), list(ineqs)
 
     def __repr__(self) -> str:
         return f"Map({str(self)!r})"

@@ -219,9 +219,11 @@ def aggregate_results(
     :class:`~repro.presburger.opcache.OpCacheStats` delta of the run; it
     enriches the ``opcache`` block with evictions, intern misses and the
     per-operation hit/miss breakdown (counters the per-job
-    :class:`~repro.checker.result.CheckStats` do not carry).  With worker
-    processes the parent's delta covers only its own share, so callers
-    should pass it for serial runs.
+    :class:`~repro.checker.result.CheckStats` do not carry).  The parent's
+    delta covers pooled runs too: every pool worker ships its own delta with
+    each job result, and :class:`~repro.service.executor.BatchExecutor`
+    merges it into the parent's stats, so pass it for serial and pooled
+    runs alike.
     """
     total = len(results)
     by_status = {status: 0 for status in JobStatus.ALL}

@@ -247,43 +247,6 @@ class TestSetAlgebra:
         assert pairs == 104
 
 
-class TestFeasibleMany:
-    def test_matches_oracle(self):
-        conjuncts = corpus_conjuncts()
-        assert kernel.feasible_many(conjuncts) == [oracle.feasible(c) for c in conjuncts]
-
-    def test_matches_serial_is_feasible(self):
-        conjuncts = corpus_conjuncts()
-        batched = kernel.feasible_many(conjuncts)
-        serial = [omega.is_feasible(c) for c in conjuncts]
-        assert batched == serial
-
-    def test_empty_input(self):
-        assert kernel.feasible_many([]) == []
-
-    def test_cached_batch_accounting_matches_serial(self):
-        """The batched Set._clean path must record the same opcache
-        hit/miss counts as one-at-a-time memoization (the BENCH
-        deterministic counters depend on it)."""
-        from repro.presburger import setmap
-
-        conjuncts = [
-            c
-            for text in CORPUS
-            for c in parse_set(text).conjuncts
-        ]
-        opcache.reset()
-        setmap._cached_feasible_many(conjuncts)
-        first = opcache.stats()
-        opcache.reset()
-        for conjunct in conjuncts:
-            opcache.memoized(
-                "feasible", conjunct, lambda c=conjunct: omega.is_feasible(c)
-            )
-        second = opcache.stats()
-        assert (first.hits, first.misses) == (second.hits, second.misses)
-
-
 class TestFmCombine:
     LOWERS = [(1, 2, 0, 0), (2, 0, 1, 3)]
     UPPERS = [(-1, 1, 0, 7), (-3, 0, 2, 11), (-2, 2, 2, 5)]

@@ -440,18 +440,11 @@ class TestWorkCounts:
         assert merged == delta
 
     def test_feasibility_decisions_are_counted(self):
-        from repro.presburger import kernel, omega
+        from repro.presburger import omega
 
-        conjuncts = [
-            Conjunct(1, 0, ineqs=[(1, 0), (-1, 7)]),
-            Conjunct(2, 0, ineqs=[(1, 0, 0), (0, -1, 3), (-1, 1, 0)]),
-        ]
         before = opcache.snapshot()
-        assert omega.is_feasible(conjuncts[0])
+        assert omega.is_feasible(Conjunct(1, 0, ineqs=[(1, 0), (-1, 7)]))
         assert opcache.stats().delta(before).feasibility_checks >= 1
-        before = opcache.snapshot()
-        assert kernel.feasible_many(conjuncts) == [True, True]
-        assert opcache.stats().delta(before).feasibility_checks >= len(conjuncts)
 
     def test_dark_shadow_splinters_are_counted(self):
         from repro.presburger import omega

@@ -23,6 +23,16 @@ def _names(text):
     return set(re.findall(r"[A-Za-z_]\w*'?", text)) - {"and"}
 
 
+def _rows(rendered):
+    """A one-piece rendering as its header and the set of its body rows.
+
+    The row order follows the canonical (interned) conjunct, which depends
+    on what the process built before, so it is not compared.
+    """
+    head, _, body = rendered.removesuffix(" }").partition(" : ")
+    return head, frozenset(body.split(" and "))
+
+
 def interval(name, low, high):
     return Set.build([name], [ge_(LinExpr.var(name), low), le_(LinExpr.var(name), high)])
 
@@ -232,6 +242,38 @@ class TestMapProperties:
             head, _, body = piece.partition(" : ")
             assert _names(body) <= _names(head), rendered
 
+    @pytest.mark.parametrize(
+        "text, rendered",
+        [
+            (
+                "{ [k] -> [j] : j = k and 0 <= k <= 7 and 0 <= j <= 7 }",
+                "{ [k] -> [k] : k >= 0 and -k + 7 >= 0 }",
+            ),
+            (
+                "{ [i, j] -> [a, b] : a = i and b = j and 0 <= j <= i < 4 and a + b <= 5 }",
+                "{ [i, j] -> [i, j] : j >= 0 and i - j >= 0 and -i + 3 >= 0 and -i - j + 5 >= 0 }",
+            ),
+            (
+                "{ [k] -> [o] : o = 2k + 1 and 0 <= k and 3o <= 9 + k }",
+                "{ [k] -> [2*k + 1] : k >= 0 and -5*k + 6 >= 0 }",
+            ),
+        ],
+    )
+    def test_str_substitutes_the_image_into_the_remaining_rows(self, text, rendered):
+        """Bounds on an output that an equality defines are rewritten over the
+        inputs, and the repeats this produces are dropped."""
+        m = parse_map(text)
+        assert _rows(str(m)) == _rows(rendered)
+        assert parse_map(str(m)).is_equal(m)
+
+    def test_str_does_no_presburger_work(self):
+        from repro.presburger import opcache
+
+        m = parse_map("{ [k] -> [j] : j = k and 0 <= k <= 7 and 0 <= j <= 7 }")
+        before = opcache.snapshot()
+        assert _rows(str(m)) == _rows("{ [k] -> [k] : k >= 0 and -k + 7 >= 0 }")
+        assert opcache.snapshot() == before
+
 
 def _power(relation, steps):
     """*relation* composed with itself, *steps* applications in all."""
@@ -290,3 +332,66 @@ class TestUniformRelationPowers:
         for steps in range(1, 10):
             assert _power(relation, steps).intersect(identity).is_empty()
         assert _power(relation, 10).is_empty()
+
+
+SHARED_BINARY_OPS = ("intersect", "union", "subtract", "is_subset", "is_equal", "is_disjoint")
+
+
+def _keys(relation):
+    return tuple(sorted(c.normalized_key() for c in relation.conjuncts))
+
+
+class TestSharedAlgebraContract:
+    """Set and Map share one union algebra; both must honour one contract."""
+
+    SET = parse_set("{ [x] : 0 <= x < 4 }")
+    MAP = parse_map("{ [k] -> [k + 1] : 0 <= k < 4 }")
+    WIDER_SET = parse_set("{ [x, y] : 0 <= x < 4 and y = x }")
+    WIDER_MAPS = (
+        parse_map("{ [k] -> [k, k] : 0 <= k < 4 }"),
+        parse_map("{ [i, j] -> [i] : 0 <= i < 4 and j = i }"),
+    )
+
+    @pytest.mark.parametrize("backend", ["omega", "crosscheck"])
+    @pytest.mark.parametrize("op", SHARED_BINARY_OPS)
+    def test_the_other_type_is_a_type_error(self, op, backend):
+        from repro.solvers import use_backend
+
+        with use_backend(backend):
+            with pytest.raises(TypeError):
+                getattr(self.SET, op)(self.MAP)
+            with pytest.raises(TypeError):
+                getattr(self.MAP, op)(self.SET)
+
+    @pytest.mark.parametrize("backend", ["omega", "crosscheck"])
+    @pytest.mark.parametrize("op", SHARED_BINARY_OPS)
+    def test_an_arity_mismatch_is_a_space_error(self, op, backend):
+        from repro.solvers import use_backend
+
+        with use_backend(backend):
+            with pytest.raises(SpaceMismatchError):
+                getattr(self.SET, op)(self.WIDER_SET)
+            for wider in self.WIDER_MAPS:
+                with pytest.raises(SpaceMismatchError):
+                    getattr(self.MAP, op)(wider)
+
+    def test_a_set_never_equals_a_map(self):
+        assert (self.SET == self.MAP) is False
+        assert (self.MAP == self.SET) is False
+        assert self.SET != self.MAP
+
+    def test_equal_relations_built_differently_hash_alike(self):
+        reordered = parse_set("{ [x] : x <= 3 and 2x >= 0 }")
+        assert reordered == self.SET and hash(reordered) == hash(self.SET)
+        assert hash(interval("x", 0, 3)) == hash(self.SET)
+        k, o = LinExpr.var("k"), LinExpr.var("o")
+        built = Map.build(["k"], ["o"], [eq_(o, k + 1), le_(k, 3), ge_(k, 0)])
+        built = built.rename(["k"], self.MAP.out_names)
+        assert built == self.MAP and hash(built) == hash(self.MAP)
+        twice_inverted = self.MAP.inverse().inverse()
+        assert twice_inverted == self.MAP and hash(twice_inverted) == hash(self.MAP)
+
+    def test_hash_is_the_space_and_the_sorted_conjunct_keys(self):
+        assert hash(self.SET) == hash((self.SET.names, _keys(self.SET)))
+        m = self.MAP
+        assert hash(m) == hash((m.in_names, m.out_names, _keys(m)))

@@ -255,6 +255,26 @@ class TestMain:
         assert "output C: ok" in out
         assert "1 path(s)" in out
 
+    def test_def_use_violation_prints_in_image_form(self, tmp_path, capsys):
+        from repro.analysis import ProgramGeometry
+        from repro.analysis.dataflow import _order_violations
+        from repro.lang import parse_program
+        from repro.presburger import parse_map
+
+        path = tmp_path / "use_before_def.c"
+        path.write_text(USE_BEFORE_DEF)
+        assert main(["check", str(path), str(path)]) == 1
+        printed = re.findall(r"violating instances: (\{.*\})\)", capsys.readouterr().out)
+        assert len(printed) == 2 and printed[0] == printed[1]
+        # Row order follows the canonical conjunct, so compare the rows as a set.
+        head, _, body = printed[0].removesuffix(" }").partition(" : ")
+        assert head == "{ [k] -> [k]"
+        assert set(body.split(" and ")) == {"-k + 7 >= 0", "k >= 0"}
+
+        [(_, _, _, violation)] = _order_violations(ProgramGeometry(parse_program(USE_BEFORE_DEF)))
+        assert str(violation) == printed[0]
+        assert parse_map(str(violation)).is_equal(violation)
+
     @pytest.mark.parametrize("subcommand", ["check", "diagnose"])
     @pytest.mark.parametrize(
         "flags",
