@@ -43,7 +43,7 @@ class Conjunct:
         Inequality constraints, each meaning ``v . (vars, divs, 1) >= 0``.
     """
 
-    __slots__ = ("n_vars", "n_div", "eqs", "ineqs", "_key", "_hash", "_normed")
+    __slots__ = ("n_vars", "n_div", "eqs", "ineqs", "_key", "_hash", "_normed", "_negations")
 
     def __init__(
         self,
@@ -67,6 +67,10 @@ class Conjunct:
         # normalize() is idempotent, so flagged conjuncts can skip a second
         # pass entirely (see repro.presburger.kernel).
         self._normed = False
+        # omega.complement's result, kept on the (interned) instance while
+        # the operation cache is enabled: subtraction and containment
+        # complement the same canonical conjuncts over and over.
+        self._negations = None
 
     @staticmethod
     def _check(vector: Sequence[int], width: int) -> Vector:
@@ -110,6 +114,7 @@ class Conjunct:
         self._key = None
         self._hash = None
         self._normed = normed
+        self._negations = None
         return self
 
     # ------------------------------------------------------------------ #

@@ -31,7 +31,8 @@ brute-force integer-point oracle that shares no code with this module or
 from __future__ import annotations
 
 from math import gcd as _gcd
-from typing import List, Optional, Sequence, Tuple
+from operator import neg as _neg
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .conjunct import Conjunct, Vector
 from . import opcache as _opcache
@@ -88,70 +89,59 @@ def normalize_conjunct(conjunct: Conjunct) -> Optional[Conjunct]:
         for x in reduced:
             if x != 0:
                 if x < 0:
-                    reduced = tuple(-y for y in reduced)
+                    reduced = tuple(map(_neg, reduced))
                 break
         eqs.append(iv(reduced))
 
-    ineqs: List[Vector] = []
+    # The tightest row per coefficient vector, in first-seen order.  Rows
+    # are interned once, on the way out: a row whose gcd is 1 is the input
+    # tuple itself, so an already canonical row costs one pool hit.
+    tightest: Dict[Vector, Vector] = {}
     for vec in conjunct.ineqs:
         g = _gcd(*vec[:-1])
         if g == 0:
             if vec[-1] < 0:
                 return None
             continue
-        if g == 1:
-            reduced = vec
-        else:
-            reduced = tuple(x // g for x in vec[:-1]) + (vec[-1] // g,)
-        ineqs.append(iv(reduced))
+        if g != 1:
+            vec = tuple(x // g for x in vec[:-1]) + (vec[-1] // g,)
+        key = vec[:-1]
+        prev = tightest.get(key)
+        if prev is None or vec[-1] < prev[-1]:
+            tightest[key] = vec
 
     if eqs:
         eqs = list(dict.fromkeys(eqs))
 
-    tightest = {}
-    for vec in ineqs:
-        key = vec[:-1]
-        constant = vec[-1]
-        prev = tightest.get(key)
-        if prev is None or constant < prev:
-            tightest[key] = constant
-
     final_ineqs: List[Vector] = []
     promoted: List[Vector] = []
     consumed = set()
-    for key, constant in tightest.items():
+    for key, vec in tightest.items():
         if key in consumed:
             continue
-        neg_key = tuple(-x for x in key)
+        neg_key = tuple(map(_neg, key))
         other = tightest.get(neg_key)
-        if other is not None and neg_key != key:
-            total = constant + other
+        if other is not None:
+            total = vec[-1] + other[-1]
             if total < 0:
                 return None
             if total == 0:
-                promoted.append(key + (constant,))
-                consumed.add(key)
+                promoted.append(vec)
                 consumed.add(neg_key)
                 continue
-        final_ineqs.append(iv(key + (constant,)))
+        final_ineqs.append(iv(vec))
 
     for vec in promoted:
-        g = _gcd(*vec[:-1])
-        if g == 0:
-            if vec[-1] != 0:
-                return None
-            continue
-        if vec[-1] % g:
-            return None
-        reduced = tuple(x // g for x in vec)
-        for x in reduced:
+        # A reduced inequality row already has gcd 1: only its sign needs
+        # canonicalising to make it an equality row.
+        for x in vec:
             if x != 0:
                 if x < 0:
-                    reduced = tuple(-y for y in reduced)
+                    vec = tuple(map(_neg, vec))
                 break
-        reduced = iv(reduced)
-        if reduced not in eqs:
-            eqs.append(reduced)
+        vec = iv(vec)
+        if vec not in eqs:
+            eqs.append(vec)
 
     return Conjunct._make(
         conjunct.n_vars, conjunct.n_div, tuple(eqs), tuple(final_ineqs), normed=True

@@ -297,21 +297,93 @@ def _choose_elimination_col(conjunct: Conjunct) -> int:
     return best_col
 
 
+def _decide_by_bounds(conjunct: Conjunct) -> Optional[bool]:
+    """Integer feasibility of a conjunct whose columns are independent, else ``None``.
+
+    This is the first step of Pugh's Omega test.  Equalities are solved
+    away while one has a ±1 coefficient and at most one other column; a
+    one-column equality ``a*x + b = 0`` pins ``x = -b/a``, or is a
+    contradiction when ``a`` does not divide ``b``.  Each step keeps the
+    integer point set exactly (a unit coefficient makes the solved column
+    an integer function of the rest).  If no equality is left and every
+    inequality then involves at most one column, the columns are
+    independent: the conjunct has an integer point iff each column's
+    tightest lower bound ``ceil(-b/a)`` is at most its tightest upper
+    bound ``floor(b/-a)``.  Any other shape returns ``None``, and the
+    caller eliminates a column instead.
+    """
+    cols = range(conjunct.const_col)
+    eqs = list(conjunct.eqs)
+    ineqs = conjunct.ineqs
+    while eqs:
+        for index, eq in enumerate(eqs):
+            used = [c for c in cols if eq[c]]
+            if not used:
+                if eq[-1]:
+                    return False
+                break  # 0 = 0
+            if len(used) == 1:
+                col = used[0]
+                a = eq[col]
+                if eq[-1] % a:
+                    return False
+                eq = eq[:col] + (1,) + eq[col + 1 : -1] + (eq[-1] // a,)  # x + b/a = 0
+                break
+            if len(used) == 2:
+                col = next((c for c in used if eq[c] in (1, -1)), None)
+                if col is not None:
+                    break
+        else:
+            return None
+        del eqs[index]
+        if used:
+            eqs = _kernel.substitute_drop(eqs, eq, col)
+            ineqs = _kernel.substitute_drop(ineqs, eq, col)
+            cols = range(len(cols) - 1)
+
+    lower: Dict[int, int] = {}
+    upper: Dict[int, int] = {}
+    for row in ineqs:
+        col = None
+        for c in cols:
+            if row[c]:
+                if col is not None:
+                    return None
+                col = c
+        if col is None:
+            if row[-1] < 0:
+                return False
+            continue
+        a, b = row[col], row[-1]
+        if a > 0:
+            bound = -(b // a)  # a*x + b >= 0  =>  x >= ceil(-b/a)
+            if bound > lower.get(col, bound - 1):
+                lower[col] = bound
+        else:
+            bound = b // -a  # x <= floor(b/-a)
+            if bound < upper.get(col, bound + 1):
+                upper[col] = bound
+    return all(low <= upper[col] for col, low in lower.items() if col in upper)
+
+
 def is_feasible(conjunct: Conjunct) -> bool:
-    """Decide whether the conjunct contains at least one integer point."""
+    """Decide whether the conjunct contains at least one integer point.
+
+    A normalized conjunct whose columns are independent is decided by
+    comparing bounds (:func:`_decide_by_bounds`); any other shape
+    eliminates one column and asks again of every piece.
+    """
     _opcache._CACHE.stats.feasibility_checks += 1
     if conjunct.is_universe():
         return True  # fast path: no constraints, every point qualifies
     normalized = normalize(conjunct)
     if normalized is None:
         return False
-    conjunct = normalized
-    if conjunct.is_universe():
-        return True
-    if conjunct.const_col == 0:
-        return all(v[-1] == 0 for v in conjunct.eqs) and all(v[-1] >= 0 for v in conjunct.ineqs)
-    col = _choose_elimination_col(conjunct)
-    return any(is_feasible(piece) for piece in eliminate_col(conjunct, col))
+    decided = _decide_by_bounds(normalized)
+    if decided is not None:
+        return decided
+    col = _choose_elimination_col(normalized)
+    return any(is_feasible(piece) for piece in eliminate_col(normalized, col))
 
 
 # --------------------------------------------------------------------------- #
@@ -458,22 +530,30 @@ def _dedupe_divisibility(conjunct: Conjunct) -> Conjunct:
 # --------------------------------------------------------------------------- #
 # Complement
 # --------------------------------------------------------------------------- #
+def _widened(rows: Tuple[Vector, ...], at: int, zeros: Vector) -> Tuple[Vector, ...]:
+    """*rows* with the all-zero columns *zeros* inserted before index *at*."""
+    if not zeros:
+        return rows
+    return tuple(vec[:at] + zeros + vec[at:] for vec in rows)
+
+
 def conjunct_intersect(first: Conjunct, second: Conjunct) -> Conjunct:
-    """Intersection of two conjuncts over the same public dimensions."""
-    if first.n_vars != second.n_vars:
+    """Intersection of two conjuncts over the same public dimensions.
+
+    The columns are the public ones, *first*'s existentials, *second*'s
+    existentials and the constant; *first*'s rows come before *second*'s.
+    """
+    n_vars = first.n_vars
+    if n_vars != second.n_vars:
         raise ValueError("conjuncts have different public arity")
-    widened_first = first.add_divs(second.n_div)
-    shift = first.n_div
-
-    def relocate(vec: Vector) -> Vector:
-        public = vec[: second.n_vars]
-        divs = vec[second.n_vars : second.n_vars + second.n_div]
-        constant = vec[-1]
-        return public + (0,) * shift + divs + (constant,)
-
-    return widened_first.with_constraints(
-        eqs=[relocate(v) for v in second.eqs],
-        ineqs=[relocate(v) for v in second.ineqs],
+    after_first = (0,) * second.n_div
+    before_second = (0,) * first.n_div
+    at = first.const_col
+    return Conjunct._make(
+        n_vars,
+        first.n_div + second.n_div,
+        _widened(first.eqs, at, after_first) + _widened(second.eqs, n_vars, before_second),
+        _widened(first.ineqs, at, after_first) + _widened(second.ineqs, n_vars, before_second),
     )
 
 
@@ -482,7 +562,7 @@ def _strip_div_columns(vec: Vector, n_vars: int, n_div: int) -> Vector:
     return vec[:n_vars] + (vec[-1],)
 
 
-def complement(conjunct: Conjunct, _depth: int = 0) -> List[Conjunct]:
+def complement(conjunct: Conjunct) -> List[Conjunct]:
     """The complement of a conjunct within the universe of its public space.
 
     Existential variables must either be removable by simplification/exact
@@ -490,8 +570,23 @@ def complement(conjunct: Conjunct, _depth: int = 0) -> List[Conjunct]:
     ``m * e == affine(public dims)``; otherwise
     :class:`UnsupportedOperationError` is raised.  The result is a list of
     conjuncts whose union is the complement.
+
+    While the operation cache is enabled the result is kept on the conjunct
+    (its ``_negations`` slot), so complementing the same canonical
+    conjunct again costs nothing; under :func:`opcache.disabled` the slot
+    is neither read nor written.
     """
-    if _depth > 24:
+    if not _opcache._CACHE.enabled:
+        return _complement(conjunct, 0)
+    negations = conjunct._negations
+    if negations is None:
+        negations = conjunct._negations = tuple(_complement(conjunct, 0))
+    return list(negations)
+
+
+def _complement(conjunct: Conjunct, depth: int) -> List[Conjunct]:
+    """:func:`complement`, *depth* levels into its existential elimination."""
+    if depth > 24:
         raise UnsupportedOperationError(
             "complement: could not reduce existential variables to divisibility form"
         )
@@ -523,9 +618,9 @@ def complement(conjunct: Conjunct, _depth: int = 0) -> List[Conjunct]:
             pieces = eliminate_col(conjunct, col)
             if not pieces:
                 return [Conjunct.universe(conjunct.n_vars)]
-            result = complement(pieces[0], _depth + 1)
+            result = _complement(pieces[0], depth + 1)
             for piece in pieces[1:]:
-                piece_complement = complement(piece, _depth + 1)
+                piece_complement = _complement(piece, depth + 1)
                 result = [
                     normalize(conjunct_intersect(left, right))
                     for left in result

@@ -54,6 +54,7 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, Hashable, Iterator, Tuple
 
 from ..telemetry import TRACER as _TRACER
+from .conjunct import Conjunct
 
 __all__ = [
     "OpCacheStats",
@@ -166,26 +167,42 @@ _COUNTS = tuple(f.name for f in fields(OpCacheStats) if f.name != "per_op")
 class _InternPool:
     """A bounded FIFO pool mapping a structural key to its canonical object.
 
+    *key* derives a value's pool key (``None``: the value is its own key).
     Eviction only forfeits future sharing for the evicted entry; it never
     affects correctness, because callers always fall back to the object they
-    were about to intern.
+    were about to intern.  The pool reads its owner's ``enabled`` switch and
+    counters itself, so a bound :meth:`canonical` is a complete intern
+    function: :func:`intern_vector` is one, and costs a single call.
     """
 
-    __slots__ = ("_entries", "_maxsize")
+    __slots__ = ("_entries", "_maxsize", "_owner", "_key")
 
-    def __init__(self, maxsize: int = _INTERN_POOL_SIZE):
+    def __init__(
+        self,
+        owner: "OpCache",
+        key: Callable[[Any], Hashable] | None = None,
+        maxsize: int = _INTERN_POOL_SIZE,
+    ):
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._maxsize = maxsize
+        self._owner = owner
+        self._key = key
 
-    def canonical(self, key: Hashable, value: Any, stats_: OpCacheStats) -> Any:
-        found = self._entries.get(key)
+    def canonical(self, value: Any) -> Any:
+        """The pooled instance equal to *value* (*value* itself while the owner is disabled)."""
+        owner = self._owner
+        if not owner.enabled:
+            return value
+        key = value if self._key is None else self._key(value)
+        entries = self._entries
+        found = entries.get(key)
         if found is not None:
-            stats_.intern_hits += 1
+            owner.stats.intern_hits += 1
             return found
-        stats_.intern_misses += 1
-        self._entries[key] = value
-        if len(self._entries) > self._maxsize:
-            self._entries.popitem(last=False)
+        owner.stats.intern_misses += 1
+        entries[key] = value
+        if len(entries) > self._maxsize:
+            entries.popitem(last=False)
         return value
 
     def __len__(self) -> int:
@@ -193,6 +210,11 @@ class _InternPool:
 
     def clear(self) -> None:
         self._entries.clear()
+
+
+def _expr_key(expr) -> Hashable:
+    """The intern-pool key of a :class:`LinExpr`: its sorted terms and constant."""
+    return (tuple(sorted(expr._coeffs.items())), expr._const)
 
 
 class OpCache:
@@ -208,9 +230,9 @@ class OpCache:
         self.enabled = True
         self.stats = OpCacheStats()
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
-        self._conjuncts = _InternPool()
-        self._exprs = _InternPool()
-        self._vectors = _InternPool()
+        self._conjuncts = _InternPool(self, key=Conjunct.normalized_key)
+        self._exprs = _InternPool(self, key=_expr_key)
+        self._vectors = _InternPool(self)
         # Optional disk-backed second tier (repro.presburger.persist); None
         # means memory-only.
         self._persist = None
@@ -234,7 +256,10 @@ class OpCache:
                 entries.move_to_end(full_key)
             except KeyError:
                 pass  # another thread evicted it since the get; the value is still good
-            self.stats.record(op, hit=True)
+            stats_ = self.stats
+            stats_.hits += 1
+            h, m = stats_.per_op.get(op, (0, 0))
+            stats_.per_op[op] = (h + 1, m)
             return found
         store = self._persist
         if store is not None:
@@ -279,22 +304,15 @@ class OpCache:
         intern to the same object, making later ``==``, ``hash`` and
         operation-cache keys identity-fast.
         """
-        if not self.enabled:
-            return conjunct
-        return self._conjuncts.canonical(conjunct.normalized_key(), conjunct, self.stats)
+        return self._conjuncts.canonical(conjunct)
 
     def intern_expr(self, expr):
         """The canonical instance for a :class:`LinExpr` (hash-consing)."""
-        if not self.enabled:
-            return expr
-        key = (tuple(sorted(expr._coeffs.items())), expr._const)
-        return self._exprs.canonical(key, expr, self.stats)
+        return self._exprs.canonical(expr)
 
     def intern_vector(self, vector: Tuple[int, ...]) -> Tuple[int, ...]:
         """The canonical tuple for a normalized constraint vector."""
-        if not self.enabled:
-            return vector
-        return self._vectors.canonical(vector, vector, self.stats)
+        return self._vectors.canonical(vector)
 
     # ---------------------------- maintenance --------------------------- #
     def __len__(self) -> int:
@@ -406,6 +424,7 @@ def intern_expr(expr):
     return _CACHE.intern_expr(expr)
 
 
-def intern_vector(vector: Tuple[int, ...]) -> Tuple[int, ...]:
-    """Module-level convenience for :meth:`OpCache.intern_vector`."""
-    return _CACHE.intern_vector(vector)
+#: The canonical tuple for a normalized constraint vector: the global vector
+#: pool's bound :meth:`_InternPool.canonical`, so the kernel's hottest call
+#: is one Python frame.
+intern_vector = _CACHE._vectors.canonical

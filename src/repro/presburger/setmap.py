@@ -328,9 +328,15 @@ def _render_affine(names: Sequence[str], coeffs: Sequence[int], const: int) -> s
 
 
 def _render_body(names: Sequence[str], n_div: int, eqs: Iterable[Vector], ineqs: Iterable[Vector]) -> str:
+    """The rows as ``... = 0 and ... >= 0``, each kind sorted by its vector.
+
+    Sorting makes the text a function of the row set: an interned conjunct
+    keeps the row order of the first instance built with its key, which
+    depends on what the process computed before.
+    """
     all_names = list(names) + [f"e{i}" for i in range(n_div)]
-    parts = [f"{_render_affine(all_names, vec[:-1], vec[-1])} = 0" for vec in eqs]
-    parts += [f"{_render_affine(all_names, vec[:-1], vec[-1])} >= 0" for vec in ineqs]
+    parts = [f"{_render_affine(all_names, vec[:-1], vec[-1])} = 0" for vec in sorted(eqs)]
+    parts += [f"{_render_affine(all_names, vec[:-1], vec[-1])} >= 0" for vec in sorted(ineqs)]
     return " and ".join(parts) if parts else "true"
 
 
@@ -932,9 +938,13 @@ class Map:
         Presburger work.
         """
         n_in = self.n_in
+        # Sorted, so the choice of defining equalities (and which sign of a
+        # repeated equality survives) does not depend on the interned
+        # instance's row order; _render_body sorts the rows it prints.
+        all_eqs = sorted(conjunct.eqs)
         defining: Dict[int, int] = {}  # output column -> index of its equality
         for col in range(n_in, conjunct.n_vars):
-            for index, eq in enumerate(conjunct.eqs):
+            for index, eq in enumerate(all_eqs):
                 if abs(eq[col]) == 1 and not any(eq[c] for c in range(n_in, len(eq) - 1) if c != col):
                     defining[col] = index
                     break
@@ -942,7 +952,7 @@ class Map:
                 return None
         out_exprs = []
         for col, index in defining.items():
-            eq = conjunct.eqs[index]
+            eq = all_eqs[index]
             sign = -eq[col]
             coeffs = {self.in_names[i]: sign * eq[i] for i in range(n_in) if eq[i] != 0}
             out_exprs.append(str(LinExpr(coeffs, sign * eq[-1])))
@@ -950,14 +960,14 @@ class Map:
         def substituted(vec: Vector) -> Vector:
             for col, index in defining.items():
                 if vec[col]:
-                    eq = conjunct.eqs[index]
+                    eq = all_eqs[index]
                     scale = vec[col] * eq[col]
                     vec = tuple(v - scale * e for v, e in zip(vec, eq))
             return vec
 
         used = set(defining.values())
         eqs: Dict[Vector, None] = {}
-        for vec in (substituted(v) for index, v in enumerate(conjunct.eqs) if index not in used):
+        for vec in (substituted(v) for index, v in enumerate(all_eqs) if index not in used):
             if any(vec) and tuple(-x for x in vec) not in eqs:
                 eqs.setdefault(vec)
         ineqs = dict.fromkeys(vec for vec in map(substituted, conjunct.ineqs) if any(vec[:-1]) or vec[-1] < 0)

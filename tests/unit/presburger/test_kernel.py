@@ -6,9 +6,10 @@ These tests sweep the FM / stride / dark-shadow corpus of the solver
 differential suite and compare every result with the brute-force oracle of
 :mod:`repro.solvers.enum_backend` (the crosscheck partner of the omega
 core), which shares no code with the kernel: normal forms, simplification, elimination (against the projection of
-the input's points), feasibility and the set-algebra operations.  The oracle
-abstains only by raising, so an abstention fails the test instead of
-passing it vacuously.
+the input's points), feasibility and the set-algebra operations.  The
+bounds decision that ``is_feasible`` tries before any elimination is also
+checked on random bounded conjuncts.  The oracle abstains only by raising,
+so an abstention fails the test instead of passing it vacuously.
 
 They also gate the two interning invariants of the kernel:
 
@@ -20,6 +21,7 @@ They also gate the two interning invariants of the kernel:
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -213,6 +215,108 @@ class TestElimination:
     def test_feasibility_matches_oracle(self):
         for conjunct in corpus_conjuncts():
             assert omega.is_feasible(conjunct) == oracle.feasible(conjunct), conjunct
+
+
+def random_bounded_conjunct(rng):
+    """A random conjunct whose every column has a small explicit box.
+
+    The box rows (possibly with a non-unit coefficient) keep the oracle
+    from abstaining; the extra rows mix the shapes the bounds decision
+    handles (unit two-column equalities, pinned columns, contradictions)
+    with the ones it must hand back (two-column inequalities, equalities
+    without a unit coefficient).
+    """
+    n_vars = rng.randint(0, 3)
+    n_div = rng.randint(0, 1)
+    width = n_vars + n_div
+
+    def row(coeffs, constant):
+        vec = [0] * (width + 1)
+        for col, value in coeffs.items():
+            vec[col] = value
+        vec[-1] = constant
+        return tuple(vec)
+
+    eqs, ineqs = [], []
+    for col in range(width):
+        a = rng.choice([1, 1, 2, 3])
+        low = rng.randint(-3, 8)
+        high = low + rng.randint(-1, 7)  # -1: an empty box
+        ineqs.append(row({col: a}, -a * low + rng.randint(0, a - 1)))  # a*x >= a*low - r
+        ineqs.append(row({col: -a}, a * high + rng.randint(0, a - 1)))  # a*x <= a*high + r
+    for _ in range(rng.randint(0, 3)):
+        kind = rng.choice(["unit-eq", "pin", "eq", "ineq1", "ineq2", "false"])
+        cols = rng.sample(range(width), min(width, 2))
+        coeffs = {col: rng.choice([-3, -2, -1, 1, 2, 3]) for col in cols}
+        if kind == "unit-eq" and cols:
+            coeffs[cols[0]] = rng.choice([-1, 1])
+        elif kind == "pin" and cols:
+            coeffs = {cols[0]: rng.choice([-2, -1, 1, 2, 3])}
+        elif kind == "ineq1" and cols:
+            coeffs = {cols[0]: coeffs[cols[0]]}
+        elif kind == "false":
+            coeffs = {}
+        constant = rng.randint(-6, 6)
+        if kind in ("unit-eq", "pin", "eq", "false"):
+            eqs.append(row(coeffs, constant if kind != "false" else rng.choice([-1, 1])))
+        else:
+            ineqs.append(row(coeffs, constant))
+    rng.shuffle(ineqs)
+    return Conjunct(n_vars, n_div, eqs, ineqs)
+
+
+class TestDecideByBounds:
+    """The exact bounds decision that runs before any elimination."""
+
+    def test_agrees_with_the_oracle_on_random_bounded_conjuncts(self):
+        rng = random.Random(31)
+        outcomes = {True: 0, False: 0, None: 0}
+        for _ in range(1500):
+            conjunct = random_bounded_conjunct(rng)
+            for candidate in (conjunct, omega.normalize(conjunct)):
+                if candidate is None:
+                    continue
+                decided = omega._decide_by_bounds(candidate)
+                outcomes[decided] += 1
+                if decided is not None:
+                    assert decided == oracle.feasible(candidate), candidate
+        assert min(outcomes.values()) > 100, outcomes
+
+    def test_feasibility_through_the_decision_matches_the_oracle(self):
+        rng = random.Random(32)
+        for _ in range(300):
+            conjunct = random_bounded_conjunct(rng)
+            assert omega.is_feasible(conjunct) == oracle.feasible(conjunct), conjunct
+
+    @pytest.mark.parametrize(
+        "conjunct, expected",
+        [
+            # 3x >= 1 and 3x <= 2: the rational interval holds no integer
+            (Conjunct(1, 0, ineqs=[(3, -1), (-3, 2)]), False),
+            (Conjunct(1, 0, ineqs=[(3, -1), (-3, 3)]), True),
+            # 2x = 3 pins nothing: a contradiction
+            (Conjunct(1, 0, eqs=[(2, -3)]), False),
+            # x = y + 1, y = 2 and x <= 2: pinned through a substitution
+            (Conjunct(2, 0, eqs=[(1, -1, -1), (0, 1, -2)], ineqs=[(-1, 0, 2)]), False),
+            (Conjunct(2, 0, eqs=[(1, -1, -1), (0, 1, -2)], ineqs=[(-1, 0, 3)]), True),
+            # no columns at all: only the constants decide
+            (Conjunct(0, 0, eqs=[(0,)], ineqs=[(-1,)]), False),
+        ],
+    )
+    def test_decides(self, conjunct, expected):
+        assert omega._decide_by_bounds(conjunct) is expected
+        assert oracle.feasible(conjunct) is expected
+
+    @pytest.mark.parametrize(
+        "conjunct",
+        [
+            Conjunct(2, 0, ineqs=[(1, 1, 0), (1, 0, 0), (-1, 0, 3)]),  # x + y >= 0
+            Conjunct(2, 0, eqs=[(2, 3, -1)], ineqs=[(1, 0, 0), (-1, 0, 3)]),  # 2x + 3y = 1
+        ],
+        ids=["two-column-inequality", "equality-without-unit-coefficient"],
+    )
+    def test_hands_other_shapes_back(self, conjunct):
+        assert omega._decide_by_bounds(conjunct) is None
 
 
 class TestSetAlgebra:

@@ -224,6 +224,51 @@ class TestComplement:
             assert in_complement == (x != 3)
 
 
+class TestConjunctIntersect:
+    """One trusted construction with the layout of add_divs + with_constraints."""
+
+    @staticmethod
+    def reference(first, second):
+        shift = first.n_div
+
+        def relocate(vec):
+            n = second.n_vars
+            return vec[:n] + (0,) * shift + vec[n:]
+
+        return first.add_divs(second.n_div).with_constraints(
+            eqs=[relocate(v) for v in second.eqs], ineqs=[relocate(v) for v in second.ineqs]
+        )
+
+    PLAIN = Conjunct(2, 0, eqs=[(1, -1, 0)], ineqs=[(1, 0, 0), (-1, 0, 9)])
+    ONE_DIV = Conjunct(2, 1, eqs=[(1, 0, -2, 0)], ineqs=[(0, 1, 0, 1)])
+    TWO_DIVS = Conjunct(2, 2, eqs=[(1, 0, -3, 0, 1), (0, 1, 0, -2, 0)], ineqs=[(0, 0, 1, 0, 4)])
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (PLAIN, PLAIN),
+            (PLAIN, ONE_DIV),
+            (ONE_DIV, PLAIN),
+            (ONE_DIV, TWO_DIVS),
+            (TWO_DIVS, ONE_DIV),
+        ],
+        ids=["no-divs", "divs-right", "divs-left", "divs-both", "divs-both-swapped"],
+    )
+    def test_matches_widen_then_append(self, first, second):
+        result = omega.conjunct_intersect(first, second)
+        expected = self.reference(first, second)
+        assert (result.n_vars, result.n_div, result.eqs, result.ineqs) == (
+            expected.n_vars,
+            expected.n_div,
+            expected.eqs,
+            expected.ineqs,
+        )
+
+    def test_rejects_different_public_arity(self):
+        with pytest.raises(ValueError):
+            omega.conjunct_intersect(self.PLAIN, Conjunct(1, 0))
+
+
 class TestSimplify:
     def test_drop_unused_divs(self):
         conjunct = Conjunct(1, 2, ineqs=[(1, 0, 0, 0)])

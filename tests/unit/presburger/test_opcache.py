@@ -270,6 +270,34 @@ class TestCacheMechanics:
         delta = opcache.snapshot().delta(before)
         assert delta.hits == 0 and delta.misses == 0
 
+    @staticmethod
+    def _even_interval():
+        return Conjunct(1, 1, eqs=[(1, -2, 0)], ineqs=[(1, 0, 0), (-1, 0, 10)])
+
+    def test_complement_is_kept_on_the_conjunct(self):
+        from repro.presburger import omega
+
+        conjunct = self._even_interval()
+        first = omega.complement(conjunct)
+        assert conjunct._negations is not None
+        with opcache.disabled():
+            fresh = omega.complement(self._even_interval())
+        assert omega.complement(conjunct) == first == fresh
+        assert list(conjunct._negations) == fresh
+        omega.complement(conjunct).clear()  # callers get a copy
+        assert omega.complement(conjunct) == fresh
+
+    def test_disable_switch_neither_reads_nor_writes_kept_negations(self):
+        from repro.presburger import omega
+
+        conjunct = self._even_interval()
+        with opcache.disabled():
+            computed = omega.complement(conjunct)
+            assert conjunct._negations is None  # not written
+            conjunct._negations = ("stale",)
+            assert omega.complement(conjunct) == computed  # not read
+        assert conjunct._negations == ("stale",)
+
     def test_compose_arity_error_names_both_spaces(self):
         left = parse_map("{ [i, j] -> [i, j] : 0 <= i < 4 and 0 <= j < 4 }")
         right = parse_map("{ [k] -> [k] : 0 <= k < 4 }")

@@ -17,8 +17,9 @@ PR that moves the numbers:
   lookups of each registry kernel's frontend (compile, def-use checks and
   ADDG extraction of both sides, from a cold cache), which pin each
   program's geometry to one derivation, and each registry kernel's cold
-  Presburger work (``feasibility_checks`` and ``simplify`` misses of one
-  check at registry size), which pins the cost of the set operations;
+  Presburger work (``feasibility_checks``, ``fm_eliminations`` and
+  ``simplify`` misses of one check at registry size), which pins the cost
+  of the set operations;
 * ``BENCH_service.json`` — a serial batch over the built-in corpus
   (generated + buggy pairs, seed 0);
 * ``BENCH_solvers.json`` — the decision-backend comparison of
@@ -216,8 +217,8 @@ def _registry_presburger_work() -> dict:
     """The omega core's work in one cold check of each registry kernel pair.
 
     Per kernel, at registry size, from a cold cache in a fresh session:
-    the integer-feasibility decisions and the ``simplify`` misses of the
-    whole check (frontend and traversal).
+    the integer-feasibility decisions, the variable eliminations and the
+    ``simplify`` misses of the whole check (frontend and traversal).
     """
     from repro.presburger import opcache
     from repro.verifier import Verifier
@@ -232,6 +233,7 @@ def _registry_presburger_work() -> dict:
         delta = opcache.snapshot().delta(before)
         work[name] = {
             "feasibility_checks": delta.feasibility_checks,
+            "fm_eliminations": delta.fm_eliminations,
             "simplify_misses": delta.per_op.get("simplify", (0, 0))[1],
         }
     return work
