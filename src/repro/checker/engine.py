@@ -37,7 +37,7 @@ import time
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Set as PySet, Tuple
 
-from ..presburger import Map, Set, SpaceMismatchError, opcache
+from ..presburger import Map, Set, SpaceMismatchError
 from ..presburger.errors import PresburgerError
 from ..telemetry import TRACER as _TRACER
 from ..addg.graph import ADDG, ConstNode, ExprNode, OpNode, ReadNode, StatementNode
@@ -144,19 +144,6 @@ class Engine:
         self._suppress = 0
         self._correspondence_obligations: PySet[Tuple[str, str]] = set()
         self._cyclic = (set(original.cyclic_arrays), set(transformed.cyclic_arrays))
-
-    def record_opcache_stats(self, baseline: opcache.OpCacheStats) -> None:
-        """Store the check's Presburger cache/intern activity into :attr:`stats`.
-
-        Called once per :meth:`repro.verifier.Verifier.check` traversal, after
-        it finished, with the operation-cache snapshot the check took on
-        entry: the counters cover the frontend and the traversal, and warm
-        state left by earlier checks in the process is not double counted.
-        """
-        delta = opcache.snapshot().delta(baseline)
-        self.stats.opcache_hits = delta.hits
-        self.stats.opcache_misses = delta.misses
-        self.stats.intern_hits = delta.intern_hits
 
     # ------------------------------------------------------------------ #
     # Helpers

@@ -126,8 +126,8 @@ class CheckStats:
     The tabling counters (``table_hits`` / ``table_entries``) instrument the
     Section 6.2 reuse of established equivalences; the ``opcache_*`` and
     ``intern_hits`` counters instrument the layer below — the memoized
-    Presburger operation cache of :mod:`repro.presburger.opcache` — as a
-    per-check delta of the process-wide counters.
+    Presburger operation cache of :mod:`repro.presburger.opcache` — from
+    the check's own collector, so other threads' work never reaches them.
 
     Wall time is split along the pipeline stages of the staged verifier API:
     ``frontend_seconds`` (parse + def-use + ADDG extraction actually paid by

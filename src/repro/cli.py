@@ -899,12 +899,10 @@ def _run_jobs(args: argparse.Namespace, jobs, format_line, cache_dir=None, on_ro
 
         cache = None if cache_dir is None else ResultCache(cache_dir)
         executor = BatchExecutor(cache=cache, workers=args.workers, timeout=args.timeout)
-        opcache_before = opcache.snapshot()
-        results = executor.run(jobs, progress=progress)
+        with opcache.collect() as counts:
+            results = executor.run(jobs, progress=progress)
         summary = aggregate_results(
-            results,
-            cache.stats if cache is not None else None,
-            opcache_stats=opcache.stats().delta(opcache_before),
+            results, cache.stats if cache is not None else None, opcache_stats=counts
         )
 
     if report is not None:
@@ -1246,9 +1244,9 @@ def _run_with_telemetry(args: argparse.Namespace, runner) -> int:
 
     telemetry.reset()
     telemetry.enable()
-    opcache_before = opcache.snapshot()
     try:
-        return runner(args)
+        with opcache.collect() as counts:
+            return runner(args)
     finally:
         telemetry.disable()
         records = telemetry.spans()
@@ -1258,11 +1256,10 @@ def _run_with_telemetry(args: argparse.Namespace, runner) -> int:
                 print(f"trace written to {trace_path}", file=sys.stderr)
             except OSError as error:
                 print(f"error: cannot write trace: {error}", file=sys.stderr)
-        opcache_delta = opcache.stats().delta(opcache_before)
         counters = {
-            f"presburger.{name}": getattr(opcache_delta, name)
+            f"presburger.{name}": getattr(counts, name)
             for name in ("dark_shadow_splinters", "feasibility_checks", "fm_eliminations")
-            if getattr(opcache_delta, name)
+            if getattr(counts, name)
         }
         if metrics_path:
             try:
@@ -1272,7 +1269,7 @@ def _run_with_telemetry(args: argparse.Namespace, runner) -> int:
                         {"type": "counter", "name": name, "value": value}
                         for name, value in counters.items()
                     ],
-                    extra_rows=[{"type": "opcache", **opcache_delta.as_dict()}],
+                    extra_rows=[{"type": "opcache", **counts.as_dict()}],
                 )
                 print(f"metrics written to {metrics_path}", file=sys.stderr)
             except OSError as error:
@@ -1280,7 +1277,7 @@ def _run_with_telemetry(args: argparse.Namespace, runner) -> int:
         summary = telemetry.format_phase_summary(
             telemetry.aggregate_phase_seconds(records),
             len(records),
-            {"opcache.hits": opcache_delta.hits, "opcache.misses": opcache_delta.misses, **counters},
+            {"opcache.hits": counts.hits, "opcache.misses": counts.misses, **counters},
         )
         print(summary, file=sys.stderr)
         telemetry.reset()

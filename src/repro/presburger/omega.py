@@ -131,7 +131,7 @@ def eliminate_col(conjunct: Conjunct, col: int) -> List[Conjunct]:
     sets equals the projection of the input.  An empty list means the input
     was infeasible regardless of the eliminated variable.
     """
-    _opcache._CACHE.stats.fm_eliminations += 1
+    _opcache._CACHE.count("fm_eliminations")
     normalized = normalize(conjunct)
     if normalized is None:
         return []
@@ -214,7 +214,7 @@ def _eliminate_inequality_col(conjunct: Conjunct, col: int) -> List[Conjunct]:
     for lower in lowers:
         b = lower[col]
         max_offset = (a_max * b - a_max - b) // a_max
-        _opcache._CACHE.stats.dark_shadow_splinters += max_offset + 1
+        _opcache._CACHE.count("dark_shadow_splinters", max_offset + 1)
         for offset in range(max_offset + 1):
             equality = list(lower)
             equality[-1] -= offset
@@ -373,7 +373,7 @@ def is_feasible(conjunct: Conjunct) -> bool:
     comparing bounds (:func:`_decide_by_bounds`); any other shape
     eliminates one column and asks again of every piece.
     """
-    _opcache._CACHE.stats.feasibility_checks += 1
+    _opcache._CACHE.count("feasibility_checks")
     if conjunct.is_universe():
         return True  # fast path: no constraints, every point qualifies
     normalized = normalize(conjunct)

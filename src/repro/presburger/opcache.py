@@ -39,19 +39,21 @@ Public knobs
     and the daemon from their ``--persist-dir`` — and batch pool workers
     re-attach the parent's store.
 
-:func:`stats` / :func:`snapshot` / :func:`reset`
-    Instrumentation: cumulative counters (the cache tiers, the intern pools
-    and the omega core's work), cheap copies of them for delta-accounting
-    (the checker engine stores per-check deltas into
-    :class:`~repro.checker.result.CheckStats`), and a full reset.
+:func:`collect` / :func:`stats` / :func:`reset`
+    Instrumentation: counters of the cache tiers, the intern pools and the
+    omega core's work.  A unit of work (a check, a job, a CLI run) reads
+    its own counts from its :func:`collect` block, whatever other threads
+    do meanwhile; :func:`stats` copies the process totals.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Dict, Hashable, Iterator, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterator, Optional, Tuple
 
 from ..telemetry import TRACER as _TRACER
 from .conjunct import Conjunct
@@ -61,6 +63,7 @@ __all__ = [
     "OpCache",
     "attach_persistent",
     "cache",
+    "collect",
     "detach_persistent",
     "disabled",
     "intern_conjunct",
@@ -70,7 +73,6 @@ __all__ = [
     "persistent_store",
     "reattach_persistent",
     "reset",
-    "snapshot",
     "stats",
 ]
 
@@ -81,7 +83,7 @@ _MISSING = object()
 
 @dataclass
 class OpCacheStats:
-    """Cumulative counters of the operation cache, the intern pools and omega.
+    """Counters of the operation cache, the intern pools and omega.
 
     ``hits``/``misses`` count memoized-operation lookups; ``per_op`` breaks
     them down by operation name (``"compose"``, ``"inverse"``, ``"ui"`` for
@@ -127,26 +129,8 @@ class OpCacheStats:
             self.misses += 1
             self.per_op[op] = (h, m + 1)
 
-    def copy(self) -> "OpCacheStats":
-        """A cheap snapshot for delta accounting across one equivalence check."""
-        return OpCacheStats(
-            **{name: getattr(self, name) for name in _COUNTS}, per_op=dict(self.per_op)
-        )
-
-    def delta(self, earlier: "OpCacheStats") -> "OpCacheStats":
-        """The counter increments accumulated since the *earlier* snapshot."""
-        per_op: Dict[str, Tuple[int, int]] = {}
-        for op, (h, m) in self.per_op.items():
-            h0, m0 = earlier.per_op.get(op, (0, 0))
-            if h != h0 or m != m0:
-                per_op[op] = (h - h0, m - m0)
-        return OpCacheStats(
-            **{name: getattr(self, name) - getattr(earlier, name) for name in _COUNTS},
-            per_op=per_op,
-        )
-
     def merge(self, data: Dict[str, Any]) -> None:
-        """Add an :meth:`as_dict` delta shipped home by a pool worker."""
+        """Add counts in their :meth:`as_dict` form (a closed collector, a worker's shipment)."""
         for name in _COUNTS:
             setattr(self, name, getattr(self, name) + data.get(name, 0))
         for op, counts in data.get("per_op", {}).items():
@@ -162,6 +146,9 @@ class OpCacheStats:
 
 #: The scalar counters of :class:`OpCacheStats` (every field but ``per_op``).
 _COUNTS = tuple(f.name for f in fields(OpCacheStats) if f.name != "per_op")
+
+#: The innermost open collector of this thread or asyncio task (:func:`collect`).
+_SINK: ContextVar[Optional[OpCacheStats]] = ContextVar("repro_opcache_sink", default=None)
 
 
 class _InternPool:
@@ -197,9 +184,9 @@ class _InternPool:
         entries = self._entries
         found = entries.get(key)
         if found is not None:
-            owner.stats.intern_hits += 1
+            owner.count("intern_hits")
             return found
-        owner.stats.intern_misses += 1
+        owner.count("intern_misses")
         entries[key] = value
         if len(entries) > self._maxsize:
             entries.popitem(last=False)
@@ -223,12 +210,18 @@ class OpCache:
     One instance per process (see :func:`cache`).  All stored results are
     immutable (:class:`Conjunct` tuples, ``Set``/``Map`` values, booleans),
     so returning the cached object itself — rather than a copy — is safe.
+
+    Counter writes go to the innermost open :func:`collect` block of the
+    calling thread or task without a lock; with none open they go to the
+    process totals (:attr:`stats`) under :attr:`_lock`, as does every
+    closing outermost collector.
     """
 
     def __init__(self, maxsize: int = DEFAULT_SIZE):
         self.maxsize = maxsize
         self.enabled = True
         self.stats = OpCacheStats()
+        self._lock = threading.Lock()
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._conjuncts = _InternPool(self, key=Conjunct.normalized_key)
         self._exprs = _InternPool(self, key=_expr_key)
@@ -256,10 +249,7 @@ class OpCache:
                 entries.move_to_end(full_key)
             except KeyError:
                 pass  # another thread evicted it since the get; the value is still good
-            stats_ = self.stats
-            stats_.hits += 1
-            h, m = stats_.per_op.get(op, (0, 0))
-            stats_.per_op[op] = (h + 1, m)
+            self.record(op, True)
             return found
         store = self._persist
         if store is not None:
@@ -267,24 +257,19 @@ class OpCache:
             if found is not store.MISS:
                 # A disk hit is still a cache hit for the caller; promote it
                 # into the memory tier so repeats stay identity-fast.
-                self.stats.record(op, hit=True)
-                self.stats.disk_hits += 1
+                self.record(op, True)
+                self.count("disk_hits")
                 self._insert(full_key, found)
                 return found
-            self.stats.disk_misses += 1
-            if store.errors:
-                self.stats.disk_errors = store.errors
-        self.stats.record(op, hit=False)
+            self.count("disk_misses")
+        self.record(op, False)
         if _TRACER.enabled:
             with _TRACER.span("opcache." + op, "presburger"):
                 result = compute()
         else:
             result = compute()
-        if store is not None:
-            if store.save(op, key, result):
-                self.stats.disk_writes += 1
-            elif store.errors:
-                self.stats.disk_errors = store.errors
+        if store is not None and store.save(op, key, result):
+            self.count("disk_writes")
         self._insert(full_key, result)
         return result
 
@@ -294,7 +279,35 @@ class OpCache:
         entries[full_key] = value
         if len(entries) > self.maxsize:
             entries.popitem(last=False)
-            self.stats.evictions += 1
+            self.count("evictions")
+
+    # ----------------------------- counting ----------------------------- #
+    def record(self, op: str, hit: bool) -> None:
+        """Count one lookup of *op*."""
+        sink = _SINK.get()
+        if sink is None:
+            with self._lock:
+                self.stats.record(op, hit)
+        else:
+            sink.record(op, hit)
+
+    def count(self, name: str, amount: int = 1) -> None:
+        """Add *amount* to the counter *name*."""
+        sink = _SINK.get()
+        if sink is None:
+            with self._lock:
+                setattr(self.stats, name, getattr(self.stats, name) + amount)
+        else:
+            setattr(sink, name, getattr(sink, name) + amount)
+
+    def ingest(self, data: Dict[str, Any]) -> None:
+        """Add counts in their :meth:`OpCacheStats.as_dict` form."""
+        sink = _SINK.get()
+        if sink is None:
+            with self._lock:
+                self.stats.merge(data)
+        else:
+            sink.merge(data)
 
     # ----------------------------- interning ---------------------------- #
     def intern_conjunct(self, conjunct):
@@ -394,19 +407,35 @@ def disabled() -> Iterator[None]:
 
 
 def reset() -> None:
-    """Clear all cached results, intern pools and counters (a cold start)."""
+    """Clear all cached results, intern pools and the process totals (a cold start)."""
     _CACHE.clear()
-    _CACHE.stats = OpCacheStats()
+    with _CACHE._lock:
+        _CACHE.stats = OpCacheStats()
 
 
 def stats() -> OpCacheStats:
-    """The live cumulative counters of the process-wide cache."""
-    return _CACHE.stats
+    """A copy of the process totals (collectors still open are not in it yet)."""
+    totals = OpCacheStats()
+    with _CACHE._lock:
+        totals.merge(_CACHE.stats.as_dict())
+    return totals
 
 
-def snapshot() -> OpCacheStats:
-    """A copy of the current counters, for before/after delta accounting."""
-    return _CACHE.stats.copy()
+@contextmanager
+def collect() -> Iterator[OpCacheStats]:
+    """Yield the counters that take every write this thread or task makes in the block.
+
+    A thread started inside the block counts elsewhere (it starts with an
+    empty context).  At exit the counts are added to the enclosing
+    collector, else to the process totals.
+    """
+    counts = OpCacheStats()
+    token = _SINK.set(counts)
+    try:
+        yield counts
+    finally:
+        _SINK.reset(token)
+        _CACHE.ingest(counts.as_dict())
 
 
 def memoized(op: str, key: Hashable, compute: Callable[[], Any]) -> Any:

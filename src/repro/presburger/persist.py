@@ -54,6 +54,7 @@ import threading
 from typing import Any, Optional, Tuple
 
 from . import kernel as _kernel
+from . import opcache as _opcache
 from .conjunct import Conjunct
 
 __all__ = [
@@ -158,8 +159,6 @@ def _decode(node: Any) -> Any:
     if tag in ("B", "I", "S"):
         return node[1]
     if tag == "C":
-        from . import opcache as _opcache
-
         _, n_vars, n_div, eqs, ineqs = node
         iv = _opcache.intern_vector
         conjunct = Conjunct._make(
@@ -266,9 +265,11 @@ class PersistentStore:
         return PersistentStore(self.path)
 
     def _fail(self) -> None:
-        self.errors += 1
-        if self.errors >= _MAX_ERRORS:
-            self.disabled = True
+        with self._lock:
+            self.errors += 1
+            if self.errors >= _MAX_ERRORS:
+                self.disabled = True
+        _opcache.cache().count("disk_errors")
 
     def load(self, op: str, key: Any) -> Any:
         """The stored result for ``(op, key)``, or :data:`MISS`."""

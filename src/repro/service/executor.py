@@ -175,25 +175,24 @@ def execute_job(
     warm-session closure here so the status/timeout/error capture stays
     identical between the cold and the warm paths.
 
-    While tracing, the job runs under a ``service.job`` span.  With *ship*
-    the job's telemetry is packed into ``JobResult.telemetry`` for another
-    process instead of staying here: the spans this thread finished during
-    the job (:meth:`~repro.telemetry.Tracer.collect`) and the job's
-    :class:`~repro.presburger.opcache.OpCacheStats` delta.  This is the one
-    place that packs it: batch pool workers always ship, and the server
-    ships for a traced request (and forwards only the spans, since its
-    process-wide delta also counts concurrent checks).
+    While tracing, the job runs under a ``service.job`` span.  The job
+    collects the spans this thread finishes and the Presburger counts it
+    makes (the server's compiles included).  With *ship* the spans and a
+    copy of the counts go into ``JobResult.telemetry`` for another process.
+    This is the one place that packs them: batch pool workers always ship,
+    and the server ships for a traced request and forwards only the spans
+    (its own totals hold the counts, and the result's stats the check's).
     """
     timeout = job_budget(job, timeout)
-    if not ship:
-        return _execute_job_body(job, timeout, fingerprint, run)
-    opcache_before = opcache.snapshot()
-    with _TRACER.collect() as spans:
+    with _TRACER.collect() as spans, opcache.collect() as counts:
         outcome = _execute_job_body(job, timeout, fingerprint, run)
-    outcome.telemetry = {
-        "spans": [record.to_dict() for record in spans],
-        "opcache": opcache.stats().delta(opcache_before).as_dict(),
-    }
+    if ship:
+        outcome.telemetry = {
+            "spans": [record.to_dict() for record in spans],
+            "opcache": counts.as_dict(),
+        }
+    else:
+        _TRACER.ingest(spans)
     return outcome
 
 
@@ -333,7 +332,7 @@ class BatchExecutor:
         results[index] = outcome
         if outcome.telemetry is not None:
             _TRACER.ingest(outcome.telemetry.get("spans", ()))
-            opcache.stats().merge(outcome.telemetry.get("opcache", {}))
+            opcache.cache().ingest(outcome.telemetry.get("opcache", {}))
             outcome.telemetry = None
         store_verdict(self.cache, outcome)
         if progress is not None:

@@ -142,7 +142,7 @@ class JobResult:
     result: Optional[EquivalenceResult] = None
     error: Optional[str] = None
     metadata: Dict[str, Any] = field(default_factory=dict)
-    # The job's spans and opcache counter delta, packed by execute_job(ship=True)
+    # The job's spans and opcache counts, packed by execute_job(ship=True)
     # for another process.  Transient: the executor or the daemon consumes (and
     # clears) it, and it never appears in ``to_dict`` / the JSONL reports.
     telemetry: Optional[Dict[str, Any]] = None

@@ -215,15 +215,12 @@ def aggregate_results(
 ) -> Dict[str, Any]:
     """Aggregate per-job results into the batch summary.
 
-    *opcache_stats*, when given, is the process-wide
-    :class:`~repro.presburger.opcache.OpCacheStats` delta of the run; it
-    enriches the ``opcache`` block with evictions, intern misses and the
-    per-operation hit/miss breakdown (counters the per-job
-    :class:`~repro.checker.result.CheckStats` do not carry).  The parent's
-    delta covers pooled runs too: every pool worker ships its own delta with
-    each job result, and :class:`~repro.service.executor.BatchExecutor`
-    merges it into the parent's stats, so pass it for serial and pooled
-    runs alike.
+    *opcache_stats*, when given, holds the run's collected
+    :class:`~repro.presburger.opcache.OpCacheStats` (pool workers ship
+    theirs home, so serial and pooled runs alike); it enriches the
+    ``opcache`` block with evictions, intern misses and the per-operation
+    hit/miss breakdown (counters the per-job
+    :class:`~repro.checker.result.CheckStats` do not carry).
     """
     total = len(results)
     by_status = {status: 0 for status in JobStatus.ALL}

@@ -245,7 +245,7 @@ class SlowRequestRing:
 
     Records are plain JSON-serialisable dicts, self-contained enough to
     triage without the daemon: fingerprint, options, phase breakdown,
-    opcache deltas and backend query counts.  ``captured`` counts every
+    the check's opcache counts and backend query counts.  ``captured`` counts every
     record ever added, including the ones the bound has since evicted.
     """
 

@@ -172,30 +172,32 @@ class Verifier:
         reported in ``stats.frontend_seconds``, the traversal in
         ``stats.engine_seconds`` (``elapsed_seconds`` is their sum).
 
-        While :mod:`repro.telemetry` tracing is enabled the check additionally
-        fills ``stats.phase_seconds`` from the spans it recorded itself (in
-        this thread, see :meth:`~repro.telemetry.Tracer.collect`) before
-        :meth:`~repro.verifier.events.CheckObserver.on_stats` is broadcast.
+        Before :meth:`~repro.verifier.events.CheckObserver.on_stats` is
+        broadcast, the check fills the stats' opcache counters, and while
+        :mod:`repro.telemetry` tracing is enabled ``phase_seconds``, from
+        what this thread did in the call alone (its own collectors).
         """
         resolved = options if options is not None else self.options
         broadcast = self._broadcast(observer)
-        if not TRACER.enabled:
-            result = self._check_impl(original, transformed, resolved, broadcast)
-            broadcast.on_stats(result.stats)
-            return result
         try:
-            with TRACER.collect() as spans, TRACER.span("verifier.check", "verifier") as check_span:
-                # When the check runs under a server request, tag the root span
-                # with the request id so a merged cross-process trace can be
-                # joined back to the daemon's request log (repro.telemetry.live).
-                request = current_request()
-                if request is not None:
-                    check_span.set(request=request)
-                result = self._check_impl(original, transformed, resolved, broadcast)
+            with TRACER.collect() as spans, opcache.collect() as counts:
+                with TRACER.span("verifier.check", "verifier") as check_span:
+                    # Under a server request, tag the root span with the request
+                    # id, so a merged cross-process trace joins the daemon's
+                    # request log (repro.telemetry.live).
+                    request = current_request()
+                    if request is not None:
+                        check_span.set(request=request)
+                    result = self._check_impl(original, transformed, resolved, broadcast)
         finally:
             TRACER.ingest(spans)
-        result.stats.phase_seconds = aggregate_phase_seconds(spans)
-        broadcast.on_stats(result.stats)
+        stats = result.stats
+        stats.opcache_hits = counts.hits
+        stats.opcache_misses = counts.misses
+        stats.intern_hits = counts.intern_hits
+        if spans:
+            stats.phase_seconds = aggregate_phase_seconds(spans)
+        broadcast.on_stats(stats)
         return result
 
     def _check_impl(
@@ -205,12 +207,7 @@ class Verifier:
         resolved: CheckOptions,
         broadcast: _Broadcast,
     ) -> EquivalenceResult:
-        """The check pipeline body; the caller broadcasts ``on_stats``.
-
-        The operation-cache counters in the result's stats cover the whole
-        check, frontend included, from the one snapshot taken here.
-        """
-        opcache_baseline = opcache.snapshot()
+        """The check pipeline body; :meth:`check` fills the opcache counters and broadcasts."""
         frontend_started = time.perf_counter()
         original_compiled = self.compile(original)
         transformed_compiled = self.compile(transformed)
@@ -230,14 +227,10 @@ class Verifier:
                     )
             if precondition_diagnostics:
                 frontend = time.perf_counter() - frontend_started
-                delta = opcache.snapshot().delta(opcache_baseline)
                 stats = CheckStats(
                     elapsed_seconds=frontend,
                     frontend_seconds=frontend,
                     engine_seconds=0.0,
-                    opcache_hits=delta.hits,
-                    opcache_misses=delta.misses,
-                    intern_hits=delta.intern_hits,
                     backend=resolved.backend,
                 )
                 for diagnostic in precondition_diagnostics:
@@ -262,9 +255,7 @@ class Verifier:
         with TRACER.span("engine.traverse", "engine"), use_backend(
             resolved.backend, resolved.smt_solver
         ) as backend:
-            result = _traverse(
-                original_addg, transformed_addg, resolved, broadcast, opcache_baseline
-            )
+            result = _traverse(original_addg, transformed_addg, resolved, broadcast)
         result.stats.backend = resolved.backend
         if backend is not None:
             result.stats.solver_queries = dict(backend.query_counts)
@@ -334,13 +325,11 @@ def _traverse(
     transformed: ADDG,
     options: CheckOptions,
     observer: CheckObserver,
-    opcache_baseline: opcache.OpCacheStats,
 ) -> EquivalenceResult:
     """The synchronized-traversal stage: one engine run over a pair of ADDGs.
 
     Fills ``stats.engine_seconds`` (and ``elapsed_seconds``, assuming no
-    frontend ran; :meth:`Verifier.check` overwrites it with the full sum),
-    and the operation-cache counters as a delta against *opcache_baseline*.
+    frontend ran; :meth:`Verifier.check` overwrites it with the full sum).
     """
     started = time.perf_counter()
     engine = Engine(
@@ -488,7 +477,6 @@ def _traverse(
 
     engine.apply_suspect_heuristic()
     flush_diagnostics()
-    engine.record_opcache_stats(opcache_baseline)
     engine.stats.original_addg_size = original.size()
     engine.stats.transformed_addg_size = transformed.size()
     engine.stats.engine_seconds = time.perf_counter() - started

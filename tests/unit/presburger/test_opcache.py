@@ -181,11 +181,10 @@ class TestMemoizedEqualsUncached:
     def test_repeated_projection_and_restriction_hit(self):
         relation, domain = parse_map(MAP_SOURCES[1]), parse_set(SET_SOURCES[2])
         first = (relation.domain(), relation.restrict_domain(domain))
-        before = opcache.snapshot()
-        second = (relation.domain(), relation.restrict_domain(domain))
-        delta = opcache.snapshot().delta(before)
-        assert delta.per_op["project"] == (1, 0)
-        assert delta.per_op["restrict"] == (1, 0)
+        with opcache.collect() as counts:
+            second = (relation.domain(), relation.restrict_domain(domain))
+        assert counts.per_op["project"] == (1, 0)
+        assert counts.per_op["restrict"] == (1, 0)
         assert second[0].conjuncts is first[0].conjuncts
         assert second[1].conjuncts is first[1].conjuncts
 
@@ -206,11 +205,10 @@ class TestMemoizedEqualsUncached:
     def test_fresh_parses_share_cached_results(self):
         """Structural keys mean a re-parsed relation hits the warm cache."""
         first = parse_map(MAP_SOURCES[0]).compose(parse_map(MAP_SOURCES[1]))
-        before = opcache.snapshot()
-        second = parse_map(MAP_SOURCES[0]).compose(parse_map(MAP_SOURCES[1]))
-        delta = opcache.snapshot().delta(before)
+        with opcache.collect() as counts:
+            second = parse_map(MAP_SOURCES[0]).compose(parse_map(MAP_SOURCES[1]))
         assert second is first
-        assert delta.per_op.get("compose", (0, 0))[0] >= 1
+        assert counts.per_op.get("compose", (0, 0))[0] >= 1
 
 
 class TestInterning:
@@ -263,12 +261,10 @@ class TestCacheMechanics:
     def test_disable_switch_stops_hits(self):
         relation = parse_map(MAP_SOURCES[0])
         relation.inverse()
-        before = opcache.snapshot()
-        with opcache.disabled():
+        with opcache.collect() as counts, opcache.disabled():
             relation.inverse()
             relation.inverse()
-        delta = opcache.snapshot().delta(before)
-        assert delta.hits == 0 and delta.misses == 0
+        assert counts.hits == 0 and counts.misses == 0
 
     @staticmethod
     def _even_interval():
@@ -364,11 +360,10 @@ class TestCheckerIntegration:
     @staticmethod
     def _check_and_process_delta(original, transformed):
         opcache.reset()
-        before = opcache.snapshot()
         result = Verifier().check(original, transformed)
-        delta = opcache.snapshot().delta(before)
+        process = opcache.stats()
         counters = (result.stats.opcache_hits, result.stats.opcache_misses, result.stats.intern_hits)
-        return result, counters, (delta.hits, delta.misses, delta.intern_hits)
+        return result, counters, (process.hits, process.misses, process.intern_hits)
 
     def test_check_counters_cover_the_frontend(self):
         """The check's counters are all the process did for it, compile included."""
@@ -407,9 +402,9 @@ class TestWorkCounts:
     def _cold_check_delta(self):
         from repro.verifier import Verifier
 
-        before = opcache.snapshot()
-        assert Verifier().check(fig1_original(), fig1_ver1()).equivalent
-        return opcache.stats().delta(before)
+        with opcache.collect() as counts:
+            assert Verifier().check(fig1_original(), fig1_ver1()).equivalent
+        return counts
 
     def test_cold_check_counts_eliminations_and_feasibility_tests(self):
         delta = self._cold_check_delta()
@@ -434,23 +429,26 @@ class TestWorkCounts:
         assert merged.per_op[op] == (2 * hits, 2 * misses)
 
     def test_copy_is_independent_of_the_live_counts(self):
+        """``stats()`` copies the totals; later writes do not reach the copy."""
         self._cold_check_delta()
-        copied = opcache.snapshot()
+        copied = opcache.stats()
         assert copied == opcache.stats()
-        opcache.stats().fm_eliminations += 1
-        opcache.stats().feasibility_checks += 1
+        opcache.cache().count("fm_eliminations")
+        opcache.cache().count("feasibility_checks")
         assert copied.fm_eliminations == opcache.stats().fm_eliminations - 1
         assert copied.feasibility_checks == opcache.stats().feasibility_checks - 1
 
-    def test_delta_subtracts_the_work_counts(self):
-        earlier = opcache.OpCacheStats(fm_eliminations=3, dark_shadow_splinters=1, feasibility_checks=5)
-        later = opcache.OpCacheStats(fm_eliminations=10, dark_shadow_splinters=4, feasibility_checks=5)
-        delta = later.delta(earlier)
-        assert (delta.fm_eliminations, delta.dark_shadow_splinters, delta.feasibility_checks) == (
-            7,
-            3,
-            0,
-        )
+    def test_nested_collectors_add_into_the_enclosing_one(self):
+        with opcache.collect() as outer:
+            opcache.cache().count("fm_eliminations", 3)
+            with opcache.collect() as inner:
+                opcache.cache().count("fm_eliminations", 7)
+                opcache.cache().record("compose", hit=True)
+                assert outer.fm_eliminations == 3  # nothing passes on before the exit
+            assert opcache.stats() == opcache.OpCacheStats()
+        assert (inner.fm_eliminations, inner.per_op) == (7, {"compose": (1, 0)})
+        assert (outer.fm_eliminations, outer.per_op) == (10, {"compose": (1, 0)})
+        assert opcache.stats() == outer  # the outermost collector lands in the totals
 
     def test_as_dict_carries_the_work_counts(self):
         data = opcache.OpCacheStats(
@@ -463,25 +461,25 @@ class TestWorkCounts:
 
     def test_merge_of_an_empty_payload_changes_nothing(self):
         delta = self._cold_check_delta()
-        merged = delta.copy()
+        merged = opcache.OpCacheStats()
+        merged.merge(delta.as_dict())
         merged.merge({})
         assert merged == delta
 
     def test_feasibility_decisions_are_counted(self):
         from repro.presburger import omega
 
-        before = opcache.snapshot()
-        assert omega.is_feasible(Conjunct(1, 0, ineqs=[(1, 0), (-1, 7)]))
-        assert opcache.stats().delta(before).feasibility_checks >= 1
+        with opcache.collect() as counts:
+            assert omega.is_feasible(Conjunct(1, 0, ineqs=[(1, 0), (-1, 7)]))
+        assert counts.feasibility_checks >= 1
 
     def test_dark_shadow_splinters_are_counted(self):
         from repro.presburger import omega
 
         # 3a <= i <= 3a + 1 with 0 <= i <= 11: projecting out a is inexact.
         conjunct = Conjunct(1, 1, ineqs=[(1, -3, 0), (-1, 3, 1), (1, 0, 0), (-1, 0, 11)])
-        before = opcache.snapshot()
-        assert omega.eliminate_col(conjunct, 1)
-        delta = opcache.stats().delta(before)
+        with opcache.collect() as delta:
+            assert omega.eliminate_col(conjunct, 1)
         assert delta.fm_eliminations >= 1
         assert delta.dark_shadow_splinters > 0
 

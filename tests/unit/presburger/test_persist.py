@@ -253,12 +253,11 @@ class TestCacheIntegration:
         relation.restrict_domain(window)
 
         opcache.reset()  # drop the in-memory tier, keep the disk tier
-        before = opcache.snapshot()
-        domain = relation.domain()
-        restricted = relation.restrict_domain(window)
-        delta = opcache.snapshot().delta(before)
-        assert delta.per_op == {"project": (1, 0), "restrict": (1, 0)}
-        assert delta.disk_hits == 2
+        with opcache.collect() as counts:
+            domain = relation.domain()
+            restricted = relation.restrict_domain(window)
+        assert counts.per_op == {"project": (1, 0), "restrict": (1, 0)}
+        assert counts.disk_hits == 2
         with opcache.disabled():
             assert domain.conjuncts == relation.domain().conjuncts
             assert restricted.conjuncts == relation.restrict_domain(window).conjuncts
@@ -270,18 +269,38 @@ class TestCacheIntegration:
         assert small.is_subset(large) and not large.is_subset(small)
 
         opcache.reset()  # drop the in-memory tier, keep the disk tier
-        before = opcache.snapshot()
-        assert small.is_subset(large) and not large.is_subset(small)
-        delta = opcache.snapshot().delta(before)
-        assert delta.per_op == {"subset": (2, 0)}
-        assert delta.disk_hits == 2
-        assert delta.feasibility_checks == 0
+        with opcache.collect() as counts:
+            assert small.is_subset(large) and not large.is_subset(small)
+        assert counts.per_op == {"subset": (2, 0)}
+        assert counts.disk_hits == 2
+        assert counts.feasibility_checks == 0
 
     def test_nonpersistable_ops_stay_memory_only(self, attached):
         opcache.memoized("transient.op", "k", lambda: 3)
         stats = opcache.stats()
         assert stats.disk_writes == 0
         assert attached.entry_count() == 0
+
+    def test_each_failed_statement_is_one_disk_error(self, attached):
+        """A unit counts its own sqlite failures; the totals match the store's."""
+
+        class FailingConnection:
+            def execute(self, *args):
+                raise sqlite3.OperationalError("disk I/O error")
+
+            def close(self):
+                pass
+
+        attached._conn = FailingConnection()
+        units = []
+        for answer in (True, False):
+            with opcache.collect() as counts:
+                assert opcache.memoized("feasible", answer, lambda: answer) is answer
+            units.append(counts)
+        for counts in units:
+            assert counts.disk_errors == 2  # the failed load and the failed save
+            assert (counts.disk_misses, counts.disk_writes) == (1, 0)
+        assert opcache.stats().disk_errors == attached.errors == 4
 
     def test_detach_stops_writing(self, tmp_path):
         store = opcache.attach_persistent(str(tmp_path / "cache"))

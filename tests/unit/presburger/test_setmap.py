@@ -260,9 +260,9 @@ class TestMapProperties:
         from repro.presburger import opcache
 
         m = parse_map("{ [k] -> [j] : j = k and 0 <= k <= 7 and 0 <= j <= 7 }")
-        before = opcache.snapshot()
-        assert str(m) == "{ [k] -> [k] : -k + 7 >= 0 and k >= 0 }"
-        assert opcache.snapshot() == before
+        with opcache.collect() as counts:
+            assert str(m) == "{ [k] -> [k] : -k + 7 >= 0 and k >= 0 }"
+        assert counts == opcache.OpCacheStats()
 
     @pytest.mark.parametrize("space", ["set", "map"])
     def test_str_does_not_depend_on_the_interned_row_order(self, space):

@@ -136,8 +136,8 @@ def _jobs(count):
 class TestCrossProcessMerge:
     def test_pool_workers_ship_spans_home(self):
         telemetry.enable()
-        before = opcache.snapshot()
-        results = BatchExecutor(cache=None, workers=2).run(_jobs(3))
+        with opcache.collect() as counts:
+            results = BatchExecutor(cache=None, workers=2).run(_jobs(3))
         assert all(outcome.status == "ok" for outcome in results)
         spans = telemetry.spans()
         job_spans = [record for record in spans if record.name == "service.job"]
@@ -147,7 +147,7 @@ class TestCrossProcessMerge:
         # The shipped telemetry must be consumed, not serialised onward.
         assert all(outcome.telemetry is None for outcome in results)
         # The workers' Presburger work counts merged into the parent's.
-        assert opcache.stats().delta(before).fm_eliminations > 0
+        assert counts.fm_eliminations > 0
 
     def test_worker_spans_keep_their_own_track(self):
         telemetry.enable()
@@ -179,9 +179,9 @@ class TestCrossProcessMerge:
         assert merged.as_dict() == shipped
 
     def test_untraced_batch_ships_no_telemetry(self):
-        before = opcache.snapshot()
-        results = BatchExecutor(cache=None, workers=2).run(_jobs(2))
+        with opcache.collect() as counts:
+            results = BatchExecutor(cache=None, workers=2).run(_jobs(2))
         assert all(outcome.status == "ok" for outcome in results)
         assert telemetry.spans() == []
         # Untraced workers still ship their Presburger work counts home.
-        assert opcache.stats().delta(before).fm_eliminations > 0
+        assert counts.fm_eliminations > 0

@@ -87,9 +87,8 @@ def snapshot_presburger() -> dict:
     # A separate cold cached run for the deterministic counters, so timing
     # warmup does not leak into them.
     opcache.reset()
-    before = opcache.stats().copy()
-    bench_presburger._run_repeated_composition(PRESBURGER_ITERATIONS)
-    delta = opcache.stats().delta(before)
+    with opcache.collect() as counts:
+        bench_presburger._run_repeated_composition(PRESBURGER_ITERATIONS)
     speedup = disabled_seconds / enabled_seconds if enabled_seconds else 0.0
 
     # Warm start: two fresh processes sharing one persistent cache directory,
@@ -100,9 +99,8 @@ def snapshot_presburger() -> dict:
         opcache.attach_persistent(tmp)
         try:
             opcache.reset()
-            before = opcache.stats().copy()
-            bench_presburger._run_warm_workload()
-            persist_delta = opcache.stats().delta(before)
+            with opcache.collect() as persist_counts:
+                bench_presburger._run_warm_workload()
         finally:
             opcache.detach_persistent()
             opcache.reset()
@@ -110,14 +108,14 @@ def snapshot_presburger() -> dict:
     return {
         "deterministic": {
             "iterations": PRESBURGER_ITERATIONS,
-            "opcache_hits": delta.hits,
-            "opcache_misses": delta.misses,
-            "intern_hits": delta.intern_hits,
-            "intern_misses": delta.intern_misses,
-            "per_op": _per_op_dict(delta),
+            "opcache_hits": counts.hits,
+            "opcache_misses": counts.misses,
+            "intern_hits": counts.intern_hits,
+            "intern_misses": counts.intern_misses,
+            "per_op": _per_op_dict(counts),
             "kernel_fingerprint": kernel.fingerprint(),
-            "warm_workload_disk_writes": persist_delta.disk_writes,
-            "warm_workload_disk_hits": persist_delta.disk_hits,
+            "warm_workload_disk_writes": persist_counts.disk_writes,
+            "warm_workload_disk_hits": persist_counts.disk_hits,
         },
         "timing": {
             "uncached_seconds": round(disabled_seconds, 6),
@@ -204,12 +202,11 @@ def _frontend_opcache_lookups() -> dict:
     for name in kernel_names():
         pair = kernel_pair(name, **SMALL_KERNEL_PARAMS[name])
         opcache.reset()
-        before = opcache.snapshot()
         verifier = Verifier()
-        for program in (pair.original, pair.transformed):
-            verifier.compile(program)
-        delta = opcache.snapshot().delta(before)
-        lookups[name] = delta.hits + delta.misses
+        with opcache.collect() as counts:
+            for program in (pair.original, pair.transformed):
+                verifier.compile(program)
+        lookups[name] = counts.hits + counts.misses
     return lookups
 
 
@@ -228,13 +225,12 @@ def _registry_presburger_work() -> dict:
     for name in kernel_names():
         pair = kernel_pair(name)
         opcache.reset()
-        before = opcache.snapshot()
-        Verifier().check(pair.original, pair.transformed)
-        delta = opcache.snapshot().delta(before)
+        with opcache.collect() as counts:
+            Verifier().check(pair.original, pair.transformed)
         work[name] = {
-            "feasibility_checks": delta.feasibility_checks,
-            "fm_eliminations": delta.fm_eliminations,
-            "simplify_misses": delta.per_op.get("simplify", (0, 0))[1],
+            "feasibility_checks": counts.feasibility_checks,
+            "fm_eliminations": counts.fm_eliminations,
+            "simplify_misses": counts.per_op.get("simplify", (0, 0))[1],
         }
     return work
 
