@@ -10,6 +10,7 @@ compares tabling on vs off on a program with heavily shared sub-ADDGs.
 """
 
 import random
+from typing import Tuple
 
 import pytest
 
@@ -71,24 +72,35 @@ def _chain_check(shape: str, length: int):
     return original, transformed
 
 
-def chain_sweep() -> dict:
-    """``compare_calls`` of each chain shape against its reversal, per length.
+def chain_sweep() -> Tuple[dict, dict]:
+    """``compare_calls`` and opcache lookups of each chain shape against its reversal, per length.
 
     The reads pair by their dependency-mapping keys, one compare each, so
-    every entry is ``length + 1``; trial-comparing every pair of reads
-    would cost ``length**2 + 1``.  Flattening has no depth cap, so the
-    160-read chains (and the 160 temporaries of the pipeline) check like the
-    short ones; the traversal's one depth limit is the interpreter's
-    recursion limit.
+    every ``compare_calls`` entry is ``length + 1``; trial-comparing every
+    pair of reads would cost ``length**2 + 1``.  Flattening has no depth
+    cap, so the 160-read chains (and the 160 temporaries of the pipeline)
+    check like the short ones; the traversal's one depth limit is the
+    interpreter's recursion limit.
+
+    The lookups (operation-cache hits plus misses of the whole check, from
+    a cold cache) pin the rest of the check to constant work per read, in
+    the frontend and in the traversal: doubling the length about doubles
+    them.  Restricting every element of a left-nested chain at every
+    nesting level would make them quadratic (30290 for the 160-read sum,
+    not 4532).
     """
-    sweep = {}
+    compare_calls: dict = {}
+    lookups: dict = {}
     for shape in CHAIN_SHAPES:
-        sweep[shape] = {}
+        compare_calls[shape] = {}
+        lookups[shape] = {}
         for length in CHAIN_SWEEP:
+            opcache.reset()
             result = check_equivalence(*_chain_check(shape, length))
             assert result.equivalent, (shape, length)
-            sweep[shape][str(length)] = result.stats.compare_calls
-    return sweep
+            compare_calls[shape][str(length)] = result.stats.compare_calls
+            lookups[shape][str(length)] = result.stats.opcache_hits + result.stats.opcache_misses
+    return compare_calls, lookups
 
 
 @pytest.mark.parametrize("length", CHAIN_SWEEP)

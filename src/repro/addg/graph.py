@@ -235,7 +235,8 @@ class ADDG:
         return len(self.array_nodes()) + len(self.operator_nodes())
 
     def edge_count(self) -> int:
-        return len(self.edges())
+        """``len(self.edges())``, counted without building display names."""
+        return len(self.statements) + sum(len(node.operands) for node in self.operator_nodes())
 
     def size(self) -> int:
         """A simple size metric (nodes + edges) used in the scaling benchmarks."""
@@ -270,10 +271,12 @@ def _cyclic_arrays(statements: Sequence[StatementNode]) -> Tuple[str, ...]:
     return tuple(sorted(name for name in reads_of if name in reachable_from(name)))
 
 
-def _preorder(node: ExprNode) -> Iterator[ExprNode]:
-    yield node
-    for child in node.children():
-        yield from _preorder(child)
+def _preorder(root: ExprNode) -> Iterator[ExprNode]:
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children()))
 
 
 def _node_display_name(node: ExprNode) -> str:

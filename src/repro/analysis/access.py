@@ -9,9 +9,9 @@ defined array to the elements of an operand array read to compute them
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from ..presburger import AffineConstraint, LinExpr, Map, eq_
+from ..presburger import Conjunct, Map
 from ..lang.ast import ArrayRef
 from ..lang.affine import expr_to_affine
 
@@ -32,51 +32,34 @@ def dependency_map(context: StatementContext, ref: ArrayRef) -> Map:
     For the statement ``s`` with target access ``w(i)`` and the operand
     reference ``r(i)``, this is ``{ w(i) -> r(i) : i in D_s }``, built directly
     with the iteration vector as existential dimensions (the construction of
-    Section 3.2 of the paper).
+    Section 3.2 of the paper).  Each conjunct is written as rows over the
+    columns ``x | y | i | domain divs | const``: one equality ``x_j - w_j(i) = 0``
+    or ``y_j - r_j(i) = 0`` per subscript, then the rows of one domain conjunct
+    (over ``i | divs | const``) lifted with zeros in the ``x | y`` columns.
     """
-    iterators = list(context.iterators)
+    iterators = context.iterators
     target = context.assignment.target
     in_names = element_dim_names(target.name, len(target.indices), prefix="x")
     out_names = element_dim_names(ref.name, len(ref.indices), prefix="y")
+    n_public = len(in_names) + len(out_names)
 
-    used = set(in_names) | set(out_names)
-    renaming = {}
-    for iterator in iterators:
-        fresh = iterator
-        while fresh in used:
-            fresh = f"{fresh}_it"
-        renaming[iterator] = fresh
-        used.add(fresh)
+    index_rows: List[Tuple[Tuple[int, ...], int]] = []
+    for column, index_expr in enumerate(tuple(target.indices) + tuple(ref.indices)):
+        unit = [0] * n_public
+        unit[column] = 1
+        *coefficients, constant = expr_to_affine(index_expr).to_vector(iterators)
+        index_rows.append((tuple(unit) + tuple(-c for c in coefficients), -constant))
 
-    constraints: List[AffineConstraint] = []
-    for name, index_expr in zip(in_names, target.indices):
-        affine = expr_to_affine(index_expr).rename(renaming)
-        constraints.append(eq_(LinExpr.var(name), affine))
-    for name, index_expr in zip(out_names, ref.indices):
-        affine = expr_to_affine(index_expr).rename(renaming)
-        constraints.append(eq_(LinExpr.var(name), affine))
-
+    lift = (0,) * n_public
     pieces: Optional[Map] = None
     for conjunct in context.domain.conjuncts:
-        piece_constraints = list(constraints)
-        exists = [renaming[i] for i in iterators]
-        # Lower the domain conjunct into constraints over the renamed iterators.
-        div_names = [f"__dom_div{i}" for i in range(conjunct.n_div)]
-        exists = exists + div_names
-        order = [renaming[i] for i in iterators] + div_names
-        for eq in conjunct.eqs:
-            expr = _vector_to_linexpr(eq, order)
-            piece_constraints.append(AffineConstraint(expr, "=="))
-        for ineq in conjunct.ineqs:
-            expr = _vector_to_linexpr(ineq, order)
-            piece_constraints.append(AffineConstraint(expr, ">="))
-        piece = Map.build(in_names, out_names, piece_constraints, exists=exists)
+        divs = (0,) * conjunct.n_div
+        eqs = [row + divs + (constant,) for row, constant in index_rows]
+        eqs += [lift + row for row in conjunct.eqs]
+        ineqs = [lift + row for row in conjunct.ineqs]
+        conjuncts = [Conjunct(n_public, len(iterators) + conjunct.n_div, eqs, ineqs)]
+        piece = Map(in_names, out_names, conjuncts)
         pieces = piece if pieces is None else pieces.union(piece)
     if pieces is None:
         return Map.empty(in_names, out_names)
     return pieces
-
-
-def _vector_to_linexpr(vector: Sequence[int], order: Sequence[str]) -> LinExpr:
-    coeffs = {name: coefficient for name, coefficient in zip(order, vector[:-1]) if coefficient}
-    return LinExpr(coeffs, vector[-1])

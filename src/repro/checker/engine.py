@@ -653,6 +653,12 @@ class Engine:
         The result is a list of pieces ``(output sub-domain, ordered terms)``
         because piece-wise defined intermediate arrays may give the chain a
         different shape on different parts of the output.
+
+        The terms are not restricted to their piece's domain here:
+        :meth:`_compare_flattened` restricts every term to ``domain1 ∩
+        domain2``, which lies inside the piece's domain, so restricting once
+        there gives the same relation.  A left-nested chain of n reads then
+        costs n restrictions, not one per read per nesting level.
         """
         assert term.kind == Term.OP and term.node is not None
         results: List[Tuple[Set, List[Term]]] = [(term.rel.domain(), [])]
@@ -669,10 +675,7 @@ class Engine:
             results = merged
             if not results:
                 break
-        return [
-            (domain, [self._restrict(element, domain) for element in terms])
-            for domain, terms in results
-        ]
+        return results
 
     def _expand_chain_element(self, term: Term, op: str) -> List[Tuple[Set, List[Term]]]:
         if term.kind == Term.ARRAY and self._array_under_comparison(term):

@@ -567,10 +567,12 @@ class Program:
 # Generic expression utilities
 # --------------------------------------------------------------------------- #
 def walk_expr(expr: Expr) -> Iterable[Expr]:
-    """Pre-order traversal of an expression tree."""
-    yield expr
-    for child in expr.children():
-        yield from walk_expr(child)
+    """Pre-order traversal of an expression tree (an explicit stack, so any depth)."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children()))
 
 
 def array_reads(expr: Expr) -> List[ArrayRef]:

@@ -8,7 +8,8 @@ constants, function definitions over ``int`` arrays, ``for`` loops, ``if`` /
 
 from __future__ import annotations
 
-from typing import Iterator, List, NamedTuple, Optional
+import re
+from typing import List, NamedTuple, Optional
 
 from .errors import LexError
 
@@ -28,73 +29,48 @@ _PUNCTUATION = (
 )
 
 
+# One alternation, tried left to right at each position: a terminated block
+# comment before an unterminated one, and both before "/" as punctuation;
+# punctuation longest first (``_PUNCTUATION`` is ordered that way).  Numbers
+# are ASCII digits only, identifiers start like ``str.isalpha`` (or "_") and
+# continue like ``str.isalnum`` (or "_"), which is what ``\w`` matches.
+_TOKEN_PATTERN = re.compile(
+    r"(?P<skip>\s+|//[^\n]*|/\*.*?\*/)"
+    r"|(?P<unterminated>/\*)"
+    r"|(?P<number>[0-9]+)"
+    r"|(?P<ident>[^\W\d]\w*)"
+    r"|(?P<punct>" + "|".join(map(re.escape, _PUNCTUATION)) + ")"
+    r"|(?P<other>.)",
+    re.DOTALL,
+)
+
+
 def tokenize(source: str) -> List[Token]:
     """Tokenize *source*, returning a list of tokens (without whitespace/comments)."""
     tokens: List[Token] = []
     line = 1
-    column = 1
-    index = 0
-    length = len(source)
+    line_start = 0  # index of the first character of the current line
 
-    def error(message: str) -> LexError:
-        return LexError(f"line {line}: {message}")
-
-    while index < length:
-        char = source[index]
-
-        if char == "\n":
-            line += 1
-            column = 1
-            index += 1
+    for match in _TOKEN_PATTERN.finditer(source):
+        kind = match.lastgroup
+        text = match.group()
+        if kind == "skip":
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = match.start() + text.rindex("\n") + 1
             continue
-        if char.isspace():
-            index += 1
-            column += 1
-            continue
-
-        # Comments
-        if source.startswith("//", index):
-            end = source.find("\n", index)
-            index = length if end == -1 else end
-            continue
-        if source.startswith("/*", index):
-            end = source.find("*/", index + 2)
-            if end == -1:
-                raise error("unterminated block comment")
-            line += source.count("\n", index, end)
-            index = end + 2
-            continue
-
-        # Numbers
-        if char.isdigit():
-            start = index
-            while index < length and source[index].isdigit():
-                index += 1
-            text = source[start:index]
-            tokens.append(Token("number", text, line, column))
-            column += len(text)
-            continue
-
-        # Identifiers / keywords
-        if char.isalpha() or char == "_":
-            start = index
-            while index < length and (source[index].isalnum() or source[index] == "_"):
-                index += 1
-            text = source[start:index]
-            kind = "keyword" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, line, column))
-            column += len(text)
-            continue
-
-        # Punctuation (longest match first)
-        for punct in _PUNCTUATION:
-            if source.startswith(punct, index):
-                tokens.append(Token("punct", punct, line, column))
-                index += len(punct)
-                column += len(punct)
-                break
-        else:
-            raise error(f"unexpected character {char!r}")
+        if kind == "ident":
+            if text in KEYWORDS:
+                kind = "keyword"
+            elif not (text[0].isalpha() or text[0] == "_"):
+                # "²" is a word character that is neither a letter nor [0-9].
+                kind, text = "other", text[0]
+        if kind == "other":
+            raise LexError(f"line {line}: unexpected character {text!r}")
+        if kind == "unterminated":
+            raise LexError(f"line {line}: unterminated block comment")
+        tokens.append(Token(kind, text, line, match.start() - line_start + 1))
 
     return tokens
 

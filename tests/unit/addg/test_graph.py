@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.addg import ADDG, ConstNode, OpNode, ReadNode, build_addg
+from repro.addg import ADDG, ConstNode, OpNode, ReadNode, StatementNode, build_addg
 from repro.lang import parse_program
 from repro.analysis import ProgramGeometry
-from repro.workloads import fig1_program, kernel_pair
+from repro.workloads import CHAIN_SHAPES, chain_source, fig1_program, kernel_names, kernel_pair
 
 
 class TestFig2Inventory:
@@ -99,7 +99,75 @@ class TestStructure:
         assert addg.cyclic_arrays == ()
 
 
+class TestSize:
+    """``size()`` counts without display names and agrees with the inventory."""
+
+    @staticmethod
+    def _assert_size_matches_inventory(addg):
+        nodes = len(addg.array_nodes()) + len(addg.operator_nodes())
+        assert addg.edge_count() == len(addg.edges())
+        assert addg.size() == nodes + len(addg.edges())
+
+    @pytest.mark.parametrize("name", kernel_names())
+    def test_registry_kernels(self, name):
+        pair = kernel_pair(name)
+        for program in (pair.original, pair.transformed):
+            self._assert_size_matches_inventory(build_addg(ProgramGeometry(program)))
+
+    @pytest.mark.parametrize("length", [10, 160])
+    @pytest.mark.parametrize("shape", CHAIN_SHAPES)
+    def test_chains(self, shape, length):
+        addg = build_addg(ProgramGeometry(parse_program(chain_source(shape, range(length)))))
+        self._assert_size_matches_inventory(addg)
+
+
+class TestDeepTrees:
+    """Statement trees are walked with an explicit stack, in pre-order."""
+
+    DEPTH = 10_000
+
+    def setup_method(self):
+        addg = build_addg(ProgramGeometry(fig1_program("a", 64)))
+        self.statement = addg.statement("s3")
+        self.leaves = self.statement.reads()
+
+    def _left_nested(self, depth):
+        """``((r0 + r1) + r2) + ...`` with *depth* operators, leaves cycling over two reads."""
+        tree = self.leaves[0]
+        operators = []
+        leaves = [tree]
+        for level in range(1, depth + 1):
+            leaf = self.leaves[level % 2]
+            tree = OpNode("+", [tree, leaf], "s3", ())
+            operators.append(tree)
+            leaves.append(leaf)
+        return tree, operators[::-1], leaves
+
+    def test_deep_tree_reads_and_operators_in_pre_order(self):
+        tree, operators, leaves = self._left_nested(self.DEPTH)
+        statement = StatementNode(self.statement.context, tree)
+        reads = statement.reads()
+        assert len(reads) == self.DEPTH + 1
+        assert all(read is leaf for read, leaf in zip(reads, leaves))
+        found = statement.operator_nodes()
+        assert len(found) == self.DEPTH
+        assert all(node is expected for node, expected in zip(found, operators))
+
+    def test_small_trees_match_the_recursive_definition(self):
+        for name in kernel_names():
+            pair = kernel_pair(name)
+            for program in (pair.original, pair.transformed):
+                for statement in build_addg(ProgramGeometry(program)).statements:
+                    walked = list(_walk(statement.rhs))
+                    assert statement.reads() == [n for n in walked if isinstance(n, ReadNode)]
+                    assert statement.operator_nodes() == [n for n in walked if isinstance(n, OpNode)]
+        tree, _, _ = self._left_nested(6)
+        statement = StatementNode(self.statement.context, OpNode("neg", [tree], "s3", ()))
+        assert statement.reads() == [n for n in _walk(statement.rhs) if isinstance(n, ReadNode)]
+
+
 def _walk(node):
+    """The recursive pre-order definition the explicit-stack walks must match."""
     yield node
     for child in node.children():
         yield from _walk(child)

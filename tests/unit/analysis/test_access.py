@@ -4,9 +4,10 @@ import pytest
 
 from repro.analysis import dependency_map, statement_contexts
 from repro.lang import parse_program
+from repro.lang.affine import expr_to_affine
 from repro.lang.ast import array_reads
-from repro.presburger import parse_map, parse_set
-from repro.workloads import fig1_program
+from repro.presburger import AffineConstraint, LinExpr, Map, eq_, parse_map, parse_set
+from repro.workloads import fig1_program, kernel_names, kernel_pair
 
 
 def context(program, label):
@@ -116,3 +117,67 @@ class TestAccessMaps:
         s1 = context(program, "s1")
         dep = dependency_map(s1, array_reads(s1.assignment.rhs)[0])
         assert dep.is_empty()
+
+
+def _symbolic_dependency_map(context, ref):
+    """The dependency mapping built from symbolic constraints, one domain conjunct at a time.
+
+    The reference construction ``dependency_map`` must reproduce row for
+    row: ``x - w(i) = 0`` and ``y - r(i) = 0`` over renamed iterators, then
+    the domain conjunct's rows over the iterators and its divs.
+    """
+    in_names = [f"x{i}" for i in range(len(context.assignment.target.indices))]
+    out_names = [f"y{i}" for i in range(len(ref.indices))]
+    iterators = [f"it_{name}" for name in context.iterators]
+    renaming = dict(zip(context.iterators, iterators))
+    index_rows = [
+        eq_(LinExpr.var(name), expr_to_affine(index).rename(renaming))
+        for name, index in zip(in_names + out_names, list(context.assignment.target.indices) + list(ref.indices))
+    ]
+    result = None
+    for conjunct in context.domain.conjuncts:
+        order = iterators + [f"div{i}" for i in range(conjunct.n_div)]
+        rows = list(index_rows)
+        for vectors, kind in ((conjunct.eqs, "=="), (conjunct.ineqs, ">=")):
+            for vector in vectors:
+                coefficients = {name: c for name, c in zip(order, vector[:-1]) if c}
+                rows.append(AffineConstraint(LinExpr(coefficients, vector[-1]), kind))
+        piece = Map.build(in_names, out_names, rows, exists=order)
+        result = piece if result is None else result.union(piece)
+    return result if result is not None else Map.empty(in_names, out_names)
+
+
+class TestDependencyMapRows:
+    """``dependency_map`` writes its rows as vectors; they equal the symbolic construction."""
+
+    @pytest.mark.parametrize("name", kernel_names())
+    def test_registry_kernels(self, name):
+        pair = kernel_pair(name)
+        for program in (pair.original, pair.transformed):
+            for statement in statement_contexts(program):
+                for ref in array_reads(statement.assignment.rhs):
+                    built = dependency_map(statement, ref)
+                    expected = _symbolic_dependency_map(statement, ref)
+                    assert (built.in_names, built.out_names) == (expected.in_names, expected.out_names)
+                    assert [(c.n_div, c.eqs, c.ineqs) for c in built.conjuncts] == [
+                        (c.n_div, c.eqs, c.ineqs) for c in expected.conjuncts
+                    ]
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "f(int A[], int C[]) { int k; for(k=0;k<16;k+=2) s1: C[k] = A[k + 1]; }",
+            "f(int A[][8], int C[]) { int i, j; for(i=0;i<8;i++) for(j=i;j<8;j+=3) s1: C[2*i + j] = A[j - i][i]; }",
+            "f(int A[], int C[]) { int k; for(k=0;k<8;k++) if (k != 3) s1: C[k] = A[k - 1]; }",
+            "f(int A[], int C[]) { int k; for(k=0;k<8;k++) if (k > 100) s1: C[k] = A[k]; }",
+        ],
+        ids=["strided", "triangular-2d", "two-conjuncts", "empty"],
+    )
+    def test_small_programs(self, source):
+        statement = context(parse_program(source), "s1")
+        ref = array_reads(statement.assignment.rhs)[0]
+        built = dependency_map(statement, ref)
+        expected = _symbolic_dependency_map(statement, ref)
+        assert [(c.n_div, c.eqs, c.ineqs) for c in built.conjuncts] == [
+            (c.n_div, c.eqs, c.ineqs) for c in expected.conjuncts
+        ]

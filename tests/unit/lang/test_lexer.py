@@ -47,6 +47,52 @@ class TestTokenize:
         with pytest.raises(LexError):
             tokenize("a @ b")
 
+    def test_error_texts(self):
+        with pytest.raises(LexError, match=r"^line 2: unterminated block comment$"):
+            tokenize("a\n/* never closed */ b /* again")
+        with pytest.raises(LexError, match=r"^line 3: unexpected character '@'$"):
+            tokenize("a\n\nb @ c")
+
+    def test_column_after_block_comment(self):
+        tokens = tokenize("a /* c */ b")
+        assert [(t.text, t.line, t.column) for t in tokens] == [("a", 1, 1), ("b", 1, 11)]
+
+    def test_position_after_multi_line_comment(self):
+        tokens = tokenize("a /* x\n yy */ b\n  c")
+        assert [(t.text, t.line, t.column) for t in tokens] == [
+            ("a", 1, 1),
+            ("b", 2, 8),
+            ("c", 3, 3),
+        ]
+
+    def test_line_count_across_multi_line_comments(self):
+        tokens = tokenize("/*\n\n*/ a /* \n */ b // x */\nc")
+        assert [(t.text, t.line) for t in tokens] == [("a", 3), ("b", 4), ("c", 5)]
+
+    def test_longest_match_punctuation(self):
+        tokens = tokenize("a<<=b>=c++-->>=d/=e")
+        assert [t.text for t in tokens] == ["a", "<<=", "b", ">=", "c", "++", "--", ">>=", "d", "/=", "e"]
+        assert all(t.kind == "punct" for t in tokens[1::2])
+
+    def test_slash_is_punctuation_outside_comments(self):
+        assert [t.text for t in tokenize("a / b /c")] == ["a", "/", "b", "/", "c"]
+
+    @pytest.mark.parametrize("text", ["\u00b2", "x + \u00b2", "12\u00b2", "\u0663", "\u00bd"])
+    def test_non_ascii_digits_are_unexpected(self, text):
+        """Numbers are [0-9]+: "²" is a digit to ``str.isdigit`` but not to ``int``."""
+        with pytest.raises(LexError, match="unexpected character"):
+            tokenize(text)
+
+    def test_unicode_identifiers(self):
+        tokens = tokenize("\u00e9 = a\u00e9_1 + _x\u00b2")
+        assert [(t.kind, t.text) for t in tokens] == [
+            ("ident", "\u00e9"),
+            ("punct", "="),
+            ("ident", "a\u00e9_1"),
+            ("punct", "+"),
+            ("ident", "_x\u00b2"),
+        ]
+
     def test_array_subscript_tokens(self):
         tokens = tokenize("A[2*k-2]")
         assert [t.text for t in tokens] == ["A", "[", "2", "*", "k", "-", "2", "]"]

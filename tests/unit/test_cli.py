@@ -178,8 +178,8 @@ class TestMain:
     @pytest.mark.parametrize("subcommand", [["check"], ["diagnose"]], ids=["check", "diagnose"])
     @pytest.mark.parametrize(
         "body",
-        ["b[0] = ;", "b[0] = " + "(" * 400 + "a[0]" + ")" * 400 + ";"],
-        ids=["malformed", "too-deep"],
+        ["b[0] = ;", "b[0] = " + "(" * 400 + "a[0]" + ")" * 400 + ";", "b[0] = a[0] + \u00b2;"],
+        ids=["malformed", "too-deep", "non-ascii-digit"],
     )
     def test_malformed_input_is_a_usage_error(self, tmp_path, capsys, subcommand, body):
         """Exit 2 (usage error) with the offending file named, not exit 1

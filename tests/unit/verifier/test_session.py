@@ -10,6 +10,7 @@ import pytest
 
 from repro.checker import DiagnosticKind, check_equivalence
 from repro.lang import parse_program
+from repro.lang.errors import LangError
 from repro.verifier import (
     CallbackObserver,
     CheckObserver,
@@ -176,6 +177,13 @@ class TestCheck:
         assert warm.stats.frontend_seconds < warm.stats.engine_seconds
         assert warm.stats.compare_calls == cold.stats.compare_calls
         assert warm.stats.paths_checked == cold.stats.paths_checked
+
+    def test_non_ascii_digit_is_a_frontend_error(self):
+        """"²" is a digit to ``str.isdigit`` but not to ``int``: the lexer
+        rejects it, so the check raises a ``LangError``, not a ``ValueError``."""
+        source = ORIGINAL.replace("A[k] + A[k+1]", "A[k] + \u00b2")
+        with pytest.raises(LangError, match="unexpected character"):
+            Verifier().check(source, ORIGINAL)
 
     def test_stats_split_sums_to_elapsed(self):
         result = Verifier().check(ORIGINAL, TRANSFORMED_EQ)

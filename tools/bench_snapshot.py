@@ -9,8 +9,10 @@ PR that moves the numbers:
   ablation of ``benchmarks/bench_presburger.py``;
 * ``BENCH_verifier.json`` — the session-reuse variant corpus of
   ``benchmarks/bench_verifier.py`` (seed 7, 12 variants), plus the
-  ``compare_calls`` of the chain-against-its-reversal sweep (n = 10 to 160)
-  and of the k×k convolution sweep (k = 3, 5, 7, correct and with one
+  ``compare_calls`` and the cold operation-cache lookups of the
+  chain-against-its-reversal sweep (n = 10 to 160), which pin a chain's
+  check to constant work per read, and the ``compare_calls`` of the k×k
+  convolution sweep (k = 3, 5, 7, correct and with one
   wrong tap) of ``benchmarks/bench_scaling.py``, which pin commutative
   matching of input reads and of operator terms to linear cost on the
   success and the failure path, and the operation-cache
@@ -151,7 +153,7 @@ def snapshot_verifier() -> dict:
         return sum(getattr(result.stats, field) for result in results)
 
     started = time.perf_counter()
-    chain_sweep = bench_scaling.chain_sweep()
+    chain_sweep, chain_sweep_lookups = bench_scaling.chain_sweep()
     chain_sweep_seconds = time.perf_counter() - started
     started = time.perf_counter()
     conv_sweep = bench_scaling.conv_sweep()
@@ -173,6 +175,7 @@ def snapshot_verifier() -> dict:
             "compile_hits": verifier.compile_hits,
             "compile_misses": verifier.compile_misses,
             "chain_sweep_compare_calls": chain_sweep,
+            "chain_sweep_opcache_lookups": chain_sweep_lookups,
             "conv_sweep_compare_calls": conv_sweep,
             "conv_sweep_broken_compare_calls": conv_sweep_broken,
             "frontend_opcache_lookups": frontend_lookups,
