@@ -28,7 +28,7 @@ def main() -> None:
     print("ADDG inventory (Fig. 2):")
     for name, program in versions.items():
         addg = build_addg(ProgramGeometry(program))
-        operators = ", ".join(op.name for op in addg.operator_nodes())
+        operators = ", ".join(addg.operator_names())
         print(
             f"  version ({name}): {len(addg.statements)} statements, "
             f"{addg.node_count()} nodes, {addg.edge_count()} edges; operators: {operators}"

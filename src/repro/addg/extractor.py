@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Tuple
-
 from ..analysis.access import dependency_map
 from ..analysis.domains import ProgramGeometry, StatementContext
 from ..lang.ast import (
@@ -25,33 +23,20 @@ __all__ = ["build_addg", "build_expr_node"]
 NEGATE_OP = "neg"
 
 
-def build_expr_node(
-    expr: Expr,
-    context: StatementContext,
-    path: Tuple[int, ...] = (),
-    position: int = 1,
-) -> ExprNode:
+def build_expr_node(expr: Expr, context: StatementContext) -> ExprNode:
     """Recursively convert a right-hand-side expression into ADDG nodes."""
     if isinstance(expr, IntConst):
         return ConstNode(expr.value)
     if isinstance(expr, ArrayRef):
-        dependency = dependency_map(context, expr)
-        return ReadNode(expr.name, expr, dependency, context.label, path, position)
+        return ReadNode(expr.name, expr, dependency_map(context, expr))
     if isinstance(expr, BinOp):
-        operands = [
-            build_expr_node(expr.lhs, context, path + (1,), 1),
-            build_expr_node(expr.rhs, context, path + (2,), 2),
-        ]
-        return OpNode(expr.op, operands, context.label, path)
+        operands = [build_expr_node(expr.lhs, context), build_expr_node(expr.rhs, context)]
+        return OpNode(expr.op, operands, context.label)
     if isinstance(expr, UnaryOp):
-        operand = build_expr_node(expr.operand, context, path + (1,), 1)
-        return OpNode(NEGATE_OP, [operand], context.label, path)
+        return OpNode(NEGATE_OP, [build_expr_node(expr.operand, context)], context.label)
     if isinstance(expr, Call):
-        operands = [
-            build_expr_node(argument, context, path + (index + 1,), index + 1)
-            for index, argument in enumerate(expr.args)
-        ]
-        return OpNode(expr.func, operands, context.label, path)
+        operands = [build_expr_node(argument, context) for argument in expr.args]
+        return OpNode(expr.func, operands, context.label)
     if isinstance(expr, VarRef):
         raise ProgramClassError(
             f"statement {context.label!r}: scalar {expr.name!r} used as a data operand "

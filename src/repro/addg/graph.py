@@ -42,22 +42,15 @@ class ExprNode:
 class OpNode(ExprNode):
     """An occurrence of an operator (or of an uninterpreted function call)."""
 
-    __slots__ = ("op", "operands", "statement_label", "path")
+    __slots__ = ("op", "operands", "statement_label")
 
-    def __init__(self, op: str, operands: Sequence[ExprNode], statement_label: str, path: Tuple[int, ...]):
+    def __init__(self, op: str, operands: Sequence[ExprNode], statement_label: str):
         self.op = op
         self.operands: Tuple[ExprNode, ...] = tuple(operands)
         self.statement_label = statement_label
-        self.path = path
 
     def children(self) -> Tuple[ExprNode, ...]:
         return self.operands
-
-    @property
-    def name(self) -> str:
-        """A unique display name for this operator occurrence."""
-        suffix = "_".join(str(i) for i in self.path)
-        return f"{self.op}@{self.statement_label}" + (f".{suffix}" if suffix else "")
 
     def __repr__(self) -> str:
         return f"OpNode({self.op!r}, {len(self.operands)} operand(s), stmt={self.statement_label!r})"
@@ -66,26 +59,15 @@ class OpNode(ExprNode):
 class ReadNode(ExprNode):
     """A read of an array element; carries the dependency mapping of its edge."""
 
-    __slots__ = ("array", "ref", "dependency", "statement_label", "path", "position")
+    __slots__ = ("array", "ref", "dependency")
 
-    def __init__(
-        self,
-        array: str,
-        ref: ArrayRef,
-        dependency: Map,
-        statement_label: str,
-        path: Tuple[int, ...],
-        position: int,
-    ):
+    def __init__(self, array: str, ref: ArrayRef, dependency: Map):
         self.array = array
         self.ref = ref
         self.dependency = dependency
-        self.statement_label = statement_label
-        self.path = path
-        self.position = position
 
     def __repr__(self) -> str:
-        return f"ReadNode({self.array!r}, stmt={self.statement_label!r}, dep={self.dependency})"
+        return f"ReadNode({self.array!r}, dep={self.dependency})"
 
 
 class ConstNode(ExprNode):
@@ -215,19 +197,30 @@ class ADDG:
             result.extend(statement.operator_nodes())
         return result
 
+    def operator_names(self) -> List[str]:
+        """Display names of the operator nodes, in :meth:`operator_nodes` order.
+
+        An operator in statement ``t4`` is named ``+@t4`` at the root of the
+        right-hand side and ``+@t4.1_2`` at operand 2 of operand 1 of the root.
+        """
+        result: List[str] = []
+        for statement in self.statements:
+            result.extend(_operator_names(statement).values())
+        return result
+
     def edges(self) -> List[Tuple[str, str, str]]:
         """All edges as ``(source, target, label)`` display triples."""
         result: List[Tuple[str, str, str]] = []
         for statement in self.statements:
+            names = _operator_names(statement)
             root = statement.rhs
-            root_name = _node_display_name(root)
-            result.append((statement.target, root_name, statement.label))
+            result.append((statement.target, _node_display_name(root, names), statement.label))
             stack: List[ExprNode] = [root]
             while stack:
                 node = stack.pop()
                 if isinstance(node, OpNode):
                     for position, child in enumerate(node.operands, start=1):
-                        result.append((node.name, _node_display_name(child), str(position)))
+                        result.append((names[node], _node_display_name(child, names), str(position)))
                         stack.append(child)
         return result
 
@@ -279,9 +272,23 @@ def _preorder(root: ExprNode) -> Iterator[ExprNode]:
         stack.extend(reversed(node.children()))
 
 
-def _node_display_name(node: ExprNode) -> str:
+def _operator_names(statement: StatementNode) -> Dict[OpNode, str]:
+    """The display name of every operator node of *statement*, in pre-order."""
+    names: Dict[OpNode, str] = {}
+    stack: List[Tuple[ExprNode, str]] = [(statement.rhs, "")]
+    while stack:
+        node, suffix = stack.pop()
+        if isinstance(node, OpNode):
+            names[node] = f"{node.op}@{statement.label}" + (f".{suffix}" if suffix else "")
+            prefix = suffix + "_" if suffix else ""
+            for position in range(len(node.operands), 0, -1):
+                stack.append((node.operands[position - 1], f"{prefix}{position}"))
+    return names
+
+
+def _node_display_name(node: ExprNode, names: Dict[OpNode, str]) -> str:
     if isinstance(node, OpNode):
-        return node.name
+        return names[node]
     if isinstance(node, ReadNode):
         return node.array
     if isinstance(node, ConstNode):

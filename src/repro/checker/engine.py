@@ -93,7 +93,7 @@ class Term:
         if self.kind == Term.CONST:
             return str(self.value)
         assert self.node is not None
-        return self.node.name
+        return f"{self.node.op}@{self.node.statement_label}"
 
     def path_text(self) -> Tuple[str, ...]:
         return tuple(entry[1] for entry in self.path)
@@ -171,8 +171,8 @@ class Engine:
         elif term.kind == Term.CONST:
             identity = ("const", term.value)
         else:
-            assert term.node is not None
-            identity = ("op", term.node.statement_label, term.node.path)
+            # The table lives for one run, so the node's identity is stable.
+            identity = ("op", term.node)
         return (term.side, identity, _map_key(term.rel))
 
     # ------------------------------------------------------------------ #
@@ -228,8 +228,8 @@ class Engine:
         Recurrence arrays (cycles in the ADDG) are only expanded while
         *allowance* is positive; each expansion consumes one unit.  This keeps
         the traversal from unrolling recurrences: they are instead discharged
-        by the inductive assumptions of :meth:`compare`, which the checker
-        uses instead of the paper's transitive closure of the cycle.
+        by the inductive assumptions of :meth:`_compare_terms`, which the
+        checker uses instead of the paper's transitive closure of the cycle.
         """
         if term.kind in (Term.OP, Term.CONST) or self._is_input_term(term):
             return [term], True
@@ -381,7 +381,18 @@ class Engine:
             )
             return False
 
-        # Constants.
+        return self._compare_terms(first, second)
+
+    def _compare_terms(self, first: Term, second: Term) -> bool:
+        """Compare two terms whose output domains are equal, dispatching on their kinds.
+
+        Constants compare by value and input reads as leaves.  A pair of
+        intermediate (or recurrence) arrays is first tried as a declared
+        correspondence cut point, then against the inductive assumptions, and
+        is reduced under a new assumption; a pair with one such array is
+        reduced directly (:meth:`_reduce`).  Operator pairs go to
+        :meth:`_compare_ops`; any other mix of kinds is a mismatch.
+        """
         if first.kind == Term.CONST and second.kind == Term.CONST:
             if first.value == second.value:
                 return True
@@ -401,94 +412,33 @@ class Engine:
         input2 = self._is_input_term(second)
         if input1 and input2:
             return self._compare_leaves(first, second)
-
-        both_arrays = (
-            first.kind == Term.ARRAY
-            and second.kind == Term.ARRAY
-            and not input1
-            and not input2
-        )
-        if both_arrays:
-            if (first.array, second.array) in self.correspondences:
-                return self._compare_via_correspondence(first, second)
-            correspondence = self._correspondence_relation(first, second)
-            if correspondence is not None:
-                for index, (name1, name2, previous) in enumerate(self._assumptions):
-                    if name1 == first.array and name2 == second.array:
-                        try:
-                            if correspondence.is_subset(previous):
-                                self._assumption_mark = min(self._assumption_mark, index)
-                                self.stats.assumption_uses += 1
-                                return True
-                        except SpaceMismatchError:
-                            continue
-                self._assumptions.append((first.array or "", second.array or "", correspondence))
-                try:
-                    return self._compare_after_reduction(first, second)
-                finally:
-                    self._assumptions.pop()
-        return self._compare_after_reduction(first, second)
-
-    def _array_under_comparison(self, term: Term) -> bool:
-        """True when the term's array is currently on the assumption stack (a cycle)."""
-        position = 0 if term.side == 0 else 1
-        return any(entry[position] == term.array for entry in self._assumptions)
-
-    def _correspondence_relation(self, first: Term, second: Term) -> Optional[Map]:
-        try:
-            return first.rel.inverse().compose(second.rel)
-        except (SpaceMismatchError, PresburgerError):
-            return None
-
-    def _compare_after_reduction(self, first: Term, second: Term) -> bool:
-        # One level of recurrence expansion is allowed here: the enclosing
-        # compare() has just installed (or found) the inductive assumption for
-        # this array pair, so unfolding one step is exactly the induction step.
-        pieces1, ok1 = self._resolve(first, allowance=1)
-        pieces2, ok2 = self._resolve(second, allowance=1)
-        compared = self._compare_piecewise(pieces1, pieces2)
-        return ok1 and ok2 and compared
-
-    def _compare_piecewise(self, pieces1: Sequence[Term], pieces2: Sequence[Term]) -> bool:
-        ok = True
-        for piece1 in pieces1:
-            domain1 = piece1.rel.domain()
-            if domain1.is_empty():
-                continue
-            for piece2 in pieces2:
-                domain2 = piece2.rel.domain()
-                common = domain1.intersect(domain2)
-                if common.is_empty():
-                    continue
-                restricted1 = self._restrict(piece1, common)
-                restricted2 = self._restrict(piece2, common)
-                if not self._compare_resolved(restricted1, restricted2):
-                    ok = False
-        return ok
-
-    def _compare_resolved(self, first: Term, second: Term) -> bool:
-        if first.kind == Term.CONST and second.kind == Term.CONST:
-            return self._compare_inner(first, second)
-        input1 = self._is_input_term(first)
-        input2 = self._is_input_term(second)
-        if input1 and input2:
-            return self._compare_leaves(first, second)
         array1 = first.kind == Term.ARRAY and not input1
         array2 = second.kind == Term.ARRAY and not input2
         if array1 and array2:
-            # Both sides stopped at recurrence arrays: go through the full
-            # comparison (assumption / induction logic) for the pair.
-            return self._compare_inner(first, second)
+            if (first.array, second.array) in self.correspondences:
+                return self._compare_via_correspondence(first, second)
+            correspondence = self._correspondence_relation(first, second)
+            if correspondence is None:
+                return self._reduce(first, second)
+            for index, (name1, name2, previous) in enumerate(self._assumptions):
+                if name1 == first.array and name2 == second.array:
+                    try:
+                        if correspondence.is_subset(previous):
+                            self._assumption_mark = min(self._assumption_mark, index)
+                            self.stats.assumption_uses += 1
+                            return True
+                    except SpaceMismatchError:
+                        continue
+            self._assumptions.append((first.array or "", second.array or "", correspondence))
+            try:
+                return self._reduce(first, second)
+            finally:
+                self._assumptions.pop()
         if array1 or array2:
-            # Only one side is an unexpanded recurrence array (the other side
-            # inlined the definition differently); force one expansion step so
-            # the structural comparison can proceed.
-            pieces1, ok1 = (self._resolve(first, allowance=1) if array1 else ([first], True))
-            pieces2, ok2 = (self._resolve(second, allowance=1) if array2 else ([second], True))
-            return ok1 and ok2 and self._compare_piecewise(pieces1, pieces2)
+            return self._reduce(first, second)
         if first.kind == Term.OP and second.kind == Term.OP:
             return self._compare_ops(first, second)
-        # Mixed kinds after full resolution: a genuine structural mismatch.
+        # Mixed kinds with nothing left to reduce: a genuine structural mismatch.
         self._diag(
             Diagnostic(
                 DiagnosticKind.KIND_MISMATCH,
@@ -503,6 +453,51 @@ class Engine:
             )
         )
         return False
+
+    def _array_under_comparison(self, term: Term) -> bool:
+        """True when the term's array is currently on the assumption stack (a cycle)."""
+        position = 0 if term.side == 0 else 1
+        return any(entry[position] == term.array for entry in self._assumptions)
+
+    def _correspondence_relation(self, first: Term, second: Term) -> Optional[Map]:
+        try:
+            return first.rel.inverse().compose(second.rel)
+        except (SpaceMismatchError, PresburgerError):
+            return None
+
+    def _reduce(self, first: Term, second: Term) -> bool:
+        """Reduce intermediate variables on both sides and compare the pieces pairwise.
+
+        One level of recurrence expansion is allowed: an enclosing
+        :meth:`_compare_terms` has just installed (or found) the inductive
+        assumption for a recurrence array pair, so unfolding one step is
+        exactly the induction step.  Each pair of pieces is restricted to its
+        common output domain and compared again by kind.  Nothing else goes
+        through :meth:`_compare_inner` again, and nothing needs to:
+
+        * restricted pieces already have equal domains;
+        * resolving an operator, constant or input term returns that term
+          unchanged, so a pair with only one intermediate side expands that
+          side alone;
+        * an operator pair never comes here, where resolving and restricting
+          would only give it back, restricted to its own domain.
+        """
+        pieces1, ok1 = self._resolve(first, allowance=1)
+        pieces2, ok2 = self._resolve(second, allowance=1)
+        ok = True
+        for piece1 in pieces1:
+            domain1 = piece1.rel.domain()
+            if domain1.is_empty():
+                continue
+            for piece2 in pieces2:
+                common = domain1.intersect(piece2.rel.domain())
+                if common.is_empty():
+                    continue
+                restricted1 = self._restrict(piece1, common)
+                restricted2 = self._restrict(piece2, common)
+                if not self._compare_terms(restricted1, restricted2):
+                    ok = False
+        return ok1 and ok2 and ok
 
     def _describe(self, term: Term) -> str:
         if term.kind == Term.OP:

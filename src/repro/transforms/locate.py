@@ -3,7 +3,7 @@
 Transformations address their targets by statement label (every assignment in
 the allowed class carries one), optionally refined with an expression *path*:
 a tuple of 1-based operand positions descending from the root of the
-right-hand side, mirroring :attr:`repro.addg.graph.OpNode.path`.
+right-hand side, the positions that label the operand edges of an ADDG.
 """
 
 from __future__ import annotations

@@ -162,7 +162,8 @@ class CheckOptions:
                 self, "operators", None if canonical == _DEFAULT_OPERATORS else canonical
             )
         if self.outputs is not None:
-            object.__setattr__(self, "outputs", tuple(str(name) for name in self.outputs))
+            # A repeated name is one output: keep its first occurrence.
+            object.__setattr__(self, "outputs", tuple(dict.fromkeys(str(name) for name in self.outputs)))
         object.__setattr__(
             self,
             "correspondences",

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from ..addg import ADDG, build_addg
 from ..analysis import ProgramGeometry, check_dataflow
 from ..lang import Program, parse_program, program_to_text
-from ..presburger import Map, opcache
+from ..presburger import Map, Set, opcache
 from ..checker.engine import Engine
 from ..checker.result import (
     CheckStats,
@@ -348,17 +348,58 @@ def _traverse(
             observer.on_diagnostic(diagnostic)
         notified = len(engine.diagnostics)
 
-    requested = list(options.outputs) if options.outputs is not None else None
+    def discharge(name1: str, name2: str, whole: bool) -> Tuple[bool, Optional[Set]]:
+        """Check array *name1* of the original against *name2* of the transformed program.
+
+        The obligation covers the elements both programs write.  An output
+        must be written alike (*whole*), or a DOMAIN_MISMATCH is reported
+        first; a declared correspondence may be partial, e.g. when one
+        program only materialises part of a temporary.  Returns whether the
+        obligation held without a new diagnostic, and the checked domain:
+        ``None`` when an array is never written, which only a declared
+        correspondence can name, since outputs are written arrays.
+        """
+        diagnostics_before = len(engine.diagnostics)
+        try:
+            defined1 = original.written_set(name1)
+            defined2 = transformed.written_set(name2)
+        except KeyError:
+            engine.diagnostics.append(
+                Diagnostic(
+                    DiagnosticKind.PRECONDITION,
+                    f"declared correspondence ({name1!r}, {name2!r}) refers to an array that is never written",
+                )
+            )
+            return False, None
+        renamed2 = defined2.rename(defined1.names)
+        common = defined1.intersect(renamed2)
+        if whole and not defined1.is_equal(renamed2):
+            engine.diagnostics.append(
+                Diagnostic(
+                    DiagnosticKind.DOMAIN_MISMATCH,
+                    f"the two programs define different element sets of output array {name1!r}",
+                    output_array=name1,
+                    original_mapping=str(defined1),
+                    transformed_mapping=str(defined2),
+                    mismatch_domain=str(defined1.subtract(renamed2).union(renamed2.subtract(defined1))),
+                )
+            )
+        identity = Map.identity(common.names, domain=common)
+        engine.current_output = name1
+        ok = engine.discharge(
+            engine.output_term(0, name1, identity), engine.output_term(1, name2, identity)
+        )
+        engine.current_output = None
+        return ok and len(engine.diagnostics) == diagnostics_before, common
+
     original_outputs = list(original.outputs)
     transformed_outputs = list(transformed.outputs)
-    if requested is None:
-        to_check = [name for name in original_outputs if name in transformed_outputs]
-        missing_in_transformed = [n for n in original_outputs if n not in transformed_outputs]
-        missing_in_original = [n for n in transformed_outputs if n not in original_outputs]
+    if options.outputs is not None:
+        requested = list(options.outputs)
     else:
-        to_check = [n for n in requested if n in original_outputs and n in transformed_outputs]
-        missing_in_transformed = [n for n in requested if n not in transformed_outputs]
-        missing_in_original = [n for n in requested if n not in original_outputs]
+        requested = original_outputs + [n for n in transformed_outputs if n not in original_outputs]
+    missing_in_transformed = [n for n in requested if n not in transformed_outputs]
+    missing_in_original = [n for n in requested if n not in original_outputs]
 
     reports = []
     overall = True
@@ -389,37 +430,15 @@ def _traverse(
                 observer.on_output_checked(report)
             flush_diagnostics()
 
-    for name in to_check:
+    for name in requested:
+        if name not in original_outputs or name not in transformed_outputs:
+            continue
         with TRACER.span("engine.output", "engine", array=name):
-            engine.current_output = name
             diagnostics_before = len(engine.diagnostics)
-            defined1 = original.written_set(name)
-            defined2 = transformed.written_set(name)
-            common = defined1.intersect(defined2.rename(defined1.names))
-            if not defined1.is_equal(defined2.rename(defined1.names)):
-                engine.diagnostics.append(
-                    Diagnostic(
-                        DiagnosticKind.DOMAIN_MISMATCH,
-                        f"the two programs define different element sets of output array {name!r}",
-                        output_array=name,
-                        original_mapping=str(defined1),
-                        transformed_mapping=str(defined2),
-                        mismatch_domain=str(
-                            defined1.subtract(defined2.rename(defined1.names)).union(
-                                defined2.rename(defined1.names).subtract(defined1)
-                            )
-                        ),
-                    )
-                )
-            identity = Map.identity(common.names, domain=common)
-            term1 = engine.output_term(0, name, identity)
-            term2 = engine.output_term(1, name, identity)
-            ok = engine.discharge(term1, term2)
-            new_diagnostics = engine.diagnostics[diagnostics_before:]
-            output_ok = ok and not new_diagnostics
+            output_ok, common = discharge(name, name, whole=True)
             overall = overall and output_ok
             failing_domain = None
-            for diagnostic in new_diagnostics:
+            for diagnostic in engine.diagnostics[diagnostics_before:]:
                 if diagnostic.mismatch_domain:
                     failing_domain = diagnostic.mismatch_domain
                     break
@@ -432,7 +451,6 @@ def _traverse(
             reports.append(report)
             observer.on_output_checked(report)
             flush_diagnostics()
-    engine.current_output = None
 
     # Verify declared intermediate correspondences as separate obligations —
     # both the ones actually used as cut points during the traversal and the
@@ -440,39 +458,14 @@ def _traverse(
     obligations = set(engine.correspondence_obligations()) | set(engine.correspondences)
     with TRACER.span("engine.correspondences", "engine", count=len(obligations)):
         for name1, name2 in sorted(obligations):
-            diagnostics_before = len(engine.diagnostics)
-            try:
-                defined1 = original.written_set(name1)
-                defined2 = transformed.written_set(name2)
-            except KeyError:
-                engine.diagnostics.append(
-                    Diagnostic(
-                        DiagnosticKind.PRECONDITION,
-                        f"declared correspondence ({name1!r}, {name2!r}) refers to an array that is never written",
-                    )
-                )
-                overall = False
-                flush_diagnostics()
-                continue
-            # The obligation is checked on the intersection of the defined element
-            # sets: a declared correspondence may legitimately be partial (e.g.
-            # when one program only materialises part of the temporary).
-            common = defined1.intersect(defined2.rename(defined1.names))
-            identity = Map.identity(common.names, domain=common)
-            engine.current_output = name1
-            term1 = engine.output_term(0, name1, identity)
-            term2 = engine.output_term(1, name2, identity)
             # While discharging the obligation for this pair, the pair itself must
             # not be usable as a cut point (that would be circular).
             engine.correspondences.discard((name1, name2))
             try:
-                ok = engine.discharge(term1, term2)
+                ok, _ = discharge(name1, name2, whole=False)
             finally:
                 engine.correspondences.add((name1, name2))
-            new_diagnostics = engine.diagnostics[diagnostics_before:]
-            if not (ok and not new_diagnostics):
-                overall = False
-            engine.current_output = None
+            overall = overall and ok
             flush_diagnostics()
 
     engine.apply_suspect_heuristic()

@@ -25,14 +25,18 @@ class TestExpressionTrees:
         assert isinstance(left, OpNode) and left.op == "+"
         assert isinstance(right, ReadNode) and right.array == "A"
 
-    def test_operand_positions_and_paths(self):
+    def test_operand_edges_carry_positions_and_names(self):
         addg = single_statement_addg(
-            "f(int A[], int B[], int C[]) { int k; for(k=0;k<4;k++) s1: C[k] = A[k] + B[k]; }"
+            "f(int A[], int B[], int C[]) { int k; for(k=0;k<4;k++) s1: C[k] = (A[k] + B[k]) * A[k]; }"
         )
-        root = addg.statement("s1").rhs
-        assert [op.position for op in root.operands] == [1, 2]
-        assert root.operands[0].path == (1,)
-        assert root.operands[1].path == (2,)
+        assert addg.edges() == [
+            ("C", "*@s1", "s1"),
+            ("*@s1", "+@s1.1", "1"),
+            ("*@s1", "A", "2"),
+            ("+@s1.1", "A", "1"),
+            ("+@s1.1", "B", "2"),
+        ]
+        assert addg.operator_names() == ["*@s1", "+@s1.1"]
 
     def test_unary_minus_becomes_neg_operator(self):
         addg = single_statement_addg(

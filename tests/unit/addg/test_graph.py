@@ -138,7 +138,7 @@ class TestDeepTrees:
         leaves = [tree]
         for level in range(1, depth + 1):
             leaf = self.leaves[level % 2]
-            tree = OpNode("+", [tree, leaf], "s3", ())
+            tree = OpNode("+", [tree, leaf], "s3")
             operators.append(tree)
             leaves.append(leaf)
         return tree, operators[::-1], leaves
@@ -162,7 +162,7 @@ class TestDeepTrees:
                     assert statement.reads() == [n for n in walked if isinstance(n, ReadNode)]
                     assert statement.operator_nodes() == [n for n in walked if isinstance(n, OpNode)]
         tree, _, _ = self._left_nested(6)
-        statement = StatementNode(self.statement.context, OpNode("neg", [tree], "s3", ()))
+        statement = StatementNode(self.statement.context, OpNode("neg", [tree], "s3"))
         assert statement.reads() == [n for n in _walk(statement.rhs) if isinstance(n, ReadNode)]
 
 

@@ -311,3 +311,55 @@ class TestEngineOptions:
     def test_invalid_method_rejected(self):
         with pytest.raises(ValueError):
             check(COPY.format(rhs="A[k]"), COPY.format(rhs="A[k]"), method="bogus")
+
+
+MUTUAL = """
+f(int A[], int C[]) {{
+    int k, {x}[9], {y}[9];
+    s0: {y}[0] = A[0];
+    for (k = 1; k < 9; k++) {{
+s1:     {x}[k] = {y}[k-1];
+s2:     {y}[k] = {x}[k] + A[k];
+s3:     C[k] = {x}[k];
+    }}
+}}
+"""
+
+INLINED = """
+f(int A[], int C[]) {
+    int k, Q[9];
+    t0: Q[0] = A[0];
+    for (k = 1; k < 9; k++) {
+t1:     Q[k] = Q[k-1] + A[k];
+t2:     C[k] = Q[k-1];
+    }
+}
+"""
+
+
+class TestReducedPieces:
+    """Pieces that intermediate-variable reduction leaves as constants or recurrence arrays."""
+
+    CONSTANT = "f(int A[], int C[]) {{ int k; for(k=0;k<8;k++) s1: C[k] = {value}; }}"
+
+    def test_equal_constant_definitions(self):
+        result = check(self.CONSTANT.format(value=7), self.CONSTANT.format(value=7))
+        assert result.equivalent
+        assert not result.diagnostics
+
+    def test_different_constant_definitions(self):
+        result = check(self.CONSTANT.format(value=7), self.CONSTANT.format(value=8))
+        assert not result.equivalent
+        assert [d.kind for d in result.diagnostics] == [DiagnosticKind.CONSTANT_MISMATCH]
+
+    def test_mutual_recurrence_through_a_copy_against_a_renamed_copy(self):
+        # Both sides stop at the recurrence array Y after one expansion.
+        result = check(MUTUAL.format(x="X", y="Y"), MUTUAL.format(x="U", y="V"))
+        assert result.equivalent
+        assert not result.diagnostics
+
+    def test_mutual_recurrence_through_a_copy_against_the_inlined_recurrence(self):
+        # One side stops at the recurrence array Y, the other has expanded Q.
+        result = check(MUTUAL.format(x="X", y="Y"), INLINED)
+        assert result.equivalent
+        assert not result.diagnostics

@@ -32,6 +32,12 @@ class TestConstruction:
         assert options.outputs == ("B", "C")
         assert options.correspondences == (("t", "u"),)
 
+    def test_repeated_outputs_keep_first_occurrence(self):
+        options = CheckOptions(outputs=("C", "B", "C"))
+        assert options.outputs == ("C", "B")
+        assert CheckOptions(outputs=("C", "C")) == CheckOptions(outputs=("C",))
+        assert CheckOptions(outputs=("C", "C")).fingerprint() == CheckOptions(outputs=("C",)).fingerprint()
+
     def test_operator_canonicalisation(self):
         # order and props spelling normalise; explicit default collapses to None
         assert CheckOptions(operators=(("min", "CA"), ("max", "c"))).operators == (

@@ -219,6 +219,18 @@ class TestObservers:
         assert [(r.array, r.equivalent) for r in reports] == [("Z", False)]
         assert len(result.diagnostics_of_kind(DiagnosticKind.OUTPUT_MISSING)) == 2
 
+    def test_repeated_output_request_checks_once(self):
+        reports = []
+        result = Verifier().check(
+            ORIGINAL,
+            TRANSFORMED_EQ,
+            options=CheckOptions(outputs=("B", "B")),
+            observer=CallbackObserver(on_output_checked=reports.append),
+        )
+        assert result.equivalent
+        assert [r.array for r in result.outputs] == ["B"]
+        assert [r.array for r in reports] == ["B"]
+
     def test_missing_outputs_also_get_report_events(self):
         # B exists only in the original; D only in the transformed program.
         other = TRANSFORMED_EQ.replace("B[", "D[").replace("int B[]", "int D[]")

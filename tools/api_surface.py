@@ -31,6 +31,9 @@ import importlib
 import os
 import sys
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
 MODULES = (
     "repro.analysis",
     "repro.addg",
