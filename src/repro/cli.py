@@ -43,9 +43,9 @@ completed and matched its expectation, 1 otherwise.
 
 ``serve`` starts the long-lived verification server (:mod:`repro.server`):
 an asyncio daemon speaking newline-delimited JSON over TCP and/or a unix
-socket, holding warm verifier sessions, a shared compiled-artifact store and
-the verdict cache across requests, with cross-request dedup of identical
-in-flight jobs and graceful ``SIGTERM`` draining.  ``check --server`` and
+socket, holding one warm verifier session (whose compile cache every request
+shares) and the verdict cache across requests, with cross-request dedup of
+identical in-flight jobs and graceful ``SIGTERM`` draining.  ``check --server`` and
 ``batch --server`` send their jobs to such a daemon instead of checking
 in-process — verdicts, output and exit codes are identical, only the
 execution moves; see ``docs/server.md``.
@@ -570,8 +570,8 @@ def build_cli_parser() -> argparse.ArgumentParser:
         help="run the long-lived verification server (warm sessions, shared "
         "caches, request dedup)",
         description=(
-            "A JSON-over-TCP/unix-socket daemon that keeps verifier sessions, "
-            "compiled artifacts and the verdict cache warm across requests, "
+            "A JSON-over-TCP/unix-socket daemon that keeps a verifier session "
+            "(its compiled programs) and the verdict cache warm across requests, "
             "coalesces identical in-flight jobs, and drains gracefully on "
             "SIGTERM.  Point `check --server` / `batch --server` at it."
         ),

@@ -24,6 +24,14 @@ property-style.
 Public knobs
 ------------
 
+The module is the cache: its state (the LRU entries, the intern pools, the
+process totals, the attached disk tier) lives in module globals, and every
+caller goes through the functions below.
+
+:data:`enabled` / :data:`maxsize`
+    Whether memoization and interning are on, and the LRU bound
+    (:data:`DEFAULT_SIZE`); :func:`size` is the number of held results.
+
 :func:`disabled`
     Context manager that switches memoization and interning off for a code
     block (the one off switch; used by the ablation benchmarks and the
@@ -44,6 +52,8 @@ Public knobs
     omega core's work.  A unit of work (a check, a job, a CLI run) reads
     its own counts from its :func:`collect` block, whatever other threads
     do meanwhile; :func:`stats` copies the process totals.
+    :func:`record`, :func:`count` and :func:`ingest` are the writers (one
+    lookup, one named counter, a shipped :meth:`OpCacheStats.as_dict`).
 """
 
 from __future__ import annotations
@@ -60,19 +70,21 @@ from .conjunct import Conjunct
 
 __all__ = [
     "OpCacheStats",
-    "OpCache",
     "attach_persistent",
-    "cache",
     "collect",
+    "count",
     "detach_persistent",
     "disabled",
+    "ingest",
     "intern_conjunct",
     "intern_expr",
     "intern_vector",
     "memoized",
     "persistent_store",
     "reattach_persistent",
+    "record",
     "reset",
+    "size",
     "stats",
 ]
 
@@ -157,36 +169,30 @@ class _InternPool:
     *key* derives a value's pool key (``None``: the value is its own key).
     Eviction only forfeits future sharing for the evicted entry; it never
     affects correctness, because callers always fall back to the object they
-    were about to intern.  The pool reads its owner's ``enabled`` switch and
-    counters itself, so a bound :meth:`canonical` is a complete intern
-    function: :func:`intern_vector` is one, and costs a single call.
+    were about to intern.  The pool reads the module's :data:`enabled`
+    switch and counters itself, so a bound :meth:`canonical` is a complete
+    intern function: :data:`intern_conjunct`, :data:`intern_expr` and
+    :data:`intern_vector` are each one, and cost a single call.
     """
 
-    __slots__ = ("_entries", "_maxsize", "_owner", "_key")
+    __slots__ = ("_entries", "_maxsize", "_key")
 
-    def __init__(
-        self,
-        owner: "OpCache",
-        key: Callable[[Any], Hashable] | None = None,
-        maxsize: int = _INTERN_POOL_SIZE,
-    ):
+    def __init__(self, key: Callable[[Any], Hashable] | None = None, maxsize: int = _INTERN_POOL_SIZE):
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._maxsize = maxsize
-        self._owner = owner
         self._key = key
 
     def canonical(self, value: Any) -> Any:
-        """The pooled instance equal to *value* (*value* itself while the owner is disabled)."""
-        owner = self._owner
-        if not owner.enabled:
+        """The pooled instance equal to *value* (*value* itself while the cache is disabled)."""
+        if not enabled:
             return value
         key = value if self._key is None else self._key(value)
         entries = self._entries
         found = entries.get(key)
         if found is not None:
-            owner.count("intern_hits")
+            count("intern_hits")
             return found
-        owner.count("intern_misses")
+        count("intern_misses")
         entries[key] = value
         if len(entries) > self._maxsize:
             entries.popitem(last=False)
@@ -204,149 +210,126 @@ def _expr_key(expr) -> Hashable:
     return (tuple(sorted(expr._coeffs.items())), expr._const)
 
 
-class OpCache:
-    """A bounded LRU cache for relation-algebra results plus intern pools.
+# The process-wide cache state.  Stored results are immutable (Conjunct
+# tuples, Set/Map values, booleans), so a lookup returns the cached object
+# itself rather than a copy.  Counter writes go to the innermost open
+# collect() block of the calling thread or task without a lock; with none
+# open they go to ``_totals`` under ``_lock``, as does every closing
+# outermost collector.
 
-    One instance per process (see :func:`cache`).  All stored results are
-    immutable (:class:`Conjunct` tuples, ``Set``/``Map`` values, booleans),
-    so returning the cached object itself — rather than a copy — is safe.
+#: Memoization and interning on (:func:`disabled` switches both off).
+enabled = True
+#: The LRU bound of the operation cache.
+maxsize = DEFAULT_SIZE
+_entries: "OrderedDict[Hashable, Any]" = OrderedDict()
+_totals = OpCacheStats()
+_lock = threading.Lock()
+#: The optional disk-backed second tier (repro.presburger.persist); None is memory-only.
+_persist = None
+_conjuncts = _InternPool(key=Conjunct.normalized_key)
+_exprs = _InternPool(key=_expr_key)
+_vectors = _InternPool()
 
-    Counter writes go to the innermost open :func:`collect` block of the
-    calling thread or task without a lock; with none open they go to the
-    process totals (:attr:`stats`) under :attr:`_lock`, as does every
-    closing outermost collector.
+#: The canonical instance of a :class:`~repro.presburger.conjunct.Conjunct`
+#: (hash-consing): two conjuncts with the same ``normalized_key`` intern to
+#: the same object, making later ``==``, ``hash`` and operation-cache keys
+#: identity-fast.
+intern_conjunct = _conjuncts.canonical
+#: The canonical instance of a :class:`~repro.presburger.linexpr.LinExpr`.
+intern_expr = _exprs.canonical
+#: The canonical tuple of a normalized constraint vector (the kernel's
+#: hottest call, so one Python frame).
+intern_vector = _vectors.canonical
+
+
+# ------------------------------ memoization ------------------------------ #
+def memoized(op: str, key: Hashable, compute: Callable[[], Any]) -> Any:
+    """Return the cached result for ``(op, key)`` or compute and store it.
+
+    *key* must capture every input that can influence the result of
+    *compute* (the wrappers in :mod:`repro.presburger.setmap` build keys
+    from interned conjunct tuples plus the dimension names that appear in
+    the result).
     """
-
-    def __init__(self, maxsize: int = DEFAULT_SIZE):
-        self.maxsize = maxsize
-        self.enabled = True
-        self.stats = OpCacheStats()
-        self._lock = threading.Lock()
-        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
-        self._conjuncts = _InternPool(self, key=Conjunct.normalized_key)
-        self._exprs = _InternPool(self, key=_expr_key)
-        self._vectors = _InternPool(self)
-        # Optional disk-backed second tier (repro.presburger.persist); None
-        # means memory-only.
-        self._persist = None
-
-    # ---------------------------- memoization --------------------------- #
-    def memoized(self, op: str, key: Hashable, compute: Callable[[], Any]) -> Any:
-        """Return the cached result for ``(op, key)`` or compute and store it.
-
-        *key* must capture every input that can influence the result of
-        *compute* (the wrappers in :mod:`repro.presburger.setmap` build keys
-        from interned conjunct tuples plus the dimension names that appear in
-        the result).
-        """
-        if not self.enabled:
-            return compute()
-        full_key = (op, key)
-        entries = self._entries
-        found = entries.get(full_key, _MISSING)
-        if found is not _MISSING:
-            try:
-                entries.move_to_end(full_key)
-            except KeyError:
-                pass  # another thread evicted it since the get; the value is still good
-            self.record(op, True)
+    if not enabled:
+        return compute()
+    full_key = (op, key)
+    found = _entries.get(full_key, _MISSING)
+    if found is not _MISSING:
+        try:
+            _entries.move_to_end(full_key)
+        except KeyError:
+            pass  # another thread evicted it since the get; the value is still good
+        record(op, True)
+        return found
+    store = _persist
+    if store is not None:
+        found = store.load(op, key)
+        if found is not store.MISS:
+            # A disk hit is still a cache hit for the caller; promote it
+            # into the memory tier so repeats stay identity-fast.
+            record(op, True)
+            count("disk_hits")
+            _insert(full_key, found)
             return found
-        store = self._persist
-        if store is not None:
-            found = store.load(op, key)
-            if found is not store.MISS:
-                # A disk hit is still a cache hit for the caller; promote it
-                # into the memory tier so repeats stay identity-fast.
-                self.record(op, True)
-                self.count("disk_hits")
-                self._insert(full_key, found)
-                return found
-            self.count("disk_misses")
-        self.record(op, False)
-        if _TRACER.enabled:
-            with _TRACER.span("opcache." + op, "presburger"):
-                result = compute()
-        else:
+        count("disk_misses")
+    record(op, False)
+    if _TRACER.enabled:
+        with _TRACER.span("opcache." + op, "presburger"):
             result = compute()
-        if store is not None and store.save(op, key, result):
-            self.count("disk_writes")
-        self._insert(full_key, result)
-        return result
-
-    def _insert(self, full_key: Hashable, value: Any) -> None:
-        """Store *value* and evict the least recently used entry past :attr:`maxsize`."""
-        entries = self._entries
-        entries[full_key] = value
-        if len(entries) > self.maxsize:
-            entries.popitem(last=False)
-            self.count("evictions")
-
-    # ----------------------------- counting ----------------------------- #
-    def record(self, op: str, hit: bool) -> None:
-        """Count one lookup of *op*."""
-        sink = _SINK.get()
-        if sink is None:
-            with self._lock:
-                self.stats.record(op, hit)
-        else:
-            sink.record(op, hit)
-
-    def count(self, name: str, amount: int = 1) -> None:
-        """Add *amount* to the counter *name*."""
-        sink = _SINK.get()
-        if sink is None:
-            with self._lock:
-                setattr(self.stats, name, getattr(self.stats, name) + amount)
-        else:
-            setattr(sink, name, getattr(sink, name) + amount)
-
-    def ingest(self, data: Dict[str, Any]) -> None:
-        """Add counts in their :meth:`OpCacheStats.as_dict` form."""
-        sink = _SINK.get()
-        if sink is None:
-            with self._lock:
-                self.stats.merge(data)
-        else:
-            sink.merge(data)
-
-    # ----------------------------- interning ---------------------------- #
-    def intern_conjunct(self, conjunct):
-        """The canonical instance for *conjunct* (hash-consing).
-
-        Two conjuncts with the same :meth:`~repro.presburger.conjunct.Conjunct.normalized_key`
-        intern to the same object, making later ``==``, ``hash`` and
-        operation-cache keys identity-fast.
-        """
-        return self._conjuncts.canonical(conjunct)
-
-    def intern_expr(self, expr):
-        """The canonical instance for a :class:`LinExpr` (hash-consing)."""
-        return self._exprs.canonical(expr)
-
-    def intern_vector(self, vector: Tuple[int, ...]) -> Tuple[int, ...]:
-        """The canonical tuple for a normalized constraint vector."""
-        return self._vectors.canonical(vector)
-
-    # ---------------------------- maintenance --------------------------- #
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def clear(self) -> None:
-        """Drop every memoized result and intern-pool entry (counters survive)."""
-        self._entries.clear()
-        self._conjuncts.clear()
-        self._exprs.clear()
-        self._vectors.clear()
+    else:
+        result = compute()
+    if store is not None and store.save(op, key, result):
+        count("disk_writes")
+    _insert(full_key, result)
+    return result
 
 
-_CACHE = OpCache()
+def _insert(full_key: Hashable, value: Any) -> None:
+    """Store *value* and evict the least recently used entry past :data:`maxsize`."""
+    _entries[full_key] = value
+    if len(_entries) > maxsize:
+        _entries.popitem(last=False)
+        count("evictions")
 
 
-def cache() -> OpCache:
-    """The process-wide operation cache instance."""
-    return _CACHE
+def size() -> int:
+    """The number of memoized results held in memory."""
+    return len(_entries)
 
 
+# ------------------------------- counting -------------------------------- #
+def record(op: str, hit: bool) -> None:
+    """Count one lookup of *op*."""
+    sink = _SINK.get()
+    if sink is None:
+        with _lock:
+            _totals.record(op, hit)
+    else:
+        sink.record(op, hit)
+
+
+def count(name: str, amount: int = 1) -> None:
+    """Add *amount* to the counter *name*."""
+    sink = _SINK.get()
+    if sink is None:
+        with _lock:
+            setattr(_totals, name, getattr(_totals, name) + amount)
+    else:
+        setattr(sink, name, getattr(sink, name) + amount)
+
+
+def ingest(data: Dict[str, Any]) -> None:
+    """Add counts in their :meth:`OpCacheStats.as_dict` form."""
+    sink = _SINK.get()
+    if sink is None:
+        with _lock:
+            _totals.merge(data)
+    else:
+        sink.merge(data)
+
+
+# ------------------------------ maintenance ------------------------------ #
 def attach_persistent(path: str):
     """Attach a disk-backed second tier at *path* (a directory).
 
@@ -356,25 +339,26 @@ def attach_persistent(path: str):
     unusable store silently degrades to memory-only, because persistence is
     purely an optimization).
     """
-    from . import persist as _persist
+    global _persist
+    from . import persist as _persist_module
 
     detach_persistent()
-    store = _persist.PersistentStore(path)
-    _CACHE._persist = store
-    return store
+    _persist = _persist_module.PersistentStore(path)
+    return _persist
 
 
 def detach_persistent() -> None:
     """Close and drop the persistent tier (memory tier is untouched)."""
-    store = _CACHE._persist
+    global _persist
+    store = _persist
     if store is not None:
-        _CACHE._persist = None
+        _persist = None
         store.close()
 
 
 def persistent_store():
     """The currently attached persistent store, or ``None``."""
-    return _CACHE._persist
+    return _persist
 
 
 def reattach_persistent() -> None:
@@ -385,9 +369,9 @@ def reattach_persistent() -> None:
     through its own connection.  The inherited parent connection object is
     dropped without closing it (closing could disturb the parent's handle).
     """
-    store = _CACHE._persist
-    if store is not None:
-        _CACHE._persist = store.reopened()
+    global _persist
+    if _persist is not None:
+        _persist = _persist.reopened()
 
 
 @contextmanager
@@ -398,26 +382,31 @@ def disabled() -> Iterator[None]:
     when the block exits.  Used by the ablation benchmarks and the property
     tests that assert cached and uncached results agree.
     """
-    previous = _CACHE.enabled
-    _CACHE.enabled = False
+    global enabled
+    previous = enabled
+    enabled = False
     try:
         yield
     finally:
-        _CACHE.enabled = previous
+        enabled = previous
 
 
 def reset() -> None:
     """Clear all cached results, intern pools and the process totals (a cold start)."""
-    _CACHE.clear()
-    with _CACHE._lock:
-        _CACHE.stats = OpCacheStats()
+    global _totals
+    _entries.clear()
+    _conjuncts.clear()
+    _exprs.clear()
+    _vectors.clear()
+    with _lock:
+        _totals = OpCacheStats()
 
 
 def stats() -> OpCacheStats:
     """A copy of the process totals (collectors still open are not in it yet)."""
     totals = OpCacheStats()
-    with _CACHE._lock:
-        totals.merge(_CACHE.stats.as_dict())
+    with _lock:
+        totals.merge(_totals.as_dict())
     return totals
 
 
@@ -435,25 +424,4 @@ def collect() -> Iterator[OpCacheStats]:
         yield counts
     finally:
         _SINK.reset(token)
-        _CACHE.ingest(counts.as_dict())
-
-
-def memoized(op: str, key: Hashable, compute: Callable[[], Any]) -> Any:
-    """Module-level convenience for :meth:`OpCache.memoized` on the global cache."""
-    return _CACHE.memoized(op, key, compute)
-
-
-def intern_conjunct(conjunct):
-    """Module-level convenience for :meth:`OpCache.intern_conjunct`."""
-    return _CACHE.intern_conjunct(conjunct)
-
-
-def intern_expr(expr):
-    """Module-level convenience for :meth:`OpCache.intern_expr`."""
-    return _CACHE.intern_expr(expr)
-
-
-#: The canonical tuple for a normalized constraint vector: the global vector
-#: pool's bound :meth:`_InternPool.canonical`, so the kernel's hottest call
-#: is one Python frame.
-intern_vector = _CACHE._vectors.canonical
+        ingest(counts.as_dict())

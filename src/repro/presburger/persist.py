@@ -269,7 +269,7 @@ class PersistentStore:
             self.errors += 1
             if self.errors >= _MAX_ERRORS:
                 self.disabled = True
-        _opcache.cache().count("disk_errors")
+        _opcache.count("disk_errors")
 
     def load(self, op: str, key: Any) -> Any:
         """The stored result for ``(op, key)``, or :data:`MISS`."""

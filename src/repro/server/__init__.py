@@ -9,8 +9,9 @@ keeps one process alive and shares everything that is expensive to build:
     structured error codes) spoken over TCP or a unix socket.
 ``pool``
     The warm core — :class:`~repro.server.pool.WarmVerifierPool` holds
-    the worker threads, a shared compiled-artifact store keyed by source
-    fingerprint, and the content-addressed verdict cache; the asyncio-side
+    the worker threads, the one :class:`~repro.verifier.Verifier` session
+    they all check through (its compile cache is keyed by source text),
+    and the content-addressed verdict cache; the asyncio-side
     :class:`~repro.server.pool.JobDispatcher` coalesces concurrent
     identical requests onto one in-flight leader.
 ``daemon``
@@ -28,7 +29,7 @@ it; see ``docs/server.md`` for the protocol schema and an ops runbook.
 
 from .client import ServerClient, ServerError, parse_address
 from .daemon import ServerConfig, ServerThread, VerificationServer, run_server
-from .pool import CompiledStore, JobDispatcher, ServerStats, WarmVerifierPool
+from .pool import JobDispatcher, ServerStats, WarmVerifierPool
 from .protocol import MAX_FRAME_BYTES, PROTOCOL_VERSION, ProtocolError
 
 __all__ = [
@@ -42,7 +43,6 @@ __all__ = [
     "ServerThread",
     "VerificationServer",
     "run_server",
-    "CompiledStore",
     "JobDispatcher",
     "ServerStats",
     "WarmVerifierPool",

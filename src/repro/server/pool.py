@@ -1,21 +1,18 @@
-"""The daemon's warm state: compiled artifacts, verdict cache, dedup.
+"""The daemon's warm state: one checking session, verdict cache, dedup.
 
 This module is why the server exists at all.  A cold ``repro-eqcheck check``
 pays parse + def-use + ADDG extraction for both programs, an empty Presburger
 operation cache and interpreter start-up on every invocation; the warm pool
 amortises all of it across the daemon's lifetime:
 
-* :class:`CompiledStore` — a process-wide LRU of
-  :class:`~repro.verifier.session.CompiledProgram` values keyed by the
-  SHA-256 of the raw source text, so a program seen by *any* request is
-  parsed and extracted exactly once no matter which worker thread checks it;
 * :class:`WarmVerifierPool` — a small ``ThreadPoolExecutor`` whose threads
-  check the store's compiled programs through a throwaway
-  :class:`~repro.verifier.session.Verifier`; all threads share the
-  interpreter-wide Presburger operation cache
-  (:mod:`repro.presburger.opcache`), the compiled store — the server's one
-  compile cache — and the content-addressed verdict cache
-  (:class:`~repro.service.cache.ResultCache`);
+  check every job through one shared
+  :class:`~repro.verifier.session.Verifier`, whose compile cache (keyed by
+  the raw source text) is the server's one compile cache: a program seen
+  by *any* request is parsed and extracted once no matter which worker
+  thread checks it.  All threads also share the interpreter-wide
+  Presburger operation cache (:mod:`repro.presburger.opcache`) and the
+  content-addressed verdict cache (:class:`~repro.service.cache.ResultCache`);
 * :class:`JobDispatcher` — the asyncio front that coalesces concurrent
   identical requests: the first request for a ``(job fingerprint, budget)``
   key becomes the *leader* and actually executes; every duplicate that
@@ -34,10 +31,8 @@ watchdog works on the pool's worker threads as on any other thread.
 from __future__ import annotations
 
 import asyncio
-import hashlib
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional, Tuple
@@ -54,10 +49,9 @@ from ..service.executor import (
 from ..service.fingerprint import job_fingerprint
 from ..service.job import JobResult, JobStatus, VerificationJob
 from ..telemetry import request_scope
-from ..verifier import CompiledProgram, Verifier
-from ..lang import parse_program
+from ..verifier import Verifier
 
-__all__ = ["ServerStats", "CompiledStore", "WarmVerifierPool", "JobDispatcher"]
+__all__ = ["ServerStats", "WarmVerifierPool", "JobDispatcher"]
 
 
 @dataclass
@@ -116,67 +110,6 @@ class ServerStats:
             }
 
 
-class CompiledStore:
-    """A bounded, thread-safe LRU of compiled frontend artifacts.
-
-    Keys are the SHA-256 of the *raw* source text: computing the key never
-    parses, so a hit skips the frontend entirely.  The stored
-    :class:`CompiledProgram` values are shared across worker threads; each is
-    fully built before it is published and never changes afterwards.
-    """
-
-    def __init__(self, max_entries: int = 512):
-        self.max_entries = max(1, int(max_entries))
-        self._lock = threading.Lock()
-        self._entries: "OrderedDict[str, CompiledProgram]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    @staticmethod
-    def key(source: str) -> str:
-        return hashlib.sha256(source.encode("utf-8")).hexdigest()
-
-    def get_or_compile(self, source: str) -> CompiledProgram:
-        """The compiled form of *source*, parsing at most once per text."""
-        key = self.key(source)
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return cached
-            self.misses += 1
-        # Compile outside the lock: the frontend is the expensive part and two
-        # threads racing on the same new program is rarer than one thread
-        # blocking every other on a big program.  The loser's copy is dropped.
-        compiled = CompiledProgram(parse_program(source))
-        with self._lock:
-            winner = self._entries.setdefault(key, compiled)
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-        return winner
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def stats(self) -> Dict[str, Any]:
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-            }
-
-
 class WarmVerifierPool:
     """Worker threads over shared warm state.
 
@@ -207,7 +140,7 @@ class WarmVerifierPool:
     ):
         self.workers = max(1, int(workers))
         self.cache = cache
-        self.compiled = CompiledStore()
+        self.session = Verifier()
         self.default_timeout = default_timeout
         self.backend = backend
         self.smt_solver = smt_solver
@@ -260,8 +193,8 @@ class WarmVerifierPool:
     ) -> JobResult:
         """Execute one job warm, synchronously, in the calling thread.
 
-        Cache front first; a miss checks the shared compiled store's
-        programs, with the job's budget (see :meth:`prepare_job`) enforced
+        Cache front first; a miss checks the job through the shared
+        session, with the job's budget (see :meth:`prepare_job`) enforced
         by the signal-free timeout path.  Designed to be
         called from the pool's worker threads (via :meth:`submit`) but safe
         from any thread, including the main one.
@@ -288,9 +221,9 @@ class WarmVerifierPool:
 
         def warm_run():
             with request_scope(request_id):
-                original = self.compiled.get_or_compile(job.original_source)
-                transformed = self.compiled.get_or_compile(job.transformed_source)
-                return Verifier().check(original, transformed, options=job.options)
+                return self.session.check(
+                    job.original_source, job.transformed_source, options=job.options
+                )
 
         outcome = execute_job(job, None, fingerprint, ship, run=warm_run)
         self.stats.inc("checks_executed")
@@ -321,11 +254,11 @@ class WarmVerifierPool:
         """Drop the verdict cache and the compiled artifacts.
 
         A check running concurrently with the reset keeps the artifacts it
-        already fetched for that one job, which is safe: the store only
+        already fetched for that one job, which is safe: the session only
         caches frontend results.
         """
         with self._lock:
-            self.compiled.clear()
+            self.session.clear_cache()
             if self.cache is not None:
                 self.cache.clear()
             self.stats.inc("resets")
@@ -333,16 +266,16 @@ class WarmVerifierPool:
     def snapshot(self) -> Dict[str, Any]:
         """The warm-state half of the ``stats`` RPC payload.
 
-        Counters plus pool/compiled-store occupancy, verdict-cache
+        Counters plus pool/compile-cache occupancy, verdict-cache
         hit rates, the process-wide Presburger opcache (memory + disk tier)
         and the accumulated per-kind solver-backend query counts.  The
         daemon layers its own serving-side fields on top — see
         :meth:`repro.server.daemon.VerificationServer.snapshot`.
         """
         payload = self.stats.as_dict()
-        compiled = self.compiled.stats()
+        compiled = self.session.compile_stats()
         payload["compiled_store"] = compiled
-        # Top-level aliases of the store's counters, kept for existing readers.
+        # Top-level aliases of the compile cache's counters, kept for existing readers.
         payload["compile_hits"] = compiled["hits"]
         payload["compile_misses"] = compiled["misses"]
         payload["verdict_cache"] = self.cache.stats.as_dict() if self.cache is not None else None

@@ -177,7 +177,7 @@ def execute_job(
 
     While tracing, the job runs under a ``service.job`` span.  The job
     collects the spans this thread finishes and the Presburger counts it
-    makes (the server's compiles included).  With *ship* the spans and a
+    makes.  With *ship* the spans and a
     copy of the counts go into ``JobResult.telemetry`` for another process.
     This is the one place that packs them: batch pool workers always ship,
     and the server ships for a traced request and forwards only the spans
@@ -332,7 +332,7 @@ class BatchExecutor:
         results[index] = outcome
         if outcome.telemetry is not None:
             _TRACER.ingest(outcome.telemetry.get("spans", ()))
-            opcache.cache().ingest(outcome.telemetry.get("opcache", {}))
+            opcache.ingest(outcome.telemetry.get("opcache", {}))
             outcome.telemetry = None
         store_verdict(self.cache, outcome)
         if progress is not None:

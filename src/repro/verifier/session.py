@@ -19,8 +19,10 @@ over a throwaway session.
 
 from __future__ import annotations
 
+import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from collections import OrderedDict
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..addg import ADDG, build_addg
 from ..analysis import ProgramGeometry, check_dataflow
@@ -38,9 +40,18 @@ from ..telemetry import TRACER, aggregate_phase_seconds, current_request
 from .events import CheckObserver, _Broadcast
 from .options import CheckOptions
 
-__all__ = ["CompiledProgram", "Verifier", "normalized_program_text", "ProgramLike"]
+__all__ = [
+    "COMPILE_CACHE_SIZE",
+    "CompiledProgram",
+    "Verifier",
+    "normalized_program_text",
+    "ProgramLike",
+]
 
 ProgramLike = Union[Program, str, "CompiledProgram"]
+
+#: The most compiled programs one session keeps (least recently used go first).
+COMPILE_CACHE_SIZE = 512
 
 
 def normalized_program_text(program: Program) -> str:
@@ -104,7 +115,10 @@ class Verifier:
 
     A session is cheap; its value is the compile cache: every distinct
     program is parsed, def-use-checked and ADDG-extracted once, no matter
-    how many checks it participates in.  Sessions are not thread-safe.
+    how many checks it participates in.  The cache is an LRU of
+    :data:`COMPILE_CACHE_SIZE` programs under a lock, so threads may share a
+    session and check through it at once (the server's worker threads do);
+    registering observers while checks run is not thread-safe.
     """
 
     def __init__(
@@ -114,9 +128,11 @@ class Verifier:
     ):
         self.options = options if options is not None else CheckOptions()
         self._observers: List[CheckObserver] = list(observers)
-        self._cache: Dict[Tuple[str, object], CompiledProgram] = {}
+        self._cache: "OrderedDict[Tuple[str, object], CompiledProgram]" = OrderedDict()
+        self._lock = threading.Lock()
         self.compile_hits = 0
         self.compile_misses = 0
+        self.compile_evictions = 0
 
     # ------------------------------------------------------------------ #
     def add_observer(self, observer: CheckObserver) -> None:
@@ -125,7 +141,18 @@ class Verifier:
 
     def clear_cache(self) -> None:
         """Drop every cached :class:`CompiledProgram`."""
-        self._cache.clear()
+        with self._lock:
+            self._cache.clear()
+
+    def compile_stats(self) -> Dict[str, Any]:
+        """Occupancy and lifetime counters of the compile cache."""
+        with self._lock:
+            return {
+                "entries": len(self._cache),
+                "hits": self.compile_hits,
+                "misses": self.compile_misses,
+                "evictions": self.compile_evictions,
+            }
 
     # ------------------------------------------------------------------ #
     def compile(self, source: ProgramLike) -> CompiledProgram:
@@ -136,6 +163,9 @@ class Verifier:
         text is keyed by its exact text; ``Program`` values by identity.  A
         program outside the allowed class raises
         :class:`~repro.lang.errors.ProgramClassError` here.
+
+        The frontend runs outside the cache lock: two threads racing on one
+        new program both compile it, and the first to publish wins.
         """
         if isinstance(source, CompiledProgram):
             return source
@@ -147,15 +177,23 @@ class Verifier:
             raise TypeError(
                 f"expected a Program, source text or CompiledProgram, got {type(source).__name__}"
             )
-        cached = self._cache.get(key)
-        if cached is not None:
-            self.compile_hits += 1
-            return cached
-        self.compile_misses += 1
+        cache = self._cache
+        with self._lock:
+            cached = cache.get(key)
+            if cached is not None:
+                cache.move_to_end(key)
+                self.compile_hits += 1
+                return cached
+            self.compile_misses += 1
         program = parse_program(source) if isinstance(source, str) else source
         compiled = CompiledProgram(program)
-        self._cache[key] = compiled
-        return compiled
+        with self._lock:
+            winner = cache.setdefault(key, compiled)
+            cache.move_to_end(key)
+            while len(cache) > COMPILE_CACHE_SIZE:
+                cache.popitem(last=False)
+                self.compile_evictions += 1
+        return winner
 
     # ------------------------------------------------------------------ #
     def check(
@@ -357,7 +395,8 @@ def _traverse(
         program only materialises part of a temporary.  Returns whether the
         obligation held without a new diagnostic, and the checked domain:
         ``None`` when an array is never written, which only a declared
-        correspondence can name, since outputs are written arrays.
+        correspondence can name, since outputs are written arrays, or when
+        the two arrays differ in dimensionality (a KIND_MISMATCH).
         """
         diagnostics_before = len(engine.diagnostics)
         try:
@@ -368,6 +407,21 @@ def _traverse(
                 Diagnostic(
                     DiagnosticKind.PRECONDITION,
                     f"declared correspondence ({name1!r}, {name2!r}) refers to an array that is never written",
+                )
+            )
+            return False, None
+        if defined1.arity != defined2.arity:
+            subject = (
+                f"output array {name1!r} has"
+                if whole
+                else f"corresponding arrays {name1!r} and {name2!r} have"
+            )
+            engine.diagnostics.append(
+                Diagnostic(
+                    DiagnosticKind.KIND_MISMATCH,
+                    f"{subject} different dimensionality: {defined1.arity} in the original "
+                    f"program, {defined2.arity} in the transformed program",
+                    output_array=name1 if whole else None,
                 )
             )
             return False, None
@@ -445,7 +499,7 @@ def _traverse(
             report = OutputReport(
                 array=name,
                 equivalent=output_ok,
-                checked_domain=str(common),
+                checked_domain=None if common is None else str(common),
                 failing_domain=failing_domain,
             )
             reports.append(report)

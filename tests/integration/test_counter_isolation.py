@@ -103,12 +103,11 @@ class TestPerCheckCounters:
 class TestExactTotals:
     @pytest.mark.parametrize("collected", [True, False], ids=["in-collectors", "no-collector"])
     def test_two_threads_recording_hits_sum_exactly(self, fast_switching, collected):
-        cache = opcache.cache()
         collected_counts = []
 
         def record_hits():
             for _ in range(RECORDS_PER_THREAD):
-                cache.record("compose", hit=True)
+                opcache.record("compose", hit=True)
 
         def worker():
             if collected:
@@ -137,7 +136,7 @@ def _fir_job():
 
 class TestJobCollector:
     def test_a_shipped_job_carries_its_checks_counts_and_its_compiles(self):
-        """The server's job collector covers the check and the compiles around it."""
+        """The server's job collector covers the check, whose own collector covers its compiles."""
         job = _fir_job()
         pool = WarmVerifierPool(workers=1)
         try:
@@ -147,12 +146,30 @@ class TestJobCollector:
         assert outcome.status == JobStatus.OK
         check = outcome.result.stats
         shipped = outcome.telemetry["opcache"]
-        # The compiles ran outside Verifier.check, inside the job.
-        assert shipped["hits"] >= check.opcache_hits
-        assert shipped["intern_hits"] >= check.intern_hits
-        assert shipped["hits"] + shipped["misses"] > check.opcache_hits + check.opcache_misses
+        # The compiles run inside Verifier.check, so the check reports them too.
+        assert (shipped["hits"], shipped["misses"], shipped["intern_hits"]) == (
+            check.opcache_hits,
+            check.opcache_misses,
+            check.intern_hits,
+        )
         # Shipping is a copy: the counts also reached this process's totals.
         assert opcache.stats().as_dict() == shipped
+
+    def test_a_served_check_reports_what_a_local_check_of_the_pair_does(self):
+        job = _fir_job()
+        pool = WarmVerifierPool(workers=1)
+        try:
+            served = pool.run_job(job).result.stats
+        finally:
+            pool.close()
+        opcache.reset()
+        local = Verifier().check(job.original_source, job.transformed_source).stats
+        assert (served.opcache_hits, served.opcache_misses, served.intern_hits) == (
+            local.opcache_hits,
+            local.opcache_misses,
+            local.intern_hits,
+        )
+        assert served.frontend_seconds > 0 and local.frontend_seconds > 0
 
     def test_a_job_around_a_check_ships_exactly_the_checks_counts(self):
         job = _fir_job()

@@ -19,6 +19,7 @@ import pytest
 
 from repro.server import ServerClient, ServerConfig, ServerError, ServerThread, daemon, protocol
 from repro.service import CheckOptions, JobStatus, VerificationJob
+from repro.verifier import Verifier
 
 ORIGINAL = """
 #define N 8
@@ -231,16 +232,14 @@ class TestBudgets:
         """Make marked sources spin for 30 s inside the compile step, which
         runs within the budgeted window, so any small budget expires
         deterministically; unmarked sources compile for real."""
-        from repro.server.pool import CompiledStore
-
-        real = CompiledStore.get_or_compile
+        real = Verifier.compile
 
         def slow(self, source):
-            if SLOW_MARKER in source:
+            if isinstance(source, str) and SLOW_MARKER in source:
                 busy_loop()
             return real(self, source)
 
-        monkeypatch.setattr(CompiledStore, "get_or_compile", slow)
+        monkeypatch.setattr(Verifier, "compile", slow)
 
     def test_job_exceeding_budget_times_out_structurally(self, server, slow_compiles):
         with ServerClient(server.address) as client:

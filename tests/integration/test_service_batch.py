@@ -20,6 +20,7 @@ from repro.service import (
     build_corpus,
     read_report,
 )
+from tests.integration.test_server_faults import busy_loop
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +58,6 @@ class TestBatchExecutor:
     def test_pool_workers_share_the_parents_persistent_store(self, tmp_path, corpus):
         """Workers write to the store the parent attached; a second run with
         cold memory tiers is served from disk, with identical verdicts."""
-        from repro.presburger import opcache
         from repro.presburger.persist import PersistentStore
 
         path = str(tmp_path / "persist")
@@ -128,12 +128,20 @@ class TestBatchExecutor:
         first, second = results[: len(corpus)], results[len(corpus):]
         assert [r.equivalent for r in first] == [r.equivalent for r in second]
 
-    def test_duplicate_pairs_with_different_timeouts_do_not_dedup(self, corpus):
+    def test_duplicate_pairs_with_different_timeouts_do_not_dedup(self, corpus, monkeypatch):
         # The fingerprint excludes the timeout (a budget cannot change a
         # computed verdict), but in-batch dedup must still keep
         # differently-budgeted duplicates apart: a leader's TIMEOUT outcome
         # is budget-dependent and must not fan out to a job with a larger
         # budget.
+        real_run = VerificationJob.run
+
+        def run(self):
+            if self.name == "tight":
+                busy_loop()  # outlasts the 1 ms budget whatever the caches hold
+            return real_run(self)
+
+        monkeypatch.setattr(VerificationJob, "run", run)
         job = corpus[0]
         tight = VerificationJob(
             name="tight",
@@ -147,10 +155,7 @@ class TestBatchExecutor:
             transformed_source=job.transformed_source,
             options=job.options,
         )
-        # Uncached, the check reliably outlasts the 1 ms budget; against a
-        # warm opcache it can finish before the watchdog thread gets to run.
-        with opcache.disabled():
-            results = BatchExecutor(workers=1).run([tight, loose])
+        results = BatchExecutor(workers=1).run([tight, loose])
         by_name = {r.name: r for r in results}
         assert by_name["tight"].status == JobStatus.TIMEOUT
         assert by_name["loose"].status == JobStatus.OK

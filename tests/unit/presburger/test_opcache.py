@@ -33,7 +33,7 @@ def fresh_cache():
     opcache.reset()
     yield
     opcache.reset()
-    opcache.cache().maxsize = opcache.DEFAULT_SIZE
+    opcache.maxsize = opcache.DEFAULT_SIZE
 
 
 MAP_SOURCES = [
@@ -246,17 +246,17 @@ class TestInterning:
 
 class TestCacheMechanics:
     def test_lru_respects_maxsize(self):
-        opcache.cache().maxsize = 4
+        opcache.maxsize = 4
         for i in range(32):
             parse_set(f"{{ [k] : 0 <= k < {i + 1} }}").is_empty()
-        assert len(opcache.cache()) <= 4
+        assert opcache.size() <= 4
         assert opcache.stats().evictions > 0
 
     def test_cache_is_bounded_by_the_fixed_default_size(self):
         assert opcache.DEFAULT_SIZE == 8192
-        assert opcache.cache().maxsize == opcache.DEFAULT_SIZE
+        assert opcache.maxsize == opcache.DEFAULT_SIZE
         opcache.reset()
-        assert opcache.cache().maxsize == opcache.DEFAULT_SIZE
+        assert opcache.maxsize == opcache.DEFAULT_SIZE
 
     def test_disable_switch_stops_hits(self):
         relation = parse_map(MAP_SOURCES[0])
@@ -317,14 +317,14 @@ class TestCacheMechanics:
 class TestConcurrentMemoization:
     def test_two_threads_racing_hits_against_evictions(self):
         """A key evicted by another thread between lookup and LRU bump is still a hit."""
-        cache = opcache.OpCache(maxsize=2)
+        opcache.maxsize = 2  # the fixture restores the default
         errors = []
 
         def worker(stride):
             try:
                 for step in range(50000):
                     key = (step * stride) % 4
-                    assert cache.memoized("op", key, lambda: key) == key
+                    assert opcache.memoized("op", key, lambda: key) == key
             except Exception as error:  # noqa: BLE001 - collected and asserted below
                 errors.append(error)
 
@@ -339,7 +339,7 @@ class TestConcurrentMemoization:
         finally:
             sys.setswitchinterval(previous)
         assert errors == []
-        assert len(cache) <= 2
+        assert opcache.size() <= 2
 
 
 class TestCheckerIntegration:
@@ -433,17 +433,17 @@ class TestWorkCounts:
         self._cold_check_delta()
         copied = opcache.stats()
         assert copied == opcache.stats()
-        opcache.cache().count("fm_eliminations")
-        opcache.cache().count("feasibility_checks")
+        opcache.count("fm_eliminations")
+        opcache.count("feasibility_checks")
         assert copied.fm_eliminations == opcache.stats().fm_eliminations - 1
         assert copied.feasibility_checks == opcache.stats().feasibility_checks - 1
 
     def test_nested_collectors_add_into_the_enclosing_one(self):
         with opcache.collect() as outer:
-            opcache.cache().count("fm_eliminations", 3)
+            opcache.count("fm_eliminations", 3)
             with opcache.collect() as inner:
-                opcache.cache().count("fm_eliminations", 7)
-                opcache.cache().record("compose", hit=True)
+                opcache.count("fm_eliminations", 7)
+                opcache.record("compose", hit=True)
                 assert outer.fm_eliminations == 3  # nothing passes on before the exit
             assert opcache.stats() == opcache.OpCacheStats()
         assert (inner.fm_eliminations, inner.per_op) == (7, {"compose": (1, 0)})

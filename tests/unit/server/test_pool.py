@@ -1,4 +1,4 @@
-"""Unit tests: the warm pool, the compiled store, and cross-request dedup.
+"""Unit tests: the warm pool, its shared session, and cross-request dedup.
 
 The dedup tests pin down the server's coalescing contract (the same rule
 the batch executor applies in-batch): two concurrent requests fuse onto one
@@ -13,11 +13,12 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.server.pool import CompiledStore, JobDispatcher, WarmVerifierPool
+from repro.server.pool import JobDispatcher, WarmVerifierPool
 from repro.service import JobStatus, ResultCache, VerificationJob, job_fingerprint
 from repro.service.executor import job_budget
 from repro.service.job import JobResult
 from repro.verifier import CheckOptions, Verifier
+from tests.unit.verifier.test_session import ARITY_MISMATCH_PAIRS
 
 ORIGINAL = """
 #define N 8
@@ -48,33 +49,6 @@ def make_job(name="j", timeout=None, expected=None):
         options=CheckOptions(timeout=timeout),
         expected_equivalent=expected,
     )
-
-
-# --------------------------------------------------------------------------- #
-# CompiledStore
-# --------------------------------------------------------------------------- #
-class TestCompiledStore:
-    def test_hit_after_miss(self):
-        store = CompiledStore(max_entries=4)
-        first = store.get_or_compile(ORIGINAL)
-        second = store.get_or_compile(ORIGINAL)
-        assert first is second
-        assert store.hits == 1 and store.misses == 1
-
-    def test_lru_eviction_drops_oldest(self):
-        store = CompiledStore(max_entries=2)
-        store.get_or_compile(ORIGINAL)
-        store.get_or_compile(TRANSFORMED_EQ)
-        store.get_or_compile(ORIGINAL)  # refresh ORIGINAL
-        third = "\n#define N 4\nf(int A[], int B[])\n{\n    int k;\n    for (k = 0; k < N; k++)\ns1:     B[k] = A[k];\n}\n"
-        store.get_or_compile(third)  # evicts TRANSFORMED_EQ (least recent)
-        assert store.evictions == 1
-        hits_before = store.hits
-        store.get_or_compile(ORIGINAL)
-        assert store.hits == hits_before + 1  # survived the eviction
-
-    def test_key_is_raw_text(self):
-        assert CompiledStore.key(ORIGINAL) != CompiledStore.key(ORIGINAL + " ")
 
 
 # --------------------------------------------------------------------------- #
@@ -111,7 +85,7 @@ class TestWarmVerifierPool:
         try:
             first = pool.run_job(make_job())
             pool.reset()
-            assert len(pool.compiled) == 0
+            assert pool.session.compile_stats()["entries"] == 0
             again = pool.run_job(make_job())
             assert not again.cache_hit  # verdict cache was dropped too
             assert again.equivalent == first.equivalent
@@ -120,14 +94,14 @@ class TestWarmVerifierPool:
         finally:
             pool.close()
 
-    def test_compiled_store_shared_across_jobs(self):
+    def test_session_compile_cache_shared_across_jobs(self):
         pool = WarmVerifierPool(workers=1)
         try:
             pool.run_job(make_job(name="a"))
             pool.run_job(make_job(name="b"))
             # Two jobs, two sources each, but each text parsed exactly once.
-            assert pool.compiled.misses == 2
-            assert pool.compiled.hits == 2
+            assert pool.session.compile_misses == 2
+            assert pool.session.compile_hits == 2
         finally:
             pool.close()
 
@@ -141,6 +115,24 @@ class TestWarmVerifierPool:
             assert outcome.status == JobStatus.ERROR
             assert outcome.error
             assert pool.stats.errors == 1
+        finally:
+            pool.close()
+
+    @pytest.mark.parametrize("case", sorted(ARITY_MISMATCH_PAIRS))
+    def test_arrays_of_different_dimensionality_are_a_verdict(self, case):
+        original, transformed, correspondences, _ = ARITY_MISMATCH_PAIRS[case]
+        job = VerificationJob(
+            name=case,
+            original_source=original,
+            transformed_source=transformed,
+            options=CheckOptions(correspondences=correspondences),
+        )
+        pool = WarmVerifierPool(workers=1)
+        try:
+            outcome = pool.run_job(job)
+            assert outcome.status == JobStatus.OK
+            assert outcome.equivalent is False
+            assert pool.stats.errors == 0
         finally:
             pool.close()
 

@@ -16,6 +16,7 @@ from repro.cli import build_cli_parser, main
 from repro.lang.errors import LangError, ProgramClassError
 from repro.verifier import CheckOptions, Verifier
 from repro.workloads import FIG1_SOURCES
+from tests.unit.verifier.test_session import ARITY_MISMATCH_PAIRS
 
 
 NON_AFFINE_BOUND = """f(int A[], int C[][16])
@@ -324,6 +325,21 @@ class TestMain:
             fig1_files["a"], fig1_files["b"],
         ])
         assert status == 0
+
+    @pytest.mark.parametrize("case", sorted(ARITY_MISMATCH_PAIRS))
+    def test_arrays_of_different_dimensionality_are_not_proven(self, tmp_path, capsys, case):
+        original, transformed, correspondences, named = ARITY_MISMATCH_PAIRS[case]
+        paths = []
+        for side, source in (("original", original), ("transformed", transformed)):
+            path = tmp_path / f"{side}.c"
+            path.write_text(source)
+            paths.append(str(path))
+        flags = [f"--correspond={a}={b}" for a, b in correspondences]
+        status = main(["check"] + flags + paths)
+        assert status == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert "[kind-mismatch]" in captured.out and named in captured.out
 
     def test_bad_correspond_syntax(self, fig1_files):
         with pytest.raises(SystemExit):

@@ -19,6 +19,7 @@ from repro.verifier import (
     Verifier,
     normalized_program_text,
 )
+from repro.verifier import session as session_module
 
 ORIGINAL = """
 #define N 8
@@ -75,6 +76,46 @@ f(int A[], int B[]) {
 """
 
 
+# Arrays whose dimensionality differs between the programs: an output
+# written as C[8] against C[8][1], and a declared correspondence t=u with
+# int t[8], u[8][2].  Each entry is (original, transformed, correspondences,
+# the array(s) the diagnostic names); the original side is one-dimensional.
+COPY_1D = """
+f(int A[], int C[]) {
+    int k;
+    for (k = 0; k < 8; k++) s1: C[k] = A[k];
+}
+"""
+
+COPY_2D = """
+f(int A[], int C[][1]) {
+    int k;
+    for (k = 0; k < 8; k++) t1: C[k][0] = A[k];
+}
+"""
+
+VIA_T = """
+f(int A[], int C[]) {
+    int k, t[8];
+    for (k = 0; k < 8; k++) s1: t[k] = A[k];
+    for (k = 0; k < 8; k++) s2: C[k] = t[k];
+}
+"""
+
+VIA_U = """
+f(int A[], int C[]) {
+    int k, u[8][2];
+    for (k = 0; k < 8; k++) t1: u[k][0] = A[k];
+    for (k = 0; k < 8; k++) t2: C[k] = u[k][0];
+}
+"""
+
+ARITY_MISMATCH_PAIRS = {
+    "output": (COPY_1D, COPY_2D, (), "'C'"),
+    "correspondence": (VIA_T, VIA_U, (("t", "u"),), "'t' and 'u'"),
+}
+
+
 class TestCompile:
     def test_compile_source_text(self):
         verifier = Verifier()
@@ -125,6 +166,40 @@ class TestCompile:
         verifier = Verifier()
         texts = [normalized_program_text(verifier.compile(s).program) for s in (ORIGINAL, reformatted)]
         assert texts[0] == texts[1]
+
+
+class TestCompileCache:
+    """The session's compile cache: a bounded, thread-safe LRU keyed by raw text."""
+
+    def test_hit_after_miss(self):
+        verifier = Verifier()
+        first = verifier.compile(ORIGINAL)
+        second = verifier.compile(ORIGINAL)
+        assert first is second
+        assert verifier.compile_stats() == {"entries": 1, "hits": 1, "misses": 1, "evictions": 0}
+
+    def test_lru_eviction_drops_oldest(self, monkeypatch):
+        monkeypatch.setattr(session_module, "COMPILE_CACHE_SIZE", 2)
+        verifier = Verifier()
+        original = verifier.compile(ORIGINAL)
+        verifier.compile(TRANSFORMED_EQ)
+        verifier.compile(ORIGINAL)  # refresh ORIGINAL
+        verifier.compile(TRANSFORMED_BAD)  # evicts TRANSFORMED_EQ (least recent)
+        assert verifier.compile_evictions == 1
+        assert verifier.compile_stats()["entries"] == 2
+        hits_before = verifier.compile_hits
+        assert verifier.compile(ORIGINAL) is original  # survived the eviction
+        assert verifier.compile_hits == hits_before + 1
+        verifier.compile(TRANSFORMED_EQ)
+        assert verifier.compile_misses == 4  # the evicted text compiles again
+
+    def test_default_bound(self):
+        assert session_module.COMPILE_CACHE_SIZE == 512
+
+    def test_key_is_raw_text(self):
+        verifier = Verifier()
+        assert verifier.compile(ORIGINAL) is not verifier.compile(ORIGINAL + " ")
+        assert verifier.compile_misses == 2 and verifier.compile_hits == 0
 
 
 class TestCheck:
@@ -192,6 +267,29 @@ class TestCheck:
         assert result.stats.elapsed_seconds == pytest.approx(
             result.stats.frontend_seconds + result.stats.engine_seconds
         )
+
+
+class TestArityMismatch:
+    """Arrays of different dimensionality are a KIND_MISMATCH, not an exception."""
+
+    @pytest.mark.parametrize("case", sorted(ARITY_MISMATCH_PAIRS))
+    def test_one_kind_mismatch_names_the_array_and_both_dimensionalities(self, case):
+        original, transformed, correspondences, named = ARITY_MISMATCH_PAIRS[case]
+        result = Verifier().check(
+            original, transformed, options=CheckOptions(correspondences=correspondences)
+        )
+        assert result.equivalent is False
+        (diagnostic,) = result.diagnostics
+        assert diagnostic.kind == DiagnosticKind.KIND_MISMATCH
+        assert named in diagnostic.message
+        assert "1 in the original program, 2 in the transformed program" in diagnostic.message
+
+    def test_a_failing_output_has_no_checked_domain(self):
+        original, transformed, _, _ = ARITY_MISMATCH_PAIRS["output"]
+        (report,) = Verifier().check(original, transformed).outputs
+        assert report.array == "C" and report.equivalent is False
+        assert report.checked_domain is None
+        assert report.to_dict()["checked_domain"] is None
 
 
 class TestObservers:

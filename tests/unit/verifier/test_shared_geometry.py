@@ -19,7 +19,6 @@ from repro.analysis import domains
 from repro.lang import parse_program, program_to_text
 from repro.lang.ast import array_reads
 from repro.presburger import Map, Set
-from repro.server import CompiledStore
 from repro.verifier import CompiledProgram, Verifier
 from repro.workloads import SMALL_KERNEL_PARAMS, fig1_program, kernel_names, kernel_pair
 
@@ -190,20 +189,20 @@ def test_check_and_diagnose_add_or_rebind_nothing(name):
 
 
 @pytest.mark.parametrize("name", ["fig1-buggy"] + kernel_names())
-def test_store_threads_share_the_one_published_compiled_pair(name):
+def test_session_threads_share_the_one_published_compiled_pair(name):
     sources = [program_to_text(program) for program in _programs(name)]
     serial_pair = [CompiledProgram(parse_program(source)) for source in sources]
     expected = _summary(Verifier().check(*serial_pair), serial_pair)
 
-    store = CompiledStore()
+    session = Verifier()
     held, results, errors = [None] * 3, [None] * 3, []
     start = threading.Barrier(3)
 
     def worker(slot):
         try:
             start.wait()
-            held[slot] = [store.get_or_compile(source) for source in sources]
-            results[slot] = _summary(Verifier().check(*held[slot]), held[slot])
+            held[slot] = [session.compile(source) for source in sources]
+            results[slot] = _summary(session.check(*held[slot]), held[slot])
         except Exception as error:  # noqa: BLE001 - collected and asserted below
             errors.append(error)
 
@@ -215,6 +214,6 @@ def test_store_threads_share_the_one_published_compiled_pair(name):
 
     assert errors == []
     assert results == [expected] * 3
-    published = [store.get_or_compile(source) for source in sources]
+    published = [session.compile(source) for source in sources]
     for pair in held:
         assert all(mine is one for mine, one in zip(pair, published))
